@@ -3,15 +3,15 @@
 //!
 //! ```text
 //! perfbench --workload <reduced-flow|fit-audit|corpus-block> --seed <n>
-//!           --seconds <s> --trace <0|1> [--ops <max ops>]
+//!           --seconds <s> --trace <0|1>
 //! ```
 //!
 //! A run builds the workload's boards (timed as `setup_s`), then runs ops in
 //! a closed loop, one at a time, for `--seconds` seconds, checking every
 //! op's output. With `--trace 0` it prints the end-to-end metrics; with
-//! `--trace 1` it runs each op three ways (untraced board-serial, untraced on
-//! the global pool, traced) and prints the per-layer metrics, and writes the
-//! spans to `perfbench/spans/<workload>-seed<n>.jsonl`. The last line of
+//! `--trace 1` it runs each op untraced and traced (the corpus block also on
+//! a 1-thread pool) and prints the per-layer metrics, and writes the spans
+//! to `perfbench/spans/<workload>-seed<n>.jsonl`. The last line of
 //! standard output is one JSON object:
 //! `{"correct": .., "attempted": .., "failed": .., "metrics": {..}}`.
 //! The process exits non-zero when any check fails. See `README.md` for the
@@ -22,6 +22,7 @@ mod speed;
 mod trace;
 mod workload;
 
+use pim_core::corpus::Corpus;
 use probe::{ProbeInput, KERNELS};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -47,7 +48,6 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    max_ops: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -55,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = None;
     let mut seconds = None;
     let mut trace = false;
-    let mut max_ops = usize::MAX;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -75,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
                     _ => return Err(bad("expected 0 or 1")),
                 }
             }
-            "--ops" => max_ops = value.parse().map_err(|_| bad("expected a positive integer"))?,
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -84,7 +82,6 @@ fn parse_args() -> Result<Args, String> {
         seed: seed.ok_or("--seed is required")?,
         seconds: seconds.ok_or("--seconds is required")?,
         trace,
-        max_ops: max_ops.max(1),
     })
 }
 
@@ -185,9 +182,7 @@ fn run_plain(args: &Args) -> Result<RunResult, String> {
     let mut outcomes = Vec::new();
     let units = workload::op_units(&boards);
     let start = Instant::now();
-    while op_times.is_empty()
-        || (start.elapsed().as_secs_f64() < args.seconds && op_times.len() < args.max_ops)
-    {
+    while op_times.is_empty() || start.elapsed().as_secs_f64() < args.seconds {
         // Each unit is scaled by the reference sampled right around it, so
         // the scaling follows speed drift within a long op.
         let (mut op, mut scaled, mut raw) = (Vec::new(), 0.0, 0.0);
@@ -238,8 +233,8 @@ fn run_plain(args: &Args) -> Result<RunResult, String> {
 #[derive(Default)]
 struct TraceTotals {
     rounds: usize,
+    untraced_s: f64,
     serial_s: f64,
-    parallel_s: f64,
     traced_s: f64,
     stage_s: [f64; 9],
     counts: Counts,
@@ -353,22 +348,7 @@ fn traced_op(
                 let report = traced_board(log, totals, op, op_span, &name, |t| {
                     workload::corpus_flow_observed(&parts, flow.clone(), t)
                 });
-                outcomes.push(match &report {
-                    Ok(_) => BoardOutcome {
-                        board: name.clone(),
-                        ok: true,
-                        certified: true,
-                        z_err: None,
-                        detail: String::new(),
-                    },
-                    Err(e) => BoardOutcome {
-                        board: name.clone(),
-                        ok: false,
-                        certified: false,
-                        z_err: None,
-                        detail: e.clone(),
-                    },
-                });
+                outcomes.push(workload::check_corpus_report(case, &report));
                 if let Ok(r) = &report {
                     let input = ProbeInput {
                         pdn: &parts.pdn,
@@ -395,27 +375,26 @@ fn run_traced(args: &Args) -> Result<RunResult, String> {
     let boards = workload::setup(args.workload, args.seed)?;
     let mut log = SpanLog::new();
     let serial_pool = pim_runtime::ThreadPool::new(1);
-    // Board-serial and board-parallel variants of the untraced op.
-    let (serial, parallel) = match boards {
-        Boards::Corpus { .. } => (Some(&serial_pool), None),
-        _ => (None, Some(pim_runtime::global())),
-    };
+    let units = workload::op_units(&boards);
     let mut totals = TraceTotals::default();
     let (mut attempted, mut failed) = (0, 0);
     let start = Instant::now();
-    while totals.rounds == 0
-        || (start.elapsed().as_secs_f64() < args.seconds && totals.rounds < args.max_ops)
-    {
+    while totals.rounds == 0 || start.elapsed().as_secs_f64() < args.seconds {
         totals.rounds += 1;
         let op = totals.rounds as u64;
         let t = Instant::now();
-        let outcomes = workload::run_op(&boards, serial);
-        totals.serial_s += t.elapsed().as_secs_f64();
+        let outcomes: Vec<BoardOutcome> = units.iter().flat_map(|unit| unit()).collect();
+        totals.untraced_s += t.elapsed().as_secs_f64();
         tally(&outcomes, &mut attempted, &mut failed);
-        let t = Instant::now();
-        let outcomes = workload::run_op(&boards, parallel);
-        totals.parallel_s += t.elapsed().as_secs_f64();
-        tally(&outcomes, &mut attempted, &mut failed);
+        // The corpus block also runs on a 1-thread pool, for the pool speed-up.
+        if let Boards::Corpus { config, seeds, .. } = &boards {
+            let t = Instant::now();
+            let verdicts = Corpus::run_with(&serial_pool, config, seeds);
+            totals.serial_s += t.elapsed().as_secs_f64();
+            let outcomes: Vec<BoardOutcome> =
+                verdicts.iter().map(workload::check_verdict).collect();
+            tally(&outcomes, &mut attempted, &mut failed);
+        }
         let outcomes = traced_op(&boards, &mut log, &mut totals, op, op == 1)?;
         tally(&outcomes, &mut attempted, &mut failed);
     }
@@ -482,9 +461,15 @@ fn run_traced(args: &Args) -> Result<RunResult, String> {
         let values: Vec<f64> = totals.probes.iter().map(|p| p[k]).collect();
         metrics.push((name.to_string(), ratio(values.iter().sum(), values.len() as f64), unit));
     }
+    // Board-serial untraced time: the flows' own op; the corpus block's
+    // 1-thread run. Pool speed-up is defined on the corpus block only.
+    let (serial_s, pool_speedup) = match boards {
+        Boards::Corpus { .. } => (totals.serial_s, ratio(totals.serial_s, totals.untraced_s)),
+        _ => (totals.untraced_s, 1.0),
+    };
     metrics.extend([
-        ("runtime.pool_speedup".to_string(), ratio(totals.serial_s, totals.parallel_s), "ratio"),
-        ("trace.overhead_ratio".to_string(), ratio(totals.traced_s, totals.serial_s), "ratio"),
+        ("runtime.pool_speedup".to_string(), pool_speedup, "ratio"),
+        ("trace.overhead_ratio".to_string(), ratio(totals.traced_s, serial_s), "ratio"),
     ]);
     eprintln!(
         "perfbench: {} seed {} traced: {} rounds, {} ops checked, {} failed",
@@ -503,7 +488,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!(
                 "perfbench: {e}\nusage: perfbench --workload <reduced-flow|fit-audit|corpus-block> \
-                 --seed <n> --seconds <s> --trace <0|1> [--ops <max ops>]"
+                 --seed <n> --seconds <s> --trace <0|1>"
             );
             return ExitCode::from(2);
         }

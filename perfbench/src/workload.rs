@@ -14,7 +14,6 @@ use pim_passivity::check::assess_on;
 use pim_passivity::grid::FrequencyGrid;
 use pim_pdn::TerminationNetwork;
 use pim_rfdata::NetworkData;
-use pim_runtime::ThreadPool;
 use pim_statespace::PoleResidueModel;
 use pim_vectfit::SensitivityModel;
 
@@ -313,22 +312,61 @@ fn committed_class(seed: u64) -> Option<&'static str> {
 /// Check of a corpus verdict: neither failed nor diverged, and a board the
 /// committed report lists as certified is still certified.
 pub fn check_verdict(v: &CorpusVerdict) -> BoardOutcome {
-    let board = format!("seed-{}", v.seed);
-    let certified = v.class == CorpusClass::Certified;
+    check_class(v.seed, v.class, &v.detail, v.weighted_error)
+}
+
+fn check_class(
+    seed: u64,
+    class: CorpusClass,
+    detail: &str,
+    weighted_error: Option<f64>,
+) -> BoardOutcome {
+    let certified = class == CorpusClass::Certified;
     let mut reasons = Vec::new();
-    if matches!(v.class, CorpusClass::Failed | CorpusClass::Diverged) {
-        reasons.push(format!("{}: {}", v.class, v.detail));
+    if matches!(class, CorpusClass::Failed | CorpusClass::Diverged) {
+        reasons.push(format!("{class}: {detail}"));
     }
-    if committed_class(v.seed) == Some(CorpusClass::Certified.name()) && !certified {
-        reasons.push(format!("fell from certified to {}: {}", v.class, v.detail));
+    if committed_class(seed) == Some(CorpusClass::Certified.name()) && !certified {
+        reasons.push(format!("fell from certified to {class}: {detail}"));
     }
     BoardOutcome {
-        board,
+        board: format!("seed-{seed}"),
         ok: reasons.is_empty(),
         certified,
-        z_err: v.weighted_error,
+        z_err: weighted_error,
         detail: reasons.join("; "),
     }
+}
+
+/// Check of a corpus board run outside `Corpus::run` (the traced op): its
+/// report is classified by the certification gate of `CorpusCase::classify`
+/// (σ_max on the contract's audit grid within the gate's tolerance, and the
+/// weighted model beats the standard baseline), then checked like a verdict.
+/// A flow error counts as `Failed`.
+pub fn check_corpus_report(case: &CorpusCase, report: &Result<FlowReport, String>) -> BoardOutcome {
+    let seed = case.board.seed;
+    let report = match report {
+        Ok(r) => r,
+        Err(e) => return check_class(seed, CorpusClass::Failed, &format!("flow: {e}"), None),
+    };
+    let Some(contract) = &report.contract else {
+        return check_class(seed, CorpusClass::Failed, "report carries no accuracy contract", None);
+    };
+    let weighted = report.weighted_passive_eval.impedance_relative_error;
+    let standard = match (&report.weighted_enforcement, &report.standard_passive_eval) {
+        (_, Some(eval)) => Some(eval.impedance_relative_error),
+        (None, None) => Some(report.standard_model_eval.impedance_relative_error),
+        (Some(_), None) => None,
+    };
+    let audit_pass = contract.audit_sigma_max <= 1.0 + case.sigma_tolerance;
+    let beats_standard = standard.is_none_or(|s| weighted < s);
+    let class =
+        if audit_pass && beats_standard { CorpusClass::Certified } else { CorpusClass::Adverse };
+    let detail = format!(
+        "audit sigma_max {:.9}; weighted {weighted:.4} vs standard {standard:?}",
+        contract.audit_sigma_max
+    );
+    check_class(seed, class, &detail, Some(weighted))
 }
 
 /// The parts of an assembled corpus board.
@@ -417,22 +455,5 @@ pub fn op_units(boards: &Boards) -> Vec<Unit<'_>> {
                     as Unit<'_>
             })
             .collect(),
-    }
-}
-
-/// Runs one untraced op: its [`op_units`] one after another, or, with a
-/// pool, every board spread over that pool (`Corpus::run_with` on the whole
-/// block for the corpus). The traced run uses a 1-thread pool and the
-/// global pool to measure board-level speed-up.
-pub fn run_op(boards: &Boards, pool: Option<&ThreadPool>) -> Vec<BoardOutcome> {
-    let Some(pool) = pool else {
-        return op_units(boards).iter().flat_map(|unit| unit()).collect();
-    };
-    match boards {
-        Boards::Flow(scenarios) => pool.par_map(scenarios, |_, b| flow_board(b)),
-        Boards::FitAudit(scenarios) => pool.par_map(scenarios, |_, b| fit_audit_board(b)),
-        Boards::Corpus { config, seeds, .. } => {
-            Corpus::run_with(pool, config, seeds).iter().map(check_verdict).collect()
-        }
     }
 }

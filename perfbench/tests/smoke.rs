@@ -36,7 +36,7 @@ fn field(json: &str, section: &str, key: &str) -> Vec<String> {
 /// Runs one op and returns the result line, asserting a zero exit.
 fn run(workload: &str, trace: bool, threads: Option<&str>) -> String {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_perfbench"));
-    cmd.args(["--workload", workload, "--seed", "0", "--seconds", "0", "--ops", "1"]);
+    cmd.args(["--workload", workload, "--seed", "0", "--seconds", "0"]);
     cmd.args(["--trace", if trace { "1" } else { "0" }]);
     if let Some(n) = threads {
         cmd.env("PIM_THREADS", n);
