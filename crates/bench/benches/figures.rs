@@ -10,9 +10,9 @@ use pim_core::flow::FlowConfig;
 use pim_core::pipeline::Pipeline;
 use pim_core::scenario::{ScenarioPreset, StandardScenario};
 use pim_core::weighting::sensitivity_weighted_norm;
-use pim_passivity::check::{assess, assess_with_sampling};
+use pim_passivity::check::assess_with_sampling;
 use pim_passivity::enforce::{enforce_passivity, EnforcementConfig, PerturbationNorm};
-use pim_passivity::grid::{Adaptive, CrossingRefined, FixedLog, FrequencyGrid};
+use pim_passivity::grid::{Adaptive, FixedLog, FrequencyGrid, SamplingStrategy};
 use pim_pdn::{
     analytic_sensitivity, monte_carlo_sensitivity_with, target_impedance, SensitivityOptions,
 };
@@ -46,44 +46,15 @@ fn bench_figures(c: &mut Criterion) {
                 .expect("fit")
         })
     });
-    c.bench_function("fig4_passivity_assessment", |b| {
-        b.iter(|| assess(&weighted.model, &omegas).expect("assess"))
-    });
-    // Sampling-strategy ablation on the same assessment: the fixed log grid
-    // (no refinement), the historical crossing refinement, and the adaptive
-    // bisection that resolves sub-grid violation bands (see the `grid`
-    // module of pim-passivity and the Fig. 5 anomaly resolution).
+    // The default (adaptive) assessment, and the same sweep without any
+    // refinement for comparison.
     let base_grid = FrequencyGrid::from_omegas(&omegas);
-    let mut sampling = c.benchmark_group("assess_adaptive_vs_fixed");
-    sampling.bench_function("assess_fixed_log", |b| {
-        b.iter(|| {
-            assess_with_sampling(pim_runtime::global(), &weighted.model, &base_grid, &FixedLog)
-                .expect("assess")
-        })
-    });
-    sampling.bench_function("assess_crossing_refined", |b| {
-        b.iter(|| {
-            assess_with_sampling(
-                pim_runtime::global(),
-                &weighted.model,
-                &base_grid,
-                &CrossingRefined,
-            )
+    let assess_base = |strategy: &dyn SamplingStrategy| {
+        assess_with_sampling(pim_runtime::global(), &weighted.model, &base_grid, strategy)
             .expect("assess")
-        })
-    });
-    sampling.bench_function("assess_adaptive", |b| {
-        b.iter(|| {
-            assess_with_sampling(
-                pim_runtime::global(),
-                &weighted.model,
-                &base_grid,
-                &Adaptive::default(),
-            )
-            .expect("assess")
-        })
-    });
-    sampling.finish();
+    };
+    c.bench_function("fig4_passivity_assessment", |b| b.iter(|| assess_base(&Adaptive::default())));
+    c.bench_function("assess_fixed_log", |b| b.iter(|| assess_base(&FixedLog)));
     let mut slow = c.benchmark_group("enforcement");
     slow.sample_size(10);
     slow.bench_function("fig5_weighted_enforcement", |b| {
@@ -95,7 +66,7 @@ fn bench_figures(c: &mut Criterion) {
                 sigma_margin: 1e-3,
                 ..Default::default()
             };
-            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg)
+            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg, None)
         })
     });
     slow.bench_function("ablation_standard_norm_enforcement", |b| {
@@ -107,7 +78,7 @@ fn bench_figures(c: &mut Criterion) {
                 sigma_margin: 1e-3,
                 ..Default::default()
             };
-            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg)
+            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg, None)
         })
     });
     slow.finish();

@@ -35,7 +35,7 @@ use pim_circuit::board::{build_board, StackStage, SyntheticPdn};
 use pim_circuit::generator::{BoardGenerator, DecapPart, DieModel, GeneratedBoard, VrmModel};
 use pim_circuit::PdnBoardSpec;
 use pim_passivity::check::assess_on;
-use pim_passivity::grid::{Adaptive, FrequencyGrid};
+use pim_passivity::grid::FrequencyGrid;
 use pim_passivity::{EnforcementConfig, PassivityError};
 use pim_pdn::{Termination, TerminationNetwork};
 use pim_rfdata::NetworkData;
@@ -96,9 +96,8 @@ impl std::fmt::Display for CorpusClass {
 pub struct CorpusConfig {
     /// The generated-board parameter space.
     pub generator: GeneratorConfig,
-    /// Flow numerics applied to every scenario. The default uses
-    /// [`Adaptive`] sampling — the corpus exists to chase sub-grid violation
-    /// bands, not to hide them.
+    /// Flow numerics applied to every scenario (see
+    /// [`corpus_flow_config`]).
     pub flow: FlowConfig,
     /// Log-spaced frequency samples per scenario (the DC point is added on
     /// top, as everywhere else).
@@ -137,8 +136,8 @@ impl Default for CorpusConfig {
 }
 
 /// The corpus flow numerics at a given fitting order: the trimmed
-/// fixture-class configuration with [`Adaptive`] sampling on every
-/// assessment and enforcement grid.
+/// fixture-class configuration (default adaptive sampling on every
+/// assessment and enforcement grid).
 pub fn corpus_flow_config(n_poles: usize) -> FlowConfig {
     FlowConfig {
         vf: VfConfig { n_poles, n_iterations: 5, ..VfConfig::default() },
@@ -149,8 +148,7 @@ pub fn corpus_flow_config(n_poles: usize) -> FlowConfig {
             sigma_margin: 1e-3,
             max_iterations: 60,
             ..Default::default()
-        }
-        .sampling(Adaptive::default()),
+        },
         run_standard_enforcement: true,
         ..FlowConfig::default()
     }
@@ -725,8 +723,8 @@ impl MinimizedFixture {
         lines.join("\n") + "\n"
     }
 
-    /// Parses a serialized fixture. The sampling strategy is always
-    /// [`Adaptive`] (the corpus default; it is not a fixture parameter).
+    /// Parses a serialized fixture. The sampling strategy is always the
+    /// default adaptive one (it is not a fixture parameter).
     ///
     /// # Errors
     ///

@@ -13,6 +13,9 @@
 //!    passivity enforcement with the sensitivity-weighted norm (eq. 18–21) —
 //!    and optionally with the standard L2 norm, which is the comparison the
 //!    paper uses to demonstrate the accuracy loss of unweighted enforcement.
+//!
+//! [`crate::pipeline::Pipeline`] runs it; this module holds its
+//! configuration, its report and the model evaluation.
 
 use crate::recovery::{AccuracyContract, ContractConfig, RecoveryConfig, RecoveryReport};
 use crate::Result;
@@ -146,31 +149,13 @@ pub fn evaluate_model(
     Ok(ModelEvaluation { scattering_rms_error, impedance_relative_error, impedance })
 }
 
-/// Runs the complete flow on a tabulated data set.
-///
-/// This is the legacy one-shot entry point, kept as a thin compatibility
-/// wrapper over the staged [`Pipeline`](crate::pipeline::Pipeline): it runs
-/// every stage in order and assembles the same `FlowReport`, bit for bit.
-///
-/// # Errors
-///
-/// Propagates failures of the individual stages; the *baseline* standard
-/// enforcement is allowed to fail (it is reported as `None`), but the
-/// sensitivity-weighted enforcement is not.
-pub fn run_flow(
-    data: &NetworkData,
-    network: &TerminationNetwork,
-    observation_port: usize,
-    config: &FlowConfig,
-) -> Result<FlowReport> {
-    crate::pipeline::Pipeline::from_data(data, network, observation_port, config.clone())?.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Pipeline;
     use crate::scenario::StandardScenario;
-    use pim_passivity::check::assess;
+    use pim_passivity::check::assess_with_sampling;
+    use pim_passivity::grid::FrequencyGrid;
 
     fn quick_config() -> FlowConfig {
         FlowConfig {
@@ -191,7 +176,8 @@ mod tests {
     #[test]
     fn flow_reproduces_the_paper_claims_on_the_reduced_scenario() {
         let sc = StandardScenario::reduced().unwrap();
-        let report = run_flow(&sc.data, &sc.network, sc.observation_port, &quick_config()).unwrap();
+        let config = quick_config();
+        let report = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
 
         // Claim 1 (Fig. 1 / Fig. 2): the standard model is accurate in the
         // scattering representation but the weighted model tracks the target
@@ -216,7 +202,13 @@ mod tests {
         // passive and keeps the target impedance accurate.
         let final_eval = &report.weighted_passive_eval;
         assert!(final_eval.impedance_relative_error < 0.6);
-        let final_assessment = assess(report.final_model(), &sc.data.grid().omegas()).unwrap();
+        let final_assessment = assess_with_sampling(
+            pim_runtime::global(),
+            report.final_model(),
+            &FrequencyGrid::from_omegas(&sc.data.grid().omegas()),
+            config.enforcement.sampling.as_ref(),
+        )
+        .unwrap();
         // The enforcement loop certifies passivity on its own (denser)
         // sweep plus the Hamiltonian test; re-assessing on the coarser data
         // grid may expose residual violations at the numerical-tolerance
@@ -254,6 +246,8 @@ mod tests {
     fn flow_rejects_non_scattering_data() {
         let sc = StandardScenario::reduced().unwrap();
         let zdata = sc.data.to_impedance().unwrap();
-        assert!(run_flow(&zdata, &sc.network, sc.observation_port, &quick_config()).is_err());
+        assert!(
+            Pipeline::from_data(&zdata, &sc.network, sc.observation_port, quick_config()).is_err()
+        );
     }
 }

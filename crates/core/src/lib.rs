@@ -14,14 +14,12 @@
 //!   norm (eq. 21);
 //! * [`pipeline`] — the staged, observable macromodeling pipeline: typed
 //!   stage handles (`sensitivity → fit → weighting_model → assess →
-//!   enforce`), each returning an owned artifact, a
-//!   [`pipeline::Pipeline::sampling`] builder plugging a
-//!   `pim_passivity::grid::SamplingStrategy` into the assessment and
-//!   enforcement grids, plus the [`pipeline::Pipeline::sweep`] batch
-//!   runner over [`scenario::ScenarioPreset`]s;
-//! * [`flow`] — the legacy one-shot entry point [`flow::run_flow`], now a
-//!   thin wrapper over the pipeline producing a bit-identical
-//!   [`flow::FlowReport`], plus the report/evaluation types;
+//!   enforce`), each returning an owned artifact, the full
+//!   [`pipeline::Pipeline::report`], plus the [`pipeline::Pipeline::sweep`]
+//!   batch runner over [`scenario::ScenarioPreset`]s;
+//! * [`flow`] — the flow configuration ([`flow::FlowConfig`], whose
+//!   `enforcement.sampling` is the one sampling policy of assessment and
+//!   enforcement), the [`flow::FlowReport`] and the evaluation types;
 //! * [`observer`] — the [`observer::FlowObserver`] hook (stage boundaries +
 //!   per-iteration enforcement events) and the recording
 //!   [`observer::TraceObserver`];
@@ -52,7 +50,7 @@ pub use corpus::{
     corpus_flow_config, minimize, Corpus, CorpusCase, CorpusClass, CorpusConfig, CorpusVerdict,
     MinimizedFixture,
 };
-pub use flow::{run_flow, FlowConfig, FlowReport, ModelEvaluation};
+pub use flow::{FlowConfig, FlowReport, ModelEvaluation};
 pub use observer::{FlowObserver, Stage, TraceObserver};
 pub use pipeline::{
     AssessmentArtifact, EnforcementArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact,

@@ -134,10 +134,9 @@ impl TraceObserver {
     }
 
     /// The working-grid size of every iteration under the given norm, in
-    /// order — the per-iteration grid-growth trajectory. Near the fixed
-    /// baseline (± the iterate's crossing-derived points) under the default
-    /// `CrossingRefined` sampling; substantially larger when the `Adaptive`
-    /// strategy bisects its way toward sub-grid violation bands.
+    /// order — the per-iteration grid-growth trajectory. Under the default
+    /// adaptive sampling it grows well beyond the fixed baseline as the
+    /// bisection chases sub-grid violation bands.
     pub fn grid_growth(&self, norm: NormKind) -> Vec<usize> {
         self.trace(norm).iter().map(|ev| ev.grid_points).collect()
     }
@@ -227,9 +226,9 @@ mod tests {
         assert_eq!(obs.failed, vec![Stage::Enforcement(NormKind::Standard)]);
         assert_eq!(obs.trace(NormKind::SensitivityWeighted).len(), 1);
         assert_eq!(obs.trace(NormKind::Standard).len(), 1);
-        assert_eq!(obs.trace(NormKind::Custom("x")).len(), 0);
+        assert_eq!(obs.trace(NormKind::Blended).len(), 0);
         assert_eq!(obs.grid_growth(NormKind::Standard), vec![201]);
-        assert!(obs.grid_growth(NormKind::Custom("x")).is_empty());
+        assert!(obs.grid_growth(NormKind::Blended).is_empty());
         assert_eq!(obs.diagnostics.len(), 1);
         assert_eq!(obs.diagnostics[0].0, NormKind::Standard);
         assert_eq!(obs.diagnostics[0].1, diag);

@@ -1,7 +1,7 @@
 //! The staged, observable macromodeling pipeline.
 //!
-//! [`Pipeline`] decomposes the monolithic flow of [`crate::flow::run_flow`]
-//! into typed stages, each returning an owned artifact:
+//! [`Pipeline`] runs the flow of [`crate::flow`] as typed stages, each
+//! returning an owned artifact:
 //!
 //! ```text
 //! Pipeline::from_scenario(..) / from_data(..)
@@ -18,8 +18,9 @@
 //! assessment), and re-requesting an artifact returns the cached value
 //! without recomputation. A [`FlowObserver`] attached with
 //! [`Pipeline::with_observer`] sees stage boundaries and every enforcement
-//! iteration; observers never change numerics — the staged path is
-//! bit-identical to the legacy one-shot [`crate::flow::run_flow`] wrapper.
+//! iteration; observers never change numerics. The sampling policy of the
+//! assessment and of every enforcement grid is
+//! [`FlowConfig::enforcement`]`.sampling` (adaptive by default).
 //!
 //! [`Pipeline::sweep`] is the batch entry point: it evaluates a list of
 //! [`ScenarioPreset`]s end-to-end and returns one [`FlowReport`] per
@@ -35,10 +36,10 @@ use crate::weighting::{BlendedNorm, SensitivityWeightedNorm};
 use crate::{CoreError, Result};
 use pim_passivity::check::{assess_on, assess_with_sampling, PassivityReport};
 use pim_passivity::enforce::{
-    enforce_passivity, enforce_passivity_observed, EnforcementConfig, EnforcementIteration,
-    EnforcementObserver, EnforcementOutcome,
+    enforce_passivity, EnforcementConfig, EnforcementIteration, EnforcementObserver,
+    EnforcementOutcome, PerturbationNorm,
 };
-use pim_passivity::grid::{FrequencyGrid, SamplingStrategy};
+use pim_passivity::grid::FrequencyGrid;
 use pim_passivity::norm::{NormBuilder, NormKind, StandardNorm};
 use pim_passivity::{NotConvergedDiagnostics, PassivityError};
 use pim_pdn::sensitivity::sensitivity_to_weights;
@@ -129,6 +130,21 @@ impl EnforcementObserver for NormLabeled<'_> {
     }
 }
 
+/// Runs the enforcement loop, forwarding its iterations to `observer` (when
+/// attached) labeled with `label`.
+fn enforce_labeled(
+    observer: Option<&mut (dyn FlowObserver + '_)>,
+    label: NormKind,
+    model: &PoleResidueModel,
+    norm: &PerturbationNorm,
+    band_max_omega: f64,
+    config: &EnforcementConfig,
+) -> pim_passivity::Result<EnforcementOutcome> {
+    let mut labeled = observer.map(|inner| NormLabeled { inner, norm: label });
+    let observer = labeled.as_mut().map(|l| l as &mut dyn EnforcementObserver);
+    enforce_passivity(model, norm, band_max_omega, config, observer)
+}
+
 /// A pinned deterministic `NotConverged` failure: the loop would only
 /// repeat it, so replays are served from this cache. The diagnostics are
 /// enriched at cache time with the best-so-far model's own audit `σ_max`
@@ -212,26 +228,6 @@ impl<'a> Pipeline<'a> {
     #[must_use]
     pub fn with_observer(mut self, observer: &'a mut dyn FlowObserver) -> Self {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Builder: replaces the sampling strategy behind the assessment stage
-    /// and all enforcement grids (working sweep, convergence double-check,
-    /// final verification). The default is
-    /// [`pim_passivity::grid::CrossingRefined`], which reproduces the
-    /// historical grids bit for bit; switch to
-    /// [`pim_passivity::grid::Adaptive`] to chase violation bands narrower
-    /// than the grid spacing.
-    ///
-    /// Cached assessment and enforcement artifacts are invalidated: they
-    /// were computed under the previous strategy.
-    #[must_use]
-    pub fn sampling(mut self, strategy: impl SamplingStrategy + 'static) -> Self {
-        self.config.enforcement = self.config.enforcement.clone().sampling(strategy);
-        self.assessment = None;
-        self.enforcements.clear();
-        self.failed_enforcements.clear();
-        self.recovery = None;
         self
     }
 
@@ -342,7 +338,7 @@ impl<'a> Pipeline<'a> {
 
     /// Assessment stage: Hamiltonian test plus singular-value sweep of the
     /// weighted macromodel on the data grid, refined by the configured
-    /// [`SamplingStrategy`] (see [`Pipeline::sampling`]).
+    /// sampling strategy (`config.enforcement.sampling`).
     ///
     /// # Errors
     ///
@@ -366,16 +362,20 @@ impl<'a> Pipeline<'a> {
         Ok(self.assessment.clone().expect("assessment just cached"))
     }
 
-    /// Enforcement stage under one of the built-in norms.
+    /// Enforcement stage under the given norm.
     ///
     /// Returns an artifact with `outcome: None` when the assessed model is
-    /// already passive. For an application-defined norm use
-    /// [`Pipeline::enforce_with`].
+    /// already passive.
+    ///
+    /// Successful artifacts are cached per [`NormKind`], and so are
+    /// [`PassivityError::NotConverged`] failures (the loop is deterministic,
+    /// so a re-run could only repeat the failure): re-enforcing with the
+    /// same kind returns the cached result without re-running the loop or
+    /// re-emitting observer events. Other errors are not cached.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidInput`] for [`NormKind::Custom`]; otherwise
-    /// propagates norm-construction and enforcement failures (including
+    /// Propagates norm-construction and enforcement failures (including
     /// [`PassivityError::NotConverged`] when the iteration budget runs out).
     pub fn enforce(&mut self, kind: NormKind) -> Result<EnforcementArtifact> {
         match kind {
@@ -391,25 +391,12 @@ impl<'a> Pipeline<'a> {
                 let alpha = self.config.recovery.blend_alpha;
                 self.enforce_with(&BlendedNorm::new(weighting, alpha))
             }
-            NormKind::Custom(name) => Err(CoreError::InvalidInput(format!(
-                "custom norm '{name}' has no built-in builder; use Pipeline::enforce_with"
-            ))),
         }
     }
 
-    /// Enforcement stage under a caller-supplied [`NormBuilder`] — the
-    /// extension point for hybrid or experimental norms.
-    ///
-    /// Successful artifacts are cached per [`NormKind`], and so are
-    /// [`PassivityError::NotConverged`] failures (the loop is deterministic,
-    /// so a re-run could only repeat the failure): re-enforcing with the
-    /// same kind returns the cached result without re-running the loop or
-    /// re-emitting observer events. Other errors are not cached.
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::enforce`].
-    pub fn enforce_with(&mut self, builder: &dyn NormBuilder) -> Result<EnforcementArtifact> {
+    /// [`Pipeline::enforce`] under the norm `builder` builds, cached by its
+    /// [`NormBuilder::kind`].
+    fn enforce_with(&mut self, builder: &dyn NormBuilder) -> Result<EnforcementArtifact> {
         let kind = builder.kind();
         if let Some((_, artifact)) = self.enforcements.iter().find(|(k, _)| *k == kind) {
             return Ok(artifact.clone());
@@ -433,22 +420,14 @@ impl<'a> Pipeline<'a> {
         self.stage_start(Stage::Enforcement(kind));
         // Split-borrow: the model lives in `self.weighted_fit`, the observer
         // in `self.observer`; the field borrows are disjoint.
-        let model = &self.weighted_fit.as_ref().expect("cached above").model;
-        let result = match self.observer.as_deref_mut() {
-            Some(inner) => {
-                let mut labeled = NormLabeled { inner, norm: kind };
-                enforce_passivity_observed(
-                    model,
-                    &norm,
-                    assessment.band_max_omega,
-                    &self.config.enforcement,
-                    &mut labeled,
-                )
-            }
-            None => {
-                enforce_passivity(model, &norm, assessment.band_max_omega, &self.config.enforcement)
-            }
-        };
+        let result = enforce_labeled(
+            self.observer.as_deref_mut(),
+            kind,
+            &self.weighted_fit.as_ref().expect("cached above").model,
+            &norm,
+            assessment.band_max_omega,
+            &self.config.enforcement,
+        );
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(e) => {
@@ -603,13 +582,8 @@ impl<'a> Pipeline<'a> {
                 }
             };
             self.stage_start(Stage::Recovery(rung));
-            let result = match self.observer.as_deref_mut() {
-                Some(inner) => {
-                    let mut labeled = NormLabeled { inner, norm: label };
-                    enforce_passivity_observed(&model, &norm, band, &cfg, &mut labeled)
-                }
-                None => enforce_passivity(&model, &norm, band, &cfg),
-            };
+            let result =
+                enforce_labeled(self.observer.as_deref_mut(), label, &model, &norm, band, &cfg);
             match result {
                 Ok(outcome) => {
                     self.stage_done(Stage::Recovery(rung));
@@ -671,10 +645,10 @@ impl<'a> Pipeline<'a> {
 
     /// Runs every remaining stage and assembles the full [`FlowReport`].
     ///
-    /// The stage order, the enforcement policy (the weighted enforcement
-    /// must succeed; the standard baseline tolerates
-    /// [`PassivityError::NotConverged`]) and the resulting numbers are
-    /// identical to the legacy [`crate::flow::run_flow`].
+    /// The weighted enforcement must succeed (through the recovery ladder
+    /// when the primary pass diverges); the standard baseline is only a
+    /// comparison curve and tolerates [`PassivityError::NotConverged`]
+    /// (reported as `None`).
     ///
     /// # Errors
     ///

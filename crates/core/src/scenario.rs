@@ -195,26 +195,12 @@ impl ScenarioPreset {
         }
     }
 
-    /// The sampling strategy this preset recommends for assessment and
-    /// enforcement (see [`pim_passivity::grid`]).
-    ///
-    /// Every preset whose macromodels carry sharp resonances — which is all
-    /// of them; sub-grid violation bands were the root cause of the Fig. 5
-    /// anomaly — recommends [`pim_passivity::grid::Adaptive`]. The plain
-    /// [`crate::flow::FlowConfig::default`] keeps the historical
-    /// [`pim_passivity::grid::CrossingRefined`] for bit-compatibility;
-    /// [`ScenarioPreset::flow_config`] applies the recommendation.
-    pub fn default_sampling(self) -> std::sync::Arc<dyn pim_passivity::grid::SamplingStrategy> {
-        std::sync::Arc::new(pim_passivity::grid::Adaptive::default())
-    }
-
     /// The recommended flow configuration for this preset:
-    /// [`crate::flow::FlowConfig::default`] with
-    /// [`ScenarioPreset::default_sampling`] applied to the enforcement.
+    /// [`crate::flow::FlowConfig::default`], whose adaptive sampling suits
+    /// every preset (all carry sharp resonances, and sub-grid violation
+    /// bands were the root cause of the Fig. 5 anomaly).
     pub fn flow_config(self) -> crate::flow::FlowConfig {
-        let mut config = crate::flow::FlowConfig::default();
-        config.enforcement.sampling = self.default_sampling();
-        config
+        crate::flow::FlowConfig::default()
     }
 
     /// Builds the preset scenario.
@@ -451,20 +437,15 @@ mod tests {
 
     #[test]
     fn presets_recommend_the_adaptive_sampling_strategy() {
+        let default = crate::flow::FlowConfig::default();
+        assert_eq!(default.enforcement.sampling.name(), "adaptive");
         for preset in ScenarioPreset::ALL {
-            assert_eq!(preset.default_sampling().name(), "adaptive");
             let config = preset.flow_config();
             assert_eq!(config.enforcement.sampling.name(), "adaptive");
             // Everything else stays at the paper-faithful defaults.
-            let default = crate::flow::FlowConfig::default();
             assert_eq!(config.enforcement.sweep_points, default.enforcement.sweep_points);
             assert_eq!(config.vf.n_poles, default.vf.n_poles);
         }
-        // The plain default keeps the historical strategy (bit-compat path).
-        assert_eq!(
-            crate::flow::FlowConfig::default().enforcement.sampling.name(),
-            "crossing-refined"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Passivity assessment: Hamiltonian eigenvalue test and singular-value
 //! sweeps.
 
-use crate::grid::{CrossingRefined, FrequencyGrid, SamplingStrategy};
+use crate::grid::{FrequencyGrid, SamplingStrategy};
 use crate::{PassivityError, Result};
 use pim_linalg::eig::eigenvalues;
 use pim_linalg::lu::inverse;
@@ -137,7 +137,7 @@ pub fn hamiltonian_crossings(sys: &StateSpace) -> Result<Vec<f64>> {
     // verifies them) than to miss a genuine crossing.
     let mut crossings: Vec<f64> =
         evs.iter().filter(|e| e.im > 0.0 && e.re.abs() <= 1e-4 * e.abs()).map(|e| e.im).collect();
-    crossings.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    crossings.sort_by(f64::total_cmp);
     // Merge near-duplicates produced by the eigenvalue solver.
     let mut merged: Vec<f64> = Vec::with_capacity(crossings.len());
     for w in crossings {
@@ -148,41 +148,19 @@ pub fn hamiltonian_crossings(sys: &StateSpace) -> Result<Vec<f64>> {
     Ok(merged)
 }
 
-/// Returns `true` when the Hamiltonian test reports no unit-singular-value
-/// crossing **and** the asymptotic feedthrough is contractive.
+/// Sweeps all singular values of `S(jω)` over the given angular frequencies
+/// on `pool`. Returns one vector of descending singular values per
+/// frequency.
 ///
-/// # Errors
-///
-/// See [`hamiltonian_crossings`].
-pub fn is_passive(sys: &StateSpace) -> Result<bool> {
-    let d_sv = singular_values(&sys.d().to_complex())?;
-    if d_sv.first().copied().unwrap_or(0.0) >= 1.0 {
-        return Ok(false);
-    }
-    Ok(hamiltonian_crossings(sys)?.is_empty())
-}
-
-/// Sweeps all singular values of `S(jω)` over the given angular frequencies.
-/// Returns one vector of descending singular values per frequency.
-///
-/// The sweep runs on the [`pim_runtime::global`] pool (each frequency is an
-/// independent evaluate + SVD); results are collected by frequency index, so
-/// the output is bit-identical to the serial sweep for every `PIM_THREADS`.
-///
-/// # Errors
-///
-/// Propagates evaluation and SVD failures.
-pub fn singular_value_sweep(model: &PoleResidueModel, omegas: &[f64]) -> Result<Vec<Vec<f64>>> {
-    singular_value_sweep_with(pim_runtime::global(), model, omegas)
-}
-
-/// [`singular_value_sweep`] on an explicit [`pim_runtime::ThreadPool`] (the
+/// Each frequency is an independent evaluate + SVD; results are collected by
+/// frequency index, so the output is bit-identical for every pool size (the
 /// determinism test suites compare pools of different sizes bit for bit).
 ///
 /// # Errors
 ///
-/// See [`singular_value_sweep`]; when several frequencies fail, the error of
-/// the lowest frequency index is reported regardless of scheduling order.
+/// Propagates evaluation and SVD failures; when several frequencies fail,
+/// the error of the lowest frequency index is reported regardless of
+/// scheduling order.
 pub fn singular_value_sweep_with(
     pool: &pim_runtime::ThreadPool,
     model: &PoleResidueModel,
@@ -196,66 +174,23 @@ pub fn singular_value_sweep_with(
     .collect()
 }
 
-/// [`singular_value_sweep`] over the points of a [`FrequencyGrid`].
-///
-/// # Errors
-///
-/// See [`singular_value_sweep`].
-pub fn singular_value_sweep_on(
-    model: &PoleResidueModel,
-    grid: &FrequencyGrid,
-) -> Result<Vec<Vec<f64>>> {
-    singular_value_sweep_with(pim_runtime::global(), model, grid.points())
-}
-
-/// Builds a complete passivity report for a pole–residue macromodel:
-/// Hamiltonian crossings plus a singular-value sweep on `omegas` refined
-/// around the crossing frequencies with the default
-/// [`CrossingRefined`] strategy (the historical behavior, bit for bit).
-///
-/// The dense singular-value grid is evaluated on the [`pim_runtime::global`]
-/// pool (see [`singular_value_sweep`]); the report is bit-identical for
-/// every thread count.
-///
-/// # Errors
-///
-/// Propagates realization, eigenvalue and SVD failures.
-pub fn assess(model: &PoleResidueModel, omegas: &[f64]) -> Result<PassivityReport> {
-    assess_with(pim_runtime::global(), model, omegas)
-}
-
-/// [`assess`] with the singular-value grid evaluated on an explicit
-/// [`pim_runtime::ThreadPool`].
-///
-/// # Errors
-///
-/// See [`assess`].
-pub fn assess_with(
-    pool: &pim_runtime::ThreadPool,
-    model: &PoleResidueModel,
-    omegas: &[f64],
-) -> Result<PassivityReport> {
-    assess_with_sampling(pool, model, &FrequencyGrid::from_omegas(omegas), &CrossingRefined)
-}
-
 /// Assesses `model` sweeping **exactly** the given grid: the Hamiltonian
 /// crossings still feed the report, but no refinement points are added.
 /// This is the verification-grid entry point ("does the model hold up on a
-/// grid it was *not* constrained on?").
+/// grid it was *not* constrained on?"): [`assess_with_sampling`] on the
+/// [`pim_runtime::global`] pool with [`crate::grid::FixedLog`].
 ///
 /// # Errors
 ///
-/// See [`assess`].
+/// See [`assess_with_sampling`].
 pub fn assess_on(model: &PoleResidueModel, grid: &FrequencyGrid) -> Result<PassivityReport> {
     assess_with_sampling(pim_runtime::global(), model, grid, &crate::grid::FixedLog)
 }
 
-/// The strategy-driven assessment core: computes the Hamiltonian crossings,
-/// lets `strategy` refine `base` for this model (see
+/// The passivity assessment: computes the Hamiltonian crossings, lets
+/// `strategy` refine `base` for this model (see
 /// [`SamplingStrategy::refine`]), sweeps the refined grid on `pool`, and
-/// assembles the report. [`assess`]/[`assess_with`] delegate here with the
-/// default [`CrossingRefined`] strategy; [`assess_on`] with the
-/// pass-through [`crate::grid::FixedLog`].
+/// assembles the report. The report is bit-identical for every pool size.
 ///
 /// # Errors
 ///
@@ -268,7 +203,7 @@ pub fn assess_with_sampling(
 ) -> Result<PassivityReport> {
     let sys = StateSpace::from_pole_residue(model)?;
     let crossings = hamiltonian_crossings(&sys)?;
-    let (grid, cached_sigma) = strategy.refine_with_sigma(pool, model, base, &crossings)?;
+    let (grid, cached_sigma) = strategy.refine(pool, model, base, &crossings)?;
 
     // The report only needs `σ_max` per point; a strategy that sampled the
     // grid while refining (the adaptive bisection) hands those samples back
@@ -352,10 +287,23 @@ pub fn sigma_max_at(model: &PoleResidueModel, omega: f64) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{Adaptive, FixedLog};
     use pim_linalg::{CMat, Complex64};
 
     fn c(re: f64, im: f64) -> Complex64 {
         Complex64::new(re, im)
+    }
+
+    /// The default assessment: adaptive refinement of `omegas` on the global
+    /// pool.
+    fn assess_default(model: &PoleResidueModel, omegas: &[f64]) -> PassivityReport {
+        assess_with_sampling(
+            pim_runtime::global(),
+            model,
+            &FrequencyGrid::from_omegas(omegas),
+            &Adaptive::default(),
+        )
+        .unwrap()
     }
 
     /// A clearly passive 1-port: S(s) = k/(s+a) with k < a and |D| < 1.
@@ -385,10 +333,9 @@ mod tests {
     fn passive_model_passes_all_tests() {
         let m = passive_model();
         let sys = StateSpace::from_pole_residue(&m).unwrap();
-        assert!(is_passive(&sys).unwrap());
         assert!(hamiltonian_crossings(&sys).unwrap().is_empty());
         let omegas: Vec<f64> = (0..100).map(|k| k as f64 * 20.0).collect();
-        let report = assess(&m, &omegas).unwrap();
+        let report = assess_default(&m, &omegas);
         assert!(report.passive);
         assert!(report.sigma_max <= 1.0);
         assert!(report.bands.is_empty());
@@ -398,13 +345,12 @@ mod tests {
     fn violating_model_is_flagged_with_band_location() {
         let m = violating_model();
         let sys = StateSpace::from_pole_residue(&m).unwrap();
-        assert!(!is_passive(&sys).unwrap());
         let crossings = hamiltonian_crossings(&sys).unwrap();
         assert!(!crossings.is_empty());
         // The violation must be near the resonance at 1000 rad/s.
         assert!(crossings.iter().any(|&w| (w - 1000.0).abs() < 300.0));
         let omegas: Vec<f64> = (1..400).map(|k| k as f64 * 5.0).collect();
-        let report = assess(&m, &omegas).unwrap();
+        let report = assess_default(&m, &omegas);
         assert!(!report.passive);
         assert!(report.sigma_max > 1.0);
         assert!(!report.bands.is_empty());
@@ -418,7 +364,7 @@ mod tests {
     fn sweep_matches_direct_evaluation() {
         let m = violating_model();
         let omegas = vec![0.0, 500.0, 1000.0, 2000.0];
-        let sweep = singular_value_sweep(&m, &omegas).unwrap();
+        let sweep = singular_value_sweep_with(pim_runtime::global(), &m, &omegas).unwrap();
         assert_eq!(sweep.len(), 4);
         for (k, &w) in omegas.iter().enumerate() {
             let direct = sigma_max_at(&m, w).unwrap();
@@ -461,41 +407,18 @@ mod tests {
         // No refinement: the report grid is the input grid, point for point.
         assert_eq!(report.grid.points(), grid.points());
         assert!(!report.passive);
-        // The default assess refines around crossings, so its grid is a
-        // strict superset and its peak estimate at least as good.
-        let refined = assess(&m, &omegas).unwrap();
+        // The default assessment refines around crossings, so its grid is
+        // a strict superset and its peak estimate at least as good.
+        let refined = assess_default(&m, &omegas);
         assert!(refined.grid.len() > grid.len());
         assert!(refined.sigma_max >= report.sigma_max);
         assert_eq!(refined.grid.count_of(crate::grid::PointProvenance::Seed), grid.len());
-    }
-
-    #[test]
-    fn assess_with_sampling_crossing_refined_matches_assess_bit_for_bit() {
-        let m = violating_model();
-        let omegas: Vec<f64> = (0..150).map(|k| k as f64 * 13.0).collect();
-        let direct = assess(&m, &omegas).unwrap();
-        let sampled = assess_with_sampling(
-            &pim_runtime::ThreadPool::new(1),
-            &m,
-            &FrequencyGrid::from_omegas(&omegas),
-            &CrossingRefined,
-        )
-        .unwrap();
-        assert_eq!(direct.passive, sampled.passive);
-        assert_eq!(direct.sigma_max.to_bits(), sampled.sigma_max.to_bits());
-        assert_eq!(direct.omega_at_sigma_max.to_bits(), sampled.omega_at_sigma_max.to_bits());
-        assert_eq!(direct.bands.len(), sampled.bands.len());
-        assert_eq!(direct.grid.len(), sampled.grid.len());
-        for (a, b) in direct.grid.points().iter().zip(sampled.grid.points()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     /// A passive model has no Hamiltonian crossings; every strategy must
     /// accept the empty crossing list.
     #[test]
     fn strategies_handle_a_model_without_crossings() {
-        use crate::grid::{Adaptive, FixedLog, SamplingStrategy};
         let m = passive_model();
         let sys = StateSpace::from_pole_residue(&m).unwrap();
         let crossings = hamiltonian_crossings(&sys).unwrap();
@@ -503,9 +426,8 @@ mod tests {
         let pool = pim_runtime::ThreadPool::new(1);
         let base =
             FrequencyGrid::from_omegas(&(0..60).map(|k| k as f64 * 20.0).collect::<Vec<_>>());
-        for strategy in [&FixedLog as &dyn SamplingStrategy, &CrossingRefined, &Adaptive::default()]
-        {
-            let refined = strategy.refine(&pool, &m, &base, &crossings).unwrap();
+        for strategy in [&FixedLog as &dyn SamplingStrategy, &Adaptive::default()] {
+            let (refined, _) = strategy.refine(&pool, &m, &base, &crossings).unwrap();
             assert!(refined.len() >= base.len(), "{} shrank the grid", strategy.name());
             let report = assess_with_sampling(&pool, &m, &base, strategy).unwrap();
             assert!(report.passive, "{}: passive model misjudged", strategy.name());
@@ -519,7 +441,6 @@ mod tests {
     /// resolve the merged peak.
     #[test]
     fn clustered_crossings_are_deduped_not_lost() {
-        use crate::grid::{Adaptive, SamplingStrategy};
         let p1 = c(-8.0, 1000.0);
         let p2 = c(-8.0, 1004.0);
         let r = c(9.0, 0.0);
@@ -543,11 +464,11 @@ mod tests {
         // A coarse base that cannot see the cluster on its own.
         let base =
             FrequencyGrid::from_omegas(&(1..20).map(|k| k as f64 * 100.0).collect::<Vec<_>>());
-        let refined = CrossingRefined.refine(&pool, &m, &base, &crossings).unwrap();
-        for w in refined.points().windows(2) {
+        let report = assess_with_sampling(&pool, &m, &base, &Adaptive::default()).unwrap();
+        for w in report.grid.points().windows(2) {
             assert!(w[1] > w[0], "grid must stay strictly increasing after dedup");
         }
-        let report = assess_with_sampling(&pool, &m, &base, &Adaptive::default()).unwrap();
+        assert!(report.grid.count_of(crate::grid::PointProvenance::Crossing) > 0);
         assert!(!report.passive);
         assert!(report.sigma_max > 1.0);
         assert!(
@@ -560,10 +481,9 @@ mod tests {
     /// A crossing at (numerically near) ω = 0: a model whose DC gain sits
     /// just above one. The ±0.1 % neighborhood and the ±5 % guard collapse
     /// toward zero without producing negative frequencies, and the
-    /// strategies must classify the DC violation.
+    /// assessment must classify the DC violation.
     #[test]
     fn crossing_at_dc_is_handled() {
-        use crate::grid::{Adaptive, SamplingStrategy};
         // S(0) = d + r/|p| = 0.6 + 0.45 > 1, decaying above ω ≈ |p|.
         let m = PoleResidueModel::new(
             vec![c(-50.0, 0.0)],
@@ -578,23 +498,14 @@ mod tests {
         let base = FrequencyGrid::from_omegas(
             &std::iter::once(0.0).chain((0..40).map(|k| 2.0 * 1.3f64.powi(k))).collect::<Vec<_>>(),
         );
-        for strategy in [&CrossingRefined as &dyn SamplingStrategy, &Adaptive::default()] {
-            let refined = strategy.refine(&pool, &m, &base, &crossings).unwrap();
-            assert!(refined.points().iter().all(|&w| w >= 0.0), "{}", strategy.name());
-            assert_eq!(
-                refined.points()[0].to_bits(),
-                0.0f64.to_bits(),
-                "{}: DC point lost",
-                strategy.name()
-            );
-            let report = assess_with_sampling(&pool, &m, &base, strategy).unwrap();
-            assert!(!report.passive, "{}: DC violation missed", strategy.name());
-            assert!(
-                report.omega_at_sigma_max < crossings[0],
-                "{}: the violation lives below the first crossing",
-                strategy.name()
-            );
-        }
+        let report = assess_with_sampling(&pool, &m, &base, &Adaptive::default()).unwrap();
+        assert!(report.grid.points().iter().all(|&w| w >= 0.0));
+        assert_eq!(report.grid.points()[0].to_bits(), 0.0f64.to_bits(), "DC point lost");
+        assert!(!report.passive, "DC violation missed");
+        assert!(
+            report.omega_at_sigma_max < crossings[0],
+            "the violation lives below the first crossing"
+        );
     }
 
     #[test]
@@ -607,9 +518,9 @@ mod tests {
         )
         .unwrap();
         let sys = StateSpace::from_pole_residue(&m).unwrap();
-        assert!(is_passive(&sys).unwrap());
+        assert!(hamiltonian_crossings(&sys).unwrap().is_empty());
         let omegas: Vec<f64> = (0..50).map(|k| k as f64 * 40.0).collect();
-        let report = assess(&m, &omegas).unwrap();
+        let report = assess_default(&m, &omegas);
         assert!(report.passive);
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::check::{assess_with_sampling, PassivityReport};
 use crate::constraints::{apply_perturbation, build_constraints, ConstraintSystem};
-use crate::grid::{CrossingRefined, SamplingStrategy};
+use crate::grid::{Adaptive, SamplingStrategy};
 use crate::qp::{solve_block_qp_factored, BlockQpFactors, QpOptions};
 use crate::{NotConvergedDiagnostics, PassivityError, Result};
 use pim_linalg::svd::svd;
@@ -187,8 +187,7 @@ pub struct EnforcementConfig {
     /// The sampling strategy that builds the working sweep, the convergence
     /// double-check grid and the final verification grid, and refines every
     /// per-iteration assessment (see [`crate::grid`]). The default
-    /// [`CrossingRefined`] reproduces the historical hard-wired grids bit
-    /// for bit; [`crate::grid::Adaptive`] chases sub-grid violation bands.
+    /// [`Adaptive`] chases violation bands narrower than the grid spacing.
     pub sampling: Arc<dyn SamplingStrategy>,
     /// Give up after this many *consecutive* iterations in which
     /// backtracking bottomed out at the minimum step **and** the worst
@@ -214,21 +213,11 @@ impl Default for EnforcementConfig {
             band_edge_constraints: true,
             preserve_symmetry: false,
             backtracking: true,
-            sampling: Arc::new(CrossingRefined),
+            sampling: Arc::new(Adaptive::default()),
             divergence_guard: 3,
             qp: QpOptions::default(),
             trust_region: TrustRegionConfig::default(),
         }
-    }
-}
-
-impl EnforcementConfig {
-    /// Builder: replaces the sampling strategy (working, double-check and
-    /// verification grids plus per-assessment refinement all follow it).
-    #[must_use]
-    pub fn sampling(mut self, strategy: impl SamplingStrategy + 'static) -> Self {
-        self.sampling = Arc::new(strategy);
-        self
     }
 }
 
@@ -252,11 +241,9 @@ pub struct EnforcementIteration {
     /// Number of linearized singular-value constraints in the QP.
     pub constraints: usize,
     /// Number of points of the refined working grid this iteration's
-    /// assessment swept. Under [`CrossingRefined`] it hovers near the
-    /// baseline (plus a handful of points derived from the iterate's
-    /// Hamiltonian crossings, which shift as violations shrink); under
-    /// [`crate::grid::Adaptive`] it grows substantially as the bisection
-    /// chases sub-grid features.
+    /// assessment swept. Under [`Adaptive`] it grows well beyond the
+    /// baseline as the bisection chases sub-grid features; under
+    /// [`crate::grid::FixedLog`] it is the baseline.
     pub grid_points: usize,
 }
 
@@ -365,40 +352,15 @@ pub fn enforce_asymptotic_passivity(
 ///
 /// The asymptotic term is clipped first (see
 /// [`enforce_asymptotic_passivity`]); the loop then perturbs only the
-/// residues / output matrix as in the paper.
+/// residues / output matrix as in the paper. An `observer`, when given,
+/// receives one [`EnforcementIteration`] after each outer iteration;
+/// numerics are identical with and without one.
 ///
 /// # Errors
 ///
 /// Returns [`PassivityError::NotConverged`] when the iteration budget is
 /// exhausted, and propagates numerical failures of the inner steps.
 pub fn enforce_passivity(
-    model: &PoleResidueModel,
-    norm: &PerturbationNorm,
-    band_max_omega: f64,
-    config: &EnforcementConfig,
-) -> Result<EnforcementOutcome> {
-    enforce_passivity_impl(model, norm, band_max_omega, config, None)
-}
-
-/// [`enforce_passivity`] with a per-iteration observer.
-///
-/// The observer receives one [`EnforcementIteration`] after each outer
-/// iteration; numerics are identical to the unobserved loop.
-///
-/// # Errors
-///
-/// See [`enforce_passivity`].
-pub fn enforce_passivity_observed(
-    model: &PoleResidueModel,
-    norm: &PerturbationNorm,
-    band_max_omega: f64,
-    config: &EnforcementConfig,
-    observer: &mut dyn EnforcementObserver,
-) -> Result<EnforcementOutcome> {
-    enforce_passivity_impl(model, norm, band_max_omega, config, Some(observer))
-}
-
-fn enforce_passivity_impl(
     model: &PoleResidueModel,
     norm: &PerturbationNorm,
     band_max_omega: f64,
@@ -540,7 +502,7 @@ fn enforce_passivity_impl(
             freqs.push(report.omega_at_sigma_max);
         }
         freqs.retain(|w| w.is_finite() && *w >= 0.0);
-        freqs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        freqs.sort_by(f64::total_cmp);
         freqs.dedup_by(|a, b| (*a - *b).abs() <= 1e-9 * a.abs().max(1.0));
 
         let cons = build_constraints(
@@ -730,7 +692,7 @@ fn symmetrize_delta(delta: &mut [f64], ports: usize, states: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{assess, sigma_max_at};
+    use crate::check::sigma_max_at;
     use pim_linalg::{CMat, Complex64};
     use pim_rfdata::metrics::relative_rms_error;
 
@@ -768,7 +730,7 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        let out = enforce_passivity(&model, &norm, 5000.0, &cfg, None).unwrap();
         assert!(out.report.passive);
         assert!(out.iterations >= 1 && out.iterations <= cfg.max_iterations);
         assert!(out.report.sigma_max <= 1.0 + 1e-9);
@@ -787,7 +749,7 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        let out = enforce_passivity(&model, &norm, 5000.0, &cfg, None).unwrap();
         // Compare responses far from the violation: they must stay close.
         let omegas: Vec<f64> = (1..60).map(|k| k as f64 * 10.0).collect();
         let before: Vec<Complex64> =
@@ -804,7 +766,7 @@ mod tests {
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg =
             EnforcementConfig { sweep_points: 200, preserve_symmetry: true, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 6000.0, &cfg).unwrap();
+        let out = enforce_passivity(&model, &norm, 6000.0, &cfg, None).unwrap();
         assert!(out.report.passive);
         for r in out.model.residues() {
             assert!((r[(0, 1)] - r[(1, 0)]).abs() < 1e-9);
@@ -820,7 +782,8 @@ mod tests {
         )
         .unwrap();
         let norm = PerturbationNorm::standard(&model).unwrap();
-        let out = enforce_passivity(&model, &norm, 1000.0, &EnforcementConfig::default()).unwrap();
+        let out =
+            enforce_passivity(&model, &norm, 1000.0, &EnforcementConfig::default(), None).unwrap();
         assert_eq!(out.iterations, 0);
         assert!(out.report.passive);
         assert_eq!((out.accumulated_norm).to_bits(), 0.0f64.to_bits());
@@ -834,7 +797,7 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { max_iterations: 0, sweep_points: 100, ..Default::default() };
-        match enforce_passivity(&model, &norm, 5000.0, &cfg) {
+        match enforce_passivity(&model, &norm, 5000.0, &cfg, None) {
             Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics }) => {
                 assert_eq!(iterations, 0);
                 assert!(sigma_max > 1.0);
@@ -863,9 +826,9 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let plain = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        let plain = enforce_passivity(&model, &norm, 5000.0, &cfg, None).unwrap();
         let mut obs = Collect(Vec::new());
-        let observed = enforce_passivity_observed(&model, &norm, 5000.0, &cfg, &mut obs).unwrap();
+        let observed = enforce_passivity(&model, &norm, 5000.0, &cfg, Some(&mut obs)).unwrap();
         // Bit-identical outcome.
         assert_eq!(plain.iterations, observed.iterations);
         assert_eq!(plain.accumulated_norm.to_bits(), observed.accumulated_norm.to_bits());
@@ -913,7 +876,7 @@ mod tests {
             }
         }
         let mut steps = Steps(Vec::new());
-        match enforce_passivity_observed(&model, &norm, 5000.0, &cfg, &mut steps) {
+        match enforce_passivity(&model, &norm, 5000.0, &cfg, Some(&mut steps)) {
             Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics }) => {
                 assert!(
                     iterations < cfg.max_iterations,
@@ -928,7 +891,7 @@ mod tests {
                     assert!(ev.sigma_after > ev.sigma_before, "guard growth");
                 }
                 // The best-so-far model, re-assessed exactly as the loop
-                // assessed its iterates (working grid + crossing
+                // assessed its iterates (working grid + the configured
                 // refinement), is no worse than either the start or the
                 // diverged end state.
                 let best = best.expect("best model");
@@ -967,7 +930,7 @@ mod tests {
         }
         // With the guard disabled, the same loop burns the whole budget.
         let unguarded = EnforcementConfig { divergence_guard: 0, ..cfg.clone() };
-        match enforce_passivity(&model, &norm, 5000.0, &unguarded) {
+        match enforce_passivity(&model, &norm, 5000.0, &unguarded, None) {
             Err(PassivityError::NotConverged { iterations, .. }) => {
                 assert_eq!(iterations, unguarded.max_iterations);
             }
@@ -991,7 +954,7 @@ mod tests {
             qp: QpOptions { max_condition: 1e6, ..Default::default() },
             ..Default::default()
         };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg)
+        let out = enforce_passivity(&model, &norm, 5000.0, &cfg, None)
             .expect("robust loop must converge where the legacy loop diverged");
         assert!(out.report.passive);
         assert!(out.report.sigma_max <= 1.0 + 1e-9);
@@ -1016,8 +979,8 @@ mod tests {
             qp: QpOptions { max_condition: f64::INFINITY, ..Default::default() },
             ..Default::default()
         };
-        let a = enforce_passivity(&model, &norm, 5000.0, &robust).unwrap();
-        let b = enforce_passivity(&model, &norm, 5000.0, &legacy).unwrap();
+        let a = enforce_passivity(&model, &norm, 5000.0, &robust, None).unwrap();
+        let b = enforce_passivity(&model, &norm, 5000.0, &legacy, None).unwrap();
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.accumulated_norm.to_bits(), b.accumulated_norm.to_bits());
         for (x, y) in a.sigma_max_history.iter().zip(&b.sigma_max_history) {
@@ -1045,10 +1008,14 @@ mod tests {
         assert!(PerturbationNorm::from_gramians(vec![Mat::identity(3)], 1, 2).is_err());
         // Mismatched norm vs model is rejected by the loop.
         let other = violating_two_port();
-        assert!(enforce_passivity(&other, &norm, 100.0, &EnforcementConfig::default()).is_err());
-        assert!(enforce_passivity(&model, &norm, -1.0, &EnforcementConfig::default()).is_err());
+        assert!(
+            enforce_passivity(&other, &norm, 100.0, &EnforcementConfig::default(), None).is_err()
+        );
+        assert!(
+            enforce_passivity(&model, &norm, -1.0, &EnforcementConfig::default(), None).is_err()
+        );
         let bad_cfg = EnforcementConfig { sweep_points: 3, ..Default::default() };
-        assert!(enforce_passivity(&model, &norm, 100.0, &bad_cfg).is_err());
+        assert!(enforce_passivity(&model, &norm, 100.0, &bad_cfg, None).is_err());
     }
 
     #[test]
@@ -1064,8 +1031,8 @@ mod tests {
             PerturbationNorm::from_gramians(blocks, 2, 3).unwrap()
         };
         let cfg = EnforcementConfig { sweep_points: 150, max_iterations: 60, ..Default::default() };
-        let out_std = enforce_passivity(&model, &standard, 6000.0, &cfg).unwrap();
-        let out_w = enforce_passivity(&model, &heavy, 6000.0, &cfg).unwrap();
+        let out_std = enforce_passivity(&model, &standard, 6000.0, &cfg, None).unwrap();
+        let out_w = enforce_passivity(&model, &heavy, 6000.0, &cfg, None).unwrap();
         assert!(out_std.report.passive && out_w.report.passive);
         let dev = |m: &PoleResidueModel| -> f64 {
             let mut acc: f64 = 0.0;
@@ -1082,7 +1049,6 @@ mod tests {
             "heavily weighting element (0,0) must not increase its deviation"
         );
         let _ = sigma_max_at(&out_w.model, 900.0).unwrap();
-        let _ = assess(&out_w.model, &[0.0, 900.0]).unwrap();
     }
 }
 

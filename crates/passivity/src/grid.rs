@@ -14,34 +14,32 @@
 //! * [`SamplingStrategy`] — the policy trait: how to build the enforcement
 //!   working and verification grids, and how to refine a base grid for one
 //!   assessment of a concrete model;
-//! * [`FixedLog`] — no refinement: sweep exactly the base grid;
-//! * [`CrossingRefined`] — the historical behavior, extracted verbatim:
-//!   midpoints / geometric means between consecutive Hamiltonian crossings
-//!   plus ±0.1 % neighborhoods (bit-identical to the pre-redesign
-//!   hard-wired refinement);
-//! * [`Adaptive`] — starts from the crossing refinement and then bisects
-//!   intervals around Hamiltonian crossings and local `σ_max` maxima until
-//!   the σ-interpolation error estimate falls below tolerance, evaluating
-//!   the new points in parallel on a [`pim_runtime::ThreadPool`]. This is
-//!   the strategy that exposes sub-grid violation bands (reported
-//!   σ ≈ 1.36 where the fixed working sweep saw ≈ 1.006) and lets the
-//!   enforcement constrain them away.
+//! * [`FixedLog`] — no refinement: sweep exactly the base grid (audits);
+//! * [`Adaptive`] — the default: seeds the grid with midpoints / geometric
+//!   means between consecutive Hamiltonian crossings plus ±0.1 %
+//!   neighborhoods, then bisects intervals around the crossings and local
+//!   `σ_max` maxima until the σ-interpolation error estimate falls below
+//!   tolerance, evaluating the new points in parallel on a
+//!   [`pim_runtime::ThreadPool`]. This is the strategy that exposes
+//!   sub-grid violation bands (reported σ ≈ 1.36 where the fixed working
+//!   sweep saw ≈ 1.006) and lets the enforcement constrain them away.
 //!
 //! This grid is a *sampling* artifact in rad/s; the tabulated-data grid in
 //! hertz (with its DC bookkeeping) remains `pim_rfdata::FrequencyGrid`.
 //!
 //! ```
-//! use pim_passivity::grid::{Adaptive, CrossingRefined, FrequencyGrid, SamplingStrategy};
+//! use pim_passivity::grid::{Adaptive, FrequencyGrid, SamplingStrategy};
 //!
 //! // The enforcement working grid of a 400-point sweep over a band that
 //! // tops out at 1e10 rad/s: logarithmic plus the DC point.
-//! let grid = CrossingRefined.working_grid(1e10, 400);
+//! let adaptive = Adaptive::default();
+//! let grid = adaptive.working_grid(1e10, 400);
 //! assert_eq!(grid.len(), 401);
 //! assert_eq!(grid.points()[0], 0.0);
 //! // The convergence double-check grid is 4x denser.
-//! assert_eq!(CrossingRefined.verification_grid(1e10, 400).len(), 1601);
+//! assert_eq!(adaptive.verification_grid(1e10, 400).len(), 1601);
 //! // Strategies are compared by name in diagnostics.
-//! assert_eq!(Adaptive::default().name(), "adaptive");
+//! assert_eq!(adaptive.name(), "adaptive");
 //! // Grids canonicalize on construction: sorted, deduplicated.
 //! let g = FrequencyGrid::from_omegas(&[3.0, 1.0, 2.0, 2.0]);
 //! assert_eq!(g.points(), &[1.0, 2.0, 3.0]);
@@ -92,7 +90,7 @@ impl FrequencyGrid {
     /// `ε·max(|ω|, 1)` keeping the first occurrence.
     pub fn from_tagged(mut tagged: Vec<(f64, PointProvenance)>) -> Self {
         tagged.retain(|(w, _)| w.is_finite() && *w >= 0.0);
-        tagged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        tagged.sort_by(|a, b| a.0.total_cmp(&b.0));
         tagged.dedup_by(|a, b| (a.0 - b.0).abs() <= f64::EPSILON * a.0.abs().max(1.0));
         let (points, provenance) = tagged.into_iter().unzip();
         FrequencyGrid { points, provenance }
@@ -196,6 +194,11 @@ pub trait SamplingStrategy: fmt::Debug + Send + Sync {
     /// Hamiltonian unit-singular-value crossings (rad/s, ascending). New
     /// points are evaluated on `pool` when the strategy needs σ samples.
     ///
+    /// Returns the refined grid together with the `σ_max` samples the
+    /// strategy computed while refining (one per grid point, in grid order),
+    /// so the caller can skip re-sweeping the grid; `None` when the strategy
+    /// refines without sampling.
+    ///
     /// # Errors
     ///
     /// Propagates model-evaluation and SVD failures of strategies that
@@ -206,27 +209,7 @@ pub trait SamplingStrategy: fmt::Debug + Send + Sync {
         model: &PoleResidueModel,
         base: &FrequencyGrid,
         crossings: &[f64],
-    ) -> Result<FrequencyGrid>;
-
-    /// [`SamplingStrategy::refine`], additionally handing back the
-    /// `σ_max` samples the strategy computed while refining (one per grid
-    /// point, in grid order) so the caller can skip re-sweeping the grid.
-    /// The default returns `None` (strategies that refine without sampling);
-    /// [`Adaptive`] overrides it — its bisection rounds have already
-    /// evaluated every point.
-    ///
-    /// # Errors
-    ///
-    /// See [`SamplingStrategy::refine`].
-    fn refine_with_sigma(
-        &self,
-        pool: &pim_runtime::ThreadPool,
-        model: &PoleResidueModel,
-        base: &FrequencyGrid,
-        crossings: &[f64],
-    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
-        Ok((self.refine(pool, model, base, crossings)?, None))
-    }
+    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)>;
 }
 
 /// No refinement: assessments sweep exactly the base grid.
@@ -248,63 +231,36 @@ impl SamplingStrategy for FixedLog {
         _model: &PoleResidueModel,
         base: &FrequencyGrid,
         _crossings: &[f64],
-    ) -> Result<FrequencyGrid> {
-        Ok(base.clone())
+    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+        Ok((base.clone(), None))
     }
 }
 
-/// The historical refinement, extracted verbatim: the base grid plus
-/// midpoints and geometric means between consecutive Hamiltonian crossings,
-/// ±0.1 % neighborhoods around each crossing, and ±5 % guards outside the
-/// outermost crossings.
-///
-/// This is the default strategy; it reproduces the pre-redesign grids
-/// bit for bit (the float expressions are the same, in the same order).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrossingRefined;
-
-impl CrossingRefined {
-    /// The crossing-derived extra points, in the exact historical insertion
-    /// order (midpoint/geometric pairs, then ±0.1 % neighborhoods, then the
-    /// outer ±5 % guards).
-    fn crossing_points(crossings: &[f64]) -> Vec<(f64, PointProvenance)> {
-        let mut extra = Vec::new();
-        for pair in crossings.windows(2) {
-            extra.push((0.5 * (pair[0] + pair[1]), PointProvenance::Crossing));
-            extra.push(((pair[0] * pair[1]).max(0.0).sqrt(), PointProvenance::Crossing));
-        }
-        for &w in crossings {
-            extra.push((w * 0.999, PointProvenance::Crossing));
-            extra.push((w * 1.001, PointProvenance::Crossing));
-        }
-        if let Some(&last) = crossings.last() {
-            extra.push((last * 1.05, PointProvenance::Crossing));
-        }
-        if let Some(&first) = crossings.first() {
-            extra.push(((first * 0.95).max(0.0), PointProvenance::Crossing));
-        }
-        extra
+/// The crossing-derived seed points of an adaptive assessment, in the exact
+/// historical insertion order: midpoints and geometric means between
+/// consecutive Hamiltonian crossings, ±0.1 % neighborhoods around each
+/// crossing, then ±5 % guards outside the outermost crossings.
+fn crossing_points(crossings: &[f64]) -> Vec<(f64, PointProvenance)> {
+    let mut extra = Vec::new();
+    for pair in crossings.windows(2) {
+        extra.push((0.5 * (pair[0] + pair[1]), PointProvenance::Crossing));
+        extra.push(((pair[0] * pair[1]).max(0.0).sqrt(), PointProvenance::Crossing));
     }
+    for &w in crossings {
+        extra.push((w * 0.999, PointProvenance::Crossing));
+        extra.push((w * 1.001, PointProvenance::Crossing));
+    }
+    if let Some(&last) = crossings.last() {
+        extra.push((last * 1.05, PointProvenance::Crossing));
+    }
+    if let Some(&first) = crossings.first() {
+        extra.push(((first * 0.95).max(0.0), PointProvenance::Crossing));
+    }
+    extra
 }
 
-impl SamplingStrategy for CrossingRefined {
-    fn name(&self) -> &'static str {
-        "crossing-refined"
-    }
-
-    fn refine(
-        &self,
-        _pool: &pim_runtime::ThreadPool,
-        _model: &PoleResidueModel,
-        base: &FrequencyGrid,
-        crossings: &[f64],
-    ) -> Result<FrequencyGrid> {
-        Ok(base.merged_with(CrossingRefined::crossing_points(crossings)))
-    }
-}
-
-/// Adaptive bisection: crossing refinement first, then repeated bisection
-/// around the Hamiltonian crossings and the under-resolved local `σ_max`
+/// Adaptive bisection, the default strategy: crossing refinement first,
+/// then repeated bisection around the Hamiltonian crossings and the under-resolved local `σ_max`
 /// maxima until the σ-interpolation error estimate falls below
 /// [`Adaptive::tolerance`].
 ///
@@ -377,20 +333,10 @@ impl SamplingStrategy for Adaptive {
         model: &PoleResidueModel,
         base: &FrequencyGrid,
         crossings: &[f64],
-    ) -> Result<FrequencyGrid> {
-        Ok(self.refine_with_sigma(pool, model, base, crossings)?.0)
-    }
-
-    fn refine_with_sigma(
-        &self,
-        pool: &pim_runtime::ThreadPool,
-        model: &PoleResidueModel,
-        base: &FrequencyGrid,
-        crossings: &[f64],
     ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
-        // Seed with the historical crossing refinement, so the adaptive grid
-        // is always at least as informative as the default strategy's.
-        let mut grid = base.merged_with(CrossingRefined::crossing_points(crossings));
+        // Seed with the crossing neighborhoods, so every Hamiltonian
+        // crossing is resolved before the bisection starts.
+        let mut grid = base.merged_with(crossing_points(crossings));
         let mut sigmas: Vec<f64> = pool
             .par_map(grid.points(), |_, &w| sigma_max_at(model, w))
             .into_iter()
@@ -566,13 +512,11 @@ mod tests {
         oracle.push(crossings.last().unwrap() * 1.05);
         oracle.push((crossings.first().unwrap() * 0.95).max(0.0));
         oracle.retain(|w| w.is_finite() && *w >= 0.0);
-        oracle.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        oracle.sort_by(f64::total_cmp);
         oracle.dedup_by(|a, b| (*a - *b).abs() <= f64::EPSILON * a.abs().max(1.0));
 
-        let pool = ThreadPool::new(1);
-        let model = narrow_peak_model(1000.0, 50.0);
         let base = FrequencyGrid::from_omegas(&omegas);
-        let refined = CrossingRefined.refine(&pool, &model, &base, &crossings).unwrap();
+        let refined = base.merged_with(crossing_points(&crossings));
         assert_eq!(refined.len(), oracle.len());
         for (a, b) in refined.points().iter().zip(&oracle) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
@@ -587,8 +531,9 @@ mod tests {
         let pool = ThreadPool::new(1);
         let model = narrow_peak_model(1000.0, 50.0);
         let base = FrequencyGrid::from_omegas(&[0.0, 10.0, 100.0]);
-        let refined = FixedLog.refine(&pool, &model, &base, &[9.0, 11.0]).unwrap();
+        let (refined, sigma) = FixedLog.refine(&pool, &model, &base, &[9.0, 11.0]).unwrap();
         assert_eq!(refined, base);
+        assert!(sigma.is_none());
         assert_eq!(FixedLog.name(), "fixed-log");
     }
 
@@ -622,10 +567,14 @@ mod tests {
             grid.points().iter().map(|&w| sigma_max_at(&model, w).unwrap()).fold(0.0_f64, f64::max)
         };
         let coarse_max = sigma_on(&base);
-        let crossing_refined = CrossingRefined.refine(&pool, &model, &base, &crossings).unwrap();
-        let crossing_max = sigma_on(&crossing_refined);
-        let refined = Adaptive::default().refine(&pool, &model, &base, &crossings).unwrap();
+        let crossing_max = sigma_on(&base.merged_with(crossing_points(&crossings)));
+        let (refined, sigma) =
+            Adaptive::default().refine(&pool, &model, &base, &crossings).unwrap();
         let refined_max = sigma_on(&refined);
+        // The handed-back samples are σ_max at every grid point, in order.
+        let sigma = sigma.expect("adaptive refinement samples every point");
+        assert_eq!(sigma.len(), refined.len());
+        assert_eq!(sigma.iter().fold(0.0_f64, |a, &b| a.max(b)).to_bits(), refined_max.to_bits());
         // The true peak, located by brute force on a very dense local grid.
         let true_peak = (0..20_000)
             .map(|k| 0.99e6 + 20.0 * k as f64)
@@ -644,7 +593,7 @@ mod tests {
         assert!(refined.count_of(PointProvenance::Bisection) > 0);
         // Deterministic across thread counts (bit-identical grid).
         let wide = ThreadPool::new(4);
-        let again = Adaptive::default().refine(&wide, &model, &base, &crossings).unwrap();
+        let (again, _) = Adaptive::default().refine(&wide, &model, &base, &crossings).unwrap();
         assert_eq!(again.len(), refined.len());
         for (a, b) in again.points().iter().zip(refined.points()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -665,7 +614,7 @@ mod tests {
         let base = FrequencyGrid::from_omegas(
             &(0..40).map(|k| 10.0 * (k as f64 + 1.0)).collect::<Vec<_>>(),
         );
-        let refined = Adaptive::default().refine(&pool, &smooth, &base, &[]).unwrap();
+        let (refined, _) = Adaptive::default().refine(&pool, &smooth, &base, &[]).unwrap();
         assert_eq!(refined.len(), base.len(), "smooth sub-floor model needs no refinement");
         // The cap is a hard ceiling even for a violating model.
         let capped = Adaptive { max_points: 25, ..Adaptive::default() };
@@ -673,7 +622,7 @@ mod tests {
         let wide_base = FrequencyGrid::from_omegas(
             &(0..20).map(|k| 10f64.powf(4.0 + 4.0 * k as f64 / 19.0)).collect::<Vec<_>>(),
         );
-        let refined = capped.refine(&pool, &model, &wide_base, &[]).unwrap();
+        let (refined, _) = capped.refine(&pool, &model, &wide_base, &[]).unwrap();
         assert!(refined.len() <= 25 + 2, "cap exceeded: {}", refined.len());
     }
 

@@ -24,11 +24,15 @@
 //!   is the built-in unweighted builder;
 //! * [`grid`] — the first-class sampling layer: [`grid::FrequencyGrid`]
 //!   (sorted, deduplicated, provenance-tagged sweep points) and the
-//!   pluggable [`grid::SamplingStrategy`] — [`grid::FixedLog`],
-//!   [`grid::CrossingRefined`] (the historical refinement, bit for bit) and
-//!   [`grid::Adaptive`] (bisection around Hamiltonian crossings and local
-//!   σ maxima until the interpolation error falls below tolerance) — that
-//!   drives every assessment and all three enforcement grids.
+//!   pluggable [`grid::SamplingStrategy`] — [`grid::Adaptive`] (the
+//!   default: bisection around Hamiltonian crossings and local σ maxima
+//!   until the interpolation error falls below tolerance) and
+//!   [`grid::FixedLog`] (no refinement, for audits) — that drives every
+//!   assessment and all three enforcement grids.
+//!
+//! There is one way to assess, [`check::assess_with_sampling`] (with
+//! [`check::assess_on`] as its fixed-grid audit form), and one way to
+//! enforce, [`enforce::enforce_passivity`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,16 +45,14 @@ pub mod norm;
 pub mod qp;
 
 pub use check::{
-    assess, assess_on, assess_with_sampling, hamiltonian_crossings, is_passive,
-    singular_value_sweep, singular_value_sweep_on, PassivityReport, ViolationBand,
+    assess_on, assess_with_sampling, hamiltonian_crossings, singular_value_sweep_with,
+    PassivityReport, ViolationBand,
 };
 pub use enforce::{
-    enforce_passivity, enforce_passivity_observed, EnforcementConfig, EnforcementIteration,
-    EnforcementObserver, EnforcementOutcome, PerturbationNorm, RobustnessInfo, TrustRegionConfig,
+    enforce_passivity, EnforcementConfig, EnforcementIteration, EnforcementObserver,
+    EnforcementOutcome, PerturbationNorm, RobustnessInfo, TrustRegionConfig,
 };
-pub use grid::{
-    Adaptive, CrossingRefined, FixedLog, FrequencyGrid, PointProvenance, SamplingStrategy,
-};
+pub use grid::{Adaptive, FixedLog, FrequencyGrid, PointProvenance, SamplingStrategy};
 pub use norm::{NormBuilder, NormKind, StandardNorm};
 
 use std::error::Error;

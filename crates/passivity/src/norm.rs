@@ -10,7 +10,7 @@
 //! eq. (10)–(11) of the paper. The sensitivity-weighted builder of
 //! eq. (19)–(21) lives in `pim-core` (it needs the rational weighting model
 //! `Ξ̃(s)` from `pim-vectfit`), but it implements the same trait, so the
-//! enforcement plumbing treats both — and any future hybrid — uniformly.
+//! enforcement plumbing treats every family uniformly.
 
 use crate::enforce::PerturbationNorm;
 use crate::Result;
@@ -30,8 +30,6 @@ pub enum NormKind {
     /// part of the accuracy weighting while restoring conditioning from the
     /// unweighted norm.
     Blended,
-    /// An application-defined norm; the label identifies it in diagnostics.
-    Custom(&'static str),
 }
 
 impl fmt::Display for NormKind {
@@ -40,7 +38,6 @@ impl fmt::Display for NormKind {
             NormKind::Standard => f.write_str("standard"),
             NormKind::SensitivityWeighted => f.write_str("sensitivity-weighted"),
             NormKind::Blended => f.write_str("blended"),
-            NormKind::Custom(name) => write!(f, "custom({name})"),
         }
     }
 }
@@ -109,19 +106,11 @@ mod tests {
 
     #[test]
     fn norm_kinds_display_distinctly() {
-        let labels: Vec<String> = [
-            NormKind::Standard,
-            NormKind::SensitivityWeighted,
-            NormKind::Blended,
-            NormKind::Custom("hybrid-v2"),
-        ]
-        .iter()
-        .map(|k| k.to_string())
-        .collect();
-        assert_eq!(labels[0], "standard");
-        assert_eq!(labels[1], "sensitivity-weighted");
-        assert_eq!(labels[2], "blended");
-        assert_eq!(labels[3], "custom(hybrid-v2)");
-        assert_ne!(NormKind::Custom("a"), NormKind::Custom("b"));
+        let labels: Vec<String> =
+            [NormKind::Standard, NormKind::SensitivityWeighted, NormKind::Blended]
+                .iter()
+                .map(|k| k.to_string())
+                .collect();
+        assert_eq!(labels, ["standard", "sensitivity-weighted", "blended"]);
     }
 }

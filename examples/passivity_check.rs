@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example passivity_check`.
 
 use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario};
-use pim_repro::passivity::check::singular_value_sweep;
+use pim_repro::passivity::check::singular_value_sweep_with;
 use pim_repro::passivity::NormKind;
 use pim_repro::PimError;
 
@@ -19,8 +19,9 @@ fn main() -> Result<(), PimError> {
         None => &fit.result.model,
     };
     let omegas = sc.data.grid().omegas();
-    let before = singular_value_sweep(&fit.result.model, &omegas)?;
-    let after = singular_value_sweep(final_model, &omegas)?;
+    let pool = pim_repro::runtime::global();
+    let before = singular_value_sweep_with(pool, &fit.result.model, &omegas)?;
+    let after = singular_value_sweep_with(pool, final_model, &omegas)?;
     println!("{:>12} {:>16} {:>16}", "freq (Hz)", "sigma_max before", "sigma_max after");
     for (k, &f) in sc.data.grid().freqs_hz().iter().enumerate().step_by(6) {
         println!("{:>12.3e} {:>16.9} {:>16.9}", f, before[k][0], after[k][0]);

@@ -1,13 +1,12 @@
 //! Quickstart: run the staged macromodeling pipeline on a small synthetic
 //! PDN — fit, check passivity, enforce it with the sensitivity-weighted norm
-//! and print the resulting accuracy summary plus the per-iteration
-//! enforcement traces recorded by a `TraceObserver`.
+//! and print the resulting accuracy summary, the per-iteration enforcement
+//! traces recorded by a `TraceObserver`, and the accuracy contract (the 16x
+//! audit of the delivered model).
 //!
 //! Run with `cargo run --release --example quickstart`.
 
 use pim_repro::core_flow::{FlowConfig, Pipeline, Stage, StandardScenario, TraceObserver};
-use pim_repro::passivity::check::assess_on;
-use pim_repro::passivity::grid::{Adaptive, FrequencyGrid};
 use pim_repro::passivity::NormKind;
 use pim_repro::PimError;
 
@@ -54,11 +53,8 @@ fn main() -> Result<(), PimError> {
         );
     }
     // iterations_report: the per-iteration enforcement traces the observer
-    // recorded, weighted vs standard norm. (Historical note: this was the
-    // diagnostic for the Fig. 5 anomaly, resolved by the adaptive sampling
-    // strategy — see the 16x-grid audit below. The reduced board under the
-    // paper-sized default enforcement parameters remains an adverse regime
-    // for both norms; the paper-faithful comparison is the Paper preset.)
+    // recorded, weighted vs standard norm (the diagnostic of the Fig. 5
+    // anomaly, which adaptive sampling resolved).
     let weighted = trace.trace(NormKind::SensitivityWeighted);
     let standard = trace.trace(NormKind::Standard);
     if !weighted.is_empty() || !standard.is_empty() {
@@ -93,32 +89,10 @@ fn main() -> Result<(), PimError> {
         }
     }
 
-    // Sampling-strategy audit: re-assess the delivered model on a 16x
-    // fixed-log grid it was never constrained on, then run the same flow
-    // under the adaptive strategy (which bisects toward sub-grid violation
-    // bands) and audit that model too. Historically the default-strategy
-    // model failed this audit — the Fig. 5 anomaly.
-    let band_max_omega = scenario.data.grid().max_omega();
-    let audit = FrequencyGrid::enforcement_log(
-        band_max_omega,
-        FlowConfig::default().enforcement.sweep_points * 16,
-    );
-    let default_audit = assess_on(report.final_model(), &audit)?;
-    println!(
-        "16x-grid audit (default sampling):  sigma_max {:.6} -> {}",
-        default_audit.sigma_max,
-        if default_audit.passive { "passive" } else { "NOT passive" }
-    );
-    let adaptive_report = Pipeline::from_scenario(&scenario, FlowConfig::default())?
-        .sampling(Adaptive::default())
-        .report()?;
-    let adaptive_audit = assess_on(adaptive_report.final_model(), &audit)?;
-    println!(
-        "16x-grid audit (adaptive sampling): sigma_max {:.6} -> {} \
-         (target-impedance error {:.1}%)",
-        adaptive_audit.sigma_max,
-        if adaptive_audit.passive { "passive" } else { "NOT passive" },
-        100.0 * adaptive_report.weighted_passive_eval.impedance_relative_error
-    );
+    // The accuracy contract: the delivered model audited on a 16x fixed-log
+    // grid it was never constrained on, plus its target-impedance error.
+    if let Some(contract) = &report.contract {
+        println!("accuracy contract: {contract}");
+    }
     Ok(())
 }

@@ -11,12 +11,10 @@
 //! build a scenario (here the reduced synthetic PDN), then run exactly the
 //! stages you need — each call returns an owned artifact and caches it, so
 //! later stages (or a final [`report()`](core_flow::Pipeline::report)) reuse
-//! the work. The one-shot [`core_flow::run_flow`] remains as a compatibility
-//! wrapper producing the identical `FlowReport`.
+//! the work.
 //!
 //! ```
 //! use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario};
-//! use pim_repro::passivity::grid::Adaptive;
 //! use pim_repro::vectfit::VfConfig;
 //! use pim_repro::PimError;
 //!
@@ -24,13 +22,10 @@
 //! let scenario = StandardScenario::reduced()?;
 //!
 //! // A light configuration for the doc test; FlowConfig::default() is the
-//! // paper-faithful one. The `sampling` builder picks the sweep-grid
-//! // strategy: `Adaptive` bisects toward violation bands narrower than
-//! // the grid spacing (the default `CrossingRefined` reproduces the
-//! // historical grids bit for bit).
+//! // paper-faithful one. Its sweep grids are adaptive: they bisect toward
+//! // violation bands narrower than the grid spacing.
 //! let config = FlowConfig { vf: VfConfig::with_order(10).iterations(3), ..Default::default() };
-//! let mut pipeline =
-//!     Pipeline::from_scenario(&scenario, config)?.sampling(Adaptive::default());
+//! let mut pipeline = Pipeline::from_scenario(&scenario, config)?;
 //!
 //! // Sensitivity of the target impedance to scattering perturbations
 //! // (eq. 5–6): large at low frequency, small at the top of the band.

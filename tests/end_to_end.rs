@@ -3,7 +3,8 @@
 
 use pim_repro::circuit::standard_board;
 use pim_repro::core_flow::{ScenarioConfig, ScenarioPreset, StandardScenario};
-use pim_repro::passivity::check::assess;
+use pim_repro::passivity::check::assess_with_sampling;
+use pim_repro::passivity::grid::{Adaptive, FrequencyGrid as SweepGrid};
 use pim_repro::pdn::{analytic_sensitivity, target_impedance};
 use pim_repro::rfdata::touchstone::{
     from_touchstone_string, to_touchstone_string, TouchstoneFormat,
@@ -34,7 +35,12 @@ fn fitted_model_predicts_the_loaded_impedance() -> pim_repro::Result<()> {
     // The raw data is passive; the plain fit may still carry localized
     // passivity violations (this is precisely why the enforcement stage
     // exists), but its assessment must complete and report finite values.
-    let rep = assess(&fit.model, &sc.data.grid().omegas())?;
+    let rep = assess_with_sampling(
+        pim_repro::runtime::global(),
+        &fit.model,
+        &SweepGrid::from_omegas(&sc.data.grid().omegas()),
+        &Adaptive::default(),
+    )?;
     assert!(rep.sigma_max.is_finite() && rep.sigma_max > 0.5);
     // The model-based loaded impedance follows the data-based one except
     // where the sensitivity amplifies the fitting error.

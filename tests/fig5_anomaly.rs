@@ -2,24 +2,23 @@
 //! asserting test** now that the adaptive sampling strategy resolves the
 //! anomaly.
 //!
-//! History (ROADMAP PRs 3–4): the weighted enforcement on the reduced
-//! scenario used to deliver a model that was "certified passive" on its
-//! working and 4× verification grids while a violation band near
-//! ω ≈ 7.04·10⁹ rad/s — true σ ≈ 1.36 — hid *between* the grid points for
-//! 12 iterations and survived into the final model (σ_max ≈ 1.02 on a 16×
-//! grid). This test pins the fix: under
-//! [`pim_repro::passivity::grid::Adaptive`] sampling the band is exposed at
-//! full strength on the very first assessment, the enforcement constrains
-//! it away, and the delivered model stays passive on a dense 16× audit grid
-//! it was never constrained on.
+//! History: the weighted enforcement on the reduced scenario used to deliver
+//! a model that was "certified passive" on its working and 4× verification
+//! grids while a violation band near ω ≈ 7.04·10⁹ rad/s — true σ ≈ 1.36 —
+//! hid *between* the grid points for 12 iterations and survived into the
+//! final model (σ_max ≈ 1.02 on a 16× grid). This test pins the fix: under
+//! the default [`pim_repro::passivity::grid::Adaptive`] sampling the band is
+//! exposed at full strength on the very first assessment, the enforcement
+//! constrains it away, and the delivered model stays passive on a dense 16×
+//! audit grid it was never constrained on.
 //!
-//! The historical `CrossingRefined` path is asserted too: it must keep
-//! missing the band on its working grid (if it stops missing it, the
+//! The bare working grid ([`pim_repro::passivity::grid::FixedLog`]) is
+//! asserted too: it must keep missing the band (if it stops missing it, the
 //! numerics changed and the fixture story needs revisiting).
 
 use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario, TraceObserver};
 use pim_repro::passivity::check::{assess_on, assess_with_sampling};
-use pim_repro::passivity::grid::{Adaptive, CrossingRefined, FrequencyGrid};
+use pim_repro::passivity::grid::{Adaptive, FixedLog, FrequencyGrid};
 use pim_repro::passivity::NormKind;
 use pim_repro::runtime::ThreadPool;
 
@@ -46,10 +45,9 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
     let band_max_omega = sc.data.grid().max_omega();
     let working = FrequencyGrid::enforcement_log(band_max_omega, config.enforcement.sweep_points);
 
-    // --- 1. The historical strategy still under-reports the band on the
-    //        working grid (the anomaly's mechanism)...
-    let crossing_report =
-        assess_with_sampling(&pool, &fit.result.model, &working, &CrossingRefined).unwrap();
+    // --- 1. The bare working grid under-reports the band (the anomaly's
+    //        mechanism)...
+    let fixed_report = assess_with_sampling(&pool, &fit.result.model, &working, &FixedLog).unwrap();
     let sigma_near_band = |report: &pim_repro::passivity::PassivityReport| -> f64 {
         report
             .bands
@@ -58,10 +56,10 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
             .map(|b| b.sigma_peak)
             .fold(0.0_f64, f64::max)
     };
-    let hidden = sigma_near_band(&crossing_report);
+    let hidden = sigma_near_band(&fixed_report);
     assert!(
         hidden < 1.3,
-        "the crossing-refined working sweep used to under-report the band \
+        "the bare working sweep used to under-report the band \
          (σ ≈ 1.006); it now sees {hidden} — the anomaly mechanism changed, revisit this test"
     );
 
@@ -76,16 +74,15 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
         "the adaptive assessment must expose the ω≈7.04e9 band at first exposure \
          (σ ≥ 1.3), got {exposed}"
     );
-    // The adaptive grid grew beyond the crossing-refined one to do it.
-    assert!(adaptive_report.grid.len() > crossing_report.grid.len());
+    // The adaptive grid grew beyond the working grid to do it.
+    assert!(adaptive_report.grid.len() > fixed_report.grid.len());
 
-    // --- 3. The full adaptive flow: the enforcement constrains the exposed
-    //        band away and the delivered model survives a 16× fixed-log
-    //        audit grid it was never constrained on.
+    // --- 3. The full flow: the enforcement constrains the exposed band
+    //        away and the delivered model survives a 16× fixed-log audit
+    //        grid it was never constrained on.
     let mut trace = TraceObserver::new();
     let report = Pipeline::from_scenario(&sc, config.clone())
         .unwrap()
-        .sampling(Adaptive::default())
         .with_observer(&mut trace)
         .report()
         .unwrap();
@@ -137,11 +134,7 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
 fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
     let sc = StandardScenario::standard().unwrap();
     let config = FlowConfig::default();
-    let report = Pipeline::from_scenario(&sc, config.clone())
-        .unwrap()
-        .sampling(Adaptive::default())
-        .report()
-        .unwrap();
+    let report = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
     let band_max_omega = sc.data.grid().max_omega();
     let audit =
         FrequencyGrid::enforcement_log(band_max_omega, config.enforcement.sweep_points * 16);

@@ -1,10 +1,10 @@
-//! Integration tests of the staged `Pipeline` API: bit-identity with the
-//! legacy `run_flow`, the preset sweep, and the Fig. 5 enforcement-trace
-//! regression fixture.
+//! Integration tests of the staged `Pipeline` API: stage-order and caching
+//! invariance of the report, the preset sweep, and the Fig. 5
+//! enforcement-trace regression fixture.
 
 use pim_repro::core_flow::{
-    run_flow, CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline,
-    ScenarioPreset, Stage, StandardScenario, TraceObserver,
+    CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, ScenarioPreset, Stage,
+    StandardScenario, TraceObserver,
 };
 use pim_repro::linalg::{CMat, Complex64, Mat};
 use pim_repro::passivity::{EnforcementOutcome, NormKind, PassivityError};
@@ -127,21 +127,21 @@ fn assert_report_bits(a: &FlowReport, b: &FlowReport) {
     }
 }
 
-/// The acceptance test of the API redesign: running the stages by hand — in
-/// a scrambled order, with an observer attached — and assembling the report
-/// must reproduce `run_flow`'s `FlowReport` bit for bit.
+/// Running the stages by hand — in a scrambled order, with an observer
+/// attached — and assembling the report must reproduce a plain
+/// `report()` call's `FlowReport` bit for bit.
 #[test]
-fn staged_pipeline_is_bit_identical_to_run_flow() {
+fn staged_pipeline_is_bit_identical_to_a_plain_report() {
     let sc = StandardScenario::reduced().unwrap();
     let config = quick_config();
-    let legacy = run_flow(&sc.data, &sc.network, sc.observation_port, &config).unwrap();
+    let plain = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
 
     let mut trace = TraceObserver::new();
     let staged = {
         let mut pipeline =
             Pipeline::from_scenario(&sc, config.clone()).unwrap().with_observer(&mut trace);
-        // Deliberately not the run_flow order: enforcement first (pulling in
-        // its prerequisites lazily), then the remaining stages from cache.
+        // Deliberately not the report() order: enforcement first (pulling
+        // in its prerequisites lazily), then the remaining stages from cache.
         let enf = pipeline.enforce(NormKind::SensitivityWeighted).unwrap();
         assert!(enf.outcome.is_some(), "reduced scenario needs enforcement");
         let _ = pipeline.weighting_model().unwrap();
@@ -151,7 +151,7 @@ fn staged_pipeline_is_bit_identical_to_run_flow() {
         let _ = pipeline.assess().unwrap();
         pipeline.report().unwrap()
     };
-    assert_report_bits(&legacy, &staged);
+    assert_report_bits(&plain, &staged);
 
     // The observer saw the enforcement iterations of both norms and they
     // reconcile with the outcomes in the report.
@@ -301,7 +301,10 @@ fn not_converged_enforcement_is_cached_and_marked_failed() {
 }
 
 /// Regression fixture for the Fig. 5 anomaly investigation: the weighted and
-/// standard per-iteration enforcement traces on the reduced scenario.
+/// standard per-iteration enforcement traces on the reduced scenario, under
+/// the default (adaptive) sampling. The delivered model must also pass its
+/// contract's 16x audit — the default configuration delivers certified
+/// models.
 ///
 /// Regenerate with `PIM_REGEN_FIXTURE=1 cargo test --test pipeline fig5`
 /// (running this test with the variable set rewrites the file); review the
@@ -312,11 +315,16 @@ fn fig5_iteration_traces_match_the_fixture() {
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/fig5_iterations.txt");
     let sc = StandardScenario::reduced().unwrap();
     let mut trace = TraceObserver::new();
-    let _report = Pipeline::from_scenario(&sc, quick_config())
+    let report = Pipeline::from_scenario(&sc, quick_config())
         .unwrap()
         .with_observer(&mut trace)
         .report()
         .unwrap();
+    let contract = report.contract.as_ref().expect("the default policy attaches a contract");
+    assert!(
+        contract.audit_sigma_max <= 1.0 + 1e-8,
+        "the delivered model must pass its 16x audit: {contract}"
+    );
 
     let mut lines = vec![
         "# norm iteration sigma_before sigma_after step norm_increment constraints".to_string(),
