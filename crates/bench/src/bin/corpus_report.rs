@@ -6,11 +6,11 @@
 //! and optionally:
 //!
 //! * `--check <known_adverse_file>` — exit non-zero if any non-Certified
-//!   verdict is **not** listed in the committed known-adverse file, or if
-//!   the non-certified family *grew* beyond the committed list (the CI
+//!   verdict is **not** listed in the committed known-adverse file, or if a
+//!   listed verdict of a seed below `N` no longer reproduces (the CI
 //!   corpus-smoke gate: new failures must be triaged, known ones must not
-//!   block, and robustness regressions that re-expand the family fail
-//!   loudly);
+//!   block, and the list only shrinks — a listed board that now certifies
+//!   means the list must be regenerated with `--emit-known-adverse`);
 //! * `--emit-known-adverse` — print the known-adverse lines for the run
 //!   (used to regenerate the committed list);
 //! * `--pin-dense-decap <path>` — classify the canonical 5×5 dense-decap
@@ -135,10 +135,9 @@ fn main() {
     );
     let rung_count = |r: RecoveryRung| verdicts.iter().filter(|v| v.rung == Some(r)).count();
     println!(
-        "# recovery: {} primary, {} regularized, {} blended, {} reduced-order",
+        "# recovery: {} primary, {} regularized, {} reduced-order",
         rung_count(RecoveryRung::Primary),
         rung_count(RecoveryRung::Regularized),
-        rung_count(RecoveryRung::Blended),
         rung_count(RecoveryRung::ReducedOrder)
     );
     eprintln!("corpus run: {n} boards in {seconds:.1}s");
@@ -197,15 +196,27 @@ fn main() {
             }
             std::process::exit(1);
         }
-        // Shrinkage assertion: the non-certified family must never grow
-        // past the committed list — a robustness regression that re-expands
-        // the divergence family fails even if every seed is "known".
-        if non_certified.len() > known.len() {
+        // Shrinkage gate: every listed verdict of a seed this run covered
+        // must still reproduce. A listed board that now certifies (or changed
+        // class) makes the list stale; it must shrink, not linger.
+        let current: BTreeSet<String> =
+            non_certified.iter().map(|v| known_adverse_line(v)).collect();
+        let stale: Vec<&String> = known
+            .iter()
+            .filter(|line| {
+                let seed = line.split_whitespace().next().and_then(|s| s.parse::<usize>().ok());
+                seed.is_some_and(|s| s < n) && !current.contains(*line)
+            })
+            .collect();
+        if !stale.is_empty() {
             eprintln!(
-                "# check FAILED: non-certified family grew to {} (committed list has {})",
-                non_certified.len(),
-                known.len()
+                "# check FAILED: {} listed verdict(s) in {path} no longer reproduce; \
+                 regenerate the list with --emit-known-adverse:",
+                stale.len()
             );
+            for line in &stale {
+                eprintln!("#   {line}");
+            }
             std::process::exit(1);
         }
         println!(

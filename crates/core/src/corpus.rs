@@ -15,8 +15,9 @@
 //!   weighted no better than standard): the paper's method underperforms in
 //!   this regime;
 //! * **Diverged** — the weighted enforcement returned
-//!   [`PassivityError::NotConverged`] (divergence guard or budget), carrying
-//!   the best-so-far model;
+//!   [`PassivityError::NotConverged`]: it ran out of its iteration budget on
+//!   the primary pass and on every recovery rung. The verdict notes whether
+//!   a best-so-far model came back;
 //! * **Failed** — any other error (fit breakdown, solver failure, …).
 //!
 //! For any non-Certified case, [`minimize`] shrinks the scenario — grid
@@ -34,8 +35,6 @@ use crate::{CoreError, Result};
 use pim_circuit::board::{build_board, StackStage, SyntheticPdn};
 use pim_circuit::generator::{BoardGenerator, DecapPart, DieModel, GeneratedBoard, VrmModel};
 use pim_circuit::PdnBoardSpec;
-use pim_passivity::check::assess_on;
-use pim_passivity::grid::FrequencyGrid;
 use pim_passivity::{EnforcementConfig, PassivityError};
 use pim_pdn::{Termination, TerminationNetwork};
 use pim_rfdata::NetworkData;
@@ -50,8 +49,8 @@ pub enum CorpusClass {
     Certified,
     /// The flow completed but a certification gate failed.
     Adverse,
-    /// The weighted enforcement tripped the divergence guard or ran out of
-    /// its iteration budget.
+    /// The weighted enforcement ran out of its iteration budget on the
+    /// primary pass and on every recovery rung.
     Diverged,
     /// The flow failed outright (fit, solver or assembly error).
     Failed,
@@ -205,7 +204,7 @@ pub struct CorpusVerdict {
     /// win by default).
     pub standard_error: Option<f64>,
     /// Weighted enforcement iterations (0 = the fit was already passive;
-    /// for `Diverged`, the iteration at which the guard fired).
+    /// for `Diverged`, the primary pass's exhausted budget).
     pub iterations: usize,
     /// The recovery rung that delivered the model (completed flows only;
     /// [`RecoveryRung::Primary`] when the ladder never engaged).
@@ -329,26 +328,13 @@ impl CorpusCase {
         };
 
         // Certification gate 1: σ_max ≤ 1 + tol on a dense fixed-log audit
-        // grid the enforcement never constrained. The pipeline's accuracy
-        // contract sweeps the identical grid (parameters synced above), so
-        // reuse it; recompute only when the contract was disabled.
-        let audit = match &report.contract {
-            Some(c) => (c.audit_sigma_max, None),
-            None => {
-                let audit_grid = FrequencyGrid::enforcement_log(
-                    data.grid().max_omega(),
-                    self.flow.enforcement.sweep_points * self.audit_multiplier,
-                );
-                match assess_on(report.final_model(), &audit_grid) {
-                    Ok(a) => (a.sigma_max, Some(a.omega_at_sigma_max)),
-                    Err(e) => {
-                        verdict.detail = format!("audit: {e}");
-                        return verdict;
-                    }
-                }
-            }
-        };
-        let (audit_sigma_max, audit_omega) = audit;
+        // grid the enforcement never constrained — the grid of the
+        // pipeline's accuracy contract (parameters synced above).
+        let audit_sigma_max = report
+            .contract
+            .as_ref()
+            .expect("Pipeline::report always attaches the accuracy contract")
+            .audit_sigma_max;
         verdict.audit_sigma_max = Some(audit_sigma_max);
         verdict.rung = Some(
             report.recovery.as_ref().and_then(|r| r.delivered).unwrap_or(RecoveryRung::Primary),
@@ -384,10 +370,8 @@ impl CorpusCase {
             verdict.class = CorpusClass::Adverse;
             let mut reasons = Vec::new();
             if !audit_pass {
-                let at =
-                    audit_omega.map_or(String::new(), |omega| format!(" at omega {omega:.3e}"));
                 reasons.push(format!(
-                    "audit sigma_max {:.9} > 1+{:.0e}{at}",
+                    "audit sigma_max {:.9} > 1+{:.0e}",
                     audit_sigma_max, self.sigma_tolerance
                 ));
             }
@@ -704,7 +688,6 @@ impl MinimizedFixture {
             case.flow.enforcement.sigma_margin
         ));
         lines.push(format!("max_iterations = {}", case.flow.enforcement.max_iterations));
-        lines.push(format!("divergence_guard = {}", case.flow.enforcement.divergence_guard));
         lines.push(format!("frequency_samples = {}", case.frequency_samples));
         lines.push(format!("f_min_hz = {} # {:e}", fmt_f64(case.f_min_hz), case.f_min_hz));
         lines.push(format!("f_max_hz = {} # {:e}", fmt_f64(case.f_max_hz), case.f_max_hz));
@@ -797,7 +780,6 @@ impl MinimizedFixture {
         flow.enforcement.sweep_points = parse_usize(get("sweep_points")?)?;
         flow.enforcement.sigma_margin = parse_f64(get("sigma_margin")?)?;
         flow.enforcement.max_iterations = parse_usize(get("max_iterations")?)?;
-        flow.enforcement.divergence_guard = parse_usize(get("divergence_guard")?)?;
         let case = CorpusCase {
             board: GeneratedBoard {
                 seed: get("seed")?.parse::<u64>().map_err(|e| {
@@ -833,12 +815,12 @@ impl MinimizedFixture {
     }
 }
 
-/// The known 5×5 dense-decap divergence regime (ROADMAP item 3 / the PR 5
-/// divergence-guard test) expressed as a corpus case: a 5×5 board ringed by
-/// four bulk decap banks, one central die block, an order-22 fit. The
-/// *primary* weighted enforcement walks into the divergence regime here;
-/// the recovery ladder's regularized rung now converges it, so the
-/// committed `tests/fixtures/corpus/dense-decap-5x5.fixture` is this case
+/// The known 5×5 dense-decap divergence regime expressed as a corpus case:
+/// a 5×5 board ringed by four bulk decap banks, one central die block, an
+/// order-22 fit. The *primary* weighted enforcement walks into the
+/// divergence regime here; the recovery ladder's regularized rung now
+/// converges it, so the committed
+/// `tests/fixtures/corpus/dense-decap-5x5.fixture` is this case
 /// pinned with its fresh verdict (`corpus_report --pin-dense-decap`), not a
 /// [`minimize`] output — shrinking toward the convergent class would
 /// collapse the historically-adversarial board.

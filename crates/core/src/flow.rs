@@ -17,7 +17,7 @@
 //! [`crate::pipeline::Pipeline`] runs it; this module holds its
 //! configuration, its report and the model evaluation.
 
-use crate::recovery::{AccuracyContract, ContractConfig, RecoveryConfig, RecoveryReport};
+use crate::recovery::{AccuracyContract, ContractConfig, RecoveryReport};
 use crate::Result;
 use pim_passivity::enforce::{EnforcementConfig, EnforcementOutcome};
 use pim_pdn::{target_impedance, TargetImpedance, TerminationNetwork};
@@ -42,9 +42,6 @@ pub struct FlowConfig {
     /// Also run the standard (unweighted-norm) enforcement on the weighted
     /// model, to reproduce the paper's comparison (Fig. 5).
     pub run_standard_enforcement: bool,
-    /// The recovery ladder engaged when the weighted enforcement diverges
-    /// (see [`crate::recovery`]).
-    pub recovery: RecoveryConfig,
     /// The accuracy contract attached to delivered models (see
     /// [`crate::recovery::ContractConfig`]).
     pub contract: ContractConfig,
@@ -58,7 +55,6 @@ impl Default for FlowConfig {
             weight_floor: 1e-2,
             enforcement: EnforcementConfig::default(),
             run_standard_enforcement: true,
-            recovery: RecoveryConfig::default(),
             contract: ContractConfig::default(),
         }
     }
@@ -113,8 +109,10 @@ pub struct FlowReport {
     /// Record of the recovery ladder, when it engaged (`None` on the happy
     /// path where the primary weighted enforcement delivered).
     pub recovery: Option<RecoveryReport>,
-    /// The accuracy contract of the delivered model (`None` under
-    /// [`crate::recovery::ContractPolicy::Off`]).
+    /// The accuracy contract of the delivered model. [`Pipeline::report`]
+    /// always attaches it, so it is always `Some`.
+    ///
+    /// [`Pipeline::report`]: crate::pipeline::Pipeline::report
     pub contract: Option<AccuracyContract>,
 }
 

@@ -56,14 +56,9 @@ pub use pipeline::{
     AssessmentArtifact, EnforcementArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact,
     SweepEntry,
 };
-pub use recovery::{
-    AccuracyContract, ContractConfig, ContractPolicy, RecoveryConfig, RecoveryReport, RecoveryRung,
-    RungAttempt,
-};
+pub use recovery::{AccuracyContract, ContractConfig, RecoveryReport, RecoveryRung, RungAttempt};
 pub use scenario::{ScenarioConfig, ScenarioPreset, StandardScenario};
-pub use weighting::{
-    blended_norm, sensitivity_weighted_norm, BlendedNorm, SensitivityWeightedNorm,
-};
+pub use weighting::{sensitivity_weighted_norm, SensitivityWeightedNorm};
 
 use std::error::Error;
 use std::fmt;
@@ -85,10 +80,6 @@ pub enum CoreError {
     Pdn(pim_pdn::PdnError),
     /// Synthetic circuit failure.
     Circuit(pim_circuit::CircuitError),
-    /// The delivered model failed its accuracy contract under
-    /// [`recovery::ContractPolicy::Refuse`]; the contract carries what was
-    /// measured.
-    ContractViolation(Box<recovery::AccuracyContract>),
     /// Invalid configuration or inconsistent inputs.
     InvalidInput(String),
 }
@@ -103,7 +94,6 @@ impl fmt::Display for CoreError {
             CoreError::Passivity(e) => write!(f, "passivity failure: {e}"),
             CoreError::Pdn(e) => write!(f, "pdn analysis failure: {e}"),
             CoreError::Circuit(e) => write!(f, "circuit failure: {e}"),
-            CoreError::ContractViolation(c) => write!(f, "accuracy contract violated: {c}"),
             CoreError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }
@@ -119,7 +109,6 @@ impl Error for CoreError {
             CoreError::Passivity(e) => Some(e),
             CoreError::Pdn(e) => Some(e),
             CoreError::Circuit(e) => Some(e),
-            CoreError::ContractViolation(_) => None,
             CoreError::InvalidInput(_) => None,
         }
     }

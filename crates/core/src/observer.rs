@@ -86,9 +86,8 @@ pub trait FlowObserver {
     }
 
     /// An enforcement attempt (primary or recovery rung) failed with
-    /// `NotConverged`; the diagnostics carry the guard trigger, the step
-    /// control state and the `σ_max` trajectory tail, so failures are
-    /// debuggable without a rerun.
+    /// `NotConverged`; the diagnostics carry the step control state and the
+    /// `σ_max` trajectory tail, so failures are debuggable without a rerun.
     fn on_enforcement_diagnostics(
         &mut self,
         norm: NormKind,
@@ -182,9 +181,7 @@ mod tests {
             Stage::Assessment,
             Stage::Enforcement(NormKind::Standard),
             Stage::Enforcement(NormKind::SensitivityWeighted),
-            Stage::Enforcement(NormKind::Blended),
             Stage::Recovery(RecoveryRung::Regularized),
-            Stage::Recovery(RecoveryRung::Blended),
             Stage::Recovery(RecoveryRung::ReducedOrder),
             Stage::Evaluation,
         ];
@@ -214,7 +211,6 @@ mod tests {
         obs.on_enforcement_iteration(NormKind::Standard, &ev);
         obs.on_stage_failed(Stage::Enforcement(NormKind::Standard));
         let diag = NotConvergedDiagnostics {
-            guard_triggered: true,
             bottomed_out: 3,
             last_step: 0.0625,
             sigma_tail: vec![1.2, 1.3],
@@ -226,9 +222,7 @@ mod tests {
         assert_eq!(obs.failed, vec![Stage::Enforcement(NormKind::Standard)]);
         assert_eq!(obs.trace(NormKind::SensitivityWeighted).len(), 1);
         assert_eq!(obs.trace(NormKind::Standard).len(), 1);
-        assert_eq!(obs.trace(NormKind::Blended).len(), 0);
         assert_eq!(obs.grid_growth(NormKind::Standard), vec![201]);
-        assert!(obs.grid_growth(NormKind::Blended).is_empty());
         assert_eq!(obs.diagnostics.len(), 1);
         assert_eq!(obs.diagnostics[0].0, NormKind::Standard);
         assert_eq!(obs.diagnostics[0].1, diag);

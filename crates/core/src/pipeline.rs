@@ -28,11 +28,9 @@
 
 use crate::flow::{evaluate_model, FlowConfig, FlowReport};
 use crate::observer::{FlowObserver, Stage, TraceObserver};
-use crate::recovery::{
-    AccuracyContract, ContractPolicy, RecoveryReport, RecoveryRung, RungAttempt,
-};
+use crate::recovery::{AccuracyContract, RecoveryReport, RecoveryRung, RungAttempt};
 use crate::scenario::{ScenarioPreset, StandardScenario};
-use crate::weighting::{BlendedNorm, SensitivityWeightedNorm};
+use crate::weighting::SensitivityWeightedNorm;
 use crate::{CoreError, Result};
 use pim_passivity::check::{assess_on, assess_with_sampling, PassivityReport};
 use pim_passivity::enforce::{
@@ -386,11 +384,6 @@ impl<'a> Pipeline<'a> {
                 let weighting = self.weighting_model()?;
                 self.enforce_with(&SensitivityWeightedNorm::new(weighting))
             }
-            NormKind::Blended => {
-                let weighting = self.weighting_model()?;
-                let alpha = self.config.recovery.blend_alpha;
-                self.enforce_with(&BlendedNorm::new(weighting, alpha))
-            }
         }
     }
 
@@ -489,20 +482,19 @@ impl<'a> Pipeline<'a> {
     }
 
     /// The weighted enforcement with the recovery ladder behind it: on a
-    /// [`PassivityError::NotConverged`] primary failure (and with
-    /// `config.recovery.enabled`) the pipeline retries under the escalation
-    /// policy of [`crate::recovery`] — regularized norm, blended norm,
-    /// reduced order — and returns the first rung that delivers, together
-    /// with the [`RecoveryReport`] recording every attempt.
+    /// [`PassivityError::NotConverged`] primary failure the pipeline retries
+    /// under the escalation policy of [`crate::recovery`] — regularized,
+    /// then reduced order — and returns the first rung that delivers,
+    /// together with the [`RecoveryReport`] recording every attempt.
     ///
     /// Returns `(outcome, None)` on the happy path (the ladder never
     /// engaged; `outcome` is `None` when the model was already passive).
     ///
     /// # Errors
     ///
-    /// When the ladder is disabled or exhausted, the primary
-    /// `NotConverged` failure (with its cache-time-audited diagnostics) is
-    /// returned; non-deterministic rung failures propagate as-is.
+    /// When the ladder is exhausted, the primary `NotConverged` failure
+    /// (with its cache-time-audited diagnostics) is returned;
+    /// non-deterministic rung failures propagate as-is.
     pub fn enforce_recovered(
         &mut self,
     ) -> Result<(Option<EnforcementOutcome>, Option<RecoveryReport>)> {
@@ -517,9 +509,7 @@ impl<'a> Pipeline<'a> {
         }
         match self.enforce(NormKind::SensitivityWeighted) {
             Ok(artifact) => Ok((artifact.outcome, None)),
-            Err(CoreError::Passivity(PassivityError::NotConverged { .. }))
-                if self.config.recovery.enabled =>
-            {
+            Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => {
                 let (report, outcome) = self.run_recovery_ladder()?;
                 self.recovery = Some((report.clone(), outcome.clone()));
                 match outcome {
@@ -533,54 +523,48 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Climbs the recovery ladder: regularized → blended → reduced order.
-    /// Each rung runs the full enforcement loop under a tightened adaptive
-    /// QP damping cap and an extended iteration budget; the first passive
-    /// model wins. Deterministic — the caller caches the result.
+    /// Climbs the recovery ladder: regularized → reduced order. Each rung
+    /// runs the full enforcement loop under the sensitivity-weighted norm,
+    /// a tightened adaptive QP damping cap and an extended iteration budget;
+    /// the first passive model wins. Deterministic — the caller caches the
+    /// result.
     fn run_recovery_ladder(&mut self) -> Result<(RecoveryReport, Option<EnforcementOutcome>)> {
-        let rc = self.config.recovery.clone();
+        // Adaptive QP damping cap of every rung; the primary pass keeps its
+        // own, much looser, cap.
+        const MAX_CONDITION: f64 = 1e6;
+        // Outer iterations added to the configured budget on every rung.
+        const EXTRA_ITERATIONS: usize = 40;
+        // Poles removed by the reduced-order rung, and the order it never
+        // refits below.
+        const ORDER_REDUCTION: usize = 2;
+        const MIN_ORDER: usize = 6;
+
         let band = self.assess()?.band_max_omega;
-        let weighting = self.weighting_model()?;
+        let builder = SensitivityWeightedNorm::new(self.weighting_model()?);
         let base_model =
             self.weighted_fit.as_ref().expect("assess caches the weighted fit").model.clone();
         let mut cfg: EnforcementConfig = self.config.enforcement.clone();
-        cfg.max_iterations += rc.extra_iterations;
-        cfg.qp.max_condition = cfg.qp.max_condition.min(rc.max_condition);
+        cfg.max_iterations += EXTRA_ITERATIONS;
+        cfg.qp.max_condition = cfg.qp.max_condition.min(MAX_CONDITION);
 
-        let reduced_order =
-            self.config.vf.n_poles.saturating_sub(rc.order_reduction).max(rc.min_order);
-        let mut rungs = vec![RecoveryRung::Regularized, RecoveryRung::Blended];
+        let reduced_order = self.config.vf.n_poles.saturating_sub(ORDER_REDUCTION).max(MIN_ORDER);
+        let mut rungs = vec![RecoveryRung::Regularized];
         if reduced_order < self.config.vf.n_poles {
             rungs.push(RecoveryRung::ReducedOrder);
         }
 
+        let label = NormKind::SensitivityWeighted;
         let mut attempts = Vec::new();
         for rung in rungs {
             // Materialize the rung's model and norm.
-            let (label, model, norm) = match rung {
-                RecoveryRung::Primary => unreachable!("the primary pass is not a ladder rung"),
-                RecoveryRung::Regularized => {
-                    let norm = SensitivityWeightedNorm::new(weighting.clone())
-                        .build(&base_model)
-                        .map_err(CoreError::Passivity)?;
-                    (NormKind::SensitivityWeighted, base_model.clone(), norm)
-                }
-                RecoveryRung::Blended => {
-                    let norm = BlendedNorm::new(weighting.clone(), rc.blend_alpha)
-                        .build(&base_model)
-                        .map_err(CoreError::Passivity)?;
-                    (NormKind::Blended, base_model.clone(), norm)
-                }
-                RecoveryRung::ReducedOrder => {
-                    let weights = self.sensitivity()?.weights;
-                    let vf = VfConfig { n_poles: reduced_order, ..self.config.vf.clone() };
-                    let fit = vector_fit(self.data, Some(&weights), &vf)?;
-                    let norm = SensitivityWeightedNorm::new(weighting.clone())
-                        .build(&fit.model)
-                        .map_err(CoreError::Passivity)?;
-                    (NormKind::SensitivityWeighted, fit.model, norm)
-                }
+            let model = if rung == RecoveryRung::ReducedOrder {
+                let weights = self.sensitivity()?.weights;
+                let vf = VfConfig { n_poles: reduced_order, ..self.config.vf.clone() };
+                vector_fit(self.data, Some(&weights), &vf)?.model
+            } else {
+                base_model.clone()
             };
+            let norm = builder.build(&model).map_err(CoreError::Passivity)?;
             self.stage_start(Stage::Recovery(rung));
             let result =
                 enforce_labeled(self.observer.as_deref_mut(), label, &model, &norm, band, &cfg);
@@ -717,32 +701,16 @@ impl<'a> Pipeline<'a> {
         // The accuracy contract: audit the delivered model on a dense
         // fixed-log grid it was never constrained on, and pair the result
         // with the target-impedance error and the rung that delivered.
-        let contract = match self.config.contract.policy {
-            ContractPolicy::Off => None,
-            ContractPolicy::Report | ContractPolicy::Refuse => {
-                let audit_grid = self.audit_grid();
-                let audit =
-                    assess_on(weighted_passive_model, &audit_grid).map_err(CoreError::Passivity)?;
-                Some(AccuracyContract {
-                    rung: recovery
-                        .as_ref()
-                        .and_then(|r| r.delivered)
-                        .unwrap_or(RecoveryRung::Primary),
-                    audit_sigma_max: audit.sigma_max,
-                    audit_points: audit_grid.len(),
-                    sigma_tolerance: self.config.contract.sigma_tolerance,
-                    impedance_error: weighted_passive_eval.impedance_relative_error,
-                    max_impedance_error: self.config.contract.max_impedance_error,
-                })
-            }
+        let audit_grid = self.audit_grid();
+        let audit = assess_on(weighted_passive_model, &audit_grid).map_err(CoreError::Passivity)?;
+        let contract = AccuracyContract {
+            rung: recovery.as_ref().and_then(|r| r.delivered).unwrap_or(RecoveryRung::Primary),
+            audit_sigma_max: audit.sigma_max,
+            audit_points: audit_grid.len(),
+            sigma_tolerance: self.config.contract.sigma_tolerance,
+            impedance_error: weighted_passive_eval.impedance_relative_error,
+            max_impedance_error: self.config.contract.max_impedance_error,
         };
-        if self.config.contract.policy == ContractPolicy::Refuse {
-            if let Some(c) = &contract {
-                if !c.within_envelope() {
-                    return Err(CoreError::ContractViolation(Box::new(c.clone())));
-                }
-            }
-        }
 
         Ok(FlowReport {
             nominal_impedance: sens.nominal_impedance,
@@ -759,7 +727,7 @@ impl<'a> Pipeline<'a> {
             weighted_passive_eval,
             standard_passive_eval,
             recovery,
-            contract,
+            contract: Some(contract),
         })
     }
 

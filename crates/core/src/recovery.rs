@@ -1,32 +1,29 @@
 //! The enforcement recovery ladder and the accuracy contract.
 //!
-//! The weighted enforcement loop can diverge on hard boards (the corpus of
-//! PR 6 diverged on 16 of 100 generated scenarios). Instead of surfacing a
-//! bare `NotConverged` with a best-so-far model stapled on, the pipeline
-//! retries under an escalation policy — the **recovery ladder**:
+//! The weighted enforcement loop can run out of its iteration budget on hard
+//! boards. Instead of surfacing a bare `NotConverged` with a best-so-far
+//! model stapled on, the pipeline retries under an escalation policy — the
+//! **recovery ladder**:
 //!
 //! 1. [`RecoveryRung::Primary`] — the paper's sensitivity-weighted norm
 //!    under the configured numerics (not a retry; the name of the happy
 //!    path);
 //! 2. [`RecoveryRung::Regularized`] — same norm, but the adaptive QP
-//!    damping cap is tightened (default `1e6`) so near-singular Gramian
-//!    blocks are Tikhonov-damped hard, and the iteration budget is
-//!    extended;
-//! 3. [`RecoveryRung::Blended`] — a trace-normalized blend of the weighted
-//!    and the standard Gramians (`α` weighted + `1−α` standard): part of
-//!    the accuracy weighting survives, conditioning comes from the
-//!    unweighted norm;
-//! 4. [`RecoveryRung::ReducedOrder`] — the weighted fit is redone at a
-//!    lower order (default two poles fewer) and enforced under the weighted
-//!    norm; fewer states shrink the constraint null-space that lets the
-//!    loop walk in circles.
+//!    damping cap is tightened to `1e6` so near-singular Gramian blocks are
+//!    Tikhonov-damped hard, and the iteration budget grows by 40;
+//! 3. [`RecoveryRung::ReducedOrder`] — the weighted fit is redone two poles
+//!    lower (never below order 6) and enforced under the weighted norm with
+//!    the same damping and budget; fewer states shrink the constraint
+//!    null-space that lets the loop walk in circles.
 //!
-//! Every attempt is recorded as a [`RungAttempt`] in a [`RecoveryReport`],
-//! so callers see *what* degraded and *why*. The delivered model — whatever
-//! rung produced it — carries an [`AccuracyContract`]: its σ_max on a dense
-//! audit grid it was never constrained on, its target-impedance error, and
-//! the rung that produced it. [`ContractPolicy::Refuse`] turns the contract
-//! into a hard gate for unattended use.
+//! A 100-board corpus ablation keeps exactly these rungs: switching off
+//! either one moves at least one board's verdict (see EXPERIMENTS.md,
+//! *Robust enforcement*). Every attempt is recorded as a [`RungAttempt`] in
+//! a [`RecoveryReport`], so callers see *what* degraded and *why*. The
+//! delivered model — whatever rung produced it — always carries an
+//! [`AccuracyContract`]: its σ_max on a dense audit grid it was never
+//! constrained on, its target-impedance error, and the rung that produced
+//! it.
 
 use std::fmt;
 
@@ -38,8 +35,6 @@ pub enum RecoveryRung {
     /// Same weighted norm with hard adaptive QP damping and an extended
     /// iteration budget.
     Regularized,
-    /// Trace-normalized blend of the weighted and the standard norm.
-    Blended,
     /// Weighted refit at reduced order, enforced under the weighted norm.
     ReducedOrder,
 }
@@ -50,19 +45,7 @@ impl RecoveryRung {
         match self {
             RecoveryRung::Primary => "primary",
             RecoveryRung::Regularized => "regularized",
-            RecoveryRung::Blended => "blended",
             RecoveryRung::ReducedOrder => "reduced-order",
-        }
-    }
-
-    /// Parses [`RecoveryRung::name`] output.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "primary" => Some(RecoveryRung::Primary),
-            "regularized" => Some(RecoveryRung::Regularized),
-            "blended" => Some(RecoveryRung::Blended),
-            "reduced-order" => Some(RecoveryRung::ReducedOrder),
-            _ => None,
         }
     }
 }
@@ -70,43 +53,6 @@ impl RecoveryRung {
 impl fmt::Display for RecoveryRung {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Configuration of the recovery ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryConfig {
-    /// Run the ladder at all. When `false` a diverging weighted enforcement
-    /// surfaces its `NotConverged` error exactly as before the ladder
-    /// existed.
-    pub enabled: bool,
-    /// Adaptive QP damping cap applied on every recovery rung (the primary
-    /// pass keeps its own, typically much looser, cap). Near-singular
-    /// Gramian blocks are Tikhonov-damped until their condition estimate
-    /// falls below this.
-    pub max_condition: f64,
-    /// Outer iterations added to the configured budget on every recovery
-    /// rung — a retry that runs out of road helps nobody.
-    pub extra_iterations: usize,
-    /// Weight of the sensitivity-weighted Gramians in the blended rung
-    /// (`α` weighted + `1−α` standard, trace-normalized).
-    pub blend_alpha: f64,
-    /// Conjugate-pole pairs removed by the reduced-order rung.
-    pub order_reduction: usize,
-    /// The reduced-order rung never refits below this order.
-    pub min_order: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            enabled: true,
-            max_condition: 1e6,
-            extra_iterations: 40,
-            blend_alpha: 0.5,
-            order_reduction: 2,
-            min_order: 6,
-        }
     }
 }
 
@@ -147,28 +93,9 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// What the pipeline does with a delivered model that misses its accuracy
-/// contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ContractPolicy {
-    /// Do not compute a contract (legacy behavior; `FlowReport.contract`
-    /// stays `None`).
-    Off,
-    /// Compute and attach the contract; never fail on it (the default —
-    /// callers inspect [`AccuracyContract::within_envelope`]).
-    #[default]
-    Report,
-    /// Refuse delivery: `Pipeline::report` fails with
-    /// `CoreError::ContractViolation` when the delivered model is outside
-    /// its envelope — the unattended-use mode.
-    Refuse,
-}
-
 /// Configuration of the accuracy contract attached to delivered models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContractConfig {
-    /// Whether to compute the contract and whether it gates delivery.
-    pub policy: ContractPolicy,
     /// Audit-grid density as a multiple of the enforcement working sweep:
     /// the contract sweeps `sweep_points × audit_multiplier` fixed-log
     /// points the model was never constrained on (the corpus certification
@@ -183,12 +110,7 @@ pub struct ContractConfig {
 
 impl Default for ContractConfig {
     fn default() -> Self {
-        ContractConfig {
-            policy: ContractPolicy::Report,
-            audit_multiplier: 16,
-            sigma_tolerance: 1e-8,
-            max_impedance_error: 1.0,
-        }
+        ContractConfig { audit_multiplier: 16, sigma_tolerance: 1e-8, max_impedance_error: 1.0 }
     }
 }
 
@@ -249,19 +171,6 @@ impl fmt::Display for AccuracyContract {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rung_names_round_trip() {
-        for rung in [
-            RecoveryRung::Primary,
-            RecoveryRung::Regularized,
-            RecoveryRung::Blended,
-            RecoveryRung::ReducedOrder,
-        ] {
-            assert_eq!(RecoveryRung::parse(rung.name()), Some(rung));
-        }
-        assert_eq!(RecoveryRung::parse("bogus"), None);
-    }
 
     #[test]
     fn contract_envelope_checks_both_clauses() {

@@ -62,7 +62,7 @@ pub fn sensitivity_weighted_norm(
 ///
 /// This is the pluggable counterpart of [`sensitivity_weighted_norm`]: the
 /// enforcement plumbing (`pim_passivity` and the pipeline) treats it
-/// uniformly with [`pim_passivity::StandardNorm`] and any future hybrid.
+/// uniformly with [`pim_passivity::StandardNorm`].
 #[derive(Debug, Clone)]
 pub struct SensitivityWeightedNorm {
     weighting: SensitivityModel,
@@ -96,82 +96,6 @@ fn core_to_passivity(e: CoreError) -> PassivityError {
         CoreError::StateSpace(s) => PassivityError::StateSpace(s),
         CoreError::Linalg(l) => PassivityError::Linalg(l),
         other => PassivityError::InvalidInput(other.to_string()),
-    }
-}
-
-/// Builds the trace-normalized blend of the sensitivity-weighted and the
-/// standard Gramians: `α·G_Ξ/t̄_Ξ + (1−α)·G_std/t̄_std`, where `t̄` is the
-/// mean block trace of each family.
-///
-/// This is the middle rung of the recovery ladder
-/// ([`crate::recovery::RecoveryRung::Blended`]): the sensitivity weighting
-/// survives at weight `α`, while the unweighted Gramian restores the
-/// conditioning a skewed weighting model can destroy. The normalization
-/// makes `α` meaningful — without it whichever family has the larger trace
-/// would dominate regardless of `α`. The QP minimizer is invariant under a
-/// global scale of the norm, so normalization never changes the `α = 0` /
-/// `α = 1` limits beyond that scale.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] for `α` outside `[0, 1]`, and
-/// propagates realization and Lyapunov-solver failures of either family.
-pub fn blended_norm(
-    model: &PoleResidueModel,
-    sensitivity: &SensitivityModel,
-    alpha: f64,
-) -> Result<PerturbationNorm> {
-    if !(0.0..=1.0).contains(&alpha) {
-        return Err(CoreError::InvalidInput(format!(
-            "blend weight alpha must be in [0, 1], got {alpha}"
-        )));
-    }
-    let weighted = sensitivity_weighted_norm(model, sensitivity)?;
-    let standard = PerturbationNorm::standard(model)?;
-    let mean_trace = |norm: &PerturbationNorm| -> f64 {
-        let sum: f64 = norm.gramians().iter().map(|g| g.trace()).sum();
-        (sum / norm.gramians().len() as f64).abs().max(1e-300)
-    };
-    let tw = mean_trace(&weighted);
-    let ts = mean_trace(&standard);
-    let blocks: Vec<_> = weighted
-        .gramians()
-        .iter()
-        .zip(standard.gramians())
-        .map(|(gw, gs)| &gw.scaled(alpha / tw) + &gs.scaled((1.0 - alpha) / ts))
-        .collect();
-    Ok(PerturbationNorm::from_gramians(blocks, model.ports(), weighted.states())?)
-}
-
-/// [`NormBuilder`] for the blended recovery norm: captures the weighting
-/// model `Ξ̃(s)` and the blend weight `α`, and instantiates the
-/// trace-normalized blend of [`blended_norm`] for any macromodel.
-#[derive(Debug, Clone)]
-pub struct BlendedNorm {
-    weighting: SensitivityModel,
-    alpha: f64,
-}
-
-impl BlendedNorm {
-    /// Wraps a fitted weighting model and a blend weight `α ∈ [0, 1]`
-    /// (`α = 1` is purely weighted, `α = 0` purely standard).
-    pub fn new(weighting: SensitivityModel, alpha: f64) -> Self {
-        BlendedNorm { weighting, alpha }
-    }
-
-    /// The blend weight of the sensitivity-weighted family.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-}
-
-impl NormBuilder for BlendedNorm {
-    fn kind(&self) -> NormKind {
-        NormKind::Blended
-    }
-
-    fn build(&self, model: &PoleResidueModel) -> pim_passivity::Result<PerturbationNorm> {
-        blended_norm(model, &self.weighting, self.alpha).map_err(core_to_passivity)
     }
 }
 
@@ -291,59 +215,6 @@ mod tests {
         assert_eq!(built.ports(), direct.ports());
         assert_eq!(built.states(), direct.states());
         for (a, b) in built.gramians().iter().zip(direct.gramians()) {
-            assert_eq!((a.max_abs_diff(b)).to_bits(), 0.0f64.to_bits());
-        }
-    }
-
-    #[test]
-    fn blended_norm_interpolates_between_the_families() {
-        let model = two_port_model();
-        let weight = lowpass_weight();
-        let weighted = sensitivity_weighted_norm(&model, &weight).unwrap();
-        let standard = PerturbationNorm::standard(&model).unwrap();
-        // The α = 1 / α = 0 limits equal one family up to the global
-        // trace-normalization scale (which the QP minimizer is invariant
-        // under).
-        for (alpha, family) in [(1.0, &weighted), (0.0, &standard)] {
-            let blend = blended_norm(&model, &weight, alpha).unwrap();
-            let scale = blend.gramians()[0][(0, 0)] / family.gramians()[0][(0, 0)];
-            for (gb, gf) in blend.gramians().iter().zip(family.gramians()) {
-                for i in 0..gb.rows() {
-                    for j in 0..gb.cols() {
-                        assert!(
-                            approx_eq(gb[(i, j)], scale * gf[(i, j)], 1e-12),
-                            "alpha {alpha} mismatch at ({i},{j})"
-                        );
-                    }
-                }
-            }
-        }
-        // The midpoint carries part of the weighting: its low-vs-high
-        // direction cost ratio lies strictly between the two families'.
-        let cost = |g: &Mat, dir: &[f64]| -> f64 {
-            let gv = g.matvec(dir).unwrap();
-            dir.iter().zip(&gv).map(|(a, b)| a * b).sum()
-        };
-        let ratio = |g: &Mat| cost(g, &[1.0, 0.0, 0.0]) / cost(g, &[0.0, 1.0, 0.0]);
-        let mid = blended_norm(&model, &weight, 0.5).unwrap();
-        let (rw, rs, rm) = (
-            ratio(&weighted.gramians()[0]),
-            ratio(&standard.gramians()[0]),
-            ratio(&mid.gramians()[0]),
-        );
-        assert!(
-            rm < rw && rm > rs,
-            "mid ratio {rm} must sit between standard {rs} and weighted {rw}"
-        );
-        // Out-of-range α is rejected.
-        assert!(blended_norm(&model, &weight, 1.5).is_err());
-        assert!(blended_norm(&model, &weight, -0.1).is_err());
-        // The builder matches the free function and labels itself.
-        let builder = BlendedNorm::new(weight, 0.5);
-        assert_eq!(builder.kind(), NormKind::Blended);
-        assert_eq!((builder.alpha()).to_bits(), 0.5f64.to_bits());
-        let built = builder.build(&model).unwrap();
-        for (a, b) in built.gramians().iter().zip(mid.gramians()) {
             assert_eq!((a.max_abs_diff(b)).to_bits(), 0.0f64.to_bits());
         }
     }

@@ -16,7 +16,7 @@ use crate::{CMat, Complex64, LinalgError, Mat, Result};
 /// # fn main() -> Result<(), pim_linalg::LinalgError> {
 /// let a = Mat::from_rows(&[&[0.0, 1.0], &[-2.0, -3.0]]);
 /// let mut ev: Vec<f64> = eigenvalues(&a)?.iter().map(|e| e.re).collect();
-/// ev.sort_by(|x, y| x.partial_cmp(y).unwrap());
+/// ev.sort_by(f64::total_cmp);
 /// assert!((ev[0] + 2.0).abs() < 1e-10 && (ev[1] + 1.0).abs() < 1e-10);
 /// # Ok(())
 /// # }
@@ -89,7 +89,7 @@ pub fn symmetric_eig(a: &Mat) -> Result<SymmetricEig> {
         if off.sqrt() <= 1e-14 * m.frobenius_norm().max(f64::MIN_POSITIVE) {
             let mut idx: Vec<usize> = (0..n).collect();
             let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-            idx.sort_by(|&x, &y| diag[x].partial_cmp(&diag[y]).unwrap());
+            idx.sort_by(|&x, &y| diag[x].total_cmp(&diag[y]));
             let values: Vec<f64> = idx.iter().map(|&i| diag[i]).collect();
             let vectors = Mat::from_fn(n, n, |r, c| v[(r, idx[c])]);
             return Ok(SymmetricEig { values, vectors });

@@ -147,7 +147,7 @@ pub fn svd(a: &CMat) -> Result<Svd> {
     let mut order: Vec<usize> = (0..n).collect();
     let norms: Vec<f64> =
         (0..n).map(|j| (0..m).map(|i| w[(i, j)].abs_sq()).sum::<f64>().sqrt()).collect();
-    order.sort_by(|&x, &y| norms[y].partial_cmp(&norms[x]).unwrap());
+    order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
 
     let mut u = CMat::zeros(m, n);
     let mut vv = CMat::zeros(n, n);

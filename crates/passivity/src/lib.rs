@@ -50,7 +50,7 @@ pub use check::{
 };
 pub use enforce::{
     enforce_passivity, EnforcementConfig, EnforcementIteration, EnforcementObserver,
-    EnforcementOutcome, PerturbationNorm, RobustnessInfo, TrustRegionConfig,
+    EnforcementOutcome, PerturbationNorm, RobustnessInfo,
 };
 pub use grid::{Adaptive, FixedLog, FrequencyGrid, PointProvenance, SamplingStrategy};
 pub use norm::{NormBuilder, NormKind, StandardNorm};
@@ -60,15 +60,11 @@ use std::fmt;
 
 /// Post-mortem of a failed enforcement run, carried by
 /// [`PassivityError::NotConverged`] so failures are debuggable without a
-/// rerun: what the guard saw, where the step control ended up, and how the
-/// worst singular value was moving when the loop gave up.
+/// rerun: where the step control ended up, and how the worst singular value
+/// was moving when the iteration budget ran out.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NotConvergedDiagnostics {
-    /// `true` when the divergence guard tripped; `false` when the iteration
-    /// budget ran out.
-    pub guard_triggered: bool,
-    /// Consecutive bottomed-out-and-grew backtracking steps at exit (the
-    /// guard's counter).
+    /// Consecutive bottomed-out-and-grew backtracking steps at exit.
     pub bottomed_out: usize,
     /// Step fraction of the last accepted perturbation (1.0 = full step).
     pub last_step: f64,
@@ -91,8 +87,7 @@ pub struct NotConvergedDiagnostics {
 
 impl fmt::Display for NotConvergedDiagnostics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cause = if self.guard_triggered { "divergence guard" } else { "iteration budget" };
-        write!(f, "{cause}; bottomed-out x{}, last step {}", self.bottomed_out, self.last_step)?;
+        write!(f, "bottomed-out x{}, last step {}", self.bottomed_out, self.last_step)?;
         if self.trust_region_engaged {
             write!(f, ", trust region engaged")?;
             if let Some(r) = self.trust_region_radius {
@@ -128,8 +123,8 @@ pub enum PassivityError {
     StateSpace(pim_statespace::StateSpaceError),
     /// The input model or configuration is invalid.
     InvalidInput(String),
-    /// The enforcement loop exhausted its iteration budget — or tripped the
-    /// divergence guard — without producing a passive model.
+    /// The enforcement loop exhausted its iteration budget without
+    /// producing a passive model.
     NotConverged {
         /// Number of outer iterations performed.
         iterations: usize,
@@ -140,8 +135,8 @@ pub enum PassivityError {
         /// keep the error type small; `None` only when the loop failed
         /// before its first assessment.
         best: Option<Box<pim_statespace::PoleResidueModel>>,
-        /// Post-mortem of the failed run (guard trigger, step control state,
-        /// `σ_max` trajectory tail).
+        /// Post-mortem of the failed run (step control state, `σ_max`
+        /// trajectory tail).
         diagnostics: Box<NotConvergedDiagnostics>,
     },
 }

@@ -25,11 +25,6 @@ pub enum NormKind {
     /// The paper's sensitivity-weighted norm: cascade Gramians of
     /// `Ξ̃(s)·δS(s)`.
     SensitivityWeighted,
-    /// A trace-normalized blend of the sensitivity-weighted and the
-    /// standard Gramians — the middle rung of the recovery ladder: it keeps
-    /// part of the accuracy weighting while restoring conditioning from the
-    /// unweighted norm.
-    Blended,
 }
 
 impl fmt::Display for NormKind {
@@ -37,7 +32,6 @@ impl fmt::Display for NormKind {
         match self {
             NormKind::Standard => f.write_str("standard"),
             NormKind::SensitivityWeighted => f.write_str("sensitivity-weighted"),
-            NormKind::Blended => f.write_str("blended"),
         }
     }
 }
@@ -106,11 +100,10 @@ mod tests {
 
     #[test]
     fn norm_kinds_display_distinctly() {
-        let labels: Vec<String> =
-            [NormKind::Standard, NormKind::SensitivityWeighted, NormKind::Blended]
-                .iter()
-                .map(|k| k.to_string())
-                .collect();
-        assert_eq!(labels, ["standard", "sensitivity-weighted", "blended"]);
+        let labels: Vec<String> = [NormKind::Standard, NormKind::SensitivityWeighted]
+            .iter()
+            .map(|k| k.to_string())
+            .collect();
+        assert_eq!(labels, ["standard", "sensitivity-weighted"]);
     }
 }

@@ -37,11 +37,6 @@ pub struct QpOptions {
     /// the adaptive path; well-conditioned blocks are factored bit-identically
     /// to the fixed-Tikhonov path either way.
     pub max_condition: f64,
-    /// Relaxation factor for [`BlockQpFactors::decay`]: each accepted
-    /// improving enforcement step divides the extra damping (above the base
-    /// `regularization`) by this, so the bias vanishes as the loop converges.
-    /// Values ≤ 1 disable decay.
-    pub lambda_decay: f64,
 }
 
 impl Default for QpOptions {
@@ -51,7 +46,6 @@ impl Default for QpOptions {
             tolerance: 1e-10,
             regularization: 1e-10,
             max_condition: 1e13,
-            lambda_decay: 10.0,
         }
     }
 }
@@ -201,24 +195,24 @@ impl BlockQpFactors {
         self.applied.iter().filter(|&&l| l > self.base_regularization).count()
     }
 
-    /// Decays the extra damping (above the base λ) of every escalated block
-    /// by `factor`, re-escalating where the condition cap would break, and
-    /// refactors the changed blocks. Returns `true` if any block changed.
-    /// No-op (and bit-identity-safe) when nothing was ever escalated.
+    /// Divides the extra damping (above the base λ) of every escalated
+    /// block by 10, re-escalating where the condition cap would break, and
+    /// refactors the changed blocks. The enforcement loop calls it on every
+    /// accepted improving step, so the bias vanishes as the loop converges.
+    /// Returns `true` if any block changed. No-op (and bit-identity-safe)
+    /// when nothing was ever escalated.
     ///
     /// # Errors
     ///
     /// Propagates factorization failures.
-    pub fn decay(&mut self, factor: f64) -> Result<bool> {
-        if factor <= 1.0 {
-            return Ok(false);
-        }
+    pub fn decay(&mut self) -> Result<bool> {
+        const FACTOR: f64 = 10.0;
         let mut changed = false;
         for e in 0..self.blocks.len() {
             if self.applied[e] <= self.base_regularization {
                 continue;
             }
-            let target = (self.applied[e] / factor).max(self.base_regularization);
+            let target = (self.applied[e] / FACTOR).max(self.base_regularization);
             let (lu, lambda, cond) =
                 factor_block_capped(&self.blocks[e], self.n_block, target, self.max_condition)?;
             // Never escalate past the current λ from inside a decay — that
@@ -432,11 +426,12 @@ mod tests {
         assert!(factors.max_applied_regularization() > 1e-10);
         // Decay relaxes the damping only while the cap still holds.
         let lambda_before = factors.max_applied_regularization();
-        factors.decay(10.0).unwrap();
+        factors.decay().unwrap();
         assert!(factors.max_applied_regularization() <= lambda_before);
         assert!(factors.max_condition_estimate() <= 1e6);
-        // Decay with factor <= 1 is a no-op.
-        assert!(!factors.decay(1.0).unwrap());
+        // Decay never touches blocks that were never escalated.
+        let mut plain = BlockQpFactors::new(&blocks[..1], 1e-10).unwrap();
+        assert!(!plain.decay().unwrap());
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl FrequencyGrid {
         assert!(step > 0, "decimation step must be positive");
         let n = self.freqs_hz.len();
         let mut freqs: Vec<f64> = self.freqs_hz.iter().copied().step_by(step).collect();
-        if *freqs.last().unwrap() != self.freqs_hz[n - 1] {
+        if freqs.last() != self.freqs_hz.last() {
             freqs.push(self.freqs_hz[n - 1]);
         }
         FrequencyGrid { freqs_hz: freqs }

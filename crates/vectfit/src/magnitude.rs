@@ -259,7 +259,7 @@ pub fn fit_magnitude(
             "cannot determine the gain of the spectral factor".into(),
         ));
     }
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    ratios.sort_by(f64::total_cmp);
     let gain = ratios[ratios.len() / 2];
 
     // Partial-fraction expansion of gain·Π(s−z)/Π(s−p).

@@ -29,11 +29,6 @@ pub enum PimError {
     Pdn(pim_pdn::PdnError),
     /// Synthetic circuit failure (`pim-circuit`).
     Circuit(pim_circuit::CircuitError),
-    /// Accuracy-contract violation under
-    /// [`ContractPolicy::Refuse`](pim_core::ContractPolicy::Refuse)
-    /// (`pim-core`): the delivered model fell outside the certified
-    /// envelope and the flow refused to deliver it.
-    ContractViolation(Box<pim_core::AccuracyContract>),
     /// Invalid configuration or inconsistent inputs (any layer).
     InvalidInput(String),
 }
@@ -48,7 +43,6 @@ impl fmt::Display for PimError {
             PimError::Passivity(e) => write!(f, "passivity failure: {e}"),
             PimError::Pdn(e) => write!(f, "pdn analysis failure: {e}"),
             PimError::Circuit(e) => write!(f, "circuit failure: {e}"),
-            PimError::ContractViolation(c) => write!(f, "accuracy contract violated: {c}"),
             PimError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }
@@ -64,7 +58,6 @@ impl Error for PimError {
             PimError::Passivity(e) => Some(e),
             PimError::Pdn(e) => Some(e),
             PimError::Circuit(e) => Some(e),
-            PimError::ContractViolation(_) => None,
             PimError::InvalidInput(_) => None,
         }
     }
@@ -99,7 +92,6 @@ impl From<pim_core::CoreError> for PimError {
             CoreError::Passivity(e) => PimError::Passivity(e),
             CoreError::Pdn(e) => PimError::Pdn(e),
             CoreError::Circuit(e) => PimError::Circuit(e),
-            CoreError::ContractViolation(c) => PimError::ContractViolation(c),
             CoreError::InvalidInput(msg) => PimError::InvalidInput(msg),
         }
     }

@@ -1,11 +1,12 @@
 //! Integration tests of the stress-corpus harness: the committed pinned
 //! dense-decap fixture, its convergence-regression replay, a seeded corpus
 //! smoke run with classification invariants, and the robustness-layer
-//! properties (trust-region descent, recovery-ladder thread determinism).
+//! properties (trust-region descent, recovery-ladder thread determinism,
+//! the reduced-order rung's rescue of corpus board 81).
 
 use pim_repro::core_flow::corpus::dense_decap_divergence_case;
 use pim_repro::core_flow::{
-    Corpus, CorpusClass, MinimizedFixture, Pipeline, RecoveryRung, TraceObserver,
+    Corpus, CorpusClass, CorpusConfig, MinimizedFixture, Pipeline, RecoveryRung, TraceObserver,
 };
 use pim_runtime::ThreadPool;
 
@@ -29,8 +30,7 @@ fn committed_dense_decap_fixture_parses_builds_and_round_trips() {
     // into a completed, contract-carrying delivery. It stays Adverse (the
     // 16x audit finds sigma_max ~1.0000168 between the enforcement's
     // constrained points and the recovered model does not beat the standard
-    // baseline) — but the divergence guard no longer fires and a model is
-    // delivered (see EXPERIMENTS.md).
+    // baseline) — but a model is delivered (see EXPERIMENTS.md).
     assert_eq!(fixture.class, CorpusClass::Adverse);
     // The canonical regime: the full 5×5 ring with four bulk banks at
     // order 22 (pinned as-is, not minimized — shrinking toward the
@@ -58,8 +58,8 @@ fn committed_dense_decap_fixture_parses_builds_and_round_trips() {
 
 /// The promoted convergence regression (formerly the divergence replay):
 /// replaying the committed fixture must *converge* through the recovery
-/// ladder — no divergence guard, a delivered model, the delivery rung and
-/// the audit recorded — reproducing the pinned verdict exactly.
+/// ladder — a delivered model, the delivery rung and the audit recorded —
+/// reproducing the pinned verdict exactly.
 /// Release-only: the order-22 6-port flow is slow in debug (CI runs it in
 /// the release test step).
 #[test]
@@ -194,4 +194,17 @@ fn recovery_ladder_is_bit_identical_across_thread_counts() {
     let b = case.classify();
     assert_eq!(a, b, "dense-decap classification must be deterministic");
     assert!(a.rung.is_some_and(|r| r > RecoveryRung::Primary));
+}
+
+/// Board 81 of the committed corpus is the one board only the reduced-order
+/// rung rescues: the primary pass and the regularized rung both run out of
+/// budget, and without the reduced-order refit the board would classify
+/// Diverged. Release-only: the board walks the whole ladder.
+#[test]
+#[ignore = "walks the whole recovery ladder: slow in debug, run by the CI release test step"]
+fn reduced_order_rung_delivers_corpus_board_81() {
+    let case = Corpus::case(&CorpusConfig::default(), 81).expect("generator");
+    let verdict = case.classify();
+    assert_eq!(verdict.class, CorpusClass::Adverse, "{}", verdict.detail);
+    assert_eq!(verdict.rung, Some(RecoveryRung::ReducedOrder), "{}", verdict.detail);
 }

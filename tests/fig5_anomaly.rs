@@ -157,6 +157,6 @@ fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
 // The 5×5 dense-decap divergence diagnostic that used to live here was
 // promoted to a committed minimized corpus fixture:
 // `tests/fixtures/corpus/dense-decap-5x5.fixture`, replayed by the
-// (release-only) regression in `tests/corpus.rs` — same regime, same
-// divergence-guard assertions, now expressed as a self-contained corpus
-// case instead of an inline scenario tweak.
+// (release-only) regression in `tests/corpus.rs` — same regime, now
+// expressed as a self-contained corpus case instead of an inline scenario
+// tweak.
