@@ -113,14 +113,12 @@ fn bench_figures(c: &mut Criterion) {
     let sweep_config = FlowConfig {
         vf: VfConfig { n_poles: 14, n_iterations: 4, ..VfConfig::default() },
         sensitivity_order: 6,
-        weight_floor: 1e-2,
         enforcement: EnforcementConfig {
             sweep_points: 120,
             sigma_margin: 1e-3,
             max_iterations: 60,
             ..Default::default()
         },
-        run_standard_enforcement: true,
         ..FlowConfig::default()
     };
     let mut sweeps = c.benchmark_group("runtime");

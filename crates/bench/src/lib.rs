@@ -13,29 +13,16 @@
 use pim_core::flow::{FlowConfig, FlowReport};
 use pim_core::pipeline::Pipeline;
 use pim_core::scenario::{ScenarioPreset, StandardScenario};
-use pim_passivity::EnforcementConfig;
-use pim_vectfit::VfConfig;
 
 /// The trimmed "fixture" flow configuration shared by the integration
 /// suite (`tests/pipeline.rs` / `tests/fig5_anomaly.rs` at the workspace
-/// root) and the harness binaries: the same numerics class as
-/// `FlowConfig::default()` at a fraction of the runtime.
-/// `tests/fixtures/fig5_iterations.txt` is recorded under it, so anything
-/// claiming fixture parity must use exactly this.
+/// root) and the harness binaries: the corpus numerics at the default
+/// order 18, the same numerics class as `FlowConfig::default()` at a
+/// fraction of the runtime. `tests/fixtures/fig5_iterations.txt` is
+/// recorded under it, so anything claiming fixture parity must use exactly
+/// this.
 pub fn fixture_flow_config() -> FlowConfig {
-    FlowConfig {
-        vf: VfConfig { n_poles: 18, n_iterations: 5, ..VfConfig::default() },
-        sensitivity_order: 6,
-        weight_floor: 1e-2,
-        enforcement: EnforcementConfig {
-            sweep_points: 200,
-            sigma_margin: 1e-3,
-            max_iterations: 60,
-            ..Default::default()
-        },
-        run_standard_enforcement: true,
-        ..FlowConfig::default()
-    }
+    pim_core::corpus_flow_config(18)
 }
 
 /// The trimmed corpus configuration shared by the integration suite

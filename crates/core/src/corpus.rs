@@ -141,14 +141,12 @@ pub fn corpus_flow_config(n_poles: usize) -> FlowConfig {
     FlowConfig {
         vf: VfConfig { n_poles, n_iterations: 5, ..VfConfig::default() },
         sensitivity_order: 6,
-        weight_floor: 1e-2,
         enforcement: EnforcementConfig {
             sweep_points: 200,
             sigma_margin: 1e-3,
             max_iterations: 60,
             ..Default::default()
         },
-        run_standard_enforcement: true,
         ..FlowConfig::default()
     }
 }
@@ -330,15 +328,13 @@ impl CorpusCase {
         // Certification gate 1: σ_max ≤ 1 + tol on a dense fixed-log audit
         // grid the enforcement never constrained — the grid of the
         // pipeline's accuracy contract (parameters synced above).
-        let audit_sigma_max = report
+        let contract = report
             .contract
             .as_ref()
-            .expect("Pipeline::report always attaches the accuracy contract")
-            .audit_sigma_max;
+            .expect("Pipeline::report always attaches the accuracy contract");
+        let audit_sigma_max = contract.audit_sigma_max;
         verdict.audit_sigma_max = Some(audit_sigma_max);
-        verdict.rung = Some(
-            report.recovery.as_ref().and_then(|r| r.delivered).unwrap_or(RecoveryRung::Primary),
-        );
+        verdict.rung = Some(contract.rung);
         verdict.iterations =
             report.weighted_enforcement.as_ref().map(|out| out.iterations).unwrap_or(0);
         let weighted_error = report.weighted_passive_eval.impedance_relative_error;
@@ -676,11 +672,6 @@ impl MinimizedFixture {
         lines.push(format!("n_poles = {}", case.flow.vf.n_poles));
         lines.push(format!("vf_iterations = {}", case.flow.vf.n_iterations));
         lines.push(format!("sensitivity_order = {}", case.flow.sensitivity_order));
-        lines.push(format!(
-            "weight_floor = {} # {:e}",
-            fmt_f64(case.flow.weight_floor),
-            case.flow.weight_floor
-        ));
         lines.push(format!("sweep_points = {}", case.flow.enforcement.sweep_points));
         lines.push(format!(
             "sigma_margin = {} # {:e}",
@@ -776,7 +767,6 @@ impl MinimizedFixture {
         let mut flow = corpus_flow_config(parse_usize(get("n_poles")?)?);
         flow.vf.n_iterations = parse_usize(get("vf_iterations")?)?;
         flow.sensitivity_order = parse_usize(get("sensitivity_order")?)?;
-        flow.weight_floor = parse_f64(get("weight_floor")?)?;
         flow.enforcement.sweep_points = parse_usize(get("sweep_points")?)?;
         flow.enforcement.sigma_margin = parse_f64(get("sigma_margin")?)?;
         flow.enforcement.max_iterations = parse_usize(get("max_iterations")?)?;

@@ -10,14 +10,15 @@
 //! 4. Magnitude Vector Fitting of `Ξ_k` into the weighting model `Ξ̃(s)`
 //!    (eq. 15–17);
 //! 5. passivity assessment of the weighted model and, when violations exist,
-//!    passivity enforcement with the sensitivity-weighted norm (eq. 18–21) —
-//!    and optionally with the standard L2 norm, which is the comparison the
-//!    paper uses to demonstrate the accuracy loss of unweighted enforcement.
+//!    passivity enforcement with the sensitivity-weighted norm (eq. 18–21),
+//!    which delivers the model, and with the standard L2 norm, which only
+//!    draws the comparison the paper uses to demonstrate the accuracy loss
+//!    of unweighted enforcement (Fig. 5).
 //!
 //! [`crate::pipeline::Pipeline`] runs it; this module holds its
 //! configuration, its report and the model evaluation.
 
-use crate::recovery::{AccuracyContract, ContractConfig, RecoveryReport};
+use crate::recovery::{AccuracyContract, ContractConfig};
 use crate::Result;
 use pim_passivity::enforce::{EnforcementConfig, EnforcementOutcome};
 use pim_pdn::{target_impedance, TargetImpedance, TerminationNetwork};
@@ -33,15 +34,9 @@ pub struct FlowConfig {
     pub vf: VfConfig,
     /// Order `n_w` of the sensitivity weighting model (paper: 8).
     pub sensitivity_order: usize,
-    /// Relative floor applied to the normalized sensitivity weights so that
-    /// no frequency is weighted exactly zero.
-    pub weight_floor: f64,
     /// Passivity enforcement configuration (shared by the weighted and the
     /// baseline enforcement).
     pub enforcement: EnforcementConfig,
-    /// Also run the standard (unweighted-norm) enforcement on the weighted
-    /// model, to reproduce the paper's comparison (Fig. 5).
-    pub run_standard_enforcement: bool,
     /// The accuracy contract attached to delivered models (see
     /// [`crate::recovery::ContractConfig`]).
     pub contract: ContractConfig,
@@ -52,9 +47,7 @@ impl Default for FlowConfig {
         FlowConfig {
             vf: VfConfig { n_poles: 18, n_iterations: 6, ..VfConfig::default() },
             sensitivity_order: 8,
-            weight_floor: 1e-2,
             enforcement: EnforcementConfig::default(),
-            run_standard_enforcement: true,
             contract: ContractConfig::default(),
         }
     }
@@ -94,9 +87,9 @@ pub struct FlowReport {
     /// the weighted model was already passive).
     pub weighted_enforcement: Option<EnforcementOutcome>,
     /// Outcome of the standard-norm passivity enforcement on the same model
-    /// (`None` when disabled or the model was already passive). A
-    /// `NotConverged` failure is reported as `None` as well — the baseline is
-    /// only a comparison curve.
+    /// (`None` when the model was already passive). A `NotConverged` failure
+    /// is reported as `None` as well — the baseline is only a comparison
+    /// curve.
     pub standard_enforcement: Option<EnforcementOutcome>,
     /// Evaluation of the standard (unweighted) fitted model.
     pub standard_model_eval: ModelEvaluation,
@@ -106,11 +99,9 @@ pub struct FlowReport {
     pub weighted_passive_eval: ModelEvaluation,
     /// Evaluation of the standard-norm passive model, when available.
     pub standard_passive_eval: Option<ModelEvaluation>,
-    /// Record of the recovery ladder, when it engaged (`None` on the happy
-    /// path where the primary weighted enforcement delivered).
-    pub recovery: Option<RecoveryReport>,
-    /// The accuracy contract of the delivered model. [`Pipeline::report`]
-    /// always attaches it, so it is always `Some`.
+    /// The accuracy contract of the delivered model, including the
+    /// recovery rung that delivered it. [`Pipeline::report`] always attaches
+    /// it, so it is always `Some`.
     ///
     /// [`Pipeline::report`]: crate::pipeline::Pipeline::report
     pub contract: Option<AccuracyContract>,
@@ -155,20 +146,9 @@ mod tests {
     use pim_passivity::check::assess_with_sampling;
     use pim_passivity::grid::FrequencyGrid;
 
+    /// The trimmed fixture-class configuration at the default order 18.
     fn quick_config() -> FlowConfig {
-        FlowConfig {
-            vf: VfConfig { n_poles: 18, n_iterations: 5, ..VfConfig::default() },
-            sensitivity_order: 6,
-            weight_floor: 1e-2,
-            enforcement: EnforcementConfig {
-                sweep_points: 200,
-                sigma_margin: 1e-3,
-                max_iterations: 60,
-                ..Default::default()
-            },
-            run_standard_enforcement: true,
-            ..FlowConfig::default()
-        }
+        crate::corpus::corpus_flow_config(18)
     }
 
     #[test]
@@ -247,5 +227,20 @@ mod tests {
         assert!(
             Pipeline::from_data(&zdata, &sc.network, sc.observation_port, quick_config()).is_err()
         );
+    }
+
+    #[test]
+    fn flow_rejects_an_audit_grid_below_two_points() {
+        let sc = StandardScenario::reduced().unwrap();
+        let mut no_audit = quick_config();
+        no_audit.contract.audit_multiplier = 0;
+        let mut no_sweep = quick_config();
+        no_sweep.enforcement.sweep_points = 0;
+        for config in [no_audit, no_sweep] {
+            assert!(matches!(
+                Pipeline::from_scenario(&sc, config),
+                Err(crate::CoreError::InvalidInput(_))
+            ));
+        }
     }
 }

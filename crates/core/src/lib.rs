@@ -56,7 +56,7 @@ pub use pipeline::{
     AssessmentArtifact, EnforcementArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact,
     SweepEntry,
 };
-pub use recovery::{AccuracyContract, ContractConfig, RecoveryReport, RecoveryRung, RungAttempt};
+pub use recovery::{AccuracyContract, ContractConfig, RecoveryRung};
 pub use scenario::{ScenarioConfig, ScenarioPreset, StandardScenario};
 pub use weighting::{sensitivity_weighted_norm, SensitivityWeightedNorm};
 

@@ -85,9 +85,10 @@ pub trait FlowObserver {
         let _ = (norm, event);
     }
 
-    /// An enforcement attempt (primary or recovery rung) failed with
-    /// `NotConverged`; the diagnostics carry the step control state and the
-    /// `σ_max` trajectory tail, so failures are debuggable without a rerun.
+    /// An enforcement attempt (primary, baseline or recovery rung) failed
+    /// with `NotConverged`; the diagnostics carry the step control state,
+    /// the `σ_max` trajectory tail and the best-so-far model's audit
+    /// `σ_max`, so failures are debuggable without a rerun.
     fn on_enforcement_diagnostics(
         &mut self,
         norm: NormKind,

@@ -2,8 +2,8 @@
 //!
 //! The weighted enforcement loop can run out of its iteration budget on hard
 //! boards. Instead of surfacing a bare `NotConverged` with a best-so-far
-//! model stapled on, the pipeline retries under an escalation policy — the
-//! **recovery ladder**:
+//! model stapled on, [`crate::pipeline::Pipeline::report`] retries under an
+//! escalation policy — the **recovery ladder**:
 //!
 //! 1. [`RecoveryRung::Primary`] — the paper's sensitivity-weighted norm
 //!    under the configured numerics (not a retry; the name of the happy
@@ -18,9 +18,10 @@
 //!
 //! A 100-board corpus ablation keeps exactly these rungs: switching off
 //! either one moves at least one board's verdict (see EXPERIMENTS.md,
-//! *Robust enforcement*). Every attempt is recorded as a [`RungAttempt`] in
-//! a [`RecoveryReport`], so callers see *what* degraded and *why*. The
-//! delivered model — whatever rung produced it — always carries an
+//! *Robust enforcement*). Observers see every rung as a
+//! [`crate::observer::Stage::Recovery`] stage that starts and then
+//! completes or fails (with its `NotConverged` diagnostics). The delivered
+//! model — whatever rung produced it — always carries an
 //! [`AccuracyContract`]: its σ_max on a dense audit grid it was never
 //! constrained on, its target-impedance error, and the rung that produced
 //! it.
@@ -56,43 +57,6 @@ impl fmt::Display for RecoveryRung {
     }
 }
 
-/// One attempted rung of the recovery ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RungAttempt {
-    /// Which rung ran.
-    pub rung: RecoveryRung,
-    /// Whether it produced a passive model.
-    pub converged: bool,
-    /// Outer iterations the attempt performed.
-    pub iterations: usize,
-    /// Worst singular value at the end of the attempt.
-    pub sigma_max: f64,
-    /// Human-readable post-mortem (for failed attempts, the
-    /// `NotConvergedDiagnostics` rendering).
-    pub detail: String,
-}
-
-/// The record of a recovery-ladder run: every attempted rung plus the rung
-/// that delivered (when one did).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryReport {
-    /// Every rung attempted, in escalation order.
-    pub attempts: Vec<RungAttempt>,
-    /// The rung whose model was delivered; `None` when the ladder was
-    /// exhausted and the primary failure stands.
-    pub delivered: Option<RecoveryRung>,
-}
-
-impl fmt::Display for RecoveryReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.delivered {
-            Some(rung) => write!(f, "recovered at rung '{rung}'")?,
-            None => f.write_str("recovery ladder exhausted")?,
-        }
-        write!(f, " after {} attempt(s)", self.attempts.len())
-    }
-}
-
 /// Configuration of the accuracy contract attached to delivered models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContractConfig {
@@ -101,16 +65,14 @@ pub struct ContractConfig {
     /// points the model was never constrained on (the corpus certification
     /// gate uses the same grid).
     pub audit_multiplier: usize,
-    /// Passivity envelope: within-envelope means
+    /// Passivity tolerance: the delivered model passes its audit when
     /// `audit σ_max ≤ 1 + sigma_tolerance`.
     pub sigma_tolerance: f64,
-    /// Accuracy envelope: relative RMS target-impedance error bound.
-    pub max_impedance_error: f64,
 }
 
 impl Default for ContractConfig {
     fn default() -> Self {
-        ContractConfig { audit_multiplier: 16, sigma_tolerance: 1e-8, max_impedance_error: 1.0 }
+        ContractConfig { audit_multiplier: 16, sigma_tolerance: 1e-8 }
     }
 }
 
@@ -130,8 +92,6 @@ pub struct AccuracyContract {
     /// Relative RMS target-impedance error of the delivered model against
     /// the nominal (data-based) target impedance.
     pub impedance_error: f64,
-    /// The accuracy bound the contract was checked against.
-    pub max_impedance_error: f64,
 }
 
 impl AccuracyContract {
@@ -139,31 +99,20 @@ impl AccuracyContract {
     pub fn passivity_ok(&self) -> bool {
         self.audit_sigma_max <= 1.0 + self.sigma_tolerance
     }
-
-    /// The delivered model's target-impedance error is within its bound.
-    pub fn accuracy_ok(&self) -> bool {
-        self.impedance_error <= self.max_impedance_error
-    }
-
-    /// Both contract clauses hold.
-    pub fn within_envelope(&self) -> bool {
-        self.passivity_ok() && self.accuracy_ok()
-    }
 }
 
 impl fmt::Display for AccuracyContract {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rung '{}', audit sigma_max {:.9} over {} points (tol 1+{:.0e}), \
-             impedance error {:.4} (bound {:.2}): {}",
+            "rung '{}', audit sigma_max {:.9} over {} points (tol 1+{:.0e}): {}, \
+             impedance error {:.4}",
             self.rung,
             self.audit_sigma_max,
             self.audit_points,
             self.sigma_tolerance,
-            self.impedance_error,
-            self.max_impedance_error,
-            if self.within_envelope() { "within envelope" } else { "OUTSIDE envelope" }
+            if self.passivity_ok() { "passive" } else { "NOT passive" },
+            self.impedance_error
         )
     }
 }
@@ -173,40 +122,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn contract_envelope_checks_both_clauses() {
+    fn contract_display_reports_the_audit_verdict() {
         let mut contract = AccuracyContract {
             rung: RecoveryRung::Regularized,
             audit_sigma_max: 1.0,
             audit_points: 3200,
             sigma_tolerance: 1e-8,
             impedance_error: 0.2,
-            max_impedance_error: 1.0,
         };
-        assert!(contract.within_envelope());
-        assert!(contract.to_string().contains("within envelope"));
+        assert!(contract.passivity_ok());
+        assert!(contract.to_string().contains("rung 'regularized'"));
+        assert!(contract.to_string().contains(": passive, impedance error 0.2000"));
         contract.audit_sigma_max = 1.1;
         assert!(!contract.passivity_ok());
-        assert!(!contract.within_envelope());
-        contract.audit_sigma_max = 1.0;
-        contract.impedance_error = 2.0;
-        assert!(!contract.accuracy_ok());
-        assert!(contract.to_string().contains("OUTSIDE envelope"));
-    }
-
-    #[test]
-    fn recovery_report_displays_outcome() {
-        let report = RecoveryReport {
-            attempts: vec![RungAttempt {
-                rung: RecoveryRung::Regularized,
-                converged: true,
-                iterations: 12,
-                sigma_max: 1.0,
-                detail: String::new(),
-            }],
-            delivered: Some(RecoveryRung::Regularized),
-        };
-        assert!(report.to_string().contains("recovered at rung 'regularized'"));
-        let exhausted = RecoveryReport { attempts: Vec::new(), delivered: None };
-        assert!(exhausted.to_string().contains("exhausted"));
+        assert!(contract.to_string().contains("NOT passive"));
     }
 }

@@ -60,9 +60,8 @@ pub fn sensitivity_weighted_norm(
 /// weighting model `Ξ̃(s)` and instantiates the cascade-Gramian norm of
 /// eq. (19)–(21) for any macromodel handed to [`NormBuilder::build`].
 ///
-/// This is the pluggable counterpart of [`sensitivity_weighted_norm`]: the
-/// enforcement plumbing (`pim_passivity` and the pipeline) treats it
-/// uniformly with [`pim_passivity::StandardNorm`].
+/// This is the pluggable counterpart of [`sensitivity_weighted_norm`], for
+/// callers that hand norm construction around as a [`NormBuilder`].
 #[derive(Debug, Clone)]
 pub struct SensitivityWeightedNorm {
     weighting: SensitivityModel,

@@ -19,9 +19,8 @@
 //!   by `pim-core`), and it reports every outer iteration to an optional
 //!   [`enforce::EnforcementObserver`];
 //! * [`norm`] — the pluggable norm-construction layer: [`norm::NormKind`]
-//!   names the norm families, [`norm::NormBuilder`] abstracts building a
-//!   [`enforce::PerturbationNorm`] for a model, and [`norm::StandardNorm`]
-//!   is the built-in unweighted builder;
+//!   names the norm families and [`norm::NormBuilder`] abstracts building a
+//!   [`enforce::PerturbationNorm`] for a model;
 //! * [`grid`] — the first-class sampling layer: [`grid::FrequencyGrid`]
 //!   (sorted, deduplicated, provenance-tagged sweep points) and the
 //!   pluggable [`grid::SamplingStrategy`] — [`grid::Adaptive`] (the
@@ -53,7 +52,7 @@ pub use enforce::{
     EnforcementOutcome, PerturbationNorm, RobustnessInfo,
 };
 pub use grid::{Adaptive, FixedLog, FrequencyGrid, PointProvenance, SamplingStrategy};
-pub use norm::{NormBuilder, NormKind, StandardNorm};
+pub use norm::{NormBuilder, NormKind};
 
 use std::error::Error;
 use std::fmt;
@@ -80,8 +79,8 @@ pub struct NotConvergedDiagnostics {
     /// Largest post-damping Gramian condition estimate.
     pub qp_condition_max: f64,
     /// Audit `σ_max` of the best-so-far model, filled in by callers that
-    /// audit the `best` model once at failure-cache time (the pipeline does;
-    /// the raw loop leaves it `None`).
+    /// audit the `best` model when the run fails (the pipeline does, on its
+    /// contract audit grid; the raw loop leaves it `None`).
     pub best_sigma_max: Option<f64>,
 }
 

@@ -4,13 +4,12 @@
 //! [`PerturbationNorm`] — the per-element Gramian blocks weighting the
 //! residue perturbation. This module makes the *construction* of that norm a
 //! first-class, pluggable step: [`NormBuilder`] abstracts "given a macromodel,
-//! build its perturbation norm", [`NormKind`] names the families so that
-//! diagnostics and observers can label which norm an enforcement run used,
-//! and [`StandardNorm`] is the built-in builder of the plain L2 norm of
-//! eq. (10)–(11) of the paper. The sensitivity-weighted builder of
+//! build its perturbation norm", and [`NormKind`] names the families so that
+//! diagnostics and observers can label which norm an enforcement run used.
+//! The plain L2 norm of eq. (10)–(11) of the paper is
+//! [`PerturbationNorm::standard`]; the sensitivity-weighted builder of
 //! eq. (19)–(21) lives in `pim-core` (it needs the rational weighting model
-//! `Ξ̃(s)` from `pim-vectfit`), but it implements the same trait, so the
-//! enforcement plumbing treats every family uniformly.
+//! `Ξ̃(s)` from `pim-vectfit`).
 
 use crate::enforce::PerturbationNorm;
 use crate::Result;
@@ -55,48 +54,9 @@ pub trait NormBuilder {
     fn build(&self, model: &PoleResidueModel) -> Result<PerturbationNorm>;
 }
 
-/// Builder of the standard (unweighted) L2 perturbation norm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StandardNorm;
-
-impl NormBuilder for StandardNorm {
-    fn kind(&self) -> NormKind {
-        NormKind::Standard
-    }
-
-    fn build(&self, model: &PoleResidueModel) -> Result<PerturbationNorm> {
-        PerturbationNorm::standard(model)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_linalg::{CMat, Complex64, Mat};
-
-    fn one_port() -> PoleResidueModel {
-        let p = Complex64::new(-50.0, 1000.0);
-        let r = Complex64::new(30.0, 12.0);
-        PoleResidueModel::new(
-            vec![p, p.conj()],
-            vec![CMat::from_diag(&[r]), CMat::from_diag(&[r.conj()])],
-            Mat::from_diag(&[0.85]),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn standard_builder_matches_the_direct_constructor() {
-        let model = one_port();
-        let built = StandardNorm.build(&model).unwrap();
-        let direct = PerturbationNorm::standard(&model).unwrap();
-        assert_eq!(StandardNorm.kind(), NormKind::Standard);
-        assert_eq!(built.ports(), direct.ports());
-        assert_eq!(built.states(), direct.states());
-        for (a, b) in built.gramians().iter().zip(direct.gramians()) {
-            assert_eq!((a.max_abs_diff(b)).to_bits(), 0.0f64.to_bits());
-        }
-    }
 
     #[test]
     fn norm_kinds_display_distinctly() {

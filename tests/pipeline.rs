@@ -3,8 +3,8 @@
 //! enforcement-trace regression fixture.
 
 use pim_repro::core_flow::{
-    CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, ScenarioPreset, Stage,
-    StandardScenario, TraceObserver,
+    CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, RecoveryRung,
+    ScenarioPreset, Stage, StandardScenario, TraceObserver,
 };
 use pim_repro::linalg::{CMat, Complex64, Mat};
 use pim_repro::passivity::{EnforcementOutcome, NormKind, PassivityError};
@@ -271,33 +271,60 @@ fn parallel_sweep_is_bit_identical_to_serial_and_upholds_the_fit_claim() {
 }
 
 /// A `NotConverged` enforcement is reported to the observer as a failed
-/// stage, cached, and never re-run (which would duplicate the recorded
-/// trace).
+/// stage with one diagnostics event, and the diagnostics carry the audit
+/// `σ_max` of the best-so-far model.
 #[test]
-fn not_converged_enforcement_is_cached_and_marked_failed() {
+fn not_converged_enforcement_is_marked_failed() {
     let sc = StandardScenario::reduced().unwrap();
     let mut config = quick_config();
     config.enforcement.max_iterations = 0; // force NotConverged immediately
     let mut trace = TraceObserver::new();
-    {
-        let mut pipeline = Pipeline::from_scenario(&sc, config).unwrap().with_observer(&mut trace);
-        let unpack = |e: CoreError| match e {
-            CoreError::Passivity(PassivityError::NotConverged {
-                iterations, sigma_max, ..
-            }) => (iterations, sigma_max),
-            other => panic!("expected NotConverged, got {other}"),
-        };
-        let first = unpack(pipeline.enforce(NormKind::Standard).unwrap_err());
-        let second = unpack(pipeline.enforce(NormKind::Standard).unwrap_err());
-        assert_eq!(first.0, 0);
-        assert_eq!(first.0, second.0);
-        assert_eq!(first.1.to_bits(), second.1.to_bits());
+    let err = Pipeline::from_scenario(&sc, config)
+        .unwrap()
+        .with_observer(&mut trace)
+        .enforce(NormKind::Standard)
+        .unwrap_err();
+    match err {
+        CoreError::Passivity(PassivityError::NotConverged { iterations, diagnostics, .. }) => {
+            assert_eq!(iterations, 0);
+            assert!(diagnostics.best_sigma_max.is_some(), "{diagnostics}");
+        }
+        other => panic!("expected NotConverged, got {other}"),
     }
-    let enforcement = Stage::Enforcement(NormKind::Standard);
-    assert_eq!(trace.failed, vec![enforcement]);
-    // The loop ran exactly once: the second call was served from the
-    // failure cache without re-starting the stage.
-    assert_eq!(trace.started.iter().filter(|s| **s == enforcement).count(), 1);
+    assert_eq!(trace.failed, vec![Stage::Enforcement(NormKind::Standard)]);
+    assert_eq!(trace.diagnostics.len(), 1);
+    let (norm, diagnostics) = &trace.diagnostics[0];
+    assert_eq!(*norm, NormKind::Standard);
+    assert!(diagnostics.best_sigma_max.is_some());
+}
+
+/// With no iteration budget, the primary weighted pass and the standard
+/// baseline both fail at once: `report()` delivers through the recovery
+/// ladder's regularized rung (which adds 40 iterations), records that rung
+/// in the contract, and reports the failed baseline as absent.
+#[test]
+fn exhausted_primary_budget_is_delivered_by_the_ladder() {
+    let sc = StandardScenario::reduced().unwrap();
+    let mut config = quick_config();
+    config.enforcement.max_iterations = 0;
+    let mut trace = TraceObserver::new();
+    let report =
+        Pipeline::from_scenario(&sc, config).unwrap().with_observer(&mut trace).report().unwrap();
+    let contract = report.contract.as_ref().expect("report() attaches the contract");
+    assert_eq!(contract.rung, RecoveryRung::Regularized);
+    let outcome = report.weighted_enforcement.as_ref().expect("the rung delivers a model");
+    assert_eq!(outcome.iterations, 9);
+    assert_eq!(trace.trace(NormKind::SensitivityWeighted).len(), outcome.iterations);
+    assert_eq!(
+        trace.failed,
+        vec![
+            Stage::Enforcement(NormKind::SensitivityWeighted),
+            Stage::Enforcement(NormKind::Standard)
+        ]
+    );
+    assert!(trace.completed.contains(&Stage::Recovery(RecoveryRung::Regularized)));
+    assert!(!trace.started.contains(&Stage::Recovery(RecoveryRung::ReducedOrder)));
+    assert!(report.standard_enforcement.is_none());
 }
 
 /// Regression fixture for the Fig. 5 anomaly investigation: the weighted and
