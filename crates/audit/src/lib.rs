@@ -9,7 +9,7 @@
 //! - [`lexer`]: a comment- and string-aware Rust lexer (raw strings,
 //!   nested block comments, char-vs-lifetime disambiguation),
 //! - [`lints`]: the lint catalog (L1 `unsafe-safety` … L5 `thread-spawn`,
-//!   plus the report-only L6 `unwrap-ratchet`) and the
+//!   L7 `partial-cmp-unwrap`, plus the report-only L6 `unwrap-ratchet`) and the
 //!   `// audit:allow(<lint>): <reason>` suppression protocol,
 //! - [`baseline`]: the committed `audit_baseline.txt` shrink-only gate.
 //!

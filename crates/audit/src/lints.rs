@@ -11,6 +11,7 @@
 //! | `wall-clock`    | no `Instant`/`SystemTime`/OS randomness outside the bench layer |
 //! | `thread-spawn`  | no `std::thread` spawning outside `pim-runtime` |
 //! | `unwrap-ratchet`| `.unwrap()`/`.expect("")` in library code: counted, ratcheted |
+//! | `partial-cmp-unwrap` | no `partial_cmp(..).unwrap()`/`.expect(..)` (panics on NaN; use `total_cmp`) |
 //!
 //! `unwrap-ratchet` is report-only: it produces a per-file count that the
 //! baseline gate (see [`crate::baseline`]) compares against the committed
@@ -39,16 +40,20 @@ pub enum Lint {
     WallClock,
     /// L5: no `std::thread` spawning outside `pim-runtime`.
     ThreadSpawn,
+    /// L7: no `partial_cmp(..)` followed directly by `.unwrap()` or
+    /// `.expect(..)` — it panics on NaN; `total_cmp` orders every float.
+    PartialCmpUnwrap,
 }
 
 impl Lint {
     /// All deny-by-default lints.
-    pub const ALL: [Lint; 5] = [
+    pub const ALL: [Lint; 6] = [
         Lint::UnsafeSafety,
         Lint::FloatEq,
         Lint::HashContainer,
         Lint::WallClock,
         Lint::ThreadSpawn,
+        Lint::PartialCmpUnwrap,
     ];
 
     /// The stable name used in diagnostics and `audit:allow(...)` markers.
@@ -59,6 +64,7 @@ impl Lint {
             Lint::HashContainer => "hash-container",
             Lint::WallClock => "wall-clock",
             Lint::ThreadSpawn => "thread-spawn",
+            Lint::PartialCmpUnwrap => "partial-cmp-unwrap",
         }
     }
 
@@ -132,6 +138,7 @@ pub fn audit_file(path: &str, source: &str, count_unwraps: bool) -> FileAudit {
             Lint::HashContainer => lint_hash_container(&tokens, &code, &mut diagnostics),
             Lint::WallClock => lint_wall_clock(&tokens, &code, &mut diagnostics),
             Lint::ThreadSpawn => lint_thread_spawn(&tokens, &code, &mut diagnostics),
+            Lint::PartialCmpUnwrap => lint_partial_cmp_unwrap(&tokens, &code, &mut diagnostics),
         }
     }
 
@@ -368,6 +375,45 @@ fn lint_thread_spawn(tokens: &[Token<'_>], code: &[usize], diagnostics: &mut Vec
                     "`thread::{}` outside pim-runtime — use the deterministic thread pool",
                     c.text
                 ),
+            });
+        }
+    }
+}
+
+/// L7: `partial_cmp(<args>)` followed directly by `.unwrap()` or
+/// `.expect(..)` — a NaN operand turns a float sort into a panic.
+fn lint_partial_cmp_unwrap(
+    tokens: &[Token<'_>],
+    code: &[usize],
+    diagnostics: &mut Vec<Diagnostic>,
+) {
+    let at = |k: usize| code.get(k).map(|&i| &tokens[i]);
+    let punct =
+        |k: usize, text: &str| at(k).is_some_and(|t| t.kind == TokenKind::Punct && t.text == text);
+    for k in 0..code.len() {
+        let tok = &tokens[code[k]];
+        if tok.kind != TokenKind::Ident || tok.text != "partial_cmp" || !punct(k + 1, "(") {
+            continue;
+        }
+        // Skip the balanced argument list to its closing `)`.
+        let mut depth = 0usize;
+        let mut j = k + 1;
+        while let Some(t) = at(j) {
+            if t.kind == TokenKind::Punct && t.text == "(" {
+                depth += 1;
+            } else if t.kind == TokenKind::Punct && t.text == ")" {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            j += 1;
+        }
+        if punct(j + 1, ".") && at(j + 2).is_some_and(|t| matches!(t.text, "unwrap" | "expect")) {
+            diagnostics.push(Diagnostic {
+                lint: Lint::PartialCmpUnwrap.name(),
+                line: tok.line,
+                message: "`partial_cmp(..)` unwrapped — panics on NaN; use `total_cmp`".into(),
             });
         }
     }

@@ -114,6 +114,18 @@ fn l5_thread_spawn_scoped_to_the_runtime() {
 }
 
 #[test]
+fn l7_partial_cmp_unwrap_fires_and_total_cmp_passes() {
+    let src = "fn f(v: &mut [f64]) {\n    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n    \
+               v.sort_by(|a, b| (a * 2.0).partial_cmp(&f(b)).expect(\"finite\"));\n}\n";
+    assert_eq!(lint_lines(&audit(src), "partial-cmp-unwrap"), vec![2, 3]);
+    // A NaN-tolerant fallback and total_cmp are fine.
+    let ok = "fn f(v: &mut [f64]) {\n    \
+              v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));\n    \
+              v.sort_by(|a, b| a.total_cmp(b));\n}\n";
+    assert!(lint_lines(&audit(ok), "partial-cmp-unwrap").is_empty());
+}
+
+#[test]
 fn l6_unwrap_count_skips_test_modules() {
     let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n\
                fn g(x: Option<u8>) -> u8 {\n    x.expect(\"\")\n}\n\

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_core::flow::FlowConfig;
 use pim_core::pipeline::Pipeline;
-use pim_core::scenario::{ScenarioPreset, StandardScenario};
+use pim_core::scenario::ScenarioPreset;
 use pim_core::weighting::sensitivity_weighted_norm;
 use pim_passivity::check::assess_with_sampling;
 use pim_passivity::enforce::{enforce_passivity, EnforcementConfig, PerturbationNorm};
@@ -20,7 +20,7 @@ use pim_runtime::ThreadPool;
 use pim_vectfit::{fit_magnitude, vector_fit, MagnitudeFitConfig, VfConfig};
 
 fn bench_figures(c: &mut Criterion) {
-    let sc = StandardScenario::reduced().expect("scenario");
+    let sc = ScenarioPreset::Reduced.build().expect("scenario");
     let vf_cfg = VfConfig { n_poles: 14, n_iterations: 4, ..VfConfig::default() };
     let xi = analytic_sensitivity(&sc.data, &sc.network, sc.observation_port).expect("xi");
     let weights = pim_pdn::sensitivity::sensitivity_to_weights(&xi, 1e-2).expect("weights");

@@ -65,6 +65,8 @@ pub struct PdnBoardSpec {
 }
 
 impl Default for PdnBoardSpec {
+    /// The paper-size board (6×6 cells, 4 die + 3 decap + 1 VRM ports): the
+    /// synthetic stand-in for the paper's industrial test case.
     fn default() -> Self {
         PdnBoardSpec {
             nx: 6,
@@ -224,17 +226,6 @@ pub fn build_board(spec: &PdnBoardSpec) -> Result<SyntheticPdn> {
     Ok(SyntheticPdn { circuit, die_ports, decap_ports, vrm_ports })
 }
 
-/// The standard reproduction board: the default [`PdnBoardSpec`] (6×6 cells,
-/// 4 die + 3 decap + 1 VRM ports), which is the synthetic stand-in for the
-/// paper's industrial test case.
-///
-/// # Errors
-///
-/// Never fails for the built-in spec; the `Result` mirrors [`build_board`].
-pub fn standard_board() -> Result<SyntheticPdn> {
-    build_board(&PdnBoardSpec::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,7 +256,7 @@ mod tests {
 
     #[test]
     fn default_board_matches_paper_structure() {
-        let pdn = standard_board().unwrap();
+        let pdn = build_board(&PdnBoardSpec::default()).unwrap();
         assert_eq!(pdn.ports(), 8);
         assert_eq!(pdn.die_ports.len(), 4);
         assert_eq!(pdn.decap_ports.len(), 3);

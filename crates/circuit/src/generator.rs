@@ -62,8 +62,8 @@ impl SplitMix64 {
     /// Log-uniform sample in the **inclusive** interval `[lo, hi]`.
     ///
     /// Degenerate intervals return `lo` exactly (bit-identical — no
-    /// `exp(ln x)` round trip), which is what lets a fully pinned
-    /// configuration reproduce a hand-built board bit for bit.
+    /// `exp(ln x)` round trip), so a pinned parameter takes exactly the
+    /// pinned value.
     fn next_log_uniform(&mut self, (lo, hi): (f64, f64)) -> f64 {
         if lo >= hi {
             return lo;
@@ -105,26 +105,6 @@ pub struct DieModel {
     pub capacitance: f64,
 }
 
-/// How the generator places ports on the plane grid.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Placement {
-    /// Seeded placement: die ports take the cells nearest the grid center
-    /// (the flip-chip footprint), then the remaining cells are shuffled and
-    /// decap / VRM ports draw from the shuffle — every board is connected
-    /// and collision-free by construction.
-    Seeded,
-    /// Explicit coordinates — the mode the hand-built presets route through;
-    /// no placement randomness is consumed.
-    Explicit {
-        /// Die port coordinates.
-        die: Vec<(usize, usize)>,
-        /// Decap port coordinates.
-        decaps: Vec<(usize, usize)>,
-        /// VRM port coordinates.
-        vrms: Vec<(usize, usize)>,
-    },
-}
-
 /// The sampled parameter space of [`BoardGenerator`].
 ///
 /// Integer pairs are inclusive `(lo, hi)` count ranges; float pairs are
@@ -142,8 +122,6 @@ pub struct GeneratorConfig {
     pub decap_ports: (usize, usize),
     /// Number of VRM ports.
     pub vrm_ports: (usize, usize),
-    /// Port placement mode.
-    pub placement: Placement,
     /// Segment inductance range (henry).
     pub segment_inductance: (f64, f64),
     /// Segment resistance range (ohms).
@@ -203,7 +181,6 @@ impl Default for GeneratorConfig {
             die_ports: (1, 4),
             decap_ports: (1, 4),
             vrm_ports: (1, 2),
-            placement: Placement::Seeded,
             segment_inductance: (0.1e-9, 0.9e-9),
             segment_resistance: (3e-3, 24e-3),
             cell_capacitance: (70e-12, 600e-12),
@@ -219,39 +196,6 @@ impl Default for GeneratorConfig {
             vrm_inductance: (10e-9, 50e-9),
             die_resistance: (20e-3, 80e-3),
             die_capacitance: (30e-9, 150e-9),
-        }
-    }
-}
-
-impl GeneratorConfig {
-    /// A fully pinned configuration expressing one explicit topology with
-    /// the historical [`PdnBoardSpec::default`] electricals and no stack —
-    /// the shape every hand-built preset routes through. With every range
-    /// degenerate, the generated [`PdnBoardSpec`] is bit-identical for any
-    /// seed.
-    pub fn explicit(
-        nx: usize,
-        ny: usize,
-        die: Vec<(usize, usize)>,
-        decaps: Vec<(usize, usize)>,
-        vrms: Vec<(usize, usize)>,
-    ) -> Self {
-        let d = PdnBoardSpec::default();
-        GeneratorConfig {
-            nx: (nx, nx),
-            ny: (ny, ny),
-            die_ports: (die.len(), die.len()),
-            decap_ports: (decaps.len(), decaps.len()),
-            vrm_ports: (vrms.len(), vrms.len()),
-            placement: Placement::Explicit { die, decaps, vrms },
-            segment_inductance: (d.segment_inductance, d.segment_inductance),
-            segment_resistance: (d.segment_resistance, d.segment_resistance),
-            cell_capacitance: (d.cell_capacitance, d.cell_capacitance),
-            cell_conductance: (d.cell_conductance, d.cell_conductance),
-            via_inductance: (d.via_inductance, d.via_inductance),
-            via_resistance: (d.via_resistance, d.via_resistance),
-            stack_stages: (0, 0),
-            ..GeneratorConfig::default()
         }
     }
 }
@@ -309,8 +253,7 @@ impl BoardGenerator {
     ///
     /// Returns [`CircuitError::InvalidInput`] when the configuration cannot
     /// produce a valid board (grid too small for the port counts, empty
-    /// decap library with decap ports requested, explicit coordinates
-    /// outside the grid, non-positive range bounds).
+    /// decap library, non-positive range bounds).
     pub fn generate(&self, seed: u64) -> Result<GeneratedBoard> {
         let cfg = &self.config;
         let mut rng = SplitMix64::seed_from_u64(seed);
@@ -337,36 +280,28 @@ impl BoardGenerator {
         let n_vrm = rng.next_range(cfg.vrm_ports).clamp(1, cells - n_die - 1);
         let n_decap = rng.next_range(cfg.decap_ports).clamp(1, cells - n_die - n_vrm);
 
-        // 3. Placement.
-        let (die_ports, decap_ports, vrm_ports) = match &cfg.placement {
-            Placement::Explicit { die, decaps, vrms } => {
-                (die.clone(), decaps.clone(), vrms.clone())
-            }
-            Placement::Seeded => {
-                // Die ports: the cells nearest the grid center, ordered by
-                // squared distance with a stable (ix, iy) tie-break.
-                let cx = (nx as f64 - 1.0) / 2.0;
-                let cy = (ny as f64 - 1.0) / 2.0;
-                let mut by_center: Vec<(usize, usize)> =
-                    (0..nx).flat_map(|ix| (0..ny).map(move |iy| (ix, iy))).collect();
-                by_center.sort_by(|&(ax, ay), &(bx, by)| {
-                    let da = (ax as f64 - cx).powi(2) + (ay as f64 - cy).powi(2);
-                    let db = (bx as f64 - cx).powi(2) + (by as f64 - cy).powi(2);
-                    da.partial_cmp(&db).expect("finite distances").then((ax, ay).cmp(&(bx, by)))
-                });
-                let die: Vec<_> = by_center[..n_die].to_vec();
-                // Remaining cells: Fisher–Yates shuffle, then decaps and
-                // VRMs draw in order.
-                let mut rest: Vec<(usize, usize)> = by_center[n_die..].to_vec();
-                for i in (1..rest.len()).rev() {
-                    let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                    rest.swap(i, j);
-                }
-                let decaps: Vec<_> = rest[..n_decap].to_vec();
-                let vrms: Vec<_> = rest[n_decap..n_decap + n_vrm].to_vec();
-                (die, decaps, vrms)
-            }
-        };
+        // 3. Placement. Die ports take the cells nearest the grid center
+        //    (the flip-chip footprint), ordered by squared distance with a
+        //    stable (ix, iy) tie-break; the remaining cells are shuffled
+        //    (Fisher–Yates) and decap, then VRM ports draw from the shuffle,
+        //    so every board is connected and collision-free by construction.
+        let cx = (nx as f64 - 1.0) / 2.0;
+        let cy = (ny as f64 - 1.0) / 2.0;
+        let mut by_center: Vec<(usize, usize)> =
+            (0..nx).flat_map(|ix| (0..ny).map(move |iy| (ix, iy))).collect();
+        by_center.sort_by(|&(ax, ay), &(bx, by)| {
+            let da = (ax as f64 - cx).powi(2) + (ay as f64 - cy).powi(2);
+            let db = (bx as f64 - cx).powi(2) + (by as f64 - cy).powi(2);
+            da.total_cmp(&db).then((ax, ay).cmp(&(bx, by)))
+        });
+        let die_ports = by_center[..n_die].to_vec();
+        let mut rest = by_center[n_die..].to_vec();
+        for i in (1..rest.len()).rev() {
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+            rest.swap(i, j);
+        }
+        let decap_ports = rest[..n_decap].to_vec();
+        let vrm_ports = rest[n_decap..n_decap + n_vrm].to_vec();
 
         // 4. Plane and via electricals.
         let segment_inductance = rng.next_log_uniform(cfg.segment_inductance);
@@ -389,12 +324,12 @@ impl BoardGenerator {
         }
 
         // 6. Per-decap library picks (mixed ESL/ESR population).
-        if !decap_ports.is_empty() && cfg.decap_library.is_empty() {
+        if cfg.decap_library.is_empty() {
             return Err(CircuitError::InvalidInput(
                 "the decap library is empty but decap ports were requested".into(),
             ));
         }
-        let decap_models: Vec<DecapPart> = (0..decap_ports.len())
+        let decap_models: Vec<DecapPart> = (0..n_decap)
             .map(|_| cfg.decap_library[(rng.next_u64() % cfg.decap_library.len() as u64) as usize])
             .collect();
 
@@ -422,8 +357,8 @@ impl BoardGenerator {
             vrm_ports,
             die_stack,
         };
-        // Validate eagerly: a generated board must always build (explicit
-        // placements can carry out-of-grid or colliding coordinates).
+        // Validate eagerly: a generated board must always build (pinned
+        // ranges can carry non-physical element values).
         build_board(&spec)?;
         Ok(GeneratedBoard { seed, spec, decap_models, vrm, die })
     }
@@ -442,23 +377,6 @@ mod tests {
         // Distinct seeds explore the space (not a constant generator).
         let c = generator.generate(124).unwrap();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn explicit_config_reproduces_the_default_board_bit_for_bit() {
-        let d = PdnBoardSpec::default();
-        let generator = BoardGenerator::new(GeneratorConfig::explicit(
-            d.nx,
-            d.ny,
-            d.die_ports.clone(),
-            d.decap_ports.clone(),
-            d.vrm_ports.clone(),
-        ));
-        // Seed-independent: every range is degenerate.
-        for seed in [0, 7, u64::MAX] {
-            let board = generator.generate(seed).unwrap();
-            assert_eq!(board.spec, d);
-        }
     }
 
     #[test]
@@ -482,8 +400,8 @@ mod tests {
         assert!(BoardGenerator::new(cfg).generate(0).is_err());
         let cfg = GeneratorConfig { decap_library: Vec::new(), ..GeneratorConfig::default() };
         assert!(BoardGenerator::new(cfg).generate(0).is_err());
-        // Explicit coordinates outside the grid fail at build validation.
-        let cfg = GeneratorConfig::explicit(3, 3, vec![(9, 9)], vec![(0, 0)], vec![(2, 2)]);
+        // A pinned non-physical element value fails at build validation.
+        let cfg = GeneratorConfig { via_inductance: (0.0, 0.0), ..GeneratorConfig::default() };
         assert!(BoardGenerator::new(cfg).generate(0).is_err());
     }
 }

@@ -18,7 +18,9 @@
 //!   full board parameter space (grid size, port counts and placement, decap
 //!   libraries with mixed ESL/ESR populations, multi-VRM feeds, package+die
 //!   stacking) deterministically from a `(config, seed)` pair — the scenario
-//!   source of the stress-corpus harness in `pim-core`.
+//!   source of the stress-corpus harness in `pim-core` — and defines
+//!   [`generator::GeneratedBoard`], the board-plus-terminations record that
+//!   `pim-core` builds every scenario from (presets write it literally).
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,10 +29,10 @@ pub mod board;
 pub mod generator;
 pub mod mna;
 
-pub use board::{standard_board, PdnBoardSpec, StackStage, SyntheticPdn};
+pub use board::{PdnBoardSpec, StackStage, SyntheticPdn};
 pub use generator::{
     default_decap_library, BoardGenerator, DecapPart, DieModel, GeneratedBoard, GeneratorConfig,
-    Placement, VrmModel,
+    VrmModel,
 };
 pub use mna::{Circuit, Element};
 

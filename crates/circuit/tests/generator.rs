@@ -4,7 +4,7 @@
 //! nodal network, port counts matching the spec — and regeneration from the
 //! same `(config, seed)` pair must be bit-identical.
 
-use pim_circuit::{BoardGenerator, Element, GeneratorConfig, Placement, SyntheticPdn};
+use pim_circuit::{BoardGenerator, Element, GeneratorConfig, SyntheticPdn};
 use proptest::prelude::*;
 
 /// Union-find connectivity check over the element graph (ground = node 0):
@@ -154,35 +154,11 @@ proptest! {
         }
     }
 
-    // Explicit placement pins the ports while electrical draws stay
-    // seed-dependent: the topology must be constant across seeds.
-    #[test]
-    fn explicit_placement_is_seed_independent(seed in 0usize..64) {
-        let config = GeneratorConfig::explicit(
-            4,
-            4,
-            vec![(1, 1), (2, 2)],
-            vec![(0, 3)],
-            vec![(3, 0)],
-        );
-        let board = BoardGenerator::new(config).generate(seed as u64).unwrap();
-        prop_assert!(board.spec.die_ports == vec![(1, 1), (2, 2)]);
-        prop_assert!(board.spec.decap_ports == vec![(0, 3)]);
-        prop_assert!(board.spec.vrm_ports == vec![(3, 0)]);
-        prop_assert!(board.spec.nx == 4);
-        prop_assert!(board.spec.ny == 4);
-    }
-
     // Seeded placement across larger grids keeps the die in the interior
     // region the generator promises (cells nearest the grid centre).
     #[test]
     fn seeded_placement_keeps_die_ports_off_the_corners(seed in 0usize..128) {
-        let config = GeneratorConfig {
-            nx: (4, 8),
-            ny: (4, 8),
-            placement: Placement::Seeded,
-            ..GeneratorConfig::default()
-        };
+        let config = GeneratorConfig { nx: (4, 8), ny: (4, 8), ..GeneratorConfig::default() };
         let board = BoardGenerator::new(config).generate(seed as u64).unwrap();
         let spec = &board.spec;
         let corners = [

@@ -31,12 +31,13 @@
 use crate::flow::FlowConfig;
 use crate::pipeline::Pipeline;
 use crate::recovery::RecoveryRung;
+use crate::scenario::{ScenarioConfig, StandardScenario};
 use crate::{CoreError, Result};
 use pim_circuit::board::{build_board, StackStage, SyntheticPdn};
 use pim_circuit::generator::{BoardGenerator, DecapPart, DieModel, GeneratedBoard, VrmModel};
 use pim_circuit::PdnBoardSpec;
 use pim_passivity::{EnforcementConfig, PassivityError};
-use pim_pdn::{Termination, TerminationNetwork};
+use pim_pdn::TerminationNetwork;
 use pim_rfdata::NetworkData;
 use pim_vectfit::VfConfig;
 
@@ -216,49 +217,22 @@ pub struct CorpusVerdict {
 
 impl CorpusCase {
     /// Builds the synthetic PDN, solves it, and assembles the per-port
-    /// termination network (each decap port gets its own library part — the
-    /// mixed-population generalization of [`crate::scenario::ScenarioConfig`]'s
-    /// single decap model).
+    /// termination network: [`StandardScenario::build`] on the case's board
+    /// and band, returned as its parts.
     ///
     /// # Errors
     ///
     /// Propagates board construction, solver and termination failures.
     pub fn assemble(&self) -> Result<(SyntheticPdn, NetworkData, TerminationNetwork, usize)> {
-        let pdn = self.board.build()?;
-        let grid = pim_rfdata::FrequencyGrid::log_space(
-            self.f_min_hz,
-            self.f_max_hz,
-            self.frequency_samples,
-        )?
-        .with_dc();
-        let data = pdn.circuit.scattering_parameters(&grid, self.z_ref)?;
-        let mut terminations = vec![Termination::Open; pdn.ports()];
-        for &p in &pdn.die_ports {
-            terminations[p] = Termination::DieBlock {
-                resistance: self.board.die.resistance,
-                capacitance: self.board.die.capacitance,
-            };
-        }
-        for (&p, model) in pdn.decap_ports.iter().zip(&self.board.decap_models) {
-            terminations[p] = Termination::Decap {
-                capacitance: model.capacitance,
-                esr: model.esr,
-                esl: model.esl,
-            };
-        }
-        for &p in &pdn.vrm_ports {
-            terminations[p] = Termination::SeriesRl {
-                resistance: self.board.vrm.resistance,
-                inductance: self.board.vrm.inductance,
-            };
-        }
-        let observation_port = *pdn
-            .die_ports
-            .first()
-            .ok_or_else(|| CoreError::InvalidInput("generated board has no die port".into()))?;
-        let network = TerminationNetwork::new(terminations)?
-            .with_excitation(pdn.die_ports.clone(), self.total_current)?;
-        Ok((pdn, data, network, observation_port))
+        let sc = StandardScenario::build(ScenarioConfig {
+            board: self.board.clone(),
+            frequency_samples: self.frequency_samples,
+            f_min_hz: self.f_min_hz,
+            f_max_hz: self.f_max_hz,
+            z_ref: self.z_ref,
+            total_current: self.total_current,
+        })?;
+        Ok((sc.pdn, sc.data, sc.network, sc.observation_port))
     }
 
     /// Runs the flow and classifies the outcome against the certification

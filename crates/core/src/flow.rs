@@ -142,7 +142,7 @@ pub fn evaluate_model(
 mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
-    use crate::scenario::StandardScenario;
+    use crate::scenario::ScenarioPreset;
     use pim_passivity::check::assess_with_sampling;
     use pim_passivity::grid::FrequencyGrid;
 
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn flow_reproduces_the_paper_claims_on_the_reduced_scenario() {
-        let sc = StandardScenario::reduced().unwrap();
+        let sc = ScenarioPreset::Reduced.build().unwrap();
         let config = quick_config();
         let report = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
 
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn flow_rejects_non_scattering_data() {
-        let sc = StandardScenario::reduced().unwrap();
+        let sc = ScenarioPreset::Reduced.build().unwrap();
         let zdata = sc.data.to_impedance().unwrap();
         assert!(
             Pipeline::from_data(&zdata, &sc.network, sc.observation_port, quick_config()).is_err()
@@ -230,8 +230,32 @@ mod tests {
     }
 
     #[test]
+    fn flow_rejects_non_finite_samples() {
+        let sc = ScenarioPreset::Reduced.build().unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let corrupted = sc
+                .data
+                .map_matrices(|k, m| {
+                    let mut m = m.clone();
+                    if k == 10 {
+                        m[(0, 0)].re = bad;
+                    }
+                    Ok(m)
+                })
+                .unwrap();
+            let port = sc.observation_port;
+            match Pipeline::from_data(&corrupted, &sc.network, port, quick_config()) {
+                Err(crate::CoreError::InvalidInput(msg)) => {
+                    assert!(msg.contains("sample 10"), "{bad}: {msg}")
+                }
+                other => panic!("{bad}: expected InvalidInput, got {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
     fn flow_rejects_an_audit_grid_below_two_points() {
-        let sc = StandardScenario::reduced().unwrap();
+        let sc = ScenarioPreset::Reduced.build().unwrap();
         let mut no_audit = quick_config();
         no_audit.contract.audit_multiplier = 0;
         let mut no_sweep = quick_config();

@@ -159,9 +159,9 @@ impl<'a> Pipeline<'a> {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] when the data is not in the
-    /// scattering representation, or when the contract's audit grid
-    /// (`sweep_points × audit_multiplier` points) would have fewer than two
-    /// points.
+    /// scattering representation, when a sample holds a NaN or infinite
+    /// entry, or when the contract's audit grid (`sweep_points ×
+    /// audit_multiplier` points) would have fewer than two points.
     pub fn from_data(
         data: &'a NetworkData,
         network: &'a TerminationNetwork,
@@ -170,6 +170,14 @@ impl<'a> Pipeline<'a> {
     ) -> Result<Self> {
         if data.kind() != ParameterKind::Scattering {
             return Err(CoreError::InvalidInput("the flow requires scattering data".into()));
+        }
+        if let Some(k) =
+            data.matrices().iter().position(|m| m.as_slice().iter().any(|z| !z.is_finite()))
+        {
+            return Err(CoreError::InvalidInput(format!(
+                "scattering sample {k} (f = {} Hz) has a non-finite entry",
+                data.grid().freqs_hz()[k]
+            )));
         }
         if config.enforcement.sweep_points.saturating_mul(config.contract.audit_multiplier) < 2 {
             return Err(CoreError::InvalidInput(

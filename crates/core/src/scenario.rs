@@ -2,33 +2,20 @@
 //! termination scheme matching Sec. IV of the paper.
 
 use crate::{CoreError, Result};
-use pim_circuit::board::{build_board, PdnBoardSpec, SyntheticPdn};
-use pim_circuit::generator::{BoardGenerator, GeneratorConfig};
+use pim_circuit::board::{PdnBoardSpec, SyntheticPdn};
+use pim_circuit::generator::{DecapPart, DieModel, GeneratedBoard, VrmModel};
 use pim_pdn::{Termination, TerminationNetwork};
 use pim_rfdata::{FrequencyGrid, NetworkData};
 
-/// Builds a preset board spec through the [`BoardGenerator`] explicit path —
-/// the single construction route for every hand-built topology. With all
-/// ranges pinned the generated spec is bit-identical to the historical
-/// literal construction (asserted by `presets_route_through_the_generator`).
-fn explicit_board(
-    nx: usize,
-    ny: usize,
-    die: Vec<(usize, usize)>,
-    decaps: Vec<(usize, usize)>,
-    vrms: Vec<(usize, usize)>,
-) -> PdnBoardSpec {
-    BoardGenerator::new(GeneratorConfig::explicit(nx, ny, die, decaps, vrms))
-        .generate(0)
-        .expect("preset board topologies are valid")
-        .spec
-}
-
-/// Parameters of the standard scenario.
+/// Parameters of a scenario: the board with its per-port electrical models,
+/// and the band and excitation it is solved and loaded with. Presets and
+/// corpus boards alike are built from this record.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
-    /// Board description (grid size, electrical parameters, port placement).
-    pub board: PdnBoardSpec,
+    /// Board description (grid size, electrical parameters, port placement)
+    /// with one decap model per decap port, the VRM model and the die block
+    /// model.
+    pub board: GeneratedBoard,
     /// Number of logarithmically spaced frequency samples (the DC point is
     /// added on top, as in the paper's data set).
     pub frequency_samples: usize,
@@ -38,55 +25,8 @@ pub struct ScenarioConfig {
     pub f_max_hz: f64,
     /// Scattering reference resistance (paper: 50 Ω).
     pub z_ref: f64,
-    /// Decoupling capacitor value.
-    pub decap_capacitance: f64,
-    /// Decoupling capacitor ESR.
-    pub decap_esr: f64,
-    /// Decoupling capacitor ESL.
-    pub decap_esl: f64,
-    /// VRM series resistance.
-    pub vrm_resistance: f64,
-    /// VRM series inductance.
-    pub vrm_inductance: f64,
-    /// Die block series resistance.
-    pub die_resistance: f64,
-    /// Die block capacitance.
-    pub die_capacitance: f64,
     /// Total switching current injected at the die ports (paper: 1 A).
     pub total_current: f64,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            board: PdnBoardSpec::default(),
-            frequency_samples: 160,
-            f_min_hz: 1e3,
-            f_max_hz: 2e9,
-            z_ref: 50.0,
-            decap_capacitance: 10e-6,
-            decap_esr: 3e-3,
-            decap_esl: 0.6e-9,
-            vrm_resistance: 0.8e-3,
-            vrm_inductance: 15e-9,
-            die_resistance: 30e-3,
-            die_capacitance: 60e-9,
-            total_current: 1.0,
-        }
-    }
-}
-
-impl ScenarioConfig {
-    /// A reduced-size configuration (smaller board, fewer frequency samples)
-    /// used by tests and quick examples; it keeps the same qualitative
-    /// behaviour while running in a fraction of the time.
-    pub fn reduced() -> Self {
-        ScenarioConfig {
-            board: explicit_board(4, 4, vec![(1, 1), (2, 2)], vec![(0, 3)], vec![(3, 0)]),
-            frequency_samples: 80,
-            ..ScenarioConfig::default()
-        }
-    }
 }
 
 /// The built-in scenario registry: named board/termination shapes the
@@ -103,7 +43,7 @@ pub enum ScenarioPreset {
     /// 81 frequency samples).
     Reduced,
     /// The paper-size board (6×6 grid, 4 die + 3 decap + 1 VRM,
-    /// 161 frequency samples) — the default [`ScenarioConfig`].
+    /// 161 frequency samples) — the default [`PdnBoardSpec`].
     Paper,
     /// A densely decoupled board: the reduced 4×4 grid with three decap
     /// banks spread around the die instead of one.
@@ -145,53 +85,75 @@ impl ScenarioPreset {
         }
     }
 
-    /// The scenario configuration this preset stands for.
+    /// The scenario configuration this preset stands for: a literal board
+    /// with the paper's nominal terminations (Sec. IV) unless the preset
+    /// overrides them, on the 1 kHz – 2 GHz band.
     pub fn config(self) -> ScenarioConfig {
-        match self {
-            ScenarioPreset::Reduced => ScenarioConfig::reduced(),
-            ScenarioPreset::Paper => ScenarioConfig::default(),
-            ScenarioPreset::DenseDecap => ScenarioConfig {
-                // Three decap banks spread around the die instead of one.
-                board: explicit_board(
-                    4,
-                    4,
-                    vec![(1, 1), (2, 2)],
-                    vec![(0, 3), (3, 3), (0, 0)],
-                    vec![(3, 0)],
-                ),
-                ..ScenarioConfig::reduced()
-            },
-            ScenarioPreset::MultiVrm => ScenarioConfig {
-                board: explicit_board(
-                    5,
-                    5,
-                    vec![(2, 2), (2, 1)],
-                    vec![(0, 4), (4, 4)],
-                    vec![(0, 0), (4, 0)],
-                ),
-                frequency_samples: 80,
+        let mut decap = DecapPart { capacitance: 10e-6, esr: 3e-3, esl: 0.6e-9 };
+        let mut vrm = VrmModel { resistance: 0.8e-3, inductance: 15e-9 };
+        let mut die = DieModel { resistance: 30e-3, capacitance: 60e-9 };
+        let mut frequency_samples = 80;
+        let reduced = PdnBoardSpec {
+            nx: 4,
+            ny: 4,
+            die_ports: vec![(1, 1), (2, 2)],
+            decap_ports: vec![(0, 3)],
+            vrm_ports: vec![(3, 0)],
+            ..PdnBoardSpec::default()
+        };
+        let spec = match self {
+            ScenarioPreset::Reduced => reduced,
+            ScenarioPreset::Paper => {
+                frequency_samples = 160;
+                PdnBoardSpec::default()
+            }
+            // Three decap banks spread around the die instead of one.
+            ScenarioPreset::DenseDecap => {
+                PdnBoardSpec { decap_ports: vec![(0, 3), (3, 3), (0, 0)], ..reduced }
+            }
+            ScenarioPreset::MultiVrm => {
                 // Two VRM phases: each leg is individually weaker than the
                 // single nominal regulator.
-                vrm_resistance: 1.5e-3,
-                vrm_inductance: 22e-9,
-                ..ScenarioConfig::default()
-            },
-            ScenarioPreset::BulkDecap => ScenarioConfig {
+                vrm = VrmModel { resistance: 1.5e-3, inductance: 22e-9 };
+                PdnBoardSpec {
+                    nx: 5,
+                    ny: 5,
+                    die_ports: vec![(2, 2), (2, 1)],
+                    decap_ports: vec![(0, 4), (4, 4)],
+                    vrm_ports: vec![(0, 0), (4, 0)],
+                    ..PdnBoardSpec::default()
+                }
+            }
+            ScenarioPreset::BulkDecap => {
                 // Bulk electrolytic-style decoupling, a weaker regulator and
                 // a heavier die load on the reduced board.
-                decap_capacitance: 47e-6,
-                decap_esr: 8e-3,
-                decap_esl: 1.2e-9,
-                vrm_resistance: 2e-3,
-                vrm_inductance: 40e-9,
-                die_resistance: 50e-3,
-                die_capacitance: 100e-9,
-                ..ScenarioConfig::reduced()
+                decap = DecapPart { capacitance: 47e-6, esr: 8e-3, esl: 1.2e-9 };
+                vrm = VrmModel { resistance: 2e-3, inductance: 40e-9 };
+                die = DieModel { resistance: 50e-3, capacitance: 100e-9 };
+                reduced
+            }
+            ScenarioPreset::Minimal => PdnBoardSpec {
+                nx: 3,
+                ny: 3,
+                die_ports: vec![(1, 1)],
+                decap_ports: vec![(0, 2)],
+                vrm_ports: vec![(2, 0)],
+                ..PdnBoardSpec::default()
             },
-            ScenarioPreset::Minimal => ScenarioConfig {
-                board: explicit_board(3, 3, vec![(1, 1)], vec![(0, 2)], vec![(2, 0)]),
-                ..ScenarioConfig::reduced()
+        };
+        ScenarioConfig {
+            board: GeneratedBoard {
+                seed: 0,
+                decap_models: vec![decap; spec.decap_ports.len()],
+                spec,
+                vrm,
+                die,
             },
+            frequency_samples,
+            f_min_hz: 1e3,
+            f_max_hz: 2e9,
+            z_ref: 50.0,
+            total_current: 1.0,
         }
     }
 
@@ -230,42 +192,43 @@ pub struct StandardScenario {
 }
 
 impl StandardScenario {
-    /// Builds the scenario: generates the board, solves it over the frequency
+    /// Builds the scenario: builds the board, solves it over the frequency
     /// grid, and assembles the termination network following the paper's
-    /// Sec. IV (short/RL at the VRM port, vendor-style decap models at the
-    /// board ports, series-RC die models carrying a total 1 A excitation
-    /// split equally, observation at the first die port).
+    /// Sec. IV (RL at the VRM ports, one vendor-style decap model per decap
+    /// port, series-RC die models carrying the total excitation split
+    /// equally, observation at the first die port). This is the one
+    /// assembler of presets and corpus boards alike.
     ///
     /// # Errors
     ///
     /// Propagates board construction, solver and termination assembly
     /// failures.
     pub fn build(config: ScenarioConfig) -> Result<Self> {
-        let pdn = build_board(&config.board)?;
+        let board = &config.board;
+        let pdn = board.build()?;
         let grid =
             FrequencyGrid::log_space(config.f_min_hz, config.f_max_hz, config.frequency_samples)?
                 .with_dc();
         let data = pdn.circuit.scattering_parameters(&grid, config.z_ref)?;
 
-        let ports = pdn.ports();
-        let mut terminations = vec![Termination::Open; ports];
+        let mut terminations = vec![Termination::Open; pdn.ports()];
         for &p in &pdn.die_ports {
             terminations[p] = Termination::DieBlock {
-                resistance: config.die_resistance,
-                capacitance: config.die_capacitance,
+                resistance: board.die.resistance,
+                capacitance: board.die.capacitance,
             };
         }
-        for &p in &pdn.decap_ports {
+        for (&p, model) in pdn.decap_ports.iter().zip(&board.decap_models) {
             terminations[p] = Termination::Decap {
-                capacitance: config.decap_capacitance,
-                esr: config.decap_esr,
-                esl: config.decap_esl,
+                capacitance: model.capacitance,
+                esr: model.esr,
+                esl: model.esl,
             };
         }
         for &p in &pdn.vrm_ports {
             terminations[p] = Termination::SeriesRl {
-                resistance: config.vrm_resistance,
-                inductance: config.vrm_inductance,
+                resistance: board.vrm.resistance,
+                inductance: board.vrm.inductance,
             };
         }
         let observation_port = *pdn
@@ -276,24 +239,6 @@ impl StandardScenario {
             .with_excitation(pdn.die_ports.clone(), config.total_current)?;
         Ok(StandardScenario { pdn, data, network, observation_port, config })
     }
-
-    /// Convenience constructor for the default (paper-sized) scenario.
-    ///
-    /// # Errors
-    ///
-    /// See [`StandardScenario::build`].
-    pub fn standard() -> Result<Self> {
-        StandardScenario::build(ScenarioConfig::default())
-    }
-
-    /// Convenience constructor for the reduced test-sized scenario.
-    ///
-    /// # Errors
-    ///
-    /// See [`StandardScenario::build`].
-    pub fn reduced() -> Result<Self> {
-        StandardScenario::build(ScenarioConfig::reduced())
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +248,7 @@ mod tests {
 
     #[test]
     fn reduced_scenario_builds_and_is_consistent() {
-        let sc = StandardScenario::reduced().unwrap();
+        let sc = ScenarioPreset::Reduced.build().unwrap();
         assert_eq!(sc.data.ports(), sc.pdn.ports());
         assert_eq!(sc.network.ports(), sc.data.ports());
         assert_eq!(sc.data.len(), sc.config.frequency_samples + 1); // + DC
@@ -313,7 +258,7 @@ mod tests {
 
     #[test]
     fn reduced_scenario_exhibits_the_paper_phenomenology() {
-        let sc = StandardScenario::reduced().unwrap();
+        let sc = ScenarioPreset::Reduced.build().unwrap();
         // Nominal target impedance: milliohm-level at low frequency (VRM
         // path), rising toward high frequency.
         let zt = target_impedance(&sc.data, &sc.network, sc.observation_port).unwrap();
@@ -334,10 +279,10 @@ mod tests {
         for preset in ScenarioPreset::ALL {
             assert!(names.insert(preset.name()), "duplicate preset name {}", preset.name());
         }
-        assert_eq!(ScenarioPreset::Reduced.config().board.nx, 4);
-        assert_eq!(ScenarioPreset::Paper.config().board.nx, 6);
-        // The cheap presets must assemble; Paper is covered by the default
-        // ScenarioConfig tests (it is the same configuration).
+        assert_eq!(ScenarioPreset::Reduced.config().board.spec.nx, 4);
+        assert_eq!(ScenarioPreset::Paper.config().board.spec.nx, 6);
+        // The cheap presets must assemble; the paper-size board is built by
+        // the end-to-end sensitivity test, which runs every preset.
         for preset in [
             ScenarioPreset::DenseDecap,
             ScenarioPreset::MultiVrm,
@@ -351,88 +296,6 @@ mod tests {
         assert_eq!(ScenarioPreset::DenseDecap.build().unwrap().pdn.decap_ports.len(), 3);
         assert_eq!(ScenarioPreset::MultiVrm.build().unwrap().pdn.vrm_ports.len(), 2);
         assert_eq!(ScenarioPreset::Minimal.build().unwrap().pdn.ports(), 3);
-    }
-
-    #[test]
-    fn presets_route_through_the_generator_bit_identically() {
-        // The historical hand-built literals, kept here as the reference:
-        // `ScenarioPreset::config` now builds these boards through
-        // `BoardGenerator`'s explicit path, and the routed specs (plus the
-        // netlists built from them) must be bit-identical.
-        let literals: [(ScenarioPreset, PdnBoardSpec); 6] = [
-            (
-                ScenarioPreset::Reduced,
-                PdnBoardSpec {
-                    nx: 4,
-                    ny: 4,
-                    die_ports: vec![(1, 1), (2, 2)],
-                    decap_ports: vec![(0, 3)],
-                    vrm_ports: vec![(3, 0)],
-                    ..PdnBoardSpec::default()
-                },
-            ),
-            (ScenarioPreset::Paper, PdnBoardSpec::default()),
-            (
-                ScenarioPreset::DenseDecap,
-                PdnBoardSpec {
-                    nx: 4,
-                    ny: 4,
-                    die_ports: vec![(1, 1), (2, 2)],
-                    decap_ports: vec![(0, 3), (3, 3), (0, 0)],
-                    vrm_ports: vec![(3, 0)],
-                    ..PdnBoardSpec::default()
-                },
-            ),
-            (
-                ScenarioPreset::MultiVrm,
-                PdnBoardSpec {
-                    nx: 5,
-                    ny: 5,
-                    die_ports: vec![(2, 2), (2, 1)],
-                    decap_ports: vec![(0, 4), (4, 4)],
-                    vrm_ports: vec![(0, 0), (4, 0)],
-                    ..PdnBoardSpec::default()
-                },
-            ),
-            (
-                ScenarioPreset::BulkDecap,
-                PdnBoardSpec {
-                    nx: 4,
-                    ny: 4,
-                    die_ports: vec![(1, 1), (2, 2)],
-                    decap_ports: vec![(0, 3)],
-                    vrm_ports: vec![(3, 0)],
-                    ..PdnBoardSpec::default()
-                },
-            ),
-            (
-                ScenarioPreset::Minimal,
-                PdnBoardSpec {
-                    nx: 3,
-                    ny: 3,
-                    die_ports: vec![(1, 1)],
-                    decap_ports: vec![(0, 2)],
-                    vrm_ports: vec![(2, 0)],
-                    ..PdnBoardSpec::default()
-                },
-            ),
-        ];
-        for (preset, literal) in literals {
-            let routed = preset.config().board;
-            assert_eq!(routed, literal, "{}: routed spec differs", preset.name());
-            // The netlists agree element for element (f64 fields compared
-            // exactly through Element's PartialEq).
-            let a = build_board(&routed).unwrap();
-            let b = build_board(&literal).unwrap();
-            assert_eq!(a.circuit.elements(), b.circuit.elements(), "{}", preset.name());
-            assert_eq!(a.circuit.node_count(), b.circuit.node_count(), "{}", preset.name());
-            assert_eq!(
-                (a.die_ports, a.decap_ports, a.vrm_ports),
-                (b.die_ports, b.decap_ports, b.vrm_ports),
-                "{}",
-                preset.name()
-            );
-        }
     }
 
     #[test]
@@ -450,10 +313,10 @@ mod tests {
 
     #[test]
     fn scenario_with_invalid_board_is_rejected() {
-        let mut cfg = ScenarioConfig::reduced();
-        cfg.board.die_ports = vec![];
+        let mut cfg = ScenarioPreset::Reduced.config();
+        cfg.board.spec.die_ports = vec![];
         assert!(StandardScenario::build(cfg).is_err());
-        let mut cfg = ScenarioConfig::reduced();
+        let mut cfg = ScenarioPreset::Reduced.config();
         cfg.frequency_samples = 1;
         assert!(StandardScenario::build(cfg).is_err());
     }

@@ -158,7 +158,7 @@ mod tests {
         // x^3 - 6x^2 + 11x - 6 = (x-1)(x-2)(x-3)
         let a = Mat::from_rows(&[&[6.0, -11.0, 6.0], &[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]);
         let mut ev: Vec<f64> = eigenvalues(&a).unwrap().iter().map(|e| e.re).collect();
-        ev.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        ev.sort_by(|x, y| x.total_cmp(y));
         assert!((ev[0] - 1.0).abs() < 1e-9);
         assert!((ev[1] - 2.0).abs() < 1e-9);
         assert!((ev[2] - 3.0).abs() < 1e-9);
@@ -223,7 +223,7 @@ mod tests {
         let a = CMat::from_diag(&[Complex64::new(1.0, 2.0), Complex64::new(-3.0, 0.5)]);
         let ev = eigenvalues_complex(&a).unwrap();
         let mut re: Vec<f64> = ev.iter().map(|e| e.re).collect();
-        re.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        re.sort_by(|x, y| x.total_cmp(y));
         assert!((re[0] + 3.0).abs() < 1e-12 && (re[1] - 1.0).abs() < 1e-12);
     }
 }

@@ -35,7 +35,7 @@
 //! // Companion matrix of z^2 - 3z + 2 = (z-1)(z-2)
 //! let a = Mat::from_rows(&[&[3.0, -2.0], &[1.0, 0.0]]);
 //! let mut ev: Vec<f64> = eigenvalues(&a)?.iter().map(|e| e.re).collect();
-//! ev.sort_by(|x, y| x.partial_cmp(y).unwrap());
+//! ev.sort_by(|x, y| x.total_cmp(y));
 //! assert!((ev[0] - 1.0).abs() < 1e-12 && (ev[1] - 2.0).abs() < 1e-12);
 //! # Ok(())
 //! # }

@@ -48,7 +48,7 @@ const MAX_ITER_PER_EIGENVALUE: usize = 60;
 /// ]);
 /// let s = complex_schur(&a)?;
 /// let mut ev = s.eigenvalues();
-/// ev.sort_by(|a, b| a.im.partial_cmp(&b.im).unwrap());
+/// ev.sort_by(|a, b| a.im.total_cmp(&b.im));
 /// assert!((ev[0].im + 1.0).abs() < 1e-12 && (ev[1].im - 1.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
@@ -278,12 +278,12 @@ mod tests {
         ]);
         let s = real_to_complex_schur(&a).unwrap();
         let mut re: Vec<f64> = s.eigenvalues().iter().map(|e| e.re).collect();
-        re.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        re.sort_by(|x, y| x.total_cmp(y));
         assert!((re[0] + 3.0).abs() < 1e-10);
         assert!((re[1] - 1.0).abs() < 1e-10 && (re[2] - 1.0).abs() < 1e-10);
         assert!((re[3] - 2.0).abs() < 1e-10);
         let mut im: Vec<f64> = s.eigenvalues().iter().map(|e| e.im).collect();
-        im.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        im.sort_by(|x, y| x.total_cmp(y));
         assert!((im[0] + 2.0).abs() < 1e-10 && (im[3] - 2.0).abs() < 1e-10);
     }
 
@@ -329,7 +329,7 @@ mod tests {
         let a = Mat::from_rows(&[&[0.0, 5.0], &[-5.0, 0.0]]);
         let s = real_to_complex_schur(&a).unwrap();
         let mut im: Vec<f64> = s.eigenvalues().iter().map(|e| e.im).collect();
-        im.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        im.sort_by(|x, y| x.total_cmp(y));
         assert!((im[0] + 5.0).abs() < 1e-10 && (im[1] - 5.0).abs() < 1e-10);
         for ev in s.eigenvalues() {
             assert!(ev.re.abs() < 1e-10);

@@ -216,15 +216,6 @@ pub struct EnforcementIteration {
 pub trait EnforcementObserver {
     /// Called once per outer iteration, after the perturbation is applied.
     fn on_enforcement_iteration(&mut self, event: &EnforcementIteration);
-
-    /// Called once per outer iteration, right after
-    /// [`EnforcementObserver::on_enforcement_iteration`], with the accepted
-    /// perturbed model itself. Default no-op; implement it to snapshot
-    /// intermediate models (the Fig. 5 anomaly diagnostic re-assesses them
-    /// on denser grids than the working sweep).
-    fn on_iteration_model(&mut self, iteration: usize, model: &PoleResidueModel) {
-        let _ = (iteration, model);
-    }
 }
 
 /// What the robustness machinery did during a run: whether the trust region
@@ -506,7 +497,6 @@ pub fn enforce_passivity(
                         constraints: cons.rows(),
                         grid_points: candidate_report.grid.len(),
                     });
-                    obs.on_iteration_model(iterations, &candidate);
                 }
                 // Backtracking bottomed out at the minimum step and the
                 // violation still grew. One such step happens in healthy

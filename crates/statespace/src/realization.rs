@@ -514,7 +514,7 @@ mod tests {
         let model = two_port_model();
         let sys = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
         let mut poles = sys.poles().unwrap();
-        poles.sort_by(|a, b| a.im.partial_cmp(&b.im).unwrap());
+        poles.sort_by(|a, b| a.im.total_cmp(&b.im));
         assert!((poles[0] - c(-2e3, -5e3)).abs() < 1e-6);
         assert!((poles[1] - c(-1e3, 0.0)).abs() < 1e-6);
         assert!((poles[2] - c(-2e3, 5e3)).abs() < 1e-6);

@@ -57,9 +57,9 @@ proptest! {
         let sys = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
         let mut got = sys.poles().unwrap();
         let mut want = model.poles().to_vec();
-        let key = |p: &Complex64| (p.re, p.im);
-        got.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
-        want.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
+        let by_re_im = |a: &Complex64, b: &Complex64| a.re.total_cmp(&b.re).then(a.im.total_cmp(&b.im));
+        got.sort_by(by_re_im);
+        want.sort_by(by_re_im);
         for (g, w) in got.iter().zip(&want) {
             prop_assert!((*g - *w).abs() < 1e-6 * w.abs().max(1.0));
         }

@@ -476,9 +476,10 @@ mod tests {
         // Poles must match the reference (sorted by imaginary part).
         let mut got: Vec<Complex64> = fit.model.poles().to_vec();
         let mut want: Vec<Complex64> = reference.poles().to_vec();
-        let key = |p: &Complex64| (p.im, p.re);
-        got.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
-        want.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
+        let by_im_re =
+            |a: &Complex64, b: &Complex64| a.im.total_cmp(&b.im).then(a.re.total_cmp(&b.re));
+        got.sort_by(by_im_re);
+        want.sort_by(by_im_re);
         for (g, w) in got.iter().zip(&want) {
             assert!((*g - *w).abs() < 1e-3 * w.abs(), "pole mismatch: {g} vs {w}");
         }

@@ -4,13 +4,13 @@
 //!
 //! Run with `cargo run --release --example passivity_check`.
 
-use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario};
+use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, ScenarioPreset};
 use pim_repro::passivity::check::singular_value_sweep_with;
 use pim_repro::passivity::NormKind;
 use pim_repro::PimError;
 
 fn main() -> Result<(), PimError> {
-    let sc = StandardScenario::reduced()?;
+    let sc = ScenarioPreset::Reduced.build()?;
     let mut pipeline = Pipeline::from_scenario(&sc, FlowConfig::default())?;
     let fit = pipeline.fit(FitKind::Weighted)?;
     let enforcement = pipeline.enforce(NormKind::SensitivityWeighted)?;

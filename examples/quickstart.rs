@@ -6,12 +6,12 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use pim_repro::core_flow::{FlowConfig, Pipeline, Stage, StandardScenario, TraceObserver};
+use pim_repro::core_flow::{FlowConfig, Pipeline, ScenarioPreset, Stage, TraceObserver};
 use pim_repro::passivity::NormKind;
 use pim_repro::PimError;
 
 fn main() -> Result<(), PimError> {
-    let scenario = StandardScenario::reduced()?;
+    let scenario = ScenarioPreset::Reduced.build()?;
     println!(
         "scenario: {} ports, {} frequency samples ({:.0} Hz - {:.2e} Hz)",
         scenario.data.ports(),

@@ -5,12 +5,12 @@
 //!
 //! Run with `cargo run --release --example sensitivity_analysis`.
 
-use pim_repro::core_flow::{FlowConfig, Pipeline, StandardScenario};
+use pim_repro::core_flow::{FlowConfig, Pipeline, ScenarioPreset};
 use pim_repro::pdn::{monte_carlo_sensitivity, SensitivityOptions};
 use pim_repro::PimError;
 
 fn main() -> Result<(), PimError> {
-    let sc = StandardScenario::reduced()?;
+    let sc = ScenarioPreset::Reduced.build()?;
     let mut pipeline = Pipeline::from_scenario(&sc, FlowConfig::default())?;
     let sensitivity = pipeline.sensitivity()?;
     let model = pipeline.weighting_model()?;

@@ -1,6 +1,7 @@
 //! Workspace root crate: re-exports the component crates so that the
 //! examples in `examples/` and the integration tests in `tests/` can use a
-//! single dependency, and defines the unified [`PimError`] so application
+//! single dependency, and re-exports `pim-core`'s error as [`PimError`]:
+//! it has a `From` impl for every component crate's error, so application
 //! code can `?` across stage boundaries. See the individual crates for the
 //! actual library API, `README.md` for the workspace layout, and `PAPER.md`
 //! for the algorithm the workspace reproduces.
@@ -14,12 +15,12 @@
 //! the work.
 //!
 //! ```
-//! use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario};
+//! use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, ScenarioPreset};
 //! use pim_repro::vectfit::VfConfig;
 //! use pim_repro::PimError;
 //!
 //! # fn main() -> Result<(), PimError> {
-//! let scenario = StandardScenario::reduced()?;
+//! let scenario = ScenarioPreset::Reduced.build()?;
 //!
 //! // A light configuration for the doc test; FlowConfig::default() is the
 //! // paper-faithful one. Its sweep grids are adaptive: they bisect toward
@@ -55,9 +56,7 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod error;
-
-pub use error::{PimError, Result};
+pub use pim_core::{CoreError as PimError, Result};
 
 pub use pim_circuit as circuit;
 pub use pim_core as core_flow;

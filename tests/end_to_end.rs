@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: synthetic board -> data -> fit -> loaded
 //! impedance, exercising every crate of the workspace together.
 
-use pim_repro::circuit::standard_board;
-use pim_repro::core_flow::{ScenarioConfig, ScenarioPreset, StandardScenario};
+use pim_repro::circuit::board::build_board;
+use pim_repro::circuit::PdnBoardSpec;
+use pim_repro::core_flow::ScenarioPreset;
 use pim_repro::passivity::check::assess_with_sampling;
 use pim_repro::passivity::grid::{Adaptive, FrequencyGrid as SweepGrid};
 use pim_repro::pdn::{analytic_sensitivity, target_impedance};
@@ -14,7 +15,7 @@ use pim_repro::vectfit::{vector_fit, VfConfig};
 
 #[test]
 fn board_data_round_trips_through_touchstone() {
-    let board = standard_board().unwrap();
+    let board = build_board(&PdnBoardSpec::default()).unwrap();
     let grid = FrequencyGrid::log_space(1e3, 2e9, 20).unwrap().with_dc();
     let data = board.circuit.scattering_parameters(&grid, 50.0).unwrap();
     let text = to_touchstone_string(&data, TouchstoneFormat::Ri);
@@ -58,13 +59,13 @@ fn fitted_model_predicts_the_loaded_impedance() -> pim_repro::Result<()> {
 
 #[test]
 fn sensitivity_profile_is_reproducible_across_scenario_sizes() {
-    // The low-frequency sensitivity amplification must appear for both the
-    // reduced and a slightly larger scenario (structural property, not a
-    // tuning accident).
-    {
-        let cfg = ScenarioConfig::reduced();
-        let sc = StandardScenario::build(cfg).unwrap();
+    // The low-frequency sensitivity amplification must appear on every
+    // preset, from the 3x3 minimal board to the paper-size one (structural
+    // property, not a tuning accident).
+    for preset in ScenarioPreset::ALL {
+        let sc = preset.build().unwrap();
         let xi = analytic_sensitivity(&sc.data, &sc.network, sc.observation_port).unwrap();
-        assert!(xi[1] > 10.0 * xi[xi.len() - 1]);
+        let contrast = xi[1] / xi[xi.len() - 1];
+        assert!(contrast > 10.0, "{}: xi[1]/xi[last] = {contrast}", preset.name());
     }
 }

@@ -16,7 +16,7 @@
 //! asserted too: it must keep missing the band (if it stops missing it, the
 //! numerics changed and the fixture story needs revisiting).
 
-use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario, TraceObserver};
+use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, ScenarioPreset, TraceObserver};
 use pim_repro::passivity::check::{assess_on, assess_with_sampling};
 use pim_repro::passivity::grid::{Adaptive, FixedLog, FrequencyGrid};
 use pim_repro::passivity::NormKind;
@@ -34,7 +34,7 @@ fn quick_config() -> FlowConfig {
 
 #[test]
 fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
-    let sc = StandardScenario::reduced().unwrap();
+    let sc = ScenarioPreset::Reduced.build().unwrap();
     let config = quick_config();
     let pool = ThreadPool::new(1);
 
@@ -132,7 +132,7 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
 #[test]
 #[ignore = "full paper-size scenario: minutes in release, run by the CI diagnostics step"]
 fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
-    let sc = StandardScenario::standard().unwrap();
+    let sc = ScenarioPreset::Paper.build().unwrap();
     let config = FlowConfig::default();
     let report = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
     let band_max_omega = sc.data.grid().max_omega();

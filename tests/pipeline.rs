@@ -4,7 +4,7 @@
 
 use pim_repro::core_flow::{
     CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, RecoveryRung,
-    ScenarioPreset, Stage, StandardScenario, TraceObserver,
+    ScenarioPreset, Stage, TraceObserver,
 };
 use pim_repro::linalg::{CMat, Complex64, Mat};
 use pim_repro::passivity::{EnforcementOutcome, NormKind, PassivityError};
@@ -132,7 +132,7 @@ fn assert_report_bits(a: &FlowReport, b: &FlowReport) {
 /// `report()` call's `FlowReport` bit for bit.
 #[test]
 fn staged_pipeline_is_bit_identical_to_a_plain_report() {
-    let sc = StandardScenario::reduced().unwrap();
+    let sc = ScenarioPreset::Reduced.build().unwrap();
     let config = quick_config();
     let plain = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
 
@@ -172,7 +172,7 @@ fn staged_pipeline_is_bit_identical_to_a_plain_report() {
 /// not views that could drift).
 #[test]
 fn stage_artifacts_match_the_assembled_report() {
-    let sc = StandardScenario::reduced().unwrap();
+    let sc = ScenarioPreset::Reduced.build().unwrap();
     let mut pipeline = Pipeline::from_scenario(&sc, quick_config()).unwrap();
     let sensitivity = pipeline.sensitivity().unwrap();
     let weighted = pipeline.fit(FitKind::Weighted).unwrap();
@@ -275,7 +275,7 @@ fn parallel_sweep_is_bit_identical_to_serial_and_upholds_the_fit_claim() {
 /// `σ_max` of the best-so-far model.
 #[test]
 fn not_converged_enforcement_is_marked_failed() {
-    let sc = StandardScenario::reduced().unwrap();
+    let sc = ScenarioPreset::Reduced.build().unwrap();
     let mut config = quick_config();
     config.enforcement.max_iterations = 0; // force NotConverged immediately
     let mut trace = TraceObserver::new();
@@ -304,7 +304,7 @@ fn not_converged_enforcement_is_marked_failed() {
 /// in the contract, and reports the failed baseline as absent.
 #[test]
 fn exhausted_primary_budget_is_delivered_by_the_ladder() {
-    let sc = StandardScenario::reduced().unwrap();
+    let sc = ScenarioPreset::Reduced.build().unwrap();
     let mut config = quick_config();
     config.enforcement.max_iterations = 0;
     let mut trace = TraceObserver::new();
@@ -340,7 +340,7 @@ fn exhausted_primary_budget_is_delivered_by_the_ladder() {
 fn fig5_iteration_traces_match_the_fixture() {
     const FIXTURE: &str =
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/fig5_iterations.txt");
-    let sc = StandardScenario::reduced().unwrap();
+    let sc = ScenarioPreset::Reduced.build().unwrap();
     let mut trace = TraceObserver::new();
     let report = Pipeline::from_scenario(&sc, quick_config())
         .unwrap()
