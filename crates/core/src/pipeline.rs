@@ -40,12 +40,14 @@ use crate::recovery::{AccuracyContract, RecoveryRung};
 use crate::scenario::{ScenarioPreset, StandardScenario};
 use crate::weighting::sensitivity_weighted_norm;
 use crate::{CoreError, Result};
-use pim_passivity::check::{assess_on, assess_with_sampling, PassivityReport};
+use pim_passivity::check::{
+    assess_on, assess_with_crossings, assess_with_sampling, PassivityReport,
+};
 use pim_passivity::enforce::{
     enforce_passivity, EnforcementConfig, EnforcementIteration, EnforcementObserver,
     EnforcementOutcome, PerturbationNorm,
 };
-use pim_passivity::grid::FrequencyGrid;
+use pim_passivity::grid::{FixedLog, FrequencyGrid};
 use pim_passivity::norm::NormKind;
 use pim_passivity::PassivityError;
 use pim_pdn::sensitivity::sensitivity_to_weights;
@@ -569,10 +571,12 @@ impl<'a> Pipeline<'a> {
             &sens.nominal_impedance,
         )?;
         // The final passive model is borrowed, not cloned: enforcement
-        // artifacts are owned values already.
-        let weighted_passive_model = match &weighted_enforcement {
-            Some(out) => &out.model,
-            None => &weighted_fit.model,
+        // artifacts are owned values already. Its Hamiltonian crossings are
+        // known from the last report of that same model: the loop's final
+        // verification, or the assessment stage when no loop ran.
+        let (weighted_passive_model, crossings) = match &weighted_enforcement {
+            Some(out) => (&out.model, &out.report.hamiltonian_crossings),
+            None => (&weighted_fit.model, &assessment.report.hamiltonian_crossings),
         };
         let weighted_passive_eval = evaluate_model(
             weighted_passive_model,
@@ -596,7 +600,13 @@ impl<'a> Pipeline<'a> {
         // fixed-log grid it was never constrained on, and pair the result
         // with the target-impedance error and the rung that delivered.
         let audit_grid = self.audit_grid();
-        let audit = assess_on(weighted_passive_model, &audit_grid)?;
+        let audit = assess_with_crossings(
+            pim_runtime::global(),
+            weighted_passive_model,
+            crossings,
+            &audit_grid,
+            &FixedLog,
+        )?;
         let contract = AccuracyContract {
             rung,
             audit_sigma_max: audit.sigma_max,

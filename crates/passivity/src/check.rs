@@ -26,7 +26,9 @@ pub struct ViolationBand {
 /// Summary of a passivity assessment.
 #[derive(Debug, Clone)]
 pub struct PassivityReport {
-    /// `true` when no violation was found by either test.
+    /// `true` when the singular-value sweep found no singular value above
+    /// one. The verdict rests on the sweep alone: the Hamiltonian crossings
+    /// only steer where the sampling strategy places sweep points.
     pub passive: bool,
     /// Worst singular value found over the sweep.
     pub sigma_max: f64,
@@ -187,10 +189,9 @@ pub fn assess_on(model: &PoleResidueModel, grid: &FrequencyGrid) -> Result<Passi
     assess_with_sampling(pim_runtime::global(), model, grid, &crate::grid::FixedLog)
 }
 
-/// The passivity assessment: computes the Hamiltonian crossings, lets
-/// `strategy` refine `base` for this model (see
-/// [`SamplingStrategy::refine`]), sweeps the refined grid on `pool`, and
-/// assembles the report. The report is bit-identical for every pool size.
+/// The passivity assessment: computes the Hamiltonian crossings, then
+/// refines, sweeps and reports with [`assess_with_crossings`]. The report is
+/// bit-identical for every pool size.
 ///
 /// # Errors
 ///
@@ -201,9 +202,30 @@ pub fn assess_with_sampling(
     base: &FrequencyGrid,
     strategy: &dyn SamplingStrategy,
 ) -> Result<PassivityReport> {
-    let sys = StateSpace::from_pole_residue(model)?;
-    let crossings = hamiltonian_crossings(&sys)?;
-    let (grid, cached_sigma) = strategy.refine(pool, model, base, &crossings)?;
+    let crossings = hamiltonian_crossings(&StateSpace::from_pole_residue(model)?)?;
+    assess_with_crossings(pool, model, &crossings, base, strategy)
+}
+
+/// The assessment of a model whose Hamiltonian crossings are already known
+/// (for instance from an earlier report of the same model): lets `strategy`
+/// refine `base` around `crossings` (see [`SamplingStrategy::refine`]),
+/// sweeps the refined grid on `pool`, and assembles the report, which
+/// carries `crossings` as its [`PassivityReport::hamiltonian_crossings`].
+/// No eigenproblem is solved, so the caller must pass the crossings of
+/// `model` itself; the report then equals [`assess_with_sampling`]'s bit
+/// for bit.
+///
+/// # Errors
+///
+/// Propagates refinement and SVD failures.
+pub fn assess_with_crossings(
+    pool: &pim_runtime::ThreadPool,
+    model: &PoleResidueModel,
+    crossings: &[f64],
+    base: &FrequencyGrid,
+    strategy: &dyn SamplingStrategy,
+) -> Result<PassivityReport> {
+    let (grid, cached_sigma) = strategy.refine(pool, model, base, crossings)?;
 
     // The report only needs `σ_max` per point; a strategy that sampled the
     // grid while refining (the adaptive bisection) hands those samples back
@@ -267,7 +289,7 @@ pub fn assess_with_sampling(
         sigma_max,
         omega_at_sigma_max: omega_at,
         bands,
-        hamiltonian_crossings: crossings,
+        hamiltonian_crossings: crossings.to_vec(),
         grid,
     })
 }
@@ -386,8 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn non_square_feedthrough_at_unit_singular_value_is_rejected() {
-        // D with a singular value exactly 1 makes the Hamiltonian undefined.
+    fn square_feedthrough_with_a_unit_singular_value_is_rejected() {
+        // A 1-port whose D has a singular value exactly 1 makes the
+        // Hamiltonian undefined.
         let m = PoleResidueModel::new(
             vec![c(-1.0, 0.0)],
             vec![CMat::from_diag(&[c(0.1, 0.0)])],
@@ -413,6 +436,27 @@ mod tests {
         assert!(refined.grid.len() > grid.len());
         assert!(refined.sigma_max >= report.sigma_max);
         assert_eq!(refined.grid.count_of(crate::grid::PointProvenance::Seed), grid.len());
+    }
+
+    /// Given the model's own crossings, the known-crossings form reproduces
+    /// the full assessment bit for bit under every strategy.
+    #[test]
+    fn known_crossings_reproduce_the_full_assessment() {
+        let m = violating_model();
+        let crossings = hamiltonian_crossings(&StateSpace::from_pole_residue(&m).unwrap()).unwrap();
+        let pool = pim_runtime::ThreadPool::new(1);
+        let base =
+            FrequencyGrid::from_omegas(&(1..200).map(|k| k as f64 * 10.0).collect::<Vec<_>>());
+        for strategy in [&FixedLog as &dyn SamplingStrategy, &Adaptive::default()] {
+            let full = assess_with_sampling(&pool, &m, &base, strategy).unwrap();
+            let known = assess_with_crossings(&pool, &m, &crossings, &base, strategy).unwrap();
+            assert_eq!(known.sigma_max.to_bits(), full.sigma_max.to_bits(), "{}", strategy.name());
+            assert_eq!(known.omega_at_sigma_max.to_bits(), full.omega_at_sigma_max.to_bits());
+            assert_eq!(known.passive, full.passive);
+            assert_eq!(known.bands, full.bands);
+            assert_eq!(known.hamiltonian_crossings, full.hamiltonian_crossings);
+            assert_eq!(known.grid, full.grid);
+        }
     }
 
     /// A passive model has no Hamiltonian crossings; every strategy must

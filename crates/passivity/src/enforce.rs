@@ -5,7 +5,10 @@
 //! constraints at the violation frequencies, solves the Gramian-weighted
 //! quadratic program for the smallest perturbation of the output matrix that
 //! removes the violations to first order, and applies it. The loop repeats
-//! until the model is passive or the iteration budget is exhausted.
+//! until the model is passive or the iteration budget is exhausted. Every
+//! model is assessed once on the working grid: the backtracking search
+//! assesses each candidate, and the accepted candidate's report is where the
+//! next iteration starts.
 //!
 //! Three step controls keep the linearized steps in check. Backtracking
 //! halves a step that makes the worst singular value larger. A trust region
@@ -21,7 +24,7 @@
 //! L2 enforcement of eq. (10)–(11), while the sensitivity-weighted Gramians of
 //! eq. (19)–(21) (built by `pim-core`) give the paper's method.
 
-use crate::check::{assess_with_sampling, PassivityReport};
+use crate::check::{assess_with_crossings, assess_with_sampling, PassivityReport};
 use crate::constraints::{apply_perturbation, build_constraints, ConstraintSystem};
 use crate::grid::{Adaptive, SamplingStrategy};
 use crate::qp::{solve_block_qp_factored, BlockQpFactors, QpOptions};
@@ -201,8 +204,9 @@ pub struct EnforcementIteration {
     pub norm_increment: f64,
     /// Number of linearized singular-value constraints in the QP.
     pub constraints: usize,
-    /// Number of points of the refined working grid this iteration's
-    /// assessment swept. Under [`Adaptive`] it grows well beyond the
+    /// Number of points of the refined working grid the accepted
+    /// candidate's assessment swept; that assessment is the report the next
+    /// iteration starts from. Under [`Adaptive`] it grows well beyond the
     /// baseline as the bisection chases sub-grid features; under
     /// [`crate::grid::FixedLog`] it is the baseline.
     pub grid_points: usize,
@@ -377,12 +381,23 @@ pub fn enforce_passivity(
     )?;
     record_qp_state(&mut robustness, &qp_factors);
 
+    // The working-grid report of `current`. Only the input model is assessed
+    // here; every later iterate is the candidate an iteration accepted, and
+    // its report is handed over from the backtracking search.
+    let mut report = assess_with_sampling(pool, &current, &sweep, strategy)?;
     loop {
-        let mut report = assess_with_sampling(pool, &current, &sweep, strategy)?;
         if report.passive {
             // Verify on the dense grid before declaring success; fall back to
-            // the dense report (with its violation bands) otherwise.
-            let verification = assess_with_sampling(pool, &current, &verify_sweep, strategy)?;
+            // the dense report (with its violation bands) otherwise. The
+            // crossings depend on the model only, so the working report's
+            // serve the dense grid too.
+            let verification = assess_with_crossings(
+                pool,
+                &current,
+                &report.hamiltonian_crossings,
+                &verify_sweep,
+                strategy,
+            )?;
             if verification.passive {
                 history.push(verification.sigma_max);
                 robustness.final_radius = radius;
@@ -555,6 +570,7 @@ pub fn enforce_passivity(
                 record_qp_state(&mut robustness, &qp_factors);
 
                 current = candidate;
+                report = candidate_report;
                 break;
             }
             step *= 0.5;
@@ -744,6 +760,62 @@ mod tests {
             assert!(ev.step > 0.0 && ev.step <= 1.0);
             assert!(ev.constraints >= 1);
         }
+    }
+
+    /// Every model of a run is assessed once: the input model on the working
+    /// grid, each backtracking candidate on the working grid, and the
+    /// delivered model once more on the dense verification grid. Every
+    /// assessment refines its grid exactly once, so a strategy that counts
+    /// its `refine` calls counts the assessments.
+    #[test]
+    fn each_model_is_assessed_once() {
+        use crate::grid::FrequencyGrid;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        #[derive(Debug, Default)]
+        struct Counting {
+            inner: Adaptive,
+            refines: AtomicUsize,
+        }
+        impl SamplingStrategy for Counting {
+            fn name(&self) -> &'static str {
+                "counting"
+            }
+            fn refine(
+                &self,
+                pool: &pim_runtime::ThreadPool,
+                model: &PoleResidueModel,
+                base: &FrequencyGrid,
+                crossings: &[f64],
+            ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+                self.refines.fetch_add(1, Ordering::Relaxed);
+                self.inner.refine(pool, model, base, crossings)
+            }
+        }
+        struct Steps(Vec<EnforcementIteration>);
+        impl EnforcementObserver for Steps {
+            fn on_enforcement_iteration(&mut self, ev: &EnforcementIteration) {
+                self.0.push(*ev);
+            }
+        }
+
+        let counting = Arc::new(Counting::default());
+        let model = violating_one_port();
+        let norm = PerturbationNorm::standard(&model).unwrap();
+        let cfg = EnforcementConfig {
+            sweep_points: 200,
+            sampling: counting.clone(),
+            ..Default::default()
+        };
+        let mut steps = Steps(Vec::new());
+        let out = enforce_passivity(&model, &norm, 5000.0, &cfg, Some(&mut steps)).unwrap();
+        assert!(out.iterations >= 1, "the invariant needs at least one iteration");
+        assert_eq!(steps.0.len(), out.iterations);
+        // Backtracking tries the steps 1, 1/2, 1/4, ... down to the one it
+        // accepts: 1 + log2(1/step) candidates per iteration.
+        let candidates: usize =
+            steps.0.iter().map(|ev| 1 + (1.0 / ev.step).log2().round() as usize).sum();
+        assert_eq!(counting.refines.load(Ordering::Relaxed), 1 + candidates + 1);
     }
 
     #[test]

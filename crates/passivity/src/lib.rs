@@ -30,8 +30,10 @@
 //!   assessment and all three enforcement grids.
 //!
 //! There is one way to assess, [`check::assess_with_sampling`] (with
-//! [`check::assess_on`] as its fixed-grid audit form), and one way to
-//! enforce, [`enforce::enforce_passivity`].
+//! [`check::assess_on`] as its fixed-grid audit form, and
+//! [`check::assess_with_crossings`] as its form for a model whose
+//! Hamiltonian crossings are already known), and one way to enforce,
+//! [`enforce::enforce_passivity`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,8 +46,8 @@ pub mod norm;
 pub mod qp;
 
 pub use check::{
-    assess_on, assess_with_sampling, hamiltonian_crossings, singular_value_sweep_with,
-    PassivityReport, ViolationBand,
+    assess_on, assess_with_crossings, assess_with_sampling, hamiltonian_crossings,
+    singular_value_sweep_with, PassivityReport, ViolationBand,
 };
 pub use enforce::{
     enforce_passivity, EnforcementConfig, EnforcementIteration, EnforcementObserver,

@@ -4,12 +4,14 @@
 
 use pim_repro::core_flow::{
     CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, RecoveryRung,
-    ScenarioPreset, Stage, TraceObserver,
+    ScenarioPreset, Stage, StandardScenario, TraceObserver,
 };
 use pim_repro::linalg::{CMat, Complex64, Mat};
+use pim_repro::passivity::check::{assess_on, hamiltonian_crossings};
+use pim_repro::passivity::grid::FrequencyGrid;
 use pim_repro::passivity::{EnforcementOutcome, NormKind, PassivityError};
 use pim_repro::runtime::ThreadPool;
-use pim_repro::statespace::PoleResidueModel;
+use pim_repro::statespace::{PoleResidueModel, StateSpace};
 
 /// The trimmed configuration the in-crate flow tests use: identical
 /// numerics class, fraction of the runtime — shared with the figure
@@ -298,6 +300,35 @@ fn not_converged_enforcement_is_marked_failed() {
     assert!(diagnostics.best_sigma_max.is_some());
 }
 
+/// The contract audit skips the eigensolve and reuses the crossings that
+/// the delivered model's last report carries. Those crossings must be the
+/// delivered model's own, and the audit `σ_max` must equal a full
+/// `assess_on` audit's, bit for bit.
+fn assert_audit_reuses_the_delivered_crossings(
+    sc: &StandardScenario,
+    config: &FlowConfig,
+    report: &FlowReport,
+) {
+    let out = report.weighted_enforcement.as_ref().expect("a loop delivered the model");
+    let sys = StateSpace::from_pole_residue(&out.model).unwrap();
+    assert_slice_bits(
+        &out.report.hamiltonian_crossings,
+        &hamiltonian_crossings(&sys).unwrap(),
+        "crossings of the delivered model",
+    );
+    let audit_grid = FrequencyGrid::enforcement_log(
+        sc.data.grid().max_omega(),
+        config.enforcement.sweep_points * config.contract.audit_multiplier,
+    );
+    let contract = report.contract.as_ref().expect("report() attaches the contract");
+    assert_eq!(contract.audit_points, audit_grid.len());
+    assert_f64_bits(
+        contract.audit_sigma_max,
+        assess_on(&out.model, &audit_grid).unwrap().sigma_max,
+        "audit sigma_max",
+    );
+}
+
 /// With no iteration budget, the primary weighted pass and the standard
 /// baseline both fail at once: `report()` delivers through the recovery
 /// ladder's regularized rung (which adds 40 iterations), records that rung
@@ -308,10 +339,14 @@ fn exhausted_primary_budget_is_delivered_by_the_ladder() {
     let mut config = quick_config();
     config.enforcement.max_iterations = 0;
     let mut trace = TraceObserver::new();
-    let report =
-        Pipeline::from_scenario(&sc, config).unwrap().with_observer(&mut trace).report().unwrap();
+    let report = Pipeline::from_scenario(&sc, config.clone())
+        .unwrap()
+        .with_observer(&mut trace)
+        .report()
+        .unwrap();
     let contract = report.contract.as_ref().expect("report() attaches the contract");
     assert_eq!(contract.rung, RecoveryRung::Regularized);
+    assert_audit_reuses_the_delivered_crossings(&sc, &config, &report);
     let outcome = report.weighted_enforcement.as_ref().expect("the rung delivers a model");
     assert_eq!(outcome.iterations, 9);
     assert_eq!(trace.trace(NormKind::SensitivityWeighted).len(), outcome.iterations);
@@ -352,6 +387,7 @@ fn fig5_iteration_traces_match_the_fixture() {
         contract.audit_sigma_max <= 1.0 + 1e-8,
         "the delivered model must pass its 16x audit: {contract}"
     );
+    assert_audit_reuses_the_delivered_crossings(&sc, &quick_config(), &report);
 
     let mut lines = vec![
         "# norm iteration sigma_before sigma_after step norm_increment constraints".to_string(),
