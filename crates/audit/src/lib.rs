@@ -9,7 +9,8 @@
 //! - [`lexer`]: a comment- and string-aware Rust lexer (raw strings,
 //!   nested block comments, char-vs-lifetime disambiguation),
 //! - [`lints`]: the lint catalog (L1 `unsafe-safety` … L5 `thread-spawn`,
-//!   L7 `partial-cmp-unwrap`, plus the report-only L6 `unwrap-ratchet`) and the
+//!   L7 `partial-cmp-unwrap`, the cross-file L8 `dead-pub`, plus the
+//!   report-only L6 `unwrap-ratchet`) and the
 //!   `// audit:allow(<lint>): <reason>` suppression protocol,
 //! - [`baseline`]: the committed `audit_baseline.txt` shrink-only gate.
 //!
@@ -26,9 +27,10 @@ pub mod lints;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Library crates whose `src/` trees count against the unwrap ratchet.
-/// Tools (`pim-audit` itself, `pim-bench`) and the offline dependency
-/// shims are deliberately outside: they are not shipped numeric code.
+/// Library crates whose `src/` trees count against the unwrap ratchet and
+/// declare the `pub fn`s `dead-pub` checks. Tools (`pim-audit` itself,
+/// `pim-bench`) and the offline dependency shims are deliberately outside:
+/// they are not shipped numeric code.
 const RATCHET_CRATES: [&str; 9] =
     ["circuit", "core", "linalg", "passivity", "pdn", "rfdata", "runtime", "statespace", "vectfit"];
 
@@ -49,7 +51,8 @@ pub struct WorkspaceAudit {
     /// `unwrap-ratchet` counts for every in-scope file (zeros included,
     /// so the baseline comparison sees files that became clean).
     pub unwrap_counts: BTreeMap<String, usize>,
-    /// Number of files scanned.
+    /// Number of files audited (`perfbench/src` is read for `dead-pub`
+    /// callers only).
     pub files_scanned: usize,
 }
 
@@ -73,8 +76,10 @@ fn in_ratchet_scope(rel: &str) -> bool {
 /// skipping build output and VCS metadata.
 fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    let mut stack: Vec<PathBuf> =
-        ["src", "crates", "tests", "examples"].iter().map(|d| root.join(d)).collect();
+    let mut stack: Vec<PathBuf> = ["src", "crates", "tests", "examples", "perfbench/src"]
+        .iter()
+        .map(|d| root.join(d))
+        .collect();
     while let Some(dir) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else { continue };
         for entry in entries {
@@ -102,9 +107,7 @@ fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// Returns an error string when a source file cannot be read.
 pub fn audit_workspace(root: &Path) -> Result<WorkspaceAudit, String> {
     let files = collect_sources(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-    let mut reports = Vec::new();
-    let mut unwrap_counts = BTreeMap::new();
-    let files_scanned = files.len();
+    let mut sources = Vec::with_capacity(files.len());
     for file in files {
         let rel = file
             .strip_prefix(root)
@@ -114,16 +117,40 @@ pub fn audit_workspace(root: &Path) -> Result<WorkspaceAudit, String> {
             .collect::<Vec<_>>()
             .join("/");
         let source = std::fs::read_to_string(&file).map_err(|e| format!("reading {rel}: {e}"))?;
-        let in_scope = in_ratchet_scope(&rel);
-        let audit = lints::audit_file(&rel, &source, in_scope);
+        sources.push((rel, source));
+    }
+    let sources: Vec<(&str, &str)> =
+        sources.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
+    Ok(audit_sources(&sources))
+}
+
+/// Audits in-memory `(workspace-relative path, source)` files as one
+/// workspace: the single-file lints on each audited file, and `dead-pub`
+/// across all of them.
+pub fn audit_sources(sources: &[(&str, &str)]) -> WorkspaceAudit {
+    let lexed: Vec<_> = sources.iter().map(|&(rel, source)| (rel, lexer::lex(source))).collect();
+    let token_slices: Vec<_> =
+        lexed.iter().map(|(rel, tokens)| (*rel, tokens.as_slice())).collect();
+    let dead = lints::dead_pub(&token_slices, in_ratchet_scope);
+    let mut reports = Vec::new();
+    let mut unwrap_counts = BTreeMap::new();
+    let mut files_scanned = 0;
+    for ((rel, tokens), dead) in token_slices.into_iter().zip(dead) {
+        // The benchmark package is read only to find `dead-pub` callers.
+        if rel.starts_with("perfbench/") {
+            continue;
+        }
+        files_scanned += 1;
+        let in_scope = in_ratchet_scope(rel);
+        let audit = lints::audit_tokens(rel, tokens, in_scope, dead);
         if let Some(count) = audit.unwrap_count {
-            unwrap_counts.insert(rel.clone(), count);
+            unwrap_counts.insert(rel.to_string(), count);
         }
         if !audit.diagnostics.is_empty() || !audit.unused_allows.is_empty() {
-            reports.push(FileReport { path: rel, audit });
+            reports.push(FileReport { path: rel.to_string(), audit });
         }
     }
-    Ok(WorkspaceAudit { reports, unwrap_counts, files_scanned })
+    WorkspaceAudit { reports, unwrap_counts, files_scanned }
 }
 
 /// Locates the workspace root: walks up from `start` to the first

@@ -1,5 +1,6 @@
 //! The lint engine: project-invariant checks over the token stream of one
-//! source file, with inline `// audit:allow(<lint>): <reason>` suppressions.
+//! source file (plus one cross-file lint, `dead-pub`), with inline
+//! `// audit:allow(<lint>): <reason>` suppressions.
 //!
 //! Lint catalog (deny-by-default unless noted):
 //!
@@ -12,6 +13,7 @@
 //! | `thread-spawn`  | no `std::thread` spawning outside `pim-runtime` |
 //! | `unwrap-ratchet`| `.unwrap()`/`.expect("")` in library code: counted, ratcheted |
 //! | `partial-cmp-unwrap` | no `partial_cmp(..).unwrap()`/`.expect(..)` (panics on NaN; use `total_cmp`) |
+//! | `dead-pub`      | no library `pub fn` whose only callers are its own file's unit tests |
 //!
 //! `unwrap-ratchet` is report-only: it produces a per-file count that the
 //! baseline gate (see [`crate::baseline`]) compares against the committed
@@ -22,6 +24,8 @@
 //! the line directly above it. The reason is mandatory — every exception
 //! is self-documenting — and markers that match no diagnostic are reported
 //! (and fail `--check`) so stale exceptions cannot linger.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -43,17 +47,23 @@ pub enum Lint {
     /// L7: no `partial_cmp(..)` followed directly by `.unwrap()` or
     /// `.expect(..)` — it panics on NaN; `total_cmp` orders every float.
     PartialCmpUnwrap,
+    /// L8: no library `pub fn` whose name, outside its own body, appears
+    /// only in its own file's `#[cfg(test)]` modules. Cross-file: computed
+    /// over the whole workspace by [`crate::audit_sources`], not by
+    /// [`audit_file`].
+    DeadPub,
 }
 
 impl Lint {
     /// All deny-by-default lints.
-    pub const ALL: [Lint; 6] = [
+    pub const ALL: [Lint; 7] = [
         Lint::UnsafeSafety,
         Lint::FloatEq,
         Lint::HashContainer,
         Lint::WallClock,
         Lint::ThreadSpawn,
         Lint::PartialCmpUnwrap,
+        Lint::DeadPub,
     ];
 
     /// The stable name used in diagnostics and `audit:allow(...)` markers.
@@ -65,6 +75,7 @@ impl Lint {
             Lint::WallClock => "wall-clock",
             Lint::ThreadSpawn => "thread-spawn",
             Lint::PartialCmpUnwrap => "partial-cmp-unwrap",
+            Lint::DeadPub => "dead-pub",
         }
     }
 
@@ -116,29 +127,39 @@ struct Marker {
     used: bool,
 }
 
-/// Runs every applicable lint over `source`. `path` is workspace-relative
-/// with `/` separators and selects lint scopes; `count_unwraps` enables
-/// the `unwrap-ratchet` count (library-crate sources only).
+/// Runs every applicable single-file lint over `source`. `path` is
+/// workspace-relative with `/` separators and selects lint scopes;
+/// `count_unwraps` enables the `unwrap-ratchet` count (library-crate
+/// sources only).
 pub fn audit_file(path: &str, source: &str, count_unwraps: bool) -> FileAudit {
-    let tokens = lex(source);
-    // Indices of non-comment tokens; the lints walk these, while L1 and the
-    // suppression markers also need the comments.
-    let code: Vec<usize> = (0..tokens.len()).filter(|&i| !tokens[i].is_comment()).collect();
+    audit_tokens(path, &lex(source), count_unwraps, Vec::new())
+}
 
-    let mut diagnostics = Vec::new();
-    let mut markers = collect_markers(&tokens, &mut diagnostics);
+/// [`audit_file`] over an already-lexed file, with `cross_file`
+/// diagnostics (from [`dead_pub`]) joining the single-file ones before
+/// the suppression markers apply.
+pub(crate) fn audit_tokens(
+    path: &str,
+    tokens: &[Token<'_>],
+    count_unwraps: bool,
+    cross_file: Vec<Diagnostic>,
+) -> FileAudit {
+    let code = code_indices(tokens);
+    let mut diagnostics = cross_file;
+    let mut markers = collect_markers(tokens, &mut diagnostics);
 
     for lint in Lint::ALL {
         if !lint.applies_to(path) {
             continue;
         }
         match lint {
-            Lint::UnsafeSafety => lint_unsafe_safety(&tokens, &code, &mut diagnostics),
-            Lint::FloatEq => lint_float_eq(&tokens, &code, &mut diagnostics),
-            Lint::HashContainer => lint_hash_container(&tokens, &code, &mut diagnostics),
-            Lint::WallClock => lint_wall_clock(&tokens, &code, &mut diagnostics),
-            Lint::ThreadSpawn => lint_thread_spawn(&tokens, &code, &mut diagnostics),
-            Lint::PartialCmpUnwrap => lint_partial_cmp_unwrap(&tokens, &code, &mut diagnostics),
+            Lint::UnsafeSafety => lint_unsafe_safety(tokens, &code, &mut diagnostics),
+            Lint::FloatEq => lint_float_eq(tokens, &code, &mut diagnostics),
+            Lint::HashContainer => lint_hash_container(tokens, &code, &mut diagnostics),
+            Lint::WallClock => lint_wall_clock(tokens, &code, &mut diagnostics),
+            Lint::ThreadSpawn => lint_thread_spawn(tokens, &code, &mut diagnostics),
+            Lint::PartialCmpUnwrap => lint_partial_cmp_unwrap(tokens, &code, &mut diagnostics),
+            Lint::DeadPub => {} // arrives in `cross_file`
         }
     }
 
@@ -166,8 +187,14 @@ pub fn audit_file(path: &str, source: &str, count_unwraps: bool) -> FileAudit {
         .map(|m| (m.line, m.lint.name().to_string()))
         .collect();
 
-    let unwrap_count = count_unwraps.then(|| count_unwrap_expect(&tokens, &code));
+    let unwrap_count = count_unwraps.then(|| count_unwrap_expect(tokens, &code));
     FileAudit { diagnostics, unwrap_count, unused_allows }
+}
+
+/// Indices of non-comment tokens. The lints walk these, while L1 and the
+/// suppression markers also need the comments.
+fn code_indices(tokens: &[Token<'_>]) -> Vec<usize> {
+    (0..tokens.len()).filter(|&i| !tokens[i].is_comment()).collect()
 }
 
 /// Parses `audit:allow(<lint>): <reason>` markers out of the comments.
@@ -417,6 +444,126 @@ fn lint_partial_cmp_unwrap(
             });
         }
     }
+}
+
+/// L8: `dead-pub`, the one cross-file lint. Flags each `pub fn` of a file
+/// where `declares(path)` holds whose name, outside its own body, appears
+/// only inside that file's `#[cfg(test)]` modules. Every other file is a
+/// caller, its own unit tests included. A name inside a `use` declaration
+/// (a re-export) or a comment is not a call. The check is lexical, so it
+/// errs toward silence: any other item sharing the name counts as a
+/// caller. Returns one diagnostic list per file, in `files` order.
+pub(crate) fn dead_pub(
+    files: &[(&str, &[Token<'_>])],
+    declares: impl Fn(&str) -> bool,
+) -> Vec<Vec<Diagnostic>> {
+    let uses: Vec<Vec<(usize, &str)>> =
+        files.iter().map(|(_, tokens)| ident_uses(tokens)).collect();
+    let mut files_using: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (f, file_uses) in uses.iter().enumerate() {
+        for &(_, name) in file_uses {
+            files_using.entry(name).or_default().insert(f);
+        }
+    }
+    files
+        .iter()
+        .enumerate()
+        .map(|(f, &(path, tokens))| {
+            if !declares(path) {
+                return Vec::new();
+            }
+            let code = code_indices(tokens);
+            let tests = cfg_test_ranges(tokens, &code);
+            let in_tests = |i: usize| tests.iter().any(|r| r.contains(&i));
+            pub_fns(tokens, &code)
+                .into_iter()
+                .filter(|&(name, ref body)| {
+                    !in_tests(body.start)
+                        && !files_using.get(name).is_some_and(|fs| fs.iter().any(|&g| g != f))
+                        && !uses[f]
+                            .iter()
+                            .any(|&(i, used)| used == name && !body.contains(&i) && !in_tests(i))
+                })
+                .map(|(name, body)| Diagnostic {
+                    lint: Lint::DeadPub.name(),
+                    line: tokens[body.start].line,
+                    message: format!(
+                        "`pub fn {name}` has no caller outside its own file's tests — delete \
+                         it (with those tests) or make it private"
+                    ),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Identifier tokens as `(token index, text)`, skipping comments and every
+/// `use` declaration up to its `;`.
+fn ident_uses<'a>(tokens: &[Token<'a>]) -> Vec<(usize, &'a str)> {
+    let mut uses = Vec::new();
+    let mut in_use = false;
+    for (i, tok) in tokens.iter().enumerate() {
+        match tok.kind {
+            TokenKind::Ident if tok.text == "use" => in_use = true,
+            TokenKind::Punct if tok.text == ";" => in_use = false,
+            TokenKind::Ident if !in_use => uses.push((i, tok.text)),
+            _ => {}
+        }
+    }
+    uses
+}
+
+/// Every `pub fn` (also `pub const fn` and `pub unsafe fn`) as its name
+/// and the token-index range from the name to the end of its body.
+/// `pub(crate)` and narrower items are rustc's `dead_code` business.
+fn pub_fns<'a>(tokens: &[Token<'a>], code: &[usize]) -> Vec<(&'a str, std::ops::Range<usize>)> {
+    let text = |k: usize| code.get(k).map_or("", |&i| tokens[i].text);
+    let mut fns = Vec::new();
+    for k in 0..code.len() {
+        if text(k) != "pub" {
+            continue;
+        }
+        let mut n = k + 1;
+        while matches!(text(n), "const" | "unsafe") {
+            n += 1;
+        }
+        if text(n) != "fn" || n + 1 >= code.len() {
+            continue;
+        }
+        let name = n + 1;
+        // The body opens at the first `{` outside the signature's brackets;
+        // a `;` there means a bodiless declaration.
+        let mut depth = 0usize;
+        let mut j = name + 1;
+        while j < code.len() {
+            match text(j) {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth = depth.saturating_sub(1),
+                "{" | ";" if depth == 0 => break,
+                _ => {}
+            }
+            j += 1;
+        }
+        if text(j) == "{" {
+            let mut braces = 0usize;
+            while j < code.len() {
+                match text(j) {
+                    "{" => braces += 1,
+                    "}" => {
+                        braces -= 1;
+                        if braces == 0 {
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+                j += 1;
+            }
+        }
+        let end = code.get(j).map_or(tokens.len(), |&i| i + 1);
+        fns.push((tokens[code[name]].text, code[name]..end));
+    }
+    fns
 }
 
 /// L6 count: `.unwrap()` and `.expect("")` occurrences outside

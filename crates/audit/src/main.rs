@@ -7,9 +7,10 @@
 //! cargo run -p pim-audit -- --root <dir> # audit another workspace
 //! ```
 //!
-//! `--check` fails on: any L1–L5 diagnostic, malformed or unused
-//! `audit:allow` markers, a missing baseline file, or any unwrap-ratchet
-//! count above the committed `audit_baseline.txt`.
+//! `--check` fails on: any L1–L5, L7 or L8 (`dead-pub`) diagnostic,
+//! malformed or unused `audit:allow` markers, a missing baseline file, or
+//! any unwrap-ratchet count above the committed `audit_baseline.txt`.
+//! `perfbench/src` is read for `dead-pub` callers but never audited.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -6,6 +6,7 @@
 //! the workspace scan of the real `pim-audit --check` run never picks
 //! deliberately-offending sources up.
 
+use pim_audit::audit_sources;
 use pim_audit::lints::{audit_file, FileAudit};
 
 /// Audits `src` as a library-crate source file (every lint in scope,
@@ -184,4 +185,88 @@ fn lexer_edge_cases_do_not_desynchronize_the_lints() {
                let url = \"https://x\";\n    1.0 == 2.0\n}\n";
     let out = audit(src);
     assert_eq!(lint_lines(&out, "float-eq"), vec![4]);
+}
+
+/// Workspace path of the `dead-pub` fixture library file.
+const LIB_PATH: &str = "crates/linalg/src/a.rs";
+
+/// A library file whose `pub fn helper` only its own unit tests call.
+const LIB: &str = "pub fn helper() -> u8 {\n    private_helper()\n}\n\
+                   fn private_helper() -> u8 {\n    1\n}\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+                   assert_eq!(super::helper(), 1);\n    }\n}\n";
+
+/// The `dead-pub` findings of a workspace made of `files`, as
+/// `(path, line)` pairs.
+fn dead_pub(files: &[(&str, &str)]) -> Vec<(String, u32)> {
+    audit_sources(files)
+        .reports
+        .iter()
+        .flat_map(|r| {
+            r.audit
+                .diagnostics
+                .iter()
+                .filter(|d| d.lint == "dead-pub")
+                .map(|d| (r.path.clone(), d.line))
+        })
+        .collect()
+}
+
+#[test]
+fn l8_dead_pub_fires_on_a_fn_only_its_own_tests_call() {
+    assert_eq!(dead_pub(&[(LIB_PATH, LIB)]), vec![(LIB_PATH.to_string(), 1)]);
+    // A caller in the same file outside the tests makes it live.
+    let used = format!("{LIB}pub fn twice() -> u8 {{\n    2 * helper()\n}}\n");
+    assert_eq!(
+        dead_pub(&[(LIB_PATH, &used), ("examples/e.rs", "fn main() { twice(); }\n")]),
+        vec![]
+    );
+    // Only library sources declare: a tool crate's `pub fn` and a
+    // `pub(crate) fn` are out of scope.
+    assert!(dead_pub(&[("crates/bench/src/lib.rs", LIB)]).is_empty());
+    let crate_only = LIB.replace("pub fn helper", "pub(crate) fn helper");
+    assert!(dead_pub(&[(LIB_PATH, &crate_only)]).is_empty());
+}
+
+#[test]
+fn l8_dead_pub_counts_callers_in_every_other_file() {
+    let call = "fn main() {\n    let _ = pim_linalg::a::helper();\n}\n";
+    for caller in [
+        "crates/linalg/tests/properties.rs",
+        "crates/bench/src/bin/fig.rs",
+        "examples/demo.rs",
+        "perfbench/src/probe.rs",
+    ] {
+        assert!(dead_pub(&[(LIB_PATH, LIB), (caller, call)]).is_empty(), "{caller}");
+    }
+    // Another file's unit tests are callers too.
+    let test_caller =
+        "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        crate::a::helper();\n    }\n}\n";
+    assert!(dead_pub(&[(LIB_PATH, LIB), ("crates/linalg/src/b.rs", test_caller)]).is_empty());
+    // perfbench is read for callers but never audited itself.
+    let out = audit_sources(&[("perfbench/src/main.rs", "use std::collections::HashMap;\n")]);
+    assert!(out.reports.is_empty());
+    assert_eq!(out.files_scanned, 0);
+}
+
+#[test]
+fn l8_dead_pub_ignores_reexports_and_comments() {
+    let facade = "//! Start at [`a::helper`]; helper() is the entry point.\npub mod a;\n\
+                  pub use a::helper;\nuse a::{helper as h};\n";
+    assert_eq!(
+        dead_pub(&[(LIB_PATH, LIB), ("crates/linalg/src/lib.rs", facade)]),
+        vec![(LIB_PATH.to_string(), 1)]
+    );
+}
+
+#[test]
+fn l8_dead_pub_honours_the_allow_marker() {
+    let allowed = format!("// audit:allow(dead-pub): the import path for outside data\n{LIB}");
+    let out = audit_sources(&[(LIB_PATH, &allowed)]);
+    assert!(out.reports.is_empty(), "{:?}", out.reports);
+    // A dead-pub marker with nothing to allow is reported as unused.
+    let stale = "// audit:allow(dead-pub): nothing to allow\nfn private() {}\n";
+    let out = audit_sources(&[(LIB_PATH, stale)]);
+    assert_eq!(out.violations(), 1);
+    assert_eq!(out.reports[0].audit.unused_allows, vec![(1, "dead-pub".to_string())]);
 }

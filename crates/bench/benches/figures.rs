@@ -21,15 +21,14 @@ use pim_vectfit::{fit_magnitude, vector_fit, MagnitudeFitConfig, VfConfig};
 
 fn bench_figures(c: &mut Criterion) {
     let sc = ScenarioPreset::Reduced.build().expect("scenario");
-    let vf_cfg = VfConfig { n_poles: 14, n_iterations: 4, ..VfConfig::default() };
+    let vf_cfg = VfConfig { n_poles: 14, n_iterations: 4 };
     let xi = analytic_sensitivity(&sc.data, &sc.network, sc.observation_port).expect("xi");
     let weights = pim_pdn::sensitivity::sensitivity_to_weights(&xi, 1e-2).expect("weights");
     let weighted = vector_fit(&sc.data, Some(&weights), &vf_cfg).expect("weighted fit");
     let omegas = sc.data.grid().omegas();
     let (fo, fx): (Vec<f64>, Vec<f64>) =
         omegas.iter().zip(&xi).filter(|(&w, _)| w > 0.0).map(|(&w, &x)| (w, x)).unzip();
-    let xi_model = fit_magnitude(&fo, &fx, &MagnitudeFitConfig { order: 6, ..Default::default() })
-        .expect("xi model");
+    let xi_model = fit_magnitude(&fo, &fx, &MagnitudeFitConfig { order: 6 }).expect("xi model");
 
     c.bench_function("fig1_standard_vector_fit", |b| {
         b.iter(|| vector_fit(&sc.data, None, &vf_cfg).expect("fit"))
@@ -42,8 +41,7 @@ fn bench_figures(c: &mut Criterion) {
             let xi = analytic_sensitivity(&sc.data, &sc.network, sc.observation_port).expect("xi");
             let (fo, fx): (Vec<f64>, Vec<f64>) =
                 omegas.iter().zip(&xi).filter(|(&w, _)| w > 0.0).map(|(&w, &x)| (w, x)).unzip();
-            fit_magnitude(&fo, &fx, &MagnitudeFitConfig { order: 6, ..Default::default() })
-                .expect("fit")
+            fit_magnitude(&fo, &fx, &MagnitudeFitConfig { order: 6 }).expect("fit")
         })
     });
     // The default (adaptive) assessment, and the same sweep without any
@@ -93,8 +91,7 @@ fn bench_figures(c: &mut Criterion) {
     c.bench_function("ablation_sensitivity_order_4_vs_8", |b| {
         b.iter(|| {
             for order in [4usize, 8] {
-                fit_magnitude(&fo, &fx, &MagnitudeFitConfig { order, ..Default::default() })
-                    .expect("fit");
+                fit_magnitude(&fo, &fx, &MagnitudeFitConfig { order }).expect("fit");
             }
         })
     });
@@ -111,7 +108,7 @@ fn bench_figures(c: &mut Criterion) {
         ThreadPool::new(std::thread::available_parallelism().map_or(2, usize::from).max(2));
     let sweep_presets = [ScenarioPreset::Reduced, ScenarioPreset::Minimal];
     let sweep_config = FlowConfig {
-        vf: VfConfig { n_poles: 14, n_iterations: 4, ..VfConfig::default() },
+        vf: VfConfig { n_poles: 14, n_iterations: 4 },
         sensitivity_order: 6,
         enforcement: EnforcementConfig {
             sweep_points: 120,

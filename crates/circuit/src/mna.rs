@@ -98,9 +98,8 @@ impl Element {
 /// let n = ckt.node();
 /// ckt.add(Element::Resistor { a: n, b: 0, ohms: 25.0 })?;
 /// ckt.add_port(n)?;
-/// let grid = pim_rfdata::FrequencyGrid::from_hz(vec![1e6])?;
-/// let z = ckt.impedance_parameters(&grid)?;
-/// assert!((z.matrix(0)[(0, 0)].re - 25.0).abs() < 1e-6);
+/// let z = ckt.port_impedance_at(2.0 * std::f64::consts::PI * 1e6)?;
+/// assert!((z[(0, 0)].re - 25.0).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
@@ -109,13 +108,16 @@ pub struct Circuit {
     n_nodes: usize,
     elements: Vec<Element>,
     ports: Vec<usize>,
-    gmin: f64,
 }
+
+/// Node-to-ground conductance (numerical `gmin`) that keeps the nodal
+/// matrix nonsingular at DC for floating nets.
+const GMIN: f64 = 1e-12;
 
 impl Circuit {
     /// Creates an empty circuit (ground node only).
     pub fn new() -> Self {
-        Circuit { n_nodes: 0, elements: Vec::new(), ports: Vec::new(), gmin: 1e-12 }
+        Circuit::default()
     }
 
     /// Allocates a new node and returns its index (`≥ 1`; `0` is ground).
@@ -137,12 +139,6 @@ impl Circuit {
     /// The elements of the netlist.
     pub fn elements(&self) -> &[Element] {
         &self.elements
-    }
-
-    /// Sets the minimum node-to-ground conductance (numerical `gmin`) used to
-    /// keep the nodal matrix nonsingular at DC for floating nets.
-    pub fn set_gmin(&mut self, gmin: f64) {
-        self.gmin = gmin.max(0.0);
     }
 
     /// Adds an element.
@@ -196,7 +192,7 @@ impl Circuit {
         let n = self.n_nodes;
         let mut y = CMat::zeros(n, n);
         for i in 0..n {
-            y[(i, i)] = Complex64::from_real(self.gmin);
+            y[(i, i)] = Complex64::from_real(GMIN);
         }
         for el in &self.elements {
             let (a, b) = el.nodes();
@@ -239,19 +235,6 @@ impl Circuit {
             }
         }
         Ok(z)
-    }
-
-    /// Tabulates the open-circuit impedance parameters over a frequency grid.
-    ///
-    /// # Errors
-    ///
-    /// See [`Circuit::port_impedance_at`].
-    pub fn impedance_parameters(&self, grid: &FrequencyGrid) -> Result<NetworkData> {
-        let mut matrices = Vec::with_capacity(grid.len());
-        for &omega in &grid.omegas() {
-            matrices.push(self.port_impedance_at(omega)?);
-        }
-        Ok(NetworkData::new(grid.clone(), matrices, ParameterKind::Impedance, 50.0)?)
     }
 
     /// Tabulates the scattering parameters (normalized to `z_ref`) over a
@@ -355,9 +338,6 @@ mod tests {
         for k in 0..s.len() {
             assert!(s.matrix(k)[(0, 0)].abs() < 1e-6);
         }
-        // Impedance parameters agree with the direct evaluation.
-        let z = ckt.impedance_parameters(&grid).unwrap();
-        assert!((z.matrix(0)[(0, 0)].re - 50.0).abs() < 1e-5);
     }
 
     #[test]

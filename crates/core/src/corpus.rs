@@ -140,7 +140,7 @@ impl Default for CorpusConfig {
 /// assessment and enforcement grid).
 pub fn corpus_flow_config(n_poles: usize) -> FlowConfig {
     FlowConfig {
-        vf: VfConfig { n_poles, n_iterations: 5, ..VfConfig::default() },
+        vf: VfConfig { n_poles, n_iterations: 5 },
         sensitivity_order: 6,
         enforcement: EnforcementConfig {
             sweep_points: 200,
@@ -208,9 +208,6 @@ pub struct CorpusVerdict {
     /// The recovery rung that delivered the model (completed flows only;
     /// [`RecoveryRung::Primary`] when the ladder never engaged).
     pub rung: Option<RecoveryRung>,
-    /// For [`CorpusClass::Diverged`]: whether the enforcement handed back a
-    /// best-so-far model alongside the failure.
-    pub best_available: bool,
     /// Human-readable reason / failure message.
     pub detail: String,
 }
@@ -251,7 +248,6 @@ impl CorpusCase {
             standard_error: None,
             iterations: 0,
             rung: None,
-            best_available: false,
             detail: String::new(),
         };
         let (_pdn, data, network, observation_port) = match self.assemble() {
@@ -279,17 +275,15 @@ impl CorpusCase {
             Err(CoreError::Passivity(PassivityError::NotConverged {
                 iterations,
                 sigma_max,
-                best,
                 diagnostics,
+                ..
             })) => {
                 verdict.class = CorpusClass::Diverged;
                 verdict.iterations = iterations;
-                verdict.best_available = best.is_some();
                 verdict.audit_sigma_max = diagnostics.best_sigma_max;
                 verdict.detail = format!(
                     "weighted enforcement diverged at iteration {iterations} \
-                     (sigma_max {sigma_max:.6}, best-so-far {}); {diagnostics}",
-                    if best.is_some() { "available" } else { "missing" }
+                     (sigma_max {sigma_max:.6}); {diagnostics}"
                 );
                 return verdict;
             }
@@ -326,7 +320,7 @@ impl CorpusCase {
         };
         verdict.standard_error = standard_error;
 
-        let audit_pass = audit_sigma_max <= 1.0 + self.sigma_tolerance;
+        let audit_pass = contract.passivity_ok();
         let beats_standard = standard_error.is_none_or(|s| weighted_error < s);
         if audit_pass && beats_standard {
             verdict.class = CorpusClass::Certified;
@@ -342,7 +336,7 @@ impl CorpusCase {
             if !audit_pass {
                 reasons.push(format!(
                     "audit sigma_max {:.9} > 1+{:.0e}",
-                    audit_sigma_max, self.sigma_tolerance
+                    audit_sigma_max, contract.sigma_tolerance
                 ));
             }
             if !beats_standard {
@@ -412,7 +406,6 @@ impl Corpus {
                 standard_error: None,
                 iterations: 0,
                 rung: None,
-                best_available: false,
                 detail: format!("generator: {e}"),
             },
         })

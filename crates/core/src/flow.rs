@@ -45,7 +45,7 @@ pub struct FlowConfig {
 impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
-            vf: VfConfig { n_poles: 18, n_iterations: 6, ..VfConfig::default() },
+            vf: VfConfig { n_poles: 18, n_iterations: 6 },
             sensitivity_order: 8,
             enforcement: EnforcementConfig::default(),
             contract: ContractConfig::default(),

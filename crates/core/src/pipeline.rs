@@ -94,8 +94,6 @@ pub struct AssessmentArtifact {
     pub report: PassivityReport,
     /// Worst singular value before any enforcement.
     pub sigma_max_before: f64,
-    /// Upper edge of the data band in rad/s (the enforcement sweep limit).
-    pub band_max_omega: f64,
 }
 
 /// Artifact of an enforcement stage.
@@ -312,7 +310,7 @@ impl<'a> Pipeline<'a> {
             let model = fit_magnitude(
                 &fit_omegas,
                 &fit_xi,
-                &MagnitudeFitConfig { order: self.config.sensitivity_order, ..Default::default() },
+                &MagnitudeFitConfig { order: self.config.sensitivity_order },
             )?;
             self.weighting = Some(model);
             self.stage_done(Stage::WeightingModel);
@@ -332,7 +330,6 @@ impl<'a> Pipeline<'a> {
             let fit = self.fit(FitKind::Weighted)?;
             self.stage_start(Stage::Assessment);
             let omegas = self.data.grid().omegas();
-            let band_max_omega = self.data.grid().max_omega();
             let report = assess_with_sampling(
                 pim_runtime::global(),
                 &fit.result.model,
@@ -340,7 +337,7 @@ impl<'a> Pipeline<'a> {
                 self.config.enforcement.sampling.as_ref(),
             )?;
             let sigma_max_before = report.sigma_max;
-            self.assessment = Some(AssessmentArtifact { report, sigma_max_before, band_max_omega });
+            self.assessment = Some(AssessmentArtifact { report, sigma_max_before });
             self.stage_done(Stage::Assessment);
         }
         Ok(self.assessment.clone().expect("assessment just cached"))
@@ -410,10 +407,8 @@ impl<'a> Pipeline<'a> {
         let band_max_omega = self.data.grid().max_omega();
         let result = match enforce_passivity(model, norm, band_max_omega, config, observer) {
             Err(PassivityError::NotConverged { iterations, sigma_max, best, mut diagnostics }) => {
-                if let Some(best_model) = best.as_deref() {
-                    if let Ok(audit) = assess_on(best_model, &self.audit_grid()) {
-                        diagnostics.best_sigma_max = Some(audit.sigma_max);
-                    }
+                if let Ok(audit) = assess_on(&best, &self.audit_grid()) {
+                    diagnostics.best_sigma_max = Some(audit.sigma_max);
                 }
                 Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics })
             }

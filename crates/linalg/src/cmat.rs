@@ -371,16 +371,6 @@ impl CMat {
         Mat::from_fn(self.rows, self.cols, |i, j| self[(i, j)].im)
     }
 
-    /// Builds a complex matrix from separate real and imaginary parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn from_parts(re: &Mat, im: &Mat) -> CMat {
-        assert_eq!(re.shape(), im.shape(), "from_parts shape mismatch");
-        CMat::from_fn(re.rows(), re.cols(), |i, j| Complex64::new(re[(i, j)], im[(i, j)]))
-    }
-
     /// Inverse via LU factorization with partial pivoting.
     ///
     /// # Errors
@@ -409,24 +399,6 @@ impl CMat {
     pub fn max_abs_diff(&self, other: &CMat) -> f64 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
         self.data.iter().zip(other.data.iter()).fold(0.0_f64, |m, (a, b)| m.max((*a - *b).abs()))
-    }
-
-    /// Returns `true` if the matrix is Hermitian to within `tol`.
-    pub fn is_hermitian(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            if self[(i, i)].im.abs() > tol {
-                return false;
-            }
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)].conj()).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -553,7 +525,7 @@ mod tests {
         assert!(a.matmul(&i).unwrap().max_abs_diff(&a) < 1e-15);
         // (A A^H) must be Hermitian
         let aah = a.matmul(&a.hermitian()).unwrap();
-        assert!(aah.is_hermitian(1e-14));
+        assert!(aah.max_abs_diff(&aah.hermitian()) < 1e-14);
         assert!(a.matmul(&CMat::zeros(3, 3)).is_err());
     }
 
@@ -615,7 +587,7 @@ mod tests {
     fn parts_roundtrip_and_norms() {
         let re = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let im = Mat::from_rows(&[&[-1.0, 0.0], &[0.5, 2.0]]);
-        let a = CMat::from_parts(&re, &im);
+        let a = CMat::from_fn(2, 2, |i, j| Complex64::new(re[(i, j)], im[(i, j)]));
         assert!(a.real().max_abs_diff(&re) < 1e-15);
         assert!(a.imag().max_abs_diff(&im) < 1e-15);
         assert!(a.frobenius_norm() > 0.0);
@@ -639,15 +611,6 @@ mod tests {
         t += &a;
         t -= &a;
         assert!(t.max_abs_diff(&a) < 1e-15);
-    }
-
-    #[test]
-    fn hermitian_check() {
-        let h = CMat::from_rows(&[&[c(2.0, 0.0), c(1.0, 1.0)], &[c(1.0, -1.0), c(3.0, 0.0)]]);
-        assert!(h.is_hermitian(1e-14));
-        let nh = CMat::from_rows(&[&[c(2.0, 0.1), c(1.0, 1.0)], &[c(1.0, -1.0), c(3.0, 0.0)]]);
-        assert!(!nh.is_hermitian(1e-14));
-        assert!(!CMat::zeros(1, 2).is_hermitian(1e-14));
     }
 
     #[test]

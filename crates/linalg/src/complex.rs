@@ -147,12 +147,6 @@ impl Complex64 {
         Complex64::new(self.re * k, self.im * k)
     }
 
-    /// Returns `true` if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
-    }
-
     /// Returns `true` if both components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {

@@ -1,8 +1,7 @@
 //! Eigenvalue computations built on top of the Schur decomposition, plus a
 //! cyclic Jacobi eigensolver for real symmetric matrices.
 
-use crate::schur::complex_schur_eigenvalues;
-use crate::{CMat, Complex64, LinalgError, Mat, Result};
+use crate::{Complex64, LinalgError, Mat, Result};
 
 /// Eigenvalues of a real square matrix (possibly complex, returned as
 /// [`Complex64`]).
@@ -27,24 +26,6 @@ pub fn eigenvalues(a: &Mat) -> Result<Vec<Complex64>> {
     // complex QR iteration directly on the reduced form.
     let h = crate::hessenberg::hessenberg_real_h_only(a)?;
     crate::schur::hessenberg_eigenvalues(h.to_complex())
-}
-
-/// Eigenvalues of a complex square matrix.
-///
-/// # Errors
-///
-/// See [`complex_schur`](crate::schur::complex_schur).
-pub fn eigenvalues_complex(a: &CMat) -> Result<Vec<Complex64>> {
-    complex_schur_eigenvalues(a)
-}
-
-/// Spectral radius (largest eigenvalue magnitude) of a real square matrix.
-///
-/// # Errors
-///
-/// See [`eigenvalues`].
-pub fn spectral_radius(a: &Mat) -> Result<f64> {
-    Ok(eigenvalues(a)?.iter().fold(0.0_f64, |m, e| m.max(e.abs())))
 }
 
 /// Eigendecomposition of a real symmetric matrix.
@@ -134,21 +115,6 @@ pub fn symmetric_eig(a: &Mat) -> Result<SymmetricEig> {
     })
 }
 
-/// Returns `true` if the symmetric matrix `a` is positive definite, judged by
-/// its smallest eigenvalue exceeding `-tol · max(|λ|)`.
-///
-/// # Errors
-///
-/// See [`symmetric_eig`].
-pub fn is_positive_definite(a: &Mat, tol: f64) -> Result<bool> {
-    let e = symmetric_eig(a)?;
-    if e.values.is_empty() {
-        return Ok(true);
-    }
-    let max_abs = e.values.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    Ok(e.values[0] > -tol * max_abs.max(1e-300))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,12 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn spectral_radius_of_scaled_identity() {
-        let a = Mat::identity(4).scaled(-2.5);
-        assert!((spectral_radius(&a).unwrap() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn symmetric_eig_diagonalizes() {
         let a = Mat::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]);
         let e = symmetric_eig(&a).unwrap();
@@ -204,26 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn positive_definiteness_check() {
-        let spd = Mat::from_rows(&[&[2.0, -1.0], &[-1.0, 2.0]]);
-        assert!(is_positive_definite(&spd, 1e-12).unwrap());
-        let indef = Mat::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]);
-        assert!(!is_positive_definite(&indef, 1e-12).unwrap());
-        assert!(is_positive_definite(&Mat::zeros(0, 0), 1e-12).unwrap());
-    }
-
-    #[test]
     fn rejects_non_square() {
         assert!(symmetric_eig(&Mat::zeros(2, 3)).is_err());
         assert!(eigenvalues(&Mat::zeros(1, 2)).is_err());
-    }
-
-    #[test]
-    fn eigenvalues_complex_matrix() {
-        let a = CMat::from_diag(&[Complex64::new(1.0, 2.0), Complex64::new(-3.0, 0.5)]);
-        let ev = eigenvalues_complex(&a).unwrap();
-        let mut re: Vec<f64> = ev.iter().map(|e| e.re).collect();
-        re.sort_by(|x, y| x.total_cmp(y));
-        assert!((re[0] + 3.0).abs() < 1e-12 && (re[1] - 1.0).abs() < 1e-12);
     }
 }

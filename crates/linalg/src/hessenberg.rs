@@ -94,20 +94,26 @@ pub struct Hessenberg {
 /// # }
 /// ```
 pub fn hessenberg(a: &CMat) -> Result<Hessenberg> {
-    let mut q = CMat::identity(a.rows().max(a.cols()));
-    let h = reduce(a, Some(&mut q))?;
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare { context: "hessenberg", dims: a.shape() });
+    }
+    let n = a.rows();
+    let mut h = a.clone();
+    let mut q = CMat::identity(n);
+    for k in 0..n.saturating_sub(2) {
+        for i in ((k + 2)..n).rev() {
+            // audit:allow(float-eq): only a bitwise-zero subdiagonal entry may be skipped without fill-in
+            if h[(i, k)].abs() == 0.0 {
+                continue;
+            }
+            let g = Givens::compute(h[(i - 1, k)], h[(i, k)]);
+            g.apply_left(&mut h, i - 1, i, k, n);
+            h[(i, k)] = Complex64::ZERO;
+            g.apply_right(&mut h, i - 1, i, 0, n);
+            g.apply_right(&mut q, i - 1, i, 0, n);
+        }
+    }
     Ok(Hessenberg { h, q })
-}
-
-/// Reduces `a` to upper Hessenberg form **without** accumulating the unitary
-/// transformation — the cheaper entry point for eigenvalue-only callers (the
-/// similarity factor is never needed to read eigenvalues off the Schur form).
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] when `a` is not square.
-pub fn hessenberg_h_only(a: &CMat) -> Result<CMat> {
-    reduce(a, None)
 }
 
 /// Reduces a **real** square matrix to upper Hessenberg form in real
@@ -175,34 +181,6 @@ pub fn hessenberg_real_h_only(a: &Mat) -> Result<Mat> {
     Ok(h)
 }
 
-/// Shared reduction kernel; accumulates the rotations into `q` when given.
-fn reduce(a: &CMat, mut q: Option<&mut CMat>) -> Result<CMat> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { context: "hessenberg", dims: a.shape() });
-    }
-    let n = a.rows();
-    let mut h = a.clone();
-    if n <= 2 {
-        return Ok(h);
-    }
-    for k in 0..(n - 2) {
-        for i in ((k + 2)..n).rev() {
-            // audit:allow(float-eq): only a bitwise-zero subdiagonal entry may be skipped without fill-in
-            if h[(i, k)].abs() == 0.0 {
-                continue;
-            }
-            let g = Givens::compute(h[(i - 1, k)], h[(i, k)]);
-            g.apply_left(&mut h, i - 1, i, k, n);
-            h[(i, k)] = Complex64::ZERO;
-            g.apply_right(&mut h, i - 1, i, 0, n);
-            if let Some(q) = q.as_deref_mut() {
-                g.apply_right(q, i - 1, i, 0, n);
-            }
-        }
-    }
-    Ok(h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,7 +242,6 @@ mod tests {
     #[test]
     fn rejects_non_square() {
         assert!(hessenberg(&CMat::zeros(2, 3)).is_err());
-        assert!(hessenberg_h_only(&CMat::zeros(2, 3)).is_err());
     }
 
     #[test]
@@ -277,7 +254,7 @@ mod tests {
             };
             let a = Mat::from_fn(n, n, |_, _| next());
             let h_real = hessenberg_real_h_only(&a).unwrap();
-            let h_cplx = hessenberg_h_only(&a.to_complex()).unwrap();
+            let h_cplx = hessenberg(&a.to_complex()).unwrap().h;
             assert_eq!(
                 h_cplx.imag().max_abs().to_bits(),
                 0.0f64.to_bits(),
@@ -290,16 +267,6 @@ mod tests {
             );
         }
         assert!(hessenberg_real_h_only(&Mat::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn h_only_reduction_matches_full_reduction() {
-        for n in [1usize, 3, 7, 11] {
-            let a = random_like(n, 9 + n as u64);
-            let full = hessenberg(&a).unwrap();
-            let h = hessenberg_h_only(&a).unwrap();
-            assert_eq!(h.max_abs_diff(&full.h).to_bits(), 0.0f64.to_bits(), "H drift for n={n}");
-        }
     }
 
     #[test]

@@ -62,9 +62,6 @@ pub use mat::Mat;
 use std::error::Error;
 use std::fmt;
 
-/// Convenient alias for the complex scalar used throughout the workspace.
-pub type C64 = Complex64;
-
 /// Errors produced by the linear algebra kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {

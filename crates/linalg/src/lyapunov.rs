@@ -161,25 +161,6 @@ pub fn controllability_gramian(a: &Mat, b: &Mat) -> Result<Mat> {
     solve_lyapunov(a, &bbt)
 }
 
-/// Observability Gramian `Q` of the pair `(A, C)`: the solution of
-/// `Aᵀ·Q + Q·A + Cᵀ·C = 0`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] if `C` has a different column
-/// count than `A`, plus the errors of [`solve_lyapunov`].
-pub fn observability_gramian(a: &Mat, c: &Mat) -> Result<Mat> {
-    if c.cols() != a.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            context: "observability_gramian",
-            left: a.shape(),
-            right: c.shape(),
-        });
-    }
-    let ctc = c.transpose().matmul(c)?;
-    solve_lyapunov(&a.transpose(), &ctc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,16 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn observability_gramian_matches_transposed_problem() {
-        let a = random_stable(4, 3);
-        let c = Mat::from_fn(2, 4, |i, j| (i * 4 + j) as f64 * 0.1);
-        let q = observability_gramian(&a, &c).unwrap();
-        let resid = &(&a.transpose().matmul(&q).unwrap() + &q.matmul(&a).unwrap())
-            + &c.transpose().matmul(&c).unwrap();
-        assert!(resid.max_abs() < 1e-9);
-    }
-
-    #[test]
     fn singular_when_spectra_overlap() {
         // A and -B share the eigenvalue 1 -> no unique solution.
         let a = Mat::from_diag(&[1.0, 2.0]);
@@ -274,7 +245,6 @@ mod tests {
         assert!(solve_lyapunov(&a, &Mat::zeros(3, 3)).is_err());
         assert!(solve_lyapunov(&Mat::zeros(2, 3), &Mat::zeros(2, 2)).is_err());
         assert!(controllability_gramian(&a, &Mat::zeros(3, 1)).is_err());
-        assert!(observability_gramian(&a, &Mat::zeros(1, 3)).is_err());
         assert!(solve_sylvester(&a, &a, &Mat::zeros(1, 1)).is_err());
     }
 

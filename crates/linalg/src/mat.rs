@@ -183,18 +183,6 @@ impl Mat {
         self.data.get(j..).unwrap_or(&[]).iter().step_by(self.cols).copied()
     }
 
-    /// Copies column `j` into `out` (which must hold exactly `rows` entries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols` or `out.len() != rows`.
-    pub fn copy_col_into(&self, j: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.rows, "copy_col_into length mismatch");
-        for (dst, src) in out.iter_mut().zip(self.col_iter(j)) {
-            *dst = src;
-        }
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Mat {
         let mut t = Mat::zeros(self.cols, self.rows);
@@ -475,104 +463,9 @@ impl Mat {
         }
     }
 
-    /// Builds a block-diagonal matrix from the given blocks.
-    pub fn block_diag(blocks: &[&Mat]) -> Mat {
-        let rows: usize = blocks.iter().map(|b| b.rows).sum();
-        let cols: usize = blocks.iter().map(|b| b.cols).sum();
-        let mut out = Mat::zeros(rows, cols);
-        let (mut r, mut c) = (0, 0);
-        for b in blocks {
-            out.set_block(r, c, b);
-            r += b.rows;
-            c += b.cols;
-        }
-        out
-    }
-
-    /// Horizontal concatenation `[self | rhs]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when the row counts differ.
-    pub fn hstack(&self, rhs: &Mat) -> Result<Mat> {
-        if self.rows != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Mat::hstack",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let mut out = Mat::zeros(self.rows, self.cols + rhs.cols);
-        out.set_block(0, 0, self);
-        out.set_block(0, self.cols, rhs);
-        Ok(out)
-    }
-
-    /// Vertical concatenation `[self; rhs]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when the column counts differ.
-    pub fn vstack(&self, rhs: &Mat) -> Result<Mat> {
-        if self.cols != rhs.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Mat::vstack",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let mut out = Mat::zeros(self.rows + rhs.rows, self.cols);
-        out.set_block(0, 0, self);
-        out.set_block(self.rows, 0, rhs);
-        Ok(out)
-    }
-
-    /// Kronecker product `self ⊗ rhs`.
-    pub fn kron(&self, rhs: &Mat) -> Mat {
-        let mut out = Mat::zeros(self.rows * rhs.rows, self.cols * rhs.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let a = self[(i, j)];
-                // audit:allow(float-eq): exact-zero entry contributes nothing to the sparse product
-                if a == 0.0 {
-                    continue;
-                }
-                for p in 0..rhs.rows {
-                    for q in 0..rhs.cols {
-                        out[(i * rhs.rows + p, j * rhs.cols + q)] = a * rhs[(p, q)];
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Converts into a complex matrix with zero imaginary part.
     pub fn to_complex(&self) -> CMat {
         CMat::from_fn(self.rows, self.cols, |i, j| Complex64::from_real(self[(i, j)]))
-    }
-
-    /// Column-stacking vectorization `vec(A)` (Fortran order), as used in the
-    /// Kronecker identity `vec(AXB) = (Bᵀ ⊗ A) vec(X)`.
-    pub fn vec(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.rows * self.cols);
-        for j in 0..self.cols {
-            for i in 0..self.rows {
-                out.push(self[(i, j)]);
-            }
-        }
-        out
-    }
-
-    /// Inverse of [`Mat::vec`]: rebuilds a `rows × cols` matrix from a
-    /// column-stacked vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != rows * cols`.
-    pub fn from_vec_col_major(v: &[f64], rows: usize, cols: usize) -> Mat {
-        assert_eq!(v.len(), rows * cols, "from_vec_col_major length mismatch");
-        Mat::from_fn(rows, cols, |i, j| v[j * rows + i])
     }
 
     /// Maximum absolute difference with another matrix of identical shape.
@@ -777,9 +670,6 @@ mod tests {
         let col: Vec<f64> = a.col_iter(2).collect();
         assert_eq!(col, vec![3.0, 6.0]);
         assert_eq!(a.col_iter(0).len(), 2);
-        let mut buf = [0.0; 2];
-        a.copy_col_into(1, &mut buf);
-        assert_eq!(buf, [2.0, 5.0]);
         let mut b = a.clone();
         b.scale_in_place(2.0);
         assert!(b.max_abs_diff(&a.scaled(2.0)) < 1e-15);
@@ -797,27 +687,12 @@ mod tests {
         assert_eq!((t[(2, 1)]).to_bits(), 6.0f64.to_bits());
         let b = a.block(0, 1, 2, 2);
         assert_eq!(b, Mat::from_rows(&[&[2.0, 3.0], &[5.0, 6.0]]));
-        let h = a.hstack(&a).unwrap();
-        assert_eq!(h.shape(), (2, 6));
-        let v = a.vstack(&a).unwrap();
-        assert_eq!(v.shape(), (4, 3));
-        let bd = Mat::block_diag(&[&Mat::identity(2), &Mat::filled(1, 1, 5.0)]);
-        assert_eq!(bd.shape(), (3, 3));
-        assert_eq!((bd[(2, 2)]).to_bits(), 5.0f64.to_bits());
-        assert_eq!((bd[(0, 2)]).to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn kron_and_vec_identity() {
-        // vec(A X B) = (B^T kron A) vec(X)
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[0.0, -1.0]]);
-        let x = Mat::from_rows(&[&[3.0, 1.0], &[2.0, 4.0]]);
-        let b = Mat::from_rows(&[&[0.5, 1.0], &[-2.0, 0.0]]);
-        let axb = a.matmul(&x).unwrap().matmul(&b).unwrap();
-        let k = b.transpose().kron(&a);
-        let v = k.matvec(&x.vec()).unwrap();
-        let rebuilt = Mat::from_vec_col_major(&v, 2, 2);
-        assert!(axb.max_abs_diff(&rebuilt) < 1e-12);
+        // Stacking [a | a] with set_block.
+        let mut h = Mat::zeros(2, 6);
+        h.set_block(0, 0, &a);
+        h.set_block(0, 3, &a);
+        assert_eq!(h.block(0, 3, 2, 3), a);
+        assert_eq!((h[(1, 5)]).to_bits(), 6.0f64.to_bits());
     }
 
     #[test]

@@ -220,24 +220,6 @@ impl QrFactor {
         }
         Ok(x)
     }
-
-    /// Residual norm `‖A·x − b‖₂` of a candidate solution (helper mostly for
-    /// tests and diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] on inconsistent lengths.
-    pub fn residual_norm(a: &Mat, x: &[f64], b: &[f64]) -> Result<f64> {
-        let ax = a.matvec(x)?;
-        if ax.len() != b.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: "QrFactor::residual_norm",
-                left: (ax.len(), 1),
-                right: (b.len(), 1),
-            });
-        }
-        Ok(ax.iter().zip(b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt())
-    }
 }
 
 /// One-shot least squares solve `min ‖A·x − b‖₂` via Householder QR.
@@ -314,33 +296,6 @@ pub fn lstsq_scaled(a: &Mat, b: &[f64], lambda_rel: f64) -> Result<Vec<f64>> {
     Ok(y.iter().zip(&norms).map(|(v, nj)| v / nj).collect())
 }
 
-/// Solves a least squares problem with multiple right-hand sides, returning
-/// the `n × k` solution matrix.
-///
-/// # Errors
-///
-/// See [`QrFactor::new`] and [`QrFactor::solve_least_squares`].
-pub fn lstsq_multi(a: &Mat, b: &Mat) -> Result<Mat> {
-    if b.rows() != a.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            context: "lstsq_multi",
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
-    let f = QrFactor::new(a)?;
-    let mut x = Mat::zeros(a.cols(), b.cols());
-    let mut rhs = vec![0.0; b.rows()];
-    for j in 0..b.cols() {
-        b.copy_col_into(j, &mut rhs);
-        let col = f.solve_least_squares(&rhs)?;
-        for i in 0..a.cols() {
-            x[(i, j)] = col[i];
-        }
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,9 +332,10 @@ mod tests {
         assert!((x[0] - x_ne[(0, 0)]).abs() < 1e-10);
         assert!((x[1] - x_ne[(1, 0)]).abs() < 1e-10);
         // Perturbing the solution must not reduce the residual.
-        let r0 = QrFactor::residual_norm(&a, &x, &b).unwrap();
-        let xp = vec![x[0] + 1e-3, x[1]];
-        assert!(QrFactor::residual_norm(&a, &xp, &b).unwrap() >= r0);
+        let residual = |x: &[f64]| -> f64 {
+            a.matvec(x).unwrap().iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum()
+        };
+        assert!(residual(&[x[0] + 1e-3, x[1]]) >= residual(&x));
     }
 
     #[test]
@@ -411,20 +367,6 @@ mod tests {
         assert!(QrFactor::new(&Mat::zeros(2, 3)).is_err());
         let f = QrFactor::new(&Mat::identity(3)).unwrap();
         assert!(f.solve_least_squares(&[1.0]).is_err());
-        assert!(lstsq_multi(&Mat::identity(3), &Mat::zeros(2, 2)).is_err());
-    }
-
-    #[test]
-    fn multi_rhs_matches_single_rhs() {
-        let a = Mat::from_fn(5, 2, |i, j| (i + 1) as f64 * (j + 1) as f64 + (i as f64).sin());
-        let b = Mat::from_fn(5, 2, |i, j| (i as f64 - j as f64).cos());
-        let x = lstsq_multi(&a, &b).unwrap();
-        for j in 0..2 {
-            let xj = lstsq(&a, &b.col(j)).unwrap();
-            for i in 0..2 {
-                assert!((x[(i, j)] - xj[i]).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! perturbation norms.
 
 use crate::hessenberg::{hessenberg, Givens};
-use crate::{CMat, Complex64, LinalgError, Mat, Result};
+use crate::{CMat, Complex64, LinalgError, Result};
 
 /// Complex Schur decomposition of a square matrix.
 #[derive(Debug, Clone)]
@@ -74,30 +74,15 @@ pub fn complex_schur(a: &CMat) -> Result<Schur> {
     Ok(Schur { t, u })
 }
 
-/// Eigenvalues of a complex square matrix via the Schur iteration **without**
-/// accumulating the unitary factor.
+/// Eigenvalues of a matrix that is **already** upper Hessenberg via the
+/// Schur iteration **without** accumulating the unitary factor.
 ///
-/// This is the fast path behind [`crate::eig::eigenvalues`]: skipping the `U`
-/// updates and restricting every rotation to the active diagonal block
-/// roughly halves the work per QR sweep while producing bit-identical
-/// eigenvalues (entries outside the active block never feed back into it,
-/// and the spectrum of a block-triangular matrix is the union of its
-/// diagonal blocks' spectra).
-///
-/// # Errors
-///
-/// See [`complex_schur`].
-pub fn complex_schur_eigenvalues(a: &CMat) -> Result<Vec<Complex64>> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { context: "complex_schur", dims: a.shape() });
-    }
-    let t = crate::hessenberg::hessenberg_h_only(a)?;
-    hessenberg_eigenvalues(t)
-}
-
-/// Eigenvalues of a matrix that is **already** upper Hessenberg, skipping
-/// the redundant reduction pass of [`complex_schur_eigenvalues`] (used by
-/// [`crate::eig::eigenvalues`] after its real-arithmetic reduction).
+/// This is the fast path behind [`crate::eig::eigenvalues`], after its
+/// real-arithmetic reduction: skipping the `U` updates and restricting every
+/// rotation to the active diagonal block roughly halves the work per QR
+/// sweep while producing bit-identical eigenvalues (entries outside the
+/// active block never feed back into it, and the spectrum of a
+/// block-triangular matrix is the union of its diagonal blocks' spectra).
 pub(crate) fn hessenberg_eigenvalues(mut t: CMat) -> Result<Vec<Complex64>> {
     qr_iterate(&mut t, None)?;
     Ok((0..t.rows()).map(|i| t[(i, i)]).collect())
@@ -201,15 +186,6 @@ fn qr_iterate(t: &mut CMat, mut u: Option<&mut CMat>) -> Result<()> {
     Ok(())
 }
 
-/// Computes the complex Schur decomposition of a real matrix.
-///
-/// # Errors
-///
-/// See [`complex_schur`].
-pub fn real_to_complex_schur(a: &Mat) -> Result<Schur> {
-    complex_schur(&a.to_complex())
-}
-
 /// Wilkinson shift: the eigenvalue of the 2×2 matrix `[[a, b], [c, d]]`
 /// closest to `d`.
 fn wilkinson_shift(a: Complex64, b: Complex64, c: Complex64, d: Complex64) -> Complex64 {
@@ -228,6 +204,12 @@ fn wilkinson_shift(a: Complex64, b: Complex64, c: Complex64, d: Complex64) -> Co
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mat;
+
+    /// The eigenvalue-only path on the Hessenberg form of `a`.
+    fn eigenvalues_only(a: &CMat) -> Vec<Complex64> {
+        hessenberg_eigenvalues(hessenberg(a).unwrap().h).unwrap()
+    }
 
     fn random_cmat(n: usize, seed: u64) -> CMat {
         let mut state = seed;
@@ -276,7 +258,7 @@ mod tests {
             &[0.0, 0.0, 1.0, 2.0],
             &[0.0, 0.0, -2.0, 1.0],
         ]);
-        let s = real_to_complex_schur(&a).unwrap();
+        let s = complex_schur(&a.to_complex()).unwrap();
         let mut re: Vec<f64> = s.eigenvalues().iter().map(|e| e.re).collect();
         re.sort_by(|x, y| x.total_cmp(y));
         assert!((re[0] + 3.0).abs() < 1e-10);
@@ -292,7 +274,7 @@ mod tests {
         for n in [1usize, 2, 5, 12, 24] {
             let a = random_cmat(n, 31 + n as u64);
             let full = complex_schur(&a).unwrap().eigenvalues();
-            let fast = complex_schur_eigenvalues(&a).unwrap();
+            let fast = eigenvalues_only(&a);
             assert_eq!(fast.len(), n);
             // The restricted-update iteration performs identical arithmetic
             // inside the active block, so the eigenvalues agree bit for bit.
@@ -300,8 +282,7 @@ mod tests {
                 assert_eq!(x, y, "eigenvalue drift for n={n}");
             }
         }
-        assert!(complex_schur_eigenvalues(&CMat::zeros(2, 3)).is_err());
-        assert!(complex_schur_eigenvalues(&CMat::zeros(0, 0)).unwrap().is_empty());
+        assert!(eigenvalues_only(&CMat::zeros(0, 0)).is_empty());
     }
 
     #[test]
@@ -316,7 +297,7 @@ mod tests {
     fn schur_of_defective_matrix() {
         // Jordan block: eigenvalue 1 with multiplicity 3 (defective).
         let a = Mat::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0], &[0.0, 0.0, 1.0]]);
-        let s = real_to_complex_schur(&a).unwrap();
+        let s = complex_schur(&a.to_complex()).unwrap();
         for ev in s.eigenvalues() {
             assert!((ev.re - 1.0).abs() < 1e-6 && ev.im.abs() < 1e-6);
         }
@@ -327,7 +308,7 @@ mod tests {
     fn schur_of_rotation_like_matrix_finds_imaginary_pair() {
         // Skew-symmetric: eigenvalues ±5i.
         let a = Mat::from_rows(&[&[0.0, 5.0], &[-5.0, 0.0]]);
-        let s = real_to_complex_schur(&a).unwrap();
+        let s = complex_schur(&a.to_complex()).unwrap();
         let mut im: Vec<f64> = s.eigenvalues().iter().map(|e| e.im).collect();
         im.sort_by(|x, y| x.total_cmp(y));
         assert!((im[0] + 5.0).abs() < 1e-10 && (im[1] - 5.0).abs() < 1e-10);
@@ -355,7 +336,7 @@ mod tests {
                 assert!((ev.abs() - 1.0).abs() < 1e-9, "n={n}: |{ev:?}| off the unit circle");
             }
             check_schur(&c, &s, 1e-9);
-            let fast = complex_schur_eigenvalues(&c).unwrap();
+            let fast = eigenvalues_only(&c);
             for (x, y) in fast.iter().zip(&s.eigenvalues()) {
                 assert_eq!(x, y, "eigenvalue-only path drifted for n={n}");
             }

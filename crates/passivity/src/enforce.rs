@@ -232,8 +232,6 @@ pub struct RobustnessInfo {
     pub trust_region_engaged: bool,
     /// Number of iterations whose `δC` was clipped to the radius.
     pub trust_region_clips: usize,
-    /// Radius at the end of the run, when engaged.
-    pub final_radius: Option<f64>,
     /// Largest relative Tikhonov λ the adaptive QP damping applied.
     pub qp_lambda_max: f64,
     /// Largest post-damping Gramian condition estimate.
@@ -332,8 +330,10 @@ pub fn enforce_passivity(
             model.order()
         )));
     }
-    if !(band_max_omega > 0.0) {
-        return Err(PassivityError::InvalidInput("band_max_omega must be positive".into()));
+    if !(band_max_omega > 0.0 && band_max_omega.is_finite()) {
+        return Err(PassivityError::InvalidInput(
+            "band_max_omega must be positive and finite".into(),
+        ));
     }
     if config.sweep_points < 10 {
         return Err(PassivityError::InvalidInput("sweep_points must be at least 10".into()));
@@ -400,7 +400,6 @@ pub fn enforce_passivity(
             )?;
             if verification.passive {
                 history.push(verification.sigma_max);
-                robustness.final_radius = radius;
                 return Ok(EnforcementOutcome {
                     model: current,
                     iterations,
@@ -417,10 +416,11 @@ pub fn enforce_passivity(
             best = Some((report.sigma_max, current.clone()));
         }
         if iterations >= config.max_iterations {
+            let Some((_, best)) = best else { unreachable!("recorded just above") };
             return Err(PassivityError::NotConverged {
                 iterations,
                 sigma_max: report.sigma_max,
-                best: best.map(|(_, m)| Box::new(m)),
+                best: Box::new(best),
                 diagnostics: Box::new(NotConvergedDiagnostics {
                     bottomed_out: bottomed_growth,
                     last_step,
@@ -547,7 +547,6 @@ pub fn enforce_passivity(
                     } else if rho >= TR_ETA_GOOD && clipped && full_step {
                         radius = Some(r * TR_GROW);
                     }
-                    robustness.final_radius = radius;
                 }
 
                 // Engagement: enough consecutive bottomed-out-and-grew
@@ -559,7 +558,6 @@ pub fn enforce_passivity(
                     radius = Some(engage);
                     radius_floor = engage * TR_MIN_RADIUS_SCALE;
                     robustness.trust_region_engaged = true;
-                    robustness.final_radius = radius;
                 }
 
                 // Adaptive damping decays once the iterate improves again,
@@ -717,7 +715,6 @@ mod tests {
                 assert!(sigma_max > 1.0);
                 // Even a zero-budget failure hands back its best iterate
                 // (here the asymptotically clipped input model).
-                let best = best.expect("best-so-far model present");
                 assert_eq!(best.poles().len(), model.poles().len());
                 // The trajectory tail carries the final sigma.
                 assert_eq!(diagnostics.bottomed_out, 0);
@@ -849,7 +846,6 @@ mod tests {
                 // assessed its iterates (working grid + the configured
                 // refinement), is no worse than either the start or the end
                 // state.
-                let best = best.expect("best model");
                 let working = cfg.sampling.working_grid(5000.0, cfg.sweep_points);
                 let best_sigma = assess_with_sampling(
                     pim_runtime::global(),
@@ -950,9 +946,16 @@ mod tests {
         assert!(
             enforce_passivity(&other, &norm, 100.0, &EnforcementConfig::default(), None).is_err()
         );
-        assert!(
-            enforce_passivity(&model, &norm, -1.0, &EnforcementConfig::default(), None).is_err()
-        );
+        for band_edge in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            assert!(enforce_passivity(
+                &model,
+                &norm,
+                band_edge,
+                &EnforcementConfig::default(),
+                None
+            )
+            .is_err());
+        }
         let bad_cfg = EnforcementConfig { sweep_points: 3, ..Default::default() };
         assert!(enforce_passivity(&model, &norm, 100.0, &bad_cfg, None).is_err());
     }

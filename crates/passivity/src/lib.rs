@@ -133,9 +133,8 @@ pub enum PassivityError {
         sigma_max: f64,
         /// The most passive (lowest `σ_max`) model seen during the run, so
         /// a failed enforcement still yields its best iterate. Boxed to
-        /// keep the error type small; `None` only when the loop failed
-        /// before its first assessment.
-        best: Option<Box<pim_statespace::PoleResidueModel>>,
+        /// keep the error type small.
+        best: Box<pim_statespace::PoleResidueModel>,
         /// Post-mortem of the failed run (step control state, `σ_max`
         /// trajectory tail).
         diagnostics: Box<NotConvergedDiagnostics>,

@@ -119,27 +119,16 @@ fn factor_block_capped(
 }
 
 impl BlockQpFactors {
-    /// Factors the regularized Gramian blocks with the fixed Tikhonov term
-    /// `regularization` of [`QpOptions::regularization`] — no adaptive
-    /// damping (equivalent to [`BlockQpFactors::new_adaptive`] with an
-    /// infinite condition cap).
+    /// Factors the Gramian blocks with the relative Tikhonov term
+    /// `regularization` and adaptive damping: any block whose LU condition
+    /// estimate exceeds `max_condition` gets its λ escalated until it
+    /// complies. Well-conditioned blocks are factored bit-identically to the
+    /// fixed-Tikhonov factorization (`max_condition = f64::INFINITY`).
     ///
     /// # Errors
     ///
     /// Returns [`PassivityError::InvalidInput`] on inconsistent block shapes
     /// and propagates factorization failures.
-    pub fn new(blocks: &[Mat], regularization: f64) -> Result<Self> {
-        Self::new_adaptive(blocks, regularization, f64::INFINITY)
-    }
-
-    /// Factors the Gramian blocks with adaptive Tikhonov damping: any block
-    /// whose LU condition estimate exceeds `max_condition` gets its λ
-    /// escalated until it complies. Well-conditioned blocks are factored
-    /// bit-identically to [`BlockQpFactors::new`].
-    ///
-    /// # Errors
-    ///
-    /// See [`BlockQpFactors::new`].
     pub fn new_adaptive(blocks: &[Mat], regularization: f64, max_condition: f64) -> Result<Self> {
         if blocks.is_empty() {
             return Err(PassivityError::InvalidInput(
@@ -228,38 +217,18 @@ impl BlockQpFactors {
     }
 }
 
-/// Solves the block-diagonal Gramian-weighted QP.
+/// Solves the block-diagonal Gramian-weighted QP with pre-factored blocks.
 ///
-/// `blocks` holds one symmetric positive-definite matrix per element (all of
-/// identical size); `f` and `g` define the inequality constraints
-/// `F·x ≤ g`. The blocks are factored on every call — use
-/// [`BlockQpFactors`] + [`solve_block_qp_factored`] to amortize the
-/// factorization across repeated solves with the same Gramians.
+/// `f` and `g` define the inequality constraints `F·x ≤ g`.
+/// `options.regularization` is **not** consulted here: the Tikhonov term is
+/// baked into `factors` at [`BlockQpFactors::new_adaptive`] time (that is
+/// the whole point of pre-factoring); only the iteration/tolerance options
+/// apply.
 ///
 /// # Errors
 ///
 /// Returns [`PassivityError::InvalidInput`] on dimension mismatches and
-/// [`PassivityError::Linalg`] when a Gramian block is singular even after
-/// regularization.
-pub fn solve_block_qp(
-    blocks: &[Mat],
-    f: &Mat,
-    g: &[f64],
-    options: &QpOptions,
-) -> Result<QpSolution> {
-    let factors = BlockQpFactors::new(blocks, options.regularization)?;
-    solve_block_qp_factored(&factors, f, g, options)
-}
-
-/// Solves the block-diagonal Gramian-weighted QP with pre-factored blocks.
-///
-/// `options.regularization` is **not** consulted here: the Tikhonov term is
-/// baked into `factors` at [`BlockQpFactors::new`] time (that is the whole
-/// point of pre-factoring); only the iteration/tolerance options apply.
-///
-/// # Errors
-///
-/// See [`solve_block_qp`].
+/// [`PassivityError::Linalg`] when a block solve fails.
 pub fn solve_block_qp_factored(
     factors: &BlockQpFactors,
     f: &Mat,
@@ -362,11 +331,18 @@ pub fn solve_block_qp_factored(
 mod tests {
     use super::*;
 
+    /// The QP with fixed Tikhonov factors (no adaptive damping).
+    fn solve_fixed(blocks: &[Mat], f: &Mat, g: &[f64]) -> Result<QpSolution> {
+        let options = QpOptions::default();
+        let factors = BlockQpFactors::new_adaptive(blocks, options.regularization, f64::INFINITY)?;
+        solve_block_qp_factored(&factors, f, g, &options)
+    }
+
     #[test]
     fn unconstrained_problem_returns_zero() {
         let blocks = vec![Mat::identity(2)];
         let f = Mat::zeros(0, 2);
-        let sol = solve_block_qp(&blocks, &f, &[], &QpOptions::default()).unwrap();
+        let sol = solve_fixed(&blocks, &f, &[]).unwrap();
         assert_eq!(sol.x, vec![0.0, 0.0]);
         assert_eq!((sol.objective).to_bits(), 0.0f64.to_bits());
     }
@@ -377,7 +353,7 @@ mod tests {
         // projection x = -a/||a||^2 = [-0.5, -0.5].
         let blocks = vec![Mat::identity(1), Mat::identity(1)];
         let f = Mat::from_rows(&[&[1.0, 1.0]]);
-        let sol = solve_block_qp(&blocks, &f, &[-1.0], &QpOptions::default()).unwrap();
+        let sol = solve_fixed(&blocks, &f, &[-1.0]).unwrap();
         assert!((sol.x[0] + 0.5).abs() < 1e-8);
         assert!((sol.x[1] + 0.5).abs() < 1e-8);
         assert!((sol.objective - 0.5).abs() < 1e-7);
@@ -389,7 +365,7 @@ mod tests {
         // must happen along the cheap coordinate x2.
         let blocks = vec![Mat::from_diag(&[10.0]), Mat::from_diag(&[0.1])];
         let f = Mat::from_rows(&[&[1.0, 1.0]]);
-        let sol = solve_block_qp(&blocks, &f, &[-1.0], &QpOptions::default()).unwrap();
+        let sol = solve_fixed(&blocks, &f, &[-1.0]).unwrap();
         assert!((sol.x[0] + sol.x[1] + 1.0).abs() < 1e-6, "constraint must be active");
         assert!(sol.x[1].abs() > 50.0 * sol.x[0].abs());
     }
@@ -399,7 +375,7 @@ mod tests {
         let blocks = vec![Mat::identity(2)];
         let f = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         // Both constraints are satisfied at x = 0 (g >= 0): optimum stays 0.
-        let sol = solve_block_qp(&blocks, &f, &[1.0, 2.0], &QpOptions::default()).unwrap();
+        let sol = solve_fixed(&blocks, &f, &[1.0, 2.0]).unwrap();
         assert!(sol.x.iter().all(|v| v.abs() < 1e-12));
         assert!(sol.multipliers.iter().all(|&l| l.to_bits() == 0.0f64.to_bits()));
     }
@@ -409,7 +385,7 @@ mod tests {
         let blocks = vec![Mat::identity(3)];
         let f = Mat::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0], &[1.0, 0.0, 1.0]]);
         let g = vec![-1.0, -0.5, -2.0];
-        let sol = solve_block_qp(&blocks, &f, &g, &QpOptions::default()).unwrap();
+        let sol = solve_fixed(&blocks, &f, &g).unwrap();
         let fx = f.matvec(&sol.x).unwrap();
         for (lhs, rhs) in fx.iter().zip(&g) {
             assert!(*lhs <= rhs + 1e-6, "constraint violated: {lhs} > {rhs}");
@@ -430,7 +406,7 @@ mod tests {
         assert!(factors.max_applied_regularization() <= lambda_before);
         assert!(factors.max_condition_estimate() <= 1e6);
         // Decay never touches blocks that were never escalated.
-        let mut plain = BlockQpFactors::new(&blocks[..1], 1e-10).unwrap();
+        let mut plain = BlockQpFactors::new_adaptive(&blocks[..1], 1e-10, f64::INFINITY).unwrap();
         assert!(!plain.decay().unwrap());
     }
 
@@ -439,7 +415,7 @@ mod tests {
         let blocks = vec![Mat::from_diag(&[2.0, 3.0]), Mat::identity(2)];
         let f = Mat::from_rows(&[&[1.0, 1.0, 0.5, -0.25]]);
         let g = [-1.0];
-        let plain = BlockQpFactors::new(&blocks, 1e-10).unwrap();
+        let plain = BlockQpFactors::new_adaptive(&blocks, 1e-10, f64::INFINITY).unwrap();
         let adaptive = BlockQpFactors::new_adaptive(&blocks, 1e-10, 1e13).unwrap();
         assert_eq!(adaptive.damped_blocks(), 0);
         let opts = QpOptions::default();
@@ -453,10 +429,10 @@ mod tests {
     #[test]
     fn input_validation() {
         let blocks = vec![Mat::identity(2)];
-        assert!(solve_block_qp(&[], &Mat::zeros(1, 2), &[0.0], &QpOptions::default()).is_err());
-        assert!(solve_block_qp(&blocks, &Mat::zeros(1, 3), &[0.0], &QpOptions::default()).is_err());
-        assert!(solve_block_qp(&blocks, &Mat::zeros(2, 2), &[0.0], &QpOptions::default()).is_err());
+        assert!(solve_fixed(&[], &Mat::zeros(1, 2), &[0.0]).is_err());
+        assert!(solve_fixed(&blocks, &Mat::zeros(1, 3), &[0.0]).is_err());
+        assert!(solve_fixed(&blocks, &Mat::zeros(2, 2), &[0.0]).is_err());
         let bad = vec![Mat::identity(2), Mat::identity(3)];
-        assert!(solve_block_qp(&bad, &Mat::zeros(1, 5), &[0.0], &QpOptions::default()).is_err());
+        assert!(solve_fixed(&bad, &Mat::zeros(1, 5), &[0.0]).is_err());
     }
 }

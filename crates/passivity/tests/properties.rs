@@ -161,7 +161,7 @@ proptest! {
         let reg = if lambda_zero { 0.0 } else { 1e-10 };
         let options = QpOptions { regularization: reg, ..QpOptions::default() };
 
-        let fixed = BlockQpFactors::new(&blocks, reg).unwrap();
+        let fixed = BlockQpFactors::new_adaptive(&blocks, reg, f64::INFINITY).unwrap();
         let adaptive = BlockQpFactors::new_adaptive(&blocks, reg, 1e13).unwrap();
         prop_assert!(adaptive.damped_blocks() == 0, "no block may be escalated");
         prop_assert!(adaptive.max_applied_regularization() == reg);

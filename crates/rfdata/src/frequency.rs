@@ -75,22 +75,6 @@ impl FrequencyGrid {
         FrequencyGrid::from_hz(freqs)
     }
 
-    /// Linearly spaced grid of `n` points between `f_min` and `f_max`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfDataError::Inconsistent`] for invalid bounds or `n < 2`.
-    pub fn lin_space(f_min: f64, f_max: f64, n: usize) -> Result<Self> {
-        if f_min < 0.0 || !f_min.is_finite() || !f_max.is_finite() || f_min >= f_max || n < 2 {
-            return Err(RfDataError::Inconsistent(
-                "lin_space requires 0 <= f_min < f_max and at least two points".into(),
-            ));
-        }
-        let freqs: Vec<f64> =
-            (0..n).map(|k| f_min + (f_max - f_min) * k as f64 / (n - 1) as f64).collect();
-        FrequencyGrid::from_hz(freqs)
-    }
-
     /// Returns a new grid with a DC (0 Hz) sample prepended, if not already
     /// present.
     pub fn with_dc(self) -> Self {
@@ -128,11 +112,6 @@ impl FrequencyGrid {
         self.freqs_hz.iter()
     }
 
-    /// Smallest non-zero frequency of the grid, if any.
-    pub fn min_nonzero_hz(&self) -> Option<f64> {
-        self.freqs_hz.iter().copied().find(|&f| f > 0.0)
-    }
-
     /// Largest frequency of the grid.
     pub fn max_hz(&self) -> f64 {
         *self.freqs_hz.last().expect("grid is never empty")
@@ -157,22 +136,6 @@ impl FrequencyGrid {
             }
         }
         best
-    }
-
-    /// Returns a decimated copy keeping every `step`-th sample (always keeps
-    /// the first and last samples).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step == 0`.
-    pub fn decimate(&self, step: usize) -> FrequencyGrid {
-        assert!(step > 0, "decimation step must be positive");
-        let n = self.freqs_hz.len();
-        let mut freqs: Vec<f64> = self.freqs_hz.iter().copied().step_by(step).collect();
-        if freqs.last() != self.freqs_hz.last() {
-            freqs.push(self.freqs_hz[n - 1]);
-        }
-        FrequencyGrid { freqs_hz: freqs }
     }
 }
 
@@ -202,9 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn lin_space_and_with_dc() {
-        let g = FrequencyGrid::lin_space(0.0, 10.0, 11).unwrap();
-        assert_eq!((g.freqs_hz()[3]).to_bits(), 3.0f64.to_bits());
+    fn with_dc_prepends_zero_once() {
         let g2 = FrequencyGrid::log_space(1.0, 100.0, 3).unwrap().with_dc();
         assert_eq!(g2.len(), 4);
         assert_eq!((g2.freqs_hz()[0]).to_bits(), 0.0f64.to_bits());
@@ -219,7 +180,6 @@ mod tests {
         assert!((w[1] - 2.0 * std::f64::consts::PI).abs() < 1e-12);
         assert_eq!(g.nearest_index(8.0), 2);
         assert_eq!(g.nearest_index(0.4), 0);
-        assert_eq!(g.min_nonzero_hz(), Some(1.0));
     }
 
     #[test]
@@ -232,16 +192,6 @@ mod tests {
         assert!(FrequencyGrid::log_space(0.0, 1.0, 10).is_err());
         assert!(FrequencyGrid::log_space(10.0, 1.0, 10).is_err());
         assert!(FrequencyGrid::log_space(1.0, 10.0, 1).is_err());
-        assert!(FrequencyGrid::lin_space(5.0, 1.0, 10).is_err());
-    }
-
-    #[test]
-    fn decimate_keeps_endpoints() {
-        let g = FrequencyGrid::log_space(1e3, 1e9, 100).unwrap();
-        let d = g.decimate(7);
-        assert_eq!(d.freqs_hz()[0], g.freqs_hz()[0]);
-        assert_eq!(d.max_hz(), g.max_hz());
-        assert!(d.len() < g.len());
     }
 
     #[test]

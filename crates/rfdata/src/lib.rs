@@ -5,17 +5,17 @@
 //!
 //! The crate provides:
 //!
-//! * [`FrequencyGrid`] — logarithmic / linear frequency sampling with an
-//!   optional DC point, matching the sampling plan of the paper's test case
+//! * [`FrequencyGrid`] — logarithmic frequency sampling with an optional DC
+//!   point, matching the sampling plan of the paper's test case
 //!   (1 kHz – 2 GHz, logarithmic, DC included);
 //! * [`NetworkData`] — tabulated multiport network parameters (scattering,
-//!   admittance or impedance matrices versus frequency) together with the
-//!   conversions between the three representations and scattering
-//!   renormalization;
+//!   admittance or impedance matrices versus frequency), convertible to
+//!   impedance, plus the matrix conversions between the three
+//!   representations;
 //! * [`touchstone`] — Touchstone v1 reader/writer so synthetic data sets can
 //!   be exported to and imported from standard EDA tooling;
-//! * [`metrics`] — error norms between two tabulated responses (RMS, maximum,
-//!   weighted), used to quantify macromodel accuracy.
+//! * [`metrics`] — error norms between two tabulated responses (per
+//!   frequency, RMS, relative), used to quantify macromodel accuracy.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

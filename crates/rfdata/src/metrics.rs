@@ -1,8 +1,7 @@
 //! Error metrics between tabulated frequency responses.
 //!
-//! These implement the unweighted error of eq. (4) and the weighted error of
-//! eq. (6) in the paper, plus the per-element / per-frequency diagnostics used
-//! in the evaluation figures.
+//! These implement the unweighted error of eq. (4) in the paper, plus the
+//! per-element / per-frequency diagnostics used in the evaluation figures.
 
 use crate::{NetworkData, Result, RfDataError};
 use pim_linalg::Complex64;
@@ -35,57 +34,6 @@ pub fn rms_error(a: &NetworkData, b: &NetworkData) -> Result<f64> {
     let k = a.len() as f64;
     let sum_sq: f64 = per_frequency_error(a, b)?.iter().map(|e| e * e).sum();
     Ok((sum_sq / (k * p * p)).sqrt())
-}
-
-/// Weighted squared error of eq. (6): `E_w² = Σ_k w_k² ‖A_k − B_k‖²_F`.
-///
-/// # Errors
-///
-/// Returns [`RfDataError::Inconsistent`] when the weight vector length differs
-/// from the number of samples, in addition to the compatibility checks.
-pub fn weighted_squared_error(a: &NetworkData, b: &NetworkData, weights: &[f64]) -> Result<f64> {
-    check_compatible(a, b)?;
-    if weights.len() != a.len() {
-        return Err(RfDataError::Inconsistent(format!(
-            "expected {} weights, got {}",
-            a.len(),
-            weights.len()
-        )));
-    }
-    Ok(per_frequency_error(a, b)?.iter().zip(weights).map(|(e, w)| w * w * e * e).sum())
-}
-
-/// Maximum absolute entry-wise error over all frequencies.
-///
-/// # Errors
-///
-/// See [`per_frequency_error`].
-pub fn max_error(a: &NetworkData, b: &NetworkData) -> Result<f64> {
-    check_compatible(a, b)?;
-    Ok((0..a.len()).map(|k| a.matrix(k).max_abs_diff(b.matrix(k))).fold(0.0_f64, f64::max))
-}
-
-/// Error of a single matrix element `(i, j)` across frequency, in decibels
-/// relative to the reference magnitude (floored to avoid `-inf`).
-///
-/// # Errors
-///
-/// Returns [`RfDataError::Inconsistent`] for out-of-range indices plus the
-/// compatibility checks.
-pub fn element_error_db(a: &NetworkData, b: &NetworkData, i: usize, j: usize) -> Result<Vec<f64>> {
-    check_compatible(a, b)?;
-    if i >= a.ports() || j >= a.ports() {
-        return Err(RfDataError::Inconsistent(format!(
-            "element ({i},{j}) out of range for {}-port data",
-            a.ports()
-        )));
-    }
-    Ok((0..a.len())
-        .map(|k| {
-            let err = (a.matrix(k)[(i, j)] - b.matrix(k)[(i, j)]).abs();
-            20.0 * err.max(1e-300).log10()
-        })
-        .collect())
 }
 
 /// Magnitude of a single element in decibels (convenience for plotting the
@@ -160,7 +108,6 @@ mod tests {
     fn zero_error_for_identical_data() {
         let a = data_with_offset(0.0);
         assert_eq!((rms_error(&a, &a).unwrap()).to_bits(), 0.0f64.to_bits());
-        assert_eq!((max_error(&a, &a).unwrap()).to_bits(), 0.0f64.to_bits());
         assert!(per_frequency_error(&a, &a)
             .unwrap()
             .iter()
@@ -172,7 +119,6 @@ mod tests {
         let a = data_with_offset(0.0);
         let b = data_with_offset(0.01);
         // Every entry differs by exactly 0.01 in the real part.
-        assert!((max_error(&a, &b).unwrap() - 0.01).abs() < 1e-14);
         assert!((rms_error(&a, &b).unwrap() - 0.01).abs() < 1e-14);
         let per = per_frequency_error(&a, &b).unwrap();
         for e in per {
@@ -181,23 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_error_scales_with_weights() {
-        let a = data_with_offset(0.0);
-        let b = data_with_offset(0.01);
-        let e1 = weighted_squared_error(&a, &b, &[1.0, 1.0, 1.0]).unwrap();
-        let e2 = weighted_squared_error(&a, &b, &[2.0, 2.0, 2.0]).unwrap();
-        assert!((e2 / e1 - 4.0).abs() < 1e-12);
-        assert!(weighted_squared_error(&a, &b, &[1.0]).is_err());
-    }
-
-    #[test]
     fn element_metrics() {
         let a = data_with_offset(0.0);
-        let b = data_with_offset(0.001);
-        let db = element_error_db(&a, &b, 0, 1).unwrap();
-        assert_eq!(db.len(), 3);
-        assert!((db[0] - 20.0 * 0.001f64.log10()).abs() < 1e-9);
-        assert!(element_error_db(&a, &b, 5, 0).is_err());
         let mag = element_magnitude_db(&a, 1, 1);
         assert_eq!(mag.len(), 3);
         let ph = element_phase_deg(&a, 1, 1);
@@ -237,6 +168,6 @@ mod tests {
             50.0,
         )
         .unwrap();
-        assert!(max_error(&a, &c).is_err());
+        assert!(per_frequency_error(&a, &c).is_err());
     }
 }

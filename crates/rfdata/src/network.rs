@@ -35,13 +35,13 @@ impl std::fmt::Display for ParameterKind {
 /// use pim_rfdata::{FrequencyGrid, NetworkData, ParameterKind};
 ///
 /// # fn main() -> Result<(), pim_rfdata::RfDataError> {
-/// // A frequency-independent 50 Ω resistor to ground at a single port:
-/// // its reflection coefficient w.r.t. 50 Ω is 0.
+/// // A matched one-port (zero reflection w.r.t. 50 Ω) is a frequency-
+/// // independent 50 Ω resistor to ground.
 /// let grid = FrequencyGrid::from_hz(vec![1e6, 1e7])?;
-/// let z = CMat::from_diag(&[Complex64::from_real(50.0)]);
-/// let data = NetworkData::new(grid, vec![z.clone(), z], ParameterKind::Impedance, 50.0)?;
-/// let s = data.to_scattering()?;
-/// assert!(s.matrix(0)[(0, 0)].abs() < 1e-12);
+/// let s = CMat::from_diag(&[Complex64::ZERO]);
+/// let data = NetworkData::new(grid, vec![s.clone(), s], ParameterKind::Scattering, 50.0)?;
+/// let z = data.to_impedance()?;
+/// assert!((z.matrix(0)[(0, 0)] - Complex64::from_real(50.0)).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -162,24 +162,6 @@ impl NetworkData {
         NetworkData::new(self.grid.clone(), out, self.kind, self.z_ref)
     }
 
-    /// Converts to scattering parameters (no-op if already scattering).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfDataError::Linalg`] if a conversion matrix is singular.
-    pub fn to_scattering(&self) -> Result<NetworkData> {
-        let matrices: Result<Vec<CMat>> = match self.kind {
-            ParameterKind::Scattering => return Ok(self.clone()),
-            ParameterKind::Impedance => {
-                self.matrices.iter().map(|z| z_to_s(z, self.z_ref)).collect()
-            }
-            ParameterKind::Admittance => {
-                self.matrices.iter().map(|y| y_to_s(y, self.z_ref)).collect()
-            }
-        };
-        NetworkData::new(self.grid.clone(), matrices?, ParameterKind::Scattering, self.z_ref)
-    }
-
     /// Converts to impedance parameters.
     ///
     /// # Errors
@@ -197,75 +179,6 @@ impl NetworkData {
             }
         };
         NetworkData::new(self.grid.clone(), matrices?, ParameterKind::Impedance, self.z_ref)
-    }
-
-    /// Converts to admittance parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfDataError::Linalg`] if a conversion matrix is singular.
-    pub fn to_admittance(&self) -> Result<NetworkData> {
-        let matrices: Result<Vec<CMat>> = match self.kind {
-            ParameterKind::Admittance => return Ok(self.clone()),
-            ParameterKind::Scattering => {
-                self.matrices.iter().map(|s| s_to_y(s, self.z_ref)).collect()
-            }
-            ParameterKind::Impedance => {
-                self.matrices.iter().map(|z| z.inverse().map_err(Into::into)).collect()
-            }
-        };
-        NetworkData::new(self.grid.clone(), matrices?, ParameterKind::Admittance, self.z_ref)
-    }
-
-    /// Renormalizes scattering data to a new reference resistance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfDataError::Inconsistent`] when the data is not in
-    /// scattering form, or [`RfDataError::Linalg`] when a conversion is
-    /// singular.
-    pub fn renormalize(&self, new_z_ref: f64) -> Result<NetworkData> {
-        if self.kind != ParameterKind::Scattering {
-            return Err(RfDataError::Inconsistent(
-                "renormalize requires scattering parameters".into(),
-            ));
-        }
-        if !(new_z_ref > 0.0) || !new_z_ref.is_finite() {
-            return Err(RfDataError::Inconsistent(format!(
-                "new reference resistance must be positive and finite, got {new_z_ref}"
-            )));
-        }
-        // S_old -> Z (w.r.t. old reference) -> S_new (w.r.t. new reference).
-        let matrices: Result<Vec<CMat>> =
-            self.matrices.iter().map(|s| z_to_s(&s_to_z(s, self.z_ref)?, new_z_ref)).collect();
-        NetworkData::new(self.grid.clone(), matrices?, ParameterKind::Scattering, new_z_ref)
-    }
-
-    /// Extracts a sub-network keeping only the listed ports (in the given
-    /// order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfDataError::Inconsistent`] when a port index is out of
-    /// range or the list is empty.
-    pub fn select_ports(&self, ports: &[usize]) -> Result<NetworkData> {
-        if ports.is_empty() {
-            return Err(RfDataError::Inconsistent(
-                "select_ports requires at least one port".into(),
-            ));
-        }
-        let p = self.ports();
-        if let Some(&bad) = ports.iter().find(|&&i| i >= p) {
-            return Err(RfDataError::Inconsistent(format!(
-                "port index {bad} out of range for {p}-port data"
-            )));
-        }
-        let matrices: Vec<CMat> = self
-            .matrices
-            .iter()
-            .map(|m| CMat::from_fn(ports.len(), ports.len(), |i, j| m[(ports[i], ports[j])]))
-            .collect();
-        NetworkData::new(self.grid.clone(), matrices, self.kind, self.z_ref)
     }
 }
 
@@ -395,44 +308,18 @@ mod tests {
     }
 
     #[test]
-    fn network_conversions_and_renormalization() {
+    fn scattering_data_converts_to_impedance() {
         let grid = FrequencyGrid::from_hz(vec![1e6, 1e7, 1e8]).unwrap();
         let z = sample_z();
-        let data = NetworkData::new(
-            grid,
-            vec![z.clone(), z.clone(), z.clone()],
-            ParameterKind::Impedance,
-            50.0,
-        )
-        .unwrap();
-        let s = data.to_scattering().unwrap();
-        assert_eq!(s.kind(), ParameterKind::Scattering);
-        let y = data.to_admittance().unwrap();
-        assert_eq!(y.kind(), ParameterKind::Admittance);
-        let z_back = s.to_impedance().unwrap();
-        assert!(z_back.matrix(1).max_abs_diff(&z) < 1e-9);
-        // Renormalize to 75 Ω and back.
-        let s75 = s.renormalize(75.0).unwrap();
-        assert_eq!((s75.z_ref()).to_bits(), 75.0f64.to_bits());
-        let s50 = s75.renormalize(50.0).unwrap();
-        assert!(s50.matrix(2).max_abs_diff(s.matrix(2)) < 1e-10);
-        // Renormalizing non-scattering data is an error.
-        assert!(data.renormalize(75.0).is_err());
-        assert!(s.renormalize(-5.0).is_err());
-    }
-
-    #[test]
-    fn select_ports_extracts_submatrix() {
-        let grid = FrequencyGrid::from_hz(vec![1.0]).unwrap();
-        let m = CMat::from_fn(3, 3, |i, j| c((i * 3 + j) as f64, 0.0));
-        let d = NetworkData::new(grid, vec![m], ParameterKind::Scattering, 50.0).unwrap();
-        let sub = d.select_ports(&[2, 0]).unwrap();
-        assert_eq!(sub.ports(), 2);
-        assert_eq!(sub.matrix(0)[(0, 0)], c(8.0, 0.0));
-        assert_eq!(sub.matrix(0)[(0, 1)], c(6.0, 0.0));
-        assert_eq!(sub.matrix(0)[(1, 0)], c(2.0, 0.0));
-        assert!(d.select_ports(&[5]).is_err());
-        assert!(d.select_ports(&[]).is_err());
+        let s = z_to_s(&z, 50.0).unwrap();
+        let data =
+            NetworkData::new(grid, vec![s.clone(), s.clone(), s], ParameterKind::Scattering, 50.0)
+                .unwrap();
+        let z_data = data.to_impedance().unwrap();
+        assert_eq!(z_data.kind(), ParameterKind::Impedance);
+        assert!(z_data.matrix(1).max_abs_diff(&z) < 1e-9);
+        // Already impedance: returned unchanged.
+        assert!(z_data.to_impedance().unwrap().matrix(2).max_abs_diff(&z) < 1e-9);
     }
 
     #[test]
@@ -451,15 +338,13 @@ mod tests {
 
     #[test]
     fn short_circuit_has_no_impedance_representation() {
-        // S = -I is a short circuit: I - S is fine but Z->... the inverse of
-        // (I + S) = 0 must fail in the Y->Z direction instead. Here check
-        // that s_to_y of an open (S = +I) fails because I + S is singular...
-        // Actually for S = +I (open), Y = 0 is fine; Z is singular.
+        // S = +I is an open circuit: I − S is singular, so Z does not
+        // exist, while Y = 0 does.
         let grid = FrequencyGrid::from_hz(vec![1.0]).unwrap();
         let open = NetworkData::new(grid, vec![CMat::identity(1)], ParameterKind::Scattering, 50.0)
             .unwrap();
         assert!(open.to_impedance().is_err());
-        let y = open.to_admittance().unwrap();
-        assert!(y.matrix(0)[(0, 0)].abs() < 1e-14);
+        let y = s_to_y(open.matrix(0), 50.0).unwrap();
+        assert!(y[(0, 0)].abs() < 1e-14);
     }
 }

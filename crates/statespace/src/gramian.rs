@@ -1,8 +1,8 @@
-//! Controllability / observability Gramians and the frequency-weighted
-//! Gramians used by the sensitivity-weighted perturbation norm.
+//! Controllability Gramians and the frequency-weighted Gramians used by the
+//! sensitivity-weighted perturbation norm.
 
-use crate::{Result, StateSpace, StateSpaceError};
-use pim_linalg::lyapunov::{controllability_gramian, observability_gramian};
+use crate::{Result, StateSpace};
+use pim_linalg::lyapunov::controllability_gramian;
 use pim_linalg::Mat;
 
 /// Controllability Gramian `P` of a state-space system: the solution of
@@ -16,35 +16,6 @@ pub fn controllability(sys: &StateSpace) -> Result<Mat> {
     Ok(controllability_gramian(sys.a(), sys.b())?)
 }
 
-/// Observability Gramian `Q` of a state-space system: the solution of
-/// `Aᵀ·Q + Q·A + Cᵀ·C = 0`.
-///
-/// # Errors
-///
-/// Propagates Lyapunov solver failures.
-pub fn observability(sys: &StateSpace) -> Result<Mat> {
-    Ok(observability_gramian(sys.a(), sys.c())?)
-}
-
-/// The L2 norm of the impulse-response perturbation induced by a perturbation
-/// `δC` of the output matrix: `‖δH‖₂² = tr(δC · P · δCᵀ)` (eq. 10 of the
-/// paper), where `P` is the controllability Gramian.
-///
-/// # Errors
-///
-/// Returns [`StateSpaceError::InvalidModel`] on dimension mismatch.
-pub fn perturbation_norm_sq(delta_c: &Mat, gramian: &Mat) -> Result<f64> {
-    if delta_c.cols() != gramian.rows() || !gramian.is_square() {
-        return Err(StateSpaceError::InvalidModel(format!(
-            "perturbation_norm_sq: δC is {:?} but the Gramian is {:?}",
-            delta_c.shape(),
-            gramian.shape()
-        )));
-    }
-    let m = delta_c.matmul(gramian)?.matmul(&delta_c.transpose())?;
-    Ok(m.trace())
-}
-
 /// The partitioned, frequency-weighted controllability Gramian of eq. (19):
 /// given the SISO realization of a matrix element `S_ij(s)` and of the
 /// sensitivity weight `Ξ̃(s)`, forms the cascade `S_ij(s)·Ξ̃(s)` (eq. 18),
@@ -54,8 +25,8 @@ pub fn perturbation_norm_sq(delta_c: &Mat, gramian: &Mat) -> Result<f64> {
 ///
 /// # Errors
 ///
-/// Returns [`StateSpaceError::InvalidModel`] if either system is not SISO and
-/// propagates Lyapunov solver failures.
+/// Returns [`StateSpaceError::InvalidModel`](crate::StateSpaceError) if
+/// either system is not SISO and propagates Lyapunov solver failures.
 pub fn weighted_element_gramian(element: &StateSpace, weight: &StateSpace) -> Result<Mat> {
     let cascade = element.cascade_siso(weight)?;
     let full = controllability(&cascade)?;
@@ -95,8 +66,6 @@ mod tests {
         let sys = first_order(-4.0, 3.0);
         let p = controllability(&sys).unwrap();
         assert!(approx_eq(p[(0, 0)], 1.0 / 8.0, 1e-12));
-        let q = observability(&sys).unwrap();
-        assert!(approx_eq(q[(0, 0)], 9.0 / 8.0, 1e-12));
     }
 
     #[test]
@@ -108,9 +77,8 @@ mod tests {
         let sys = first_order(-a, 1.0);
         let p = controllability(&sys).unwrap();
         let dc = Mat::row_vector(&[0.3]);
-        let n = perturbation_norm_sq(&dc, &p).unwrap();
+        let n = dc.matmul(&p).unwrap().matmul(&dc.transpose()).unwrap().trace();
         assert!(approx_eq(n, 0.3 * 0.3 / (2.0 * a), 1e-12));
-        assert!(perturbation_norm_sq(&Mat::row_vector(&[1.0, 2.0]), &p).is_err());
     }
 
     #[test]

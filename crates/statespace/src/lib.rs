@@ -12,7 +12,7 @@
 //!   `S(s) = Σₙ Rₙ/(s − pₙ) + D` with poles shared by all matrix elements;
 //! * [`StateSpace`] — a real `{A, B, C, D}` realization, either of the full
 //!   multiport model or of a single matrix element;
-//! * [`gramian`] — controllability / observability Gramians and the
+//! * [`gramian`] — controllability Gramians and the
 //!   partitioned Gramian of a cascade `S_ij(s)·Ξ̃(s)`.
 
 #![deny(missing_docs)]

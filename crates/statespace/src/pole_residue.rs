@@ -187,33 +187,6 @@ impl PoleResidueModel {
         self.evaluate(Complex64::from_imag(omega))
     }
 
-    /// Evaluates a single matrix element at `s`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateSpaceError::InvalidModel`] for out-of-range indices or
-    /// evaluation at a pole.
-    pub fn evaluate_element(&self, i: usize, j: usize, s: Complex64) -> Result<Complex64> {
-        let ports = self.ports();
-        if i >= ports || j >= ports {
-            return Err(StateSpaceError::InvalidModel(format!(
-                "element ({i},{j}) out of range for a {ports}-port model"
-            )));
-        }
-        let mut out = Complex64::from_real(self.d[(i, j)]);
-        for (p, r) in self.poles.iter().zip(&self.residues) {
-            let den = s - *p;
-            // audit:allow(float-eq): evaluation exactly on a pole must take the residue branch
-            if den.abs() == 0.0 {
-                return Err(StateSpaceError::InvalidModel(format!(
-                    "evaluation point {s} coincides with pole {p}"
-                )));
-            }
-            out += r[(i, j)] / den;
-        }
-        Ok(out)
-    }
-
     /// Samples the model over a frequency grid, producing a tabulated
     /// [`NetworkData`] set in the given representation kind.
     ///
@@ -231,45 +204,6 @@ impl PoleResidueModel {
             matrices.push(self.evaluate_at_omega(omega)?);
         }
         Ok(NetworkData::new(grid.clone(), matrices, kind, z_ref)?)
-    }
-
-    /// Returns a copy with every unstable pole reflected into the left half
-    /// plane (`p ← −p̄`), the standard stabilization used inside Vector
-    /// Fitting pole relocation.
-    pub fn with_stable_poles(&self) -> PoleResidueModel {
-        let poles = self
-            .poles
-            .iter()
-            .map(|p| if p.re > 0.0 { Complex64::new(-p.re, p.im) } else { *p })
-            .collect();
-        PoleResidueModel { poles, residues: self.residues.clone(), d: self.d.clone() }
-    }
-
-    /// Returns a copy with the residue matrices replaced (poles and `D`
-    /// unchanged).
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`PoleResidueModel::new`].
-    pub fn with_residues(&self, residues: Vec<CMat>, d: Mat) -> Result<PoleResidueModel> {
-        PoleResidueModel::new(self.poles.clone(), residues, d)
-    }
-
-    /// Extracts the scalar (single-element) model for entry `(i, j)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateSpaceError::InvalidModel`] for out-of-range indices.
-    pub fn element_model(&self, i: usize, j: usize) -> Result<PoleResidueModel> {
-        let ports = self.ports();
-        if i >= ports || j >= ports {
-            return Err(StateSpaceError::InvalidModel(format!(
-                "element ({i},{j}) out of range for a {ports}-port model"
-            )));
-        }
-        let residues: Vec<CMat> =
-            self.residues.iter().map(|r| CMat::from_diag(&[r[(i, j)]])).collect();
-        PoleResidueModel::new(self.poles.clone(), residues, Mat::from_diag(&[self.d[(i, j)]]))
     }
 }
 
@@ -305,6 +239,11 @@ mod tests {
         assert_eq!(m.poles().len(), 3);
         assert_eq!(m.residues().len(), 3);
         assert_eq!((m.d()[(0, 0)]).to_bits(), 0.5f64.to_bits());
+        // A right-half-plane pole makes the model unstable.
+        let unstable =
+            PoleResidueModel::new(vec![c(5.0, 0.0)], vec![CMat::identity(1)], Mat::identity(1))
+                .unwrap();
+        assert!(!unstable.is_stable());
     }
 
     #[test]
@@ -361,15 +300,12 @@ mod tests {
             manual += r[(0, 1)] / (s - *p);
         }
         assert!((h[(0, 1)] - manual).abs() < 1e-12);
-        assert!((m.evaluate_element(0, 1, s).unwrap() - manual).abs() < 1e-12);
-        assert!(m.evaluate_element(5, 0, s).is_err());
     }
 
     #[test]
     fn evaluation_at_pole_fails() {
         let m = two_port_model();
         assert!(m.evaluate(c(-1e3, 0.0)).is_err());
-        assert!(m.evaluate_element(0, 0, c(-1e3, 0.0)).is_err());
     }
 
     #[test]
@@ -381,45 +317,5 @@ mod tests {
         assert_eq!(data.ports(), 2);
         // DC value equals D + sum of R/|p| contributions (real).
         assert!(data.matrix(0)[(0, 0)].im.abs() < 1e-9);
-    }
-
-    #[test]
-    fn stabilization_flips_unstable_poles() {
-        let p = c(2.0, 3.0);
-        let r = CMat::identity(1);
-        let m = PoleResidueModel::new(
-            vec![p, p.conj(), c(5.0, 0.0)],
-            vec![r.clone(), r.conj(), r.clone()],
-            Mat::identity(1),
-        )
-        .unwrap();
-        assert!(!m.is_stable());
-        let st = m.with_stable_poles();
-        assert!(st.is_stable());
-        assert!((st.poles()[0].re + 2.0).abs() < 1e-15);
-        assert!((st.poles()[0].im - 3.0).abs() < 1e-15);
-        assert!((st.poles()[2].re + 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn element_model_extraction() {
-        let m = two_port_model();
-        let e = m.element_model(1, 0).unwrap();
-        assert_eq!(e.ports(), 1);
-        assert_eq!(e.order(), 3);
-        let s = c(0.0, 4e3);
-        let full = m.evaluate(s).unwrap()[(1, 0)];
-        let scalar = e.evaluate(s).unwrap()[(0, 0)];
-        assert!((full - scalar).abs() < 1e-12);
-        assert!(m.element_model(2, 0).is_err());
-    }
-
-    #[test]
-    fn with_residues_replaces_and_validates() {
-        let m = two_port_model();
-        let zeros: Vec<CMat> = m.residues().iter().map(|r| r.scaled_real(0.0)).collect();
-        let z = m.with_residues(zeros, Mat::zeros(2, 2)).unwrap();
-        let h = z.evaluate(c(0.0, 1e4)).unwrap();
-        assert!(h.max_abs() < 1e-15);
     }
 }

@@ -106,16 +106,6 @@ impl StateSpace {
         &self.d
     }
 
-    /// Replaces the output matrix `C` (used by the passivity enforcement loop,
-    /// which perturbs only `C`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateSpaceError::InvalidModel`] on shape mismatch.
-    pub fn with_c(&self, c: Mat) -> Result<StateSpace> {
-        StateSpace::new(self.a.clone(), self.b.clone(), c, self.d.clone())
-    }
-
     /// Evaluates the transfer matrix at a complex frequency `s`.
     ///
     /// # Errors
@@ -324,66 +314,6 @@ impl StateSpace {
         let d = Mat::from_diag(&[d1 * d2]);
         StateSpace::new(a, b, c, d)
     }
-
-    /// Time-domain simulation with the trapezoidal rule for a given input
-    /// sequence `u[k]` sampled with period `dt`, starting from a zero state.
-    /// Returns the output sequence (one row per output).
-    ///
-    /// Used for transient sanity checks of passive vs. non-passive models.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateSpaceError::InvalidModel`] on input-size mismatch, or
-    /// [`StateSpaceError::Linalg`] when the implicit-step matrix is singular
-    /// (never the case for a stable system and reasonable `dt`).
-    pub fn simulate(&self, inputs: &[Vec<f64>], dt: f64) -> Result<Vec<Vec<f64>>> {
-        if inputs.len() != self.inputs() {
-            return Err(StateSpaceError::InvalidModel(format!(
-                "expected {} input sequences, got {}",
-                self.inputs(),
-                inputs.len()
-            )));
-        }
-        let steps = inputs.first().map(|u| u.len()).unwrap_or(0);
-        if inputs.iter().any(|u| u.len() != steps) {
-            return Err(StateSpaceError::InvalidModel(
-                "all input sequences must have the same length".into(),
-            ));
-        }
-        if !(dt > 0.0) {
-            return Err(StateSpaceError::InvalidModel("time step must be positive".into()));
-        }
-        let n = self.order();
-        // Trapezoidal: (I - dt/2 A) x_{k+1} = (I + dt/2 A) x_k + dt/2 B (u_k + u_{k+1})
-        let half = dt / 2.0;
-        let m_minus = &Mat::identity(n) - &self.a.scaled(half);
-        let m_plus = &Mat::identity(n) + &self.a.scaled(half);
-        let lu = pim_linalg::lu::Lu::new(&m_minus)?;
-        let mut x = vec![0.0; n];
-        let mut out = vec![Vec::with_capacity(steps); self.outputs()];
-        for k in 0..steps {
-            let uk: Vec<f64> = inputs.iter().map(|u| u[k]).collect();
-            // Output at the current state.
-            let y = {
-                let cx = self.c.matvec(&x)?;
-                let du = self.d.matvec(&uk)?;
-                cx.iter().zip(du).map(|(a, b)| a + b).collect::<Vec<f64>>()
-            };
-            for (o, y_o) in out.iter_mut().zip(&y) {
-                o.push(*y_o);
-            }
-            if k + 1 == steps {
-                break;
-            }
-            let uk1: Vec<f64> = inputs.iter().map(|u| u[k + 1]).collect();
-            let u_sum: Vec<f64> = uk.iter().zip(&uk1).map(|(a, b)| a + b).collect();
-            let rhs1 = m_plus.matvec(&x)?;
-            let rhs2 = self.b.matvec(&u_sum)?;
-            let rhs: Vec<f64> = rhs1.iter().zip(&rhs2).map(|(a, b)| a + half * b).collect();
-            x = lu.solve_vec(&rhs)?;
-        }
-        Ok(out)
-    }
 }
 
 /// Internal description of the real-block structure of a common-pole model.
@@ -543,40 +473,5 @@ mod tests {
         // Non-SISO systems are rejected.
         let full = StateSpace::from_pole_residue(&model).unwrap();
         assert!(full.cascade_siso(&w).is_err());
-    }
-
-    #[test]
-    fn with_c_replaces_output_matrix() {
-        let model = two_port_model();
-        let sys = StateSpace::from_pole_residue(&model).unwrap();
-        let zero_c = Mat::zeros(2, sys.order());
-        let sys0 = sys.with_c(zero_c).unwrap();
-        let h = sys0.evaluate_at_omega(1e3).unwrap();
-        // Only D remains.
-        assert!(h.max_abs_diff(&model.d().to_complex()) < 1e-12);
-        assert!(sys.with_c(Mat::zeros(3, 1)).is_err());
-    }
-
-    #[test]
-    fn trapezoidal_simulation_matches_dc_gain() {
-        // Step response of a stable first-order low-pass settles at the DC gain.
-        let sys = StateSpace::new(
-            Mat::from_diag(&[-100.0]),
-            Mat::col_vector(&[100.0]),
-            Mat::row_vector(&[2.0]),
-            Mat::from_diag(&[0.0]),
-        )
-        .unwrap();
-        let steps = 2000;
-        let u = vec![vec![1.0; steps]];
-        let y = sys.simulate(&u, 1e-3).unwrap();
-        assert_eq!(y.len(), 1);
-        assert_eq!(y[0].len(), steps);
-        let settled = y[0][steps - 1];
-        assert!((settled - 2.0).abs() < 1e-6, "settled value {settled}");
-        // Validation errors.
-        assert!(sys.simulate(&[], 1e-3).is_err());
-        assert!(sys.simulate(&u, -1.0).is_err());
-        assert!(sys.simulate(&[vec![0.0; 3], vec![0.0; 4]], 1e-3).is_err());
     }
 }

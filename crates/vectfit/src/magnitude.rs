@@ -29,32 +29,20 @@ pub struct MagnitudeFitConfig {
     /// Order (number of poles) of the weighting model `Ξ̃(s)` — `n_w` in the
     /// paper (the test case uses 8).
     pub order: usize,
-    /// Pole-relocation iterations in the `x = ω²` domain.
-    pub n_iterations: usize,
-    /// Relative floor applied to the squared-magnitude samples (guards the
-    /// spectral factorization against a vanishing asymptotic term).
-    pub floor: f64,
 }
 
 impl Default for MagnitudeFitConfig {
     fn default() -> Self {
-        MagnitudeFitConfig { order: 8, n_iterations: 8, floor: 1e-8 }
+        MagnitudeFitConfig { order: 8 }
     }
 }
 
-impl MagnitudeFitConfig {
-    /// Default configuration with the given weighting-model order `n_w`.
-    pub fn with_order(order: usize) -> Self {
-        MagnitudeFitConfig { order, ..MagnitudeFitConfig::default() }
-    }
+/// Pole-relocation iterations in the `x = ω²` domain.
+const N_ITERATIONS: usize = 8;
 
-    /// Sets the number of pole-relocation iterations (builder style).
-    #[must_use]
-    pub fn iterations(mut self, n_iterations: usize) -> Self {
-        self.n_iterations = n_iterations;
-        self
-    }
-}
+/// Relative floor applied to the squared-magnitude samples (guards the
+/// spectral factorization against a vanishing asymptotic term).
+const FLOOR: f64 = 1e-8;
 
 /// A stable, minimum-phase rational model of a magnitude response.
 #[derive(Debug, Clone)]
@@ -109,7 +97,7 @@ impl SensitivityModel {
 /// // Magnitude of H(s) = 1e3/(s + 1e3): a first-order low-pass.
 /// let omegas: Vec<f64> = (0..60).map(|k| 10f64.powf(1.0 + 0.1 * k as f64)).collect();
 /// let mags: Vec<f64> = omegas.iter().map(|w| 1e3 / (w * w + 1e6_f64).sqrt()).collect();
-/// let cfg = MagnitudeFitConfig { order: 2, n_iterations: 6, ..Default::default() };
+/// let cfg = MagnitudeFitConfig { order: 2 };
 /// let xi = fit_magnitude(&omegas, &mags, &cfg)?;
 /// let err = (xi.evaluate_magnitude(1e3)? - 1.0 / 2f64.sqrt()).abs();
 /// assert!(err < 1e-3);
@@ -151,7 +139,7 @@ pub fn fit_magnitude(
 
     // Work in x = ω² with the squared magnitude, floored for robustness.
     let xs_raw: Vec<f64> = omegas.iter().map(|w| w * w).collect();
-    let floor_raw = config.floor * max_mag * max_mag;
+    let floor_raw = FLOOR * max_mag * max_mag;
     let gs_raw: Vec<f64> = magnitudes.iter().map(|m| (m * m).max(floor_raw)).collect();
     let x_max = xs_raw.iter().fold(0.0_f64, |a, &b| a.max(b));
     let x_min_nz = xs_raw.iter().copied().filter(|&x| x > 0.0).fold(f64::INFINITY, f64::min);
@@ -183,7 +171,7 @@ pub fn fit_magnitude(
         })
         .collect();
 
-    for _ in 0..config.n_iterations {
+    for _ in 0..N_ITERATIONS {
         q = relocate_real_axis_poles(&xs, &gs, &q)?;
         // In the x = ω² domain the only forbidden pole locations are on the
         // positive real axis (where the data lives): a lightly damped s-plane
@@ -454,7 +442,7 @@ mod tests {
     fn fits_first_order_low_pass_magnitude() {
         let omegas = log_omegas(1.0, 1e6, 80);
         let mags: Vec<f64> = omegas.iter().map(|w| 2e3 / (w * w + 1e6_f64).sqrt()).collect();
-        let cfg = MagnitudeFitConfig { order: 2, n_iterations: 8, ..Default::default() };
+        let cfg = MagnitudeFitConfig { order: 2 };
         let xi = fit_magnitude(&omegas, &mags, &cfg).unwrap();
         for (k, &w) in omegas.iter().enumerate() {
             let m = xi.evaluate_magnitude(w).unwrap();
@@ -480,7 +468,7 @@ mod tests {
                 h.abs()
             })
             .collect();
-        let cfg = MagnitudeFitConfig { order: 8, n_iterations: 12, ..Default::default() };
+        let cfg = MagnitudeFitConfig { order: 8 };
         let xi = fit_magnitude(&omegas, &mags, &cfg).unwrap();
         // A sensitivity weight only needs to track the magnitude shape, not
         // reproduce it exactly (the paper leaves the resonant spike of its
@@ -504,7 +492,7 @@ mod tests {
     fn state_space_realization_matches_model() {
         let omegas = log_omegas(1.0, 1e5, 60);
         let mags: Vec<f64> = omegas.iter().map(|w| 50.0 / (w + 100.0)).collect();
-        let cfg = MagnitudeFitConfig { order: 3, n_iterations: 6, ..Default::default() };
+        let cfg = MagnitudeFitConfig { order: 3 };
         let xi = fit_magnitude(&omegas, &mags, &cfg).unwrap();
         let ss = xi.state_space().unwrap();
         for &w in &[1.0, 57.0, 1e3, 9e4] {
@@ -522,7 +510,7 @@ mod tests {
         // and all poles are strictly in the LHP.
         let omegas = log_omegas(10.0, 1e7, 100);
         let mags: Vec<f64> = omegas.iter().map(|&w| 5.0 / ((w / 1e3) + 1.0) + 0.2).collect();
-        let cfg = MagnitudeFitConfig { order: 4, n_iterations: 8, ..Default::default() };
+        let cfg = MagnitudeFitConfig { order: 4 };
         let xi = fit_magnitude(&omegas, &mags, &cfg).unwrap();
         assert!(xi.model().poles().iter().all(|p| p.re < 0.0));
         let mid = 50;
@@ -538,9 +526,9 @@ mod tests {
         assert!(fit_magnitude(&omegas, &mags[..10], &cfg).is_err());
         assert!(fit_magnitude(&omegas, &vec![0.0; 30], &cfg).is_err());
         assert!(fit_magnitude(&omegas, &vec![-1.0; 30], &cfg).is_err());
-        let cfg0 = MagnitudeFitConfig { order: 0, ..Default::default() };
+        let cfg0 = MagnitudeFitConfig { order: 0 };
         assert!(fit_magnitude(&omegas, &mags, &cfg0).is_err());
-        let cfg_big = MagnitudeFitConfig { order: 20, ..Default::default() };
+        let cfg_big = MagnitudeFitConfig { order: 20 };
         assert!(fit_magnitude(&omegas, &mags, &cfg_big).is_err());
     }
 
@@ -548,7 +536,7 @@ mod tests {
     fn constant_magnitude_is_reproduced() {
         let omegas = log_omegas(1.0, 1e4, 40);
         let mags = vec![3.0; 40];
-        let cfg = MagnitudeFitConfig { order: 2, n_iterations: 5, ..Default::default() };
+        let cfg = MagnitudeFitConfig { order: 2 };
         let xi = fit_magnitude(&omegas, &mags, &cfg).unwrap();
         for &w in &[2.0, 50.0, 5e3] {
             assert!((xi.evaluate_magnitude(w).unwrap() - 3.0).abs() < 0.05);

@@ -120,13 +120,6 @@ pub fn flip_unstable(poles: &mut [Complex64]) {
     }
 }
 
-/// Number of real-valued basis coefficients associated with a
-/// conjugate-symmetric pole list (one per real pole, two per complex pair —
-/// which equals the pole count when pairs are stored explicitly).
-pub fn real_coefficient_count(poles: &[Complex64]) -> usize {
-    poles.len()
-}
-
 /// Classification of a conjugate-symmetric pole list into scan-friendly
 /// blocks: `Real(index)` or `Pair(index_of_upper_member)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,6 +231,5 @@ mod tests {
     fn pole_blocks_rejects_malformed_lists() {
         assert!(pole_blocks(&[Complex64::new(-1.0, 2.0)]).is_err());
         assert!(pole_blocks(&[Complex64::new(-1.0, 2.0), Complex64::new(-1.0, 3.0)]).is_err());
-        assert_eq!(real_coefficient_count(&[Complex64::new(-1.0, 0.0)]), 1);
     }
 }

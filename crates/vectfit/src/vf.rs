@@ -14,49 +14,21 @@ use pim_rfdata::NetworkData;
 use pim_statespace::PoleResidueModel;
 
 /// Configuration of a Vector Fitting run.
+///
+/// The fit always starts from the log-spaced heuristic poles, reflects
+/// unstable relocated poles into the left half plane, includes the constant
+/// term `D`, and symmetrizes the residues and `D` (reciprocal networks).
 #[derive(Debug, Clone)]
 pub struct VfConfig {
     /// Model order (number of poles, counting both members of complex pairs).
     pub n_poles: usize,
     /// Number of pole-relocation iterations.
     pub n_iterations: usize,
-    /// Reflect unstable relocated poles into the left half plane.
-    pub enforce_stable_poles: bool,
-    /// Include the constant (asymptotic) term `D` in the model.
-    pub fit_constant: bool,
-    /// Symmetrize the residue and constant matrices (reciprocal networks).
-    pub enforce_symmetry: bool,
-    /// Optional user-supplied starting poles (conjugate pairs adjacent);
-    /// when `None` the standard log-spaced heuristic is used.
-    pub initial_poles: Option<Vec<Complex64>>,
 }
 
 impl Default for VfConfig {
     fn default() -> Self {
-        VfConfig {
-            n_poles: 12,
-            n_iterations: 5,
-            enforce_stable_poles: true,
-            fit_constant: true,
-            enforce_symmetry: true,
-            initial_poles: None,
-        }
-    }
-}
-
-impl VfConfig {
-    /// Default configuration with the given model order (`n_poles`), the
-    /// knob every caller sets; chain [`VfConfig::iterations`] for the second
-    /// most common one.
-    pub fn with_order(n_poles: usize) -> Self {
-        VfConfig { n_poles, ..VfConfig::default() }
-    }
-
-    /// Sets the number of pole-relocation iterations (builder style).
-    #[must_use]
-    pub fn iterations(mut self, n_iterations: usize) -> Self {
-        self.n_iterations = n_iterations;
-        self
+        VfConfig { n_poles: 12, n_iterations: 5 }
     }
 }
 
@@ -69,8 +41,6 @@ pub struct VfResult {
     pub rms_error: f64,
     /// Weighted RMS fitting error (equals `rms_error` for unit weights).
     pub weighted_rms_error: f64,
-    /// Pole sets after each relocation iteration (diagnostic).
-    pub pole_history: Vec<Vec<Complex64>>,
 }
 
 /// Fits a common-pole rational macromodel to tabulated frequency responses.
@@ -97,7 +67,7 @@ pub struct VfResult {
 ///     .map(|&w| CMat::from_diag(&[(Complex64::new(100.0, w)).recip()]))
 ///     .collect();
 /// let data = NetworkData::new(grid, mats, ParameterKind::Scattering, 50.0)?;
-/// let cfg = VfConfig { n_poles: 3, n_iterations: 4, ..VfConfig::default() };
+/// let cfg = VfConfig { n_poles: 3, n_iterations: 4 };
 /// let fit = vector_fit(&data, None, &cfg)?;
 /// assert!(fit.rms_error < 1e-8);
 /// # Ok(())
@@ -139,25 +109,9 @@ pub fn vector_fit(
     };
 
     let omegas = data.grid().omegas();
-    let initial = match &config.initial_poles {
-        Some(p) => {
-            if p.len() != config.n_poles {
-                return Err(VectFitError::InvalidInput(format!(
-                    "initial_poles has {} entries but n_poles is {}",
-                    p.len(),
-                    config.n_poles
-                )));
-            }
-            // Validate pairing up front.
-            pole_blocks(p)?;
-            p.clone()
-        }
-        None => {
-            let w_min = omegas.iter().copied().find(|&x| x > 0.0).unwrap_or(1.0);
-            let w_max = omegas.last().copied().unwrap_or(1.0).max(w_min * 10.0);
-            initial_poles(w_min, w_max, config.n_poles)?
-        }
-    };
+    let w_min = omegas.iter().copied().find(|&x| x > 0.0).unwrap_or(1.0);
+    let w_max = omegas.last().copied().unwrap_or(1.0).max(w_min * 10.0);
+    let initial = initial_poles(w_min, w_max, config.n_poles)?;
 
     // Normalize the frequency axis so every regression column is O(1); the
     // huge dynamic range of PDN grids (kHz to GHz) would otherwise make the
@@ -166,16 +120,12 @@ pub fn vector_fit(
     let omegas_n: Vec<f64> = omegas.iter().map(|w| w / omega_scale).collect();
     let mut poles: Vec<Complex64> = initial.iter().map(|p| p.scale(1.0 / omega_scale)).collect();
 
-    let mut pole_history = Vec::with_capacity(config.n_iterations);
     for _iter in 0..config.n_iterations {
-        poles = relocate_poles(data, &omegas_n, &w, &poles, config)?;
-        if config.enforce_stable_poles {
-            flip_unstable(&mut poles);
-        }
-        pole_history.push(poles.iter().map(|p| p.scale(omega_scale)).collect());
+        poles = relocate_poles(data, &omegas_n, &w, &poles)?;
+        flip_unstable(&mut poles);
     }
 
-    let model_n = identify_residues(data, &omegas_n, &w, &poles, config)?;
+    let model_n = identify_residues(data, &omegas_n, &w, &poles)?;
     // Undo the frequency normalization: s = ω_scale·s' maps poles and
     // residues by the same factor and leaves the constant term untouched.
     let model = PoleResidueModel::new(
@@ -198,7 +148,6 @@ pub fn vector_fit(
         model,
         rms_error: (sum_sq / denom).sqrt(),
         weighted_rms_error: (sum_sq_w / denom).sqrt(),
-        pole_history,
     })
 }
 
@@ -235,13 +184,12 @@ fn relocate_poles(
     omegas: &[f64],
     weights: &[f64],
     poles: &[Complex64],
-    config: &VfConfig,
 ) -> Result<Vec<Complex64>> {
     let k_samples = omegas.len();
     let ports = data.ports();
     let n = poles.len();
-    let nd = if config.fit_constant { 1 } else { 0 };
-    let n_local = n + nd;
+    // The shared columns: one per basis function plus the constant term.
+    let n_local = n + 1;
     let phi = build_basis(omegas, poles)?;
 
     // Compressed normal-block accumulation: for every element, QR-factor the
@@ -262,9 +210,7 @@ fn relocate_poles(
             a1[(k, c)] = wk * b.re;
             a1[(k_samples + k, c)] = wk * b.im;
         }
-        if nd == 1 {
-            a1[(k, n)] = wk;
-        }
+        a1[(k, n)] = wk;
     }
     let q1 = QrFactor::new(&a1)?;
     let tail_rows = 2 * k_samples - n_local;
@@ -376,17 +322,16 @@ fn identify_residues(
     omegas: &[f64],
     weights: &[f64],
     poles: &[Complex64],
-    config: &VfConfig,
 ) -> Result<PoleResidueModel> {
     let k_samples = omegas.len();
     let ports = data.ports();
     let n = poles.len();
-    let nd = if config.fit_constant { 1 } else { 0 };
     let phi = build_basis(omegas, poles)?;
     let blocks = pole_blocks(poles)?;
 
-    // Shared regression matrix (identical for every element).
-    let mut a = Mat::zeros(2 * k_samples, n + nd);
+    // Shared regression matrix (identical for every element): the basis
+    // functions plus the constant term.
+    let mut a = Mat::zeros(2 * k_samples, n + 1);
     for k in 0..k_samples {
         let wk = weights[k];
         for c in 0..n {
@@ -394,9 +339,7 @@ fn identify_residues(
             a[(k, c)] = wk * b.re;
             a[(k_samples + k, c)] = wk * b.im;
         }
-        if nd == 1 {
-            a[(k, n)] = wk;
-        }
+        a[(k, n)] = wk;
     }
     let qr = QrFactor::new(&a)?;
 
@@ -423,19 +366,15 @@ fn identify_residues(
                     }
                 }
             }
-            if nd == 1 {
-                d[(i, j)] = x[n];
-            }
+            d[(i, j)] = x[n];
         }
     }
 
-    if config.enforce_symmetry {
-        for r in &mut residues {
-            let sym = CMat::from_fn(ports, ports, |i, j| (r[(i, j)] + r[(j, i)]).scale(0.5));
-            *r = sym;
-        }
-        d = Mat::from_fn(ports, ports, |i, j| 0.5 * (d[(i, j)] + d[(j, i)]));
+    for r in &mut residues {
+        let sym = CMat::from_fn(ports, ports, |i, j| (r[(i, j)] + r[(j, i)]).scale(0.5));
+        *r = sym;
     }
+    d = Mat::from_fn(ports, ports, |i, j| 0.5 * (d[(i, j)] + d[(j, i)]));
 
     Ok(PoleResidueModel::new(poles.to_vec(), residues, d)?)
 }
@@ -468,7 +407,7 @@ mod tests {
     fn recovers_known_rational_function_exactly() {
         let grid = FrequencyGrid::log_space(1e2, 1e7, 80).unwrap().with_dc();
         let (reference, data) = synthetic_data(&grid);
-        let cfg = VfConfig { n_poles: 3, n_iterations: 6, ..VfConfig::default() };
+        let cfg = VfConfig { n_poles: 3, n_iterations: 6 };
         let fit = vector_fit(&data, None, &cfg).unwrap();
         assert!(fit.rms_error < 1e-7, "rms error {}", fit.rms_error);
         assert!(fit.model.is_stable());
@@ -483,7 +422,6 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert!((*g - *w).abs() < 1e-3 * w.abs(), "pole mismatch: {g} vs {w}");
         }
-        assert_eq!(fit.pole_history.len(), 6);
     }
 
     #[test]
@@ -502,8 +440,8 @@ mod tests {
             })
             .collect();
         let data = NetworkData::new(grid, mats, ParameterKind::Scattering, 50.0).unwrap();
-        let cfg_lo = VfConfig { n_poles: 2, n_iterations: 5, ..VfConfig::default() };
-        let cfg_hi = VfConfig { n_poles: 6, n_iterations: 5, ..VfConfig::default() };
+        let cfg_lo = VfConfig { n_poles: 2, n_iterations: 5 };
+        let cfg_hi = VfConfig { n_poles: 6, n_iterations: 5 };
         let e_lo = vector_fit(&data, None, &cfg_lo).unwrap().rms_error;
         let e_hi = vector_fit(&data, None, &cfg_hi).unwrap().rms_error;
         assert!(e_hi <= e_lo * 1.01, "order 6 ({e_hi}) should beat order 2 ({e_lo})");
@@ -530,7 +468,7 @@ mod tests {
         let data = NetworkData::new(grid.clone(), mats, ParameterKind::Scattering, 50.0).unwrap();
         let weights: Vec<f64> =
             grid.freqs_hz().iter().map(|&f| if f < 1e6 { 100.0 } else { 1.0 }).collect();
-        let cfg = VfConfig { n_poles: 2, n_iterations: 5, ..VfConfig::default() };
+        let cfg = VfConfig { n_poles: 2, n_iterations: 5 };
         let unweighted = vector_fit(&data, None, &cfg).unwrap();
         let weighted = vector_fit(&data, Some(&weights), &cfg).unwrap();
         // Compare low-frequency accuracy.
@@ -563,9 +501,6 @@ mod tests {
         assert!(vector_fit(&data, Some(&[1.0, 2.0]), &cfg).is_err());
         let bad_w = vec![-1.0; data.len()];
         assert!(vector_fit(&data, Some(&bad_w), &cfg).is_err());
-        let cfg =
-            VfConfig { initial_poles: Some(vec![c(-1.0, 0.0)]), n_poles: 3, ..VfConfig::default() };
-        assert!(vector_fit(&data, None, &cfg).is_err());
     }
 
     #[test]
@@ -580,44 +515,11 @@ mod tests {
                 Ok(m2)
             })
             .unwrap();
-        let cfg =
-            VfConfig { n_poles: 3, n_iterations: 4, enforce_symmetry: true, ..VfConfig::default() };
+        let cfg = VfConfig { n_poles: 3, n_iterations: 4 };
         let fit = vector_fit(&data_vec, None, &cfg).unwrap();
         for r in fit.model.residues() {
             assert!((r[(0, 1)] - r[(1, 0)]).abs() < 1e-12);
         }
         assert!((fit.model.d()[(0, 1)] - fit.model.d()[(1, 0)]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn custom_initial_poles_are_honoured() {
-        let grid = FrequencyGrid::log_space(1e2, 1e7, 60).unwrap();
-        let (_, data) = synthetic_data(&grid);
-        let init = vec![c(-1e3, 0.0), c(-1e5, 1e6), c(-1e5, -1e6)];
-        let cfg = VfConfig {
-            n_poles: 3,
-            n_iterations: 5,
-            initial_poles: Some(init),
-            ..VfConfig::default()
-        };
-        let fit = vector_fit(&data, None, &cfg).unwrap();
-        assert!(fit.rms_error < 1e-6);
-    }
-
-    #[test]
-    fn without_constant_term_model_is_strictly_proper() {
-        let grid = FrequencyGrid::log_space(1e2, 1e7, 60).unwrap();
-        // Strictly proper data (no feedthrough).
-        let mats: Vec<CMat> = grid
-            .omegas()
-            .iter()
-            .map(|&w| CMat::from_diag(&[(Complex64::new(1e4, w)).recip() * 2e4]))
-            .collect();
-        let data = NetworkData::new(grid, mats, ParameterKind::Scattering, 50.0).unwrap();
-        let cfg =
-            VfConfig { n_poles: 2, n_iterations: 4, fit_constant: false, ..VfConfig::default() };
-        let fit = vector_fit(&data, None, &cfg).unwrap();
-        assert_eq!((fit.model.d().max_abs()).to_bits(), 0.0f64.to_bits());
-        assert!(fit.rms_error < 1e-8);
     }
 }

@@ -25,7 +25,7 @@
 //! // A light configuration for the doc test; FlowConfig::default() is the
 //! // paper-faithful one. Its sweep grids are adaptive: they bisect toward
 //! // violation bands narrower than the grid spacing.
-//! let config = FlowConfig { vf: VfConfig::with_order(10).iterations(3), ..Default::default() };
+//! let config = FlowConfig { vf: VfConfig { n_poles: 10, n_iterations: 3 }, ..Default::default() };
 //! let mut pipeline = Pipeline::from_scenario(&scenario, config)?;
 //!
 //! // Sensitivity of the target impedance to scattering perturbations

@@ -31,7 +31,7 @@ fn fitted_model_predicts_the_loaded_impedance() -> pim_repro::Result<()> {
     // construction (CoreError), fitting (VectFitError), assessment
     // (PassivityError) and impedance extraction (PdnError) below.
     let sc = ScenarioPreset::Reduced.build()?;
-    let fit = vector_fit(&sc.data, None, &VfConfig::with_order(16))?;
+    let fit = vector_fit(&sc.data, None, &VfConfig { n_poles: 16, ..VfConfig::default() })?;
     assert!(fit.rms_error < 1e-2, "rms error {}", fit.rms_error);
     // The raw data is passive; the plain fit may still carry localized
     // passivity violations (this is precisely why the enforcement stage
