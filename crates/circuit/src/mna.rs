@@ -1,7 +1,7 @@
 //! Frequency-domain nodal analysis of RLCG netlists with ports.
 
 use crate::{CircuitError, Result};
-use pim_linalg::lu::CLu;
+use pim_linalg::lu::Lu;
 use pim_linalg::{CMat, Complex64};
 use pim_rfdata::network::z_to_s;
 use pim_rfdata::{FrequencyGrid, NetworkData, ParameterKind};
@@ -222,7 +222,7 @@ impl Circuit {
             return Err(CircuitError::InvalidInput("the circuit defines no ports".into()));
         }
         let y = self.nodal_matrix(omega)?;
-        let lu = CLu::new(&y)?;
+        let lu = Lu::new(&y)?;
         let p = self.ports.len();
         let mut z = CMat::zeros(p, p);
         for (col, &port_node) in self.ports.iter().enumerate() {

@@ -15,8 +15,9 @@
 //! * [`pipeline`] — the staged, observable macromodeling pipeline: typed
 //!   stage handles (`sensitivity → fit → weighting_model → assess →
 //!   enforce`), each returning an owned artifact, the full
-//!   [`pipeline::Pipeline::report`], plus the [`pipeline::Pipeline::sweep`]
-//!   batch runner over [`scenario::ScenarioPreset`]s;
+//!   [`pipeline::Pipeline::report`], plus the
+//!   [`pipeline::Pipeline::sweep_with`] batch runner over
+//!   [`scenario::ScenarioPreset`]s;
 //! * [`flow`] — the flow configuration ([`flow::FlowConfig`], whose
 //!   `enforcement.sampling` is the one sampling policy of assessment and
 //!   enforcement), the [`flow::FlowReport`] and the evaluation types;

@@ -30,7 +30,7 @@
 //! reports the stage, its norm-labeled iterations and, on failure, the
 //! diagnostics.
 //!
-//! [`Pipeline::sweep`] is the batch entry point: it evaluates a list of
+//! [`Pipeline::sweep_with`] is the batch entry point: it evaluates a list of
 //! [`ScenarioPreset`]s end-to-end and returns one [`FlowReport`] per
 //! scenario.
 
@@ -90,10 +90,9 @@ pub struct FitArtifact {
 /// Artifact of the passivity-assessment stage.
 #[derive(Debug, Clone)]
 pub struct AssessmentArtifact {
-    /// Full assessment of the weighted macromodel on the data grid.
+    /// Full assessment of the weighted macromodel on the data grid; its
+    /// `sigma_max` is the worst singular value before any enforcement.
     pub report: PassivityReport,
-    /// Worst singular value before any enforcement.
-    pub sigma_max_before: f64,
 }
 
 /// Artifact of an enforcement stage.
@@ -106,7 +105,7 @@ pub struct EnforcementArtifact {
     pub outcome: Option<EnforcementOutcome>,
 }
 
-/// One entry of a [`Pipeline::sweep`] run.
+/// One entry of a [`Pipeline::sweep_with`] run.
 #[derive(Debug, Clone)]
 pub struct SweepEntry {
     /// The preset the scenario was built from.
@@ -336,8 +335,7 @@ impl<'a> Pipeline<'a> {
                 &FrequencyGrid::from_omegas(&omegas),
                 self.config.enforcement.sampling.as_ref(),
             )?;
-            let sigma_max_before = report.sigma_max;
-            self.assessment = Some(AssessmentArtifact { report, sigma_max_before });
+            self.assessment = Some(AssessmentArtifact { report });
             self.stage_done(Stage::Assessment);
         }
         Ok(self.assessment.clone().expect("assessment just cached"))
@@ -618,7 +616,7 @@ impl<'a> Pipeline<'a> {
             sensitivity_model,
             standard_fit,
             weighted_fit,
-            sigma_max_before: assessment.sigma_max_before,
+            sigma_max_before: assessment.report.sigma_max,
             weighted_enforcement,
             standard_enforcement,
             standard_model_eval,
@@ -633,30 +631,20 @@ impl<'a> Pipeline<'a> {
     /// each, returning one [`FlowReport`] (plus its recorded trace) per
     /// preset.
     ///
-    /// Presets run **concurrently** on the [`pim_runtime::global`] pool —
-    /// each produces owned artifacts, so the only shared state is the
-    /// configuration. Entries are collected by preset index and every preset
-    /// records observer events into its own buffer (see
-    /// [`SweepEntry::trace`]), which makes the parallel sweep bit-identical
-    /// to the serial one for every `PIM_THREADS` (`1` forces the serial
-    /// path); the integration suite pins this at the float-bit level.
+    /// Presets run **concurrently** on `pool` (callers pass
+    /// [`pim_runtime::global`] or a pool of their own) — each produces owned
+    /// artifacts, so the only shared state is the configuration. Entries are
+    /// collected by preset index and every preset records observer events
+    /// into its own buffer (see [`SweepEntry::trace`]), which makes the
+    /// parallel sweep bit-identical to the serial one for every pool size
+    /// and `PIM_THREADS` (`1` forces the serial path); the integration suite
+    /// pins this at the float-bit level.
     ///
     /// # Errors
     ///
     /// Propagates scenario-construction and flow failures of any preset;
     /// when several presets fail, the error of the lowest preset index is
     /// reported regardless of scheduling order.
-    pub fn sweep(presets: &[ScenarioPreset], config: &FlowConfig) -> Result<Vec<SweepEntry>> {
-        Pipeline::sweep_with(pim_runtime::global(), presets, config)
-    }
-
-    /// [`Pipeline::sweep`] on an explicit [`pim_runtime::ThreadPool`] (the
-    /// determinism test suites compare pools of different sizes bit for
-    /// bit).
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::sweep`].
     pub fn sweep_with(
         pool: &pim_runtime::ThreadPool,
         presets: &[ScenarioPreset],

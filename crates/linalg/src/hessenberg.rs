@@ -1,28 +1,29 @@
-//! Reduction of a complex square matrix to upper Hessenberg form by a unitary
-//! similarity transformation, used as the first stage of the Schur iteration.
+//! Reduction of a square matrix to upper Hessenberg form by a unitary
+//! similarity transformation (orthogonal on real input), used as the first
+//! stage of the Schur iteration.
 
-use crate::{CMat, Complex64, LinalgError, Mat, Result};
+use crate::{LinalgError, Matrix, Result, Scalar};
 
-/// A complex Givens rotation acting on a pair of rows/columns.
+/// A Givens rotation acting on a pair of rows/columns.
 ///
 /// The rotation is `G = [[c, s], [-s̄, c]]` with real `c ≥ 0` and
 /// `c² + |s|² = 1`, chosen so that `G·[x, y]ᵀ = [r, 0]ᵀ`.
 #[derive(Debug, Clone, Copy)]
-pub struct Givens {
+pub struct Givens<T> {
     /// Real cosine component.
     pub c: f64,
-    /// Complex sine component.
-    pub s: Complex64,
+    /// Sine component.
+    pub s: T,
 }
 
-impl Givens {
+impl<T: Scalar> Givens<T> {
     /// Computes the rotation annihilating `y` against `x`.
-    pub fn compute(x: Complex64, y: Complex64) -> Givens {
+    pub fn compute(x: T, y: T) -> Self {
         let xa = x.abs();
         let ya = y.abs();
         // audit:allow(float-eq): exact-zero rotation component selects the trivial rotation
         if ya == 0.0 {
-            return Givens { c: 1.0, s: Complex64::ZERO };
+            return Givens { c: 1.0, s: T::ZERO };
         }
         // audit:allow(float-eq): exact-zero rotation component selects the axis-aligned rotation
         if xa == 0.0 {
@@ -37,7 +38,14 @@ impl Givens {
 
     /// Applies the rotation to rows `i` and `k` of `m` (left multiplication),
     /// over columns `col_from..col_to`.
-    pub fn apply_left(&self, m: &mut CMat, i: usize, k: usize, col_from: usize, col_to: usize) {
+    pub fn apply_left(
+        &self,
+        m: &mut Matrix<T>,
+        i: usize,
+        k: usize,
+        col_from: usize,
+        col_to: usize,
+    ) {
         let (c, s) = (self.c, self.s);
         let sc = s.conj();
         let (row_i, row_k) = m.two_rows_mut(i, k);
@@ -50,7 +58,14 @@ impl Givens {
 
     /// Applies the conjugate-transposed rotation to columns `i` and `k` of `m`
     /// (right multiplication by `Gᴴ`), over rows `row_from..row_to`.
-    pub fn apply_right(&self, m: &mut CMat, i: usize, k: usize, row_from: usize, row_to: usize) {
+    pub fn apply_right(
+        &self,
+        m: &mut Matrix<T>,
+        i: usize,
+        k: usize,
+        row_from: usize,
+        row_to: usize,
+    ) {
         let (c, s) = (self.c, self.s);
         let sc = s.conj();
         let cols = m.cols();
@@ -63,43 +78,50 @@ impl Givens {
     }
 }
 
-/// Result of a Hessenberg reduction `A = Q·H·Qᴴ`.
-#[derive(Debug, Clone)]
-pub struct Hessenberg {
-    /// Upper Hessenberg factor.
-    pub h: CMat,
-    /// Unitary transformation accumulating the applied rotations.
-    pub q: CMat,
-}
-
-/// Reduces `a` to upper Hessenberg form by a sequence of Givens similarity
-/// rotations.
+/// Reduces `a` to upper Hessenberg form `H = Qᴴ·A·Q` by a sequence of Givens
+/// similarity rotations and returns `H`.
+///
+/// With `q = Some(m)` every rotation is also applied to `m` from the right,
+/// so `m` becomes `m·Q`: pass the identity to obtain `Q`. The
+/// eigenvalue-only path passes `None` and skips that work. On real input
+/// every rotation is real, so the real reduction equals the complex one on
+/// the same matrix bit for bit at a quarter of the flops.
 ///
 /// # Errors
 ///
-/// Returns [`LinalgError::NotSquare`] when `a` is not square.
+/// Returns [`LinalgError::NotSquare`] when `a` is not square and
+/// [`LinalgError::DimensionMismatch`] when `q` differs from `a` in shape.
 ///
 /// ```
 /// use pim_linalg::{CMat, Complex64, hessenberg::hessenberg};
 ///
 /// # fn main() -> Result<(), pim_linalg::LinalgError> {
 /// let a = CMat::from_fn(4, 4, |i, j| Complex64::new((i * 4 + j) as f64, (i as f64) - (j as f64)));
-/// let hes = hessenberg(&a)?;
+/// let mut q = CMat::identity(4);
+/// let h = hessenberg(&a, Some(&mut q))?;
 /// // Entries below the first subdiagonal are zero.
-/// assert!(hes.h[(3, 0)].abs() < 1e-12 && hes.h[(2, 0)].abs() < 1e-12);
+/// assert!(h[(3, 0)].abs() < 1e-12 && h[(2, 0)].abs() < 1e-12);
 /// // Similarity: Q H Q^H = A
-/// let back = hes.q.matmul(&hes.h)?.matmul(&hes.q.hermitian())?;
+/// let back = q.matmul(&h)?.matmul(&q.hermitian())?;
 /// assert!(back.max_abs_diff(&a) < 1e-10);
 /// # Ok(())
 /// # }
 /// ```
-pub fn hessenberg(a: &CMat) -> Result<Hessenberg> {
+pub fn hessenberg<T: Scalar>(a: &Matrix<T>, mut q: Option<&mut Matrix<T>>) -> Result<Matrix<T>> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { context: "hessenberg", dims: a.shape() });
     }
+    if let Some(q) = q.as_deref() {
+        if q.shape() != a.shape() {
+            return Err(LinalgError::DimensionMismatch {
+                context: "hessenberg: Q",
+                left: a.shape(),
+                right: q.shape(),
+            });
+        }
+    }
     let n = a.rows();
     let mut h = a.clone();
-    let mut q = CMat::identity(n);
     for k in 0..n.saturating_sub(2) {
         for i in ((k + 2)..n).rev() {
             // audit:allow(float-eq): only a bitwise-zero subdiagonal entry may be skipped without fill-in
@@ -108,73 +130,10 @@ pub fn hessenberg(a: &CMat) -> Result<Hessenberg> {
             }
             let g = Givens::compute(h[(i - 1, k)], h[(i, k)]);
             g.apply_left(&mut h, i - 1, i, k, n);
-            h[(i, k)] = Complex64::ZERO;
+            h[(i, k)] = T::ZERO;
             g.apply_right(&mut h, i - 1, i, 0, n);
-            g.apply_right(&mut q, i - 1, i, 0, n);
-        }
-    }
-    Ok(Hessenberg { h, q })
-}
-
-/// Reduces a **real** square matrix to upper Hessenberg form in real
-/// arithmetic, without accumulating the orthogonal transformation.
-///
-/// Real Givens rotations cost a quarter of the complex flops, and on real
-/// input the rotation parameters and every update match the complex kernel
-/// exactly (all imaginary parts are identically zero there), so feeding the
-/// result into the complex QR iteration yields the same eigenvalues as the
-/// all-complex pipeline — this is the fast first stage behind
-/// [`crate::eig::eigenvalues`] for real matrices such as the Hamiltonian
-/// passivity test matrices.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] when `a` is not square.
-pub fn hessenberg_real_h_only(a: &Mat) -> Result<Mat> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { context: "hessenberg", dims: a.shape() });
-    }
-    let n = a.rows();
-    let mut h = a.clone();
-    if n <= 2 {
-        return Ok(h);
-    }
-    for k in 0..(n - 2) {
-        for i in ((k + 2)..n).rev() {
-            let y = h[(i, k)];
-            // audit:allow(float-eq): exact-zero entry needs no rotation; mirrors Givens::compute
-            if y == 0.0 {
-                continue;
-            }
-            let x = h[(i - 1, k)];
-            // Rotation parameters mirroring Givens::compute on real input.
-            // audit:allow(float-eq): exact-zero pivot selects the swap rotation, as in Givens::compute
-            let (c, s) = if x == 0.0 {
-                (0.0, y * (1.0 / y.abs()))
-            } else {
-                let xa = x.abs();
-                let norm = xa.hypot(y.abs());
-                (xa / norm, (x * (1.0 / xa)) * (y * (1.0 / norm)))
-            };
-            // Left application to rows i-1, i over columns k..n.
-            {
-                let data = h.as_mut_slice();
-                let (top, bottom) = data.split_at_mut(i * n);
-                let row_a = &mut top[(i - 1) * n + k..i * n];
-                let row_b = &mut bottom[k..n];
-                for (a, b) in row_a.iter_mut().zip(row_b.iter_mut()) {
-                    let (va, vb) = (*a, *b);
-                    *a = va * c + s * vb;
-                    *b = vb * c - s * va;
-                }
-            }
-            h[(i, k)] = 0.0;
-            // Right application to columns i-1, i over all rows.
-            let data = h.as_mut_slice();
-            for row in data.chunks_exact_mut(n) {
-                let (va, vb) = (row[i - 1], row[i]);
-                row[i - 1] = va * c + s * vb;
-                row[i] = vb * c - s * va;
+            if let Some(q) = q.as_deref_mut() {
+                g.apply_right(q, i - 1, i, 0, n);
             }
         }
     }
@@ -184,6 +143,7 @@ pub fn hessenberg_real_h_only(a: &Mat) -> Result<Mat> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CMat, Complex64, Mat};
 
     fn is_hessenberg(h: &CMat, tol: f64) -> bool {
         for i in 0..h.rows() {
@@ -228,20 +188,25 @@ mod tests {
     fn hessenberg_structure_and_similarity() {
         for n in [1usize, 2, 3, 5, 8, 12] {
             let a = random_like(n, 42 + n as u64);
-            let hes = hessenberg(&a).unwrap();
-            assert!(is_hessenberg(&hes.h, 1e-12), "not Hessenberg for n={n}");
+            let mut q = CMat::identity(n);
+            let h = hessenberg(&a, Some(&mut q)).unwrap();
+            assert!(is_hessenberg(&h, 1e-12), "not Hessenberg for n={n}");
             // Q unitary
-            let qtq = hes.q.hermitian().matmul(&hes.q).unwrap();
+            let qtq = q.hermitian().matmul(&q).unwrap();
             assert!(qtq.max_abs_diff(&CMat::identity(n)) < 1e-11);
             // Similarity preserved
-            let back = hes.q.matmul(&hes.h).unwrap().matmul(&hes.q.hermitian()).unwrap();
+            let back = q.matmul(&h).unwrap().matmul(&q.hermitian()).unwrap();
             assert!(back.max_abs_diff(&a) < 1e-10, "similarity broken for n={n}");
+            // The reduction does not depend on whether Q is accumulated.
+            assert_eq!(hessenberg(&a, None).unwrap(), h);
         }
     }
 
     #[test]
     fn rejects_non_square() {
-        assert!(hessenberg(&CMat::zeros(2, 3)).is_err());
+        assert!(hessenberg(&CMat::zeros(2, 3), None).is_err());
+        let mut q = CMat::identity(3);
+        assert!(hessenberg(&CMat::identity(2), Some(&mut q)).is_err());
     }
 
     #[test]
@@ -253,8 +218,8 @@ mod tests {
                 ((state >> 33) as f64) / (u32::MAX as f64) - 0.5
             };
             let a = Mat::from_fn(n, n, |_, _| next());
-            let h_real = hessenberg_real_h_only(&a).unwrap();
-            let h_cplx = hessenberg(&a.to_complex()).unwrap().h;
+            let h_real = hessenberg(&a, None).unwrap();
+            let h_cplx = hessenberg(&a.to_complex(), None).unwrap();
             assert_eq!(
                 h_cplx.imag().max_abs().to_bits(),
                 0.0f64.to_bits(),
@@ -266,7 +231,7 @@ mod tests {
                 "real drift for n={n}"
             );
         }
-        assert!(hessenberg_real_h_only(&Mat::zeros(2, 3)).is_err());
+        assert!(hessenberg(&Mat::zeros(2, 3), None).is_err());
     }
 
     #[test]
@@ -279,8 +244,9 @@ mod tests {
                 Complex64::ZERO
             }
         });
-        let hes = hessenberg(&a).unwrap();
-        assert!(is_hessenberg(&hes.h, 1e-13));
-        assert!(hes.q.max_abs_diff(&CMat::identity(n)) < 1e-13);
+        let mut q = CMat::identity(n);
+        let h = hessenberg(&a, Some(&mut q)).unwrap();
+        assert!(is_hessenberg(&h, 1e-13));
+        assert!(q.max_abs_diff(&CMat::identity(n)) < 1e-13);
     }
 }

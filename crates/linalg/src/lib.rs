@@ -6,15 +6,17 @@
 //! The macromodeling flow implemented in the sibling crates needs a fairly
 //! specific set of numerical primitives:
 //!
-//! * complex arithmetic ([`Complex64`]) and dense real / complex matrices
-//!   ([`Mat`], [`CMat`]);
-//! * LU factorization with partial pivoting for linear solves and inverses
-//!   ([`lu`]);
+//! * complex arithmetic ([`Complex64`]) and one dense matrix type generic
+//!   over the [`Scalar`] field ([`Matrix`], named [`Mat`] for `f64` and
+//!   [`CMat`] for [`Complex64`]);
+//! * LU factorization with partial pivoting for linear solves and inverses,
+//!   at either field ([`lu`]);
 //! * Householder QR and linear least squares for the Vector Fitting
 //!   identification steps ([`qr`]);
 //! * eigenvalues of real non-symmetric matrices (pole relocation, rational
-//!   zeros, Hamiltonian passivity tests) via Hessenberg reduction and the
-//!   Francis double-shift QR iteration ([`schur`], [`eig`]);
+//!   zeros, Hamiltonian passivity tests) via Givens Hessenberg reduction
+//!   ([`hessenberg`]) and the single-shift complex QR iteration ([`schur`],
+//!   [`eig`]);
 //! * singular value decomposition of small complex matrices (scattering
 //!   matrices at a frequency point) via one-sided Jacobi ([`svd`]);
 //! * Lyapunov / Sylvester solvers for controllability Gramians
@@ -44,7 +46,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cmat;
 pub mod complex;
 pub mod eig;
 pub mod hessenberg;
@@ -55,9 +56,8 @@ pub mod qr;
 pub mod schur;
 pub mod svd;
 
-pub use cmat::CMat;
 pub use complex::Complex64;
-pub use mat::Mat;
+pub use mat::{CMat, Mat, Matrix, Scalar};
 
 use std::error::Error;
 use std::fmt;

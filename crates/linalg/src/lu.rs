@@ -1,38 +1,36 @@
-//! LU factorization with partial pivoting for real and complex matrices,
-//! together with linear solves, inverses and determinants.
+//! LU factorization with partial pivoting of a real or complex square
+//! matrix, with linear solves and inverses.
 //!
 //! The loaded-impedance transformation of the PDN flow (eq. 2 of the paper)
-//! requires repeated inversion of small complex matrices; the Kronecker-based
-//! Lyapunov path and the constrained quadratic program use the real variants.
+//! requires repeated inversion of small complex matrices; the Hamiltonian
+//! assembly and the constrained quadratic program factor real ones.
 
-use crate::{CMat, Complex64, LinalgError, Mat, Result};
+use crate::{LinalgError, Matrix, Result, Scalar};
 
-/// LU factorization (with partial pivoting) of a square real matrix.
+/// LU factorization (with partial pivoting) of a square matrix.
 ///
 /// The factorization satisfies `P·A = L·U`, where `P` is the row permutation
 /// encoded by `perm`.
 #[derive(Debug, Clone)]
-pub struct Lu {
-    lu: Mat,
+pub struct Lu<T> {
+    lu: Matrix<T>,
     perm: Vec<usize>,
-    sign: f64,
 }
 
-impl Lu {
+impl<T: Scalar> Lu<T> {
     /// Factorizes `a`.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSquare`] for non-square input and
     /// [`LinalgError::Singular`] when a pivot is exactly zero.
-    pub fn new(a: &Mat) -> Result<Self> {
+    pub fn new(a: &Matrix<T>) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { context: "Lu::new", dims: a.shape() });
         }
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             // Partial pivoting: pick the largest magnitude entry in column k.
             let mut p = k;
@@ -54,7 +52,6 @@ impl Lu {
                     lu[(p, j)] = tmp;
                 }
                 perm.swap(k, p);
-                sign = -sign;
             }
             // Rank-1 update of the trailing block, row by row on contiguous
             // slices (the pivot row and each target row are disjoint).
@@ -70,7 +67,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Dimension of the factored matrix.
@@ -84,7 +81,7 @@ impl Lu {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] when `b.len()` differs from
     /// the matrix dimension.
-    pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub fn solve_vec(&self, b: &[T]) -> Result<Vec<T>> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -93,20 +90,20 @@ impl Lu {
                 right: (b.len(), 1),
             });
         }
-        let mut x: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
+        let mut x: Vec<T> = (0..n).map(|i| b[self.perm[i]]).collect();
         self.substitute(&mut x);
         Ok(x)
     }
 
     /// Forward/back substitution on a permuted right-hand side (in place).
-    fn substitute(&self, x: &mut [f64]) {
+    fn substitute(&self, x: &mut [T]) {
         let n = self.dim();
         let lu = self.lu.as_slice();
         // Forward substitution with unit lower-triangular L.
         for i in 0..n {
             let row = &lu[i * n..i * n + i];
             let mut acc = x[i];
-            for (l, &xj) in row.iter().zip(x.iter()) {
+            for (&l, &xj) in row.iter().zip(x.iter()) {
                 acc -= l * xj;
             }
             x[i] = acc;
@@ -127,7 +124,7 @@ impl Lu {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] when row counts differ.
-    pub fn solve(&self, b: &Mat) -> Result<Mat> {
+    pub fn solve(&self, b: &Matrix<T>) -> Result<Matrix<T>> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -136,8 +133,8 @@ impl Lu {
                 right: b.shape(),
             });
         }
-        let mut x = Mat::zeros(n, b.cols());
-        let mut col = vec![0.0; n];
+        let mut x = Matrix::zeros(n, b.cols());
+        let mut col = vec![T::ZERO; n];
         for j in 0..b.cols() {
             // Gather the permuted column without an extra allocation.
             for (i, dst) in col.iter_mut().enumerate() {
@@ -151,6 +148,17 @@ impl Lu {
         Ok(x)
     }
 
+    /// Inverse of the original matrix.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solve failures.
+    pub fn inverse(&self) -> Result<Matrix<T>> {
+        self.solve(&Matrix::identity(self.dim()))
+    }
+}
+
+impl Lu<f64> {
     /// Cheap condition-number estimate from the pivot spread:
     /// `max_i |u_ii| / min_i |u_ii|` of the factored `U`.
     ///
@@ -174,240 +182,27 @@ impl Lu {
         }
         max / min
     }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Inverse of the original matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve failures.
-    pub fn inverse(&self) -> Result<Mat> {
-        self.solve(&Mat::identity(self.dim()))
-    }
-}
-
-/// Solves `A·X = B` for real matrices.
-///
-/// # Errors
-///
-/// See [`Lu::new`] and [`Lu::solve`].
-pub fn solve(a: &Mat, b: &Mat) -> Result<Mat> {
-    Lu::new(a)?.solve(b)
-}
-
-/// Computes the inverse of a real matrix.
-///
-/// # Errors
-///
-/// See [`Lu::new`].
-pub fn inverse(a: &Mat) -> Result<Mat> {
-    Lu::new(a)?.inverse()
-}
-
-/// Determinant of a real matrix (via LU).
-///
-/// Returns `0.0` for singular matrices instead of an error.
-pub fn det(a: &Mat) -> Result<f64> {
-    match Lu::new(a) {
-        Ok(lu) => Ok(lu.det()),
-        Err(LinalgError::Singular { .. }) => Ok(0.0),
-        Err(e) => Err(e),
-    }
-}
-
-/// LU factorization (with partial pivoting) of a square complex matrix.
-#[derive(Debug, Clone)]
-pub struct CLu {
-    lu: CMat,
-    perm: Vec<usize>,
-}
-
-impl CLu {
-    /// Factorizes `a`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for non-square input and
-    /// [`LinalgError::Singular`] when a pivot is exactly zero.
-    pub fn new(a: &CMat) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { context: "CLu::new", dims: a.shape() });
-        }
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            let mut p = k;
-            let mut max = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                if lu[(i, k)].abs() > max {
-                    max = lu[(i, k)].abs();
-                    p = i;
-                }
-            }
-            // audit:allow(float-eq): exact-zero pivot column means structural singularity
-            if max == 0.0 {
-                return Err(LinalgError::Singular { context: "CLu::new" });
-            }
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-                perm.swap(k, p);
-            }
-            // Rank-1 update of the trailing block on contiguous row slices.
-            let data = lu.as_mut_slice();
-            let (top, bottom) = data.split_at_mut((k + 1) * n);
-            let pivot_row = &top[k * n + k..(k + 1) * n];
-            let pivot = pivot_row[0];
-            for row in bottom.chunks_exact_mut(n) {
-                let factor = row[k] / pivot;
-                row[k] = factor;
-                for (r, &p) in row[(k + 1)..].iter_mut().zip(&pivot_row[1..]) {
-                    *r -= factor * p;
-                }
-            }
-        }
-        Ok(CLu { lu, perm })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-
-    /// Solves `A·x = b` for a single right-hand side.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `b.len()` differs from
-    /// the matrix dimension.
-    pub fn solve_vec(&self, b: &[Complex64]) -> Result<Vec<Complex64>> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                context: "CLu::solve_vec",
-                left: (n, n),
-                right: (b.len(), 1),
-            });
-        }
-        let mut x: Vec<Complex64> = (0..n).map(|i| b[self.perm[i]]).collect();
-        self.substitute(&mut x);
-        Ok(x)
-    }
-
-    /// Forward/back substitution on a permuted right-hand side (in place).
-    fn substitute(&self, x: &mut [Complex64]) {
-        let n = self.dim();
-        let lu = self.lu.as_slice();
-        for i in 0..n {
-            let row = &lu[i * n..i * n + i];
-            let mut acc = x[i];
-            for (l, &xj) in row.iter().zip(x.iter()) {
-                acc -= *l * xj;
-            }
-            x[i] = acc;
-        }
-        for i in (0..n).rev() {
-            let row = &lu[i * n..(i + 1) * n];
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= row[j] * x[j];
-            }
-            x[i] = acc / row[i];
-        }
-    }
-
-    /// Solves `A·X = B` for a matrix right-hand side.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when row counts differ.
-    pub fn solve(&self, b: &CMat) -> Result<CMat> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                context: "CLu::solve",
-                left: (n, n),
-                right: b.shape(),
-            });
-        }
-        let mut x = CMat::zeros(n, b.cols());
-        let mut col = vec![Complex64::ZERO; n];
-        for j in 0..b.cols() {
-            for (i, dst) in col.iter_mut().enumerate() {
-                *dst = b[(self.perm[i], j)];
-            }
-            self.substitute(&mut col);
-            for i in 0..n {
-                x[(i, j)] = col[i];
-            }
-        }
-        Ok(x)
-    }
-
-    /// Inverse of the original matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve failures.
-    pub fn inverse(&self) -> Result<CMat> {
-        self.solve(&CMat::identity(self.dim()))
-    }
-}
-
-/// Solves `A·X = B` for complex matrices.
-///
-/// # Errors
-///
-/// See [`CLu::new`] and [`CLu::solve`].
-pub fn csolve(a: &CMat, b: &CMat) -> Result<CMat> {
-    CLu::new(a)?.solve(b)
-}
-
-/// Computes the inverse of a complex matrix.
-///
-/// # Errors
-///
-/// See [`CLu::new`].
-pub fn cinverse(a: &CMat) -> Result<CMat> {
-    CLu::new(a)?.inverse()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CMat, Complex64, Mat};
 
     #[test]
     fn real_solve_and_inverse() {
         let a = Mat::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
         let b = Mat::col_vector(&[10.0, 12.0]);
-        let x = solve(&a, &b).unwrap();
+        let x = a.solve(&b).unwrap();
         assert!((a.matmul(&x).unwrap().max_abs_diff(&b)) < 1e-12);
-        let inv = inverse(&a).unwrap();
+        let inv = a.inverse().unwrap();
         assert!(a.matmul(&inv).unwrap().max_abs_diff(&Mat::identity(2)) < 1e-12);
     }
 
     #[test]
-    fn real_det_and_singularity() {
-        let a = Mat::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]);
-        assert!((det(&a).unwrap() - 6.0).abs() < 1e-14);
-        // Determinant sign flips with a row swap.
-        let b = Mat::from_rows(&[&[0.0, 3.0], &[2.0, 0.0]]);
-        assert!((det(&b).unwrap() + 6.0).abs() < 1e-14);
+    fn real_errors() {
         let s = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!((det(&s).unwrap()).to_bits(), 0.0f64.to_bits());
-        assert!(matches!(inverse(&s), Err(LinalgError::Singular { .. })));
+        assert!(matches!(s.inverse(), Err(LinalgError::Singular { .. })));
         assert!(matches!(Lu::new(&Mat::zeros(2, 3)), Err(LinalgError::NotSquare { .. })));
     }
 
@@ -436,7 +231,7 @@ mod tests {
         });
         let xs = Mat::from_fn(n, 3, |i, j| (i + j) as f64 * 0.1 - 0.4);
         let b = a.matmul(&xs).unwrap();
-        let x = solve(&a, &b).unwrap();
+        let x = a.solve(&b).unwrap();
         assert!(x.max_abs_diff(&xs) < 1e-10);
     }
 
@@ -448,19 +243,19 @@ mod tests {
             &[Complex64::new(1.0, 0.0), Complex64::new(3.0, 2.0)],
         ]);
         let b = CMat::col_vector(&[Complex64::ONE, i]);
-        let x = csolve(&a, &b).unwrap();
+        let x = a.solve(&b).unwrap();
         assert!(a.matmul(&x).unwrap().max_abs_diff(&b) < 1e-12);
-        let inv = cinverse(&a).unwrap();
+        let inv = a.inverse().unwrap();
         assert!(a.matmul(&inv).unwrap().max_abs_diff(&CMat::identity(2)) < 1e-12);
     }
 
     #[test]
     fn complex_errors() {
         let z = CMat::zeros(2, 2);
-        assert!(matches!(CLu::new(&z), Err(LinalgError::Singular { .. })));
-        assert!(matches!(CLu::new(&CMat::zeros(2, 3)), Err(LinalgError::NotSquare { .. })));
+        assert!(matches!(Lu::new(&z), Err(LinalgError::Singular { .. })));
+        assert!(matches!(Lu::new(&CMat::zeros(2, 3)), Err(LinalgError::NotSquare { .. })));
         let a = CMat::identity(2);
-        let lu = CLu::new(&a).unwrap();
+        let lu = Lu::new(&a).unwrap();
         assert!(lu.solve_vec(&[Complex64::ONE]).is_err());
         assert!(lu.solve(&CMat::zeros(3, 1)).is_err());
     }
@@ -477,7 +272,7 @@ mod tests {
             }
             z
         });
-        let inv = cinverse(&a).unwrap();
+        let inv = a.inverse().unwrap();
         let err = a.matmul(&inv).unwrap().max_abs_diff(&CMat::identity(n));
         assert!(err < 1e-11, "residual {err}");
     }

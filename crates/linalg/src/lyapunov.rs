@@ -215,8 +215,8 @@ mod tests {
                 + &b.matmul(&b.transpose()).unwrap();
             assert!(resid.max_abs() < 1e-9, "residual {}", resid.max_abs());
             // Gramian of a controllable stable system should be PSD.
-            let e = crate::eig::symmetric_eig(&p).unwrap();
-            assert!(e.values[0] > -1e-10);
+            let e = crate::eig::eigenvalues(&p).unwrap();
+            assert!(e.iter().all(|l| l.re > -1e-10));
         }
     }
 

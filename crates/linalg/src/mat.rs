@@ -1,14 +1,99 @@
-//! Dense real (`f64`) matrices stored in row-major order.
+//! Dense matrices stored in row-major order, generic over the scalar field:
+//! [`Mat`] holds `f64` entries and [`CMat`] holds [`Complex64`] entries.
 
-use crate::{CMat, Complex64, LinalgError, Result};
-use std::fmt;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
+use crate::{Complex64, LinalgError, Result};
+use std::iter::Sum;
+use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, MulAssign, Sub, SubAssign};
+
+/// The scalar field of a [`Matrix`]: `f64` or [`Complex64`].
+///
+/// Beyond field arithmetic it carries only what the shared kernels need.
+/// Each method is the plain `f64` operation or the [`Complex64`] method of
+/// the same name, so a generic body computes exactly what a body written
+/// for one field would.
+pub trait Scalar:
+    Copy
+    + PartialEq
+    + Sum
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + AddAssign
+    + SubAssign
+    + MulAssign
+{
+    /// The additive identity.
+    const ZERO: Self;
+    /// The multiplicative identity.
+    const ONE: Self;
+    /// Modulus `|z|`.
+    fn abs(self) -> f64;
+    /// Squared modulus `|z|²`.
+    fn abs_sq(self) -> f64;
+    /// Complex conjugate; the identity on `f64`.
+    fn conj(self) -> Self;
+    /// Product with a real factor.
+    fn scale(self, k: f64) -> Self;
+}
+
+impl Scalar for f64 {
+    const ZERO: f64 = 0.0;
+    const ONE: f64 = 1.0;
+    #[inline]
+    fn abs(self) -> f64 {
+        f64::abs(self)
+    }
+    #[inline]
+    fn abs_sq(self) -> f64 {
+        self * self
+    }
+    #[inline]
+    fn conj(self) -> f64 {
+        self
+    }
+    #[inline]
+    fn scale(self, k: f64) -> f64 {
+        self * k
+    }
+}
+
+impl Scalar for Complex64 {
+    const ZERO: Complex64 = Complex64::ZERO;
+    const ONE: Complex64 = Complex64::ONE;
+    #[inline]
+    fn abs(self) -> f64 {
+        Complex64::abs(self)
+    }
+    #[inline]
+    fn abs_sq(self) -> f64 {
+        Complex64::abs_sq(self)
+    }
+    #[inline]
+    fn conj(self) -> Complex64 {
+        Complex64::conj(self)
+    }
+    #[inline]
+    fn scale(self, k: f64) -> Complex64 {
+        Complex64::scale(self, k)
+    }
+}
+
+/// A dense, row-major matrix over the scalar field `T`.
+///
+/// The type is intentionally simple: it owns a `Vec<T>` and exposes the
+/// operations the macromodeling flow needs (block access, products,
+/// transposes, norms, LU solves). Indexing is via `m[(i, j)]`. Methods that
+/// only one field has live in the `Matrix<f64>` and `Matrix<Complex64>`
+/// impl blocks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Matrix<T> {
+    rows: usize,
+    cols: usize,
+    data: Vec<T>,
+}
 
 /// A dense, row-major matrix of `f64` values.
-///
-/// The type is intentionally simple: it owns a `Vec<f64>` and exposes the
-/// operations the macromodeling flow needs (block access, products,
-/// transposes, norms). Indexing is via `m[(i, j)]`.
 ///
 /// ```
 /// use pim_linalg::Mat;
@@ -18,17 +103,24 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c[(1, 0)], 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Mat {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
+pub type Mat = Matrix<f64>;
+
+/// A dense, row-major matrix of [`Complex64`] values.
+///
+/// ```
+/// use pim_linalg::{CMat, Complex64};
+///
+/// let s = CMat::identity(2).scaled(Complex64::new(0.0, 1.0));
+/// assert_eq!(s[(0, 0)], Complex64::new(0.0, 1.0));
+/// assert_eq!(s.hermitian()[(0, 0)], Complex64::new(0.0, -1.0));
+/// ```
+pub type CMat = Matrix<Complex64>;
 
 /// Panel depth of the blocked product kernels: KC rows of the right-hand
-/// side are streamed per output row. Shared between [`Mat::matmul_into`] and
-/// [`Mat::par_matmul_into`] — the parallel kernel must block `k` identically
-/// to stay bit-compatible with the serial one.
+/// side are streamed per output row. Shared between [`Matrix::matmul_into`]
+/// and [`Matrix::par_matmul_into`]. Blocking never reorders the sum behind
+/// an output entry (its `k` terms are added in increasing order whatever
+/// the panel depth), so one depth serves both scalar fields.
 const KC: usize = 64;
 
 /// Raw pointer into an output buffer, shared across panel tasks. Safety rests
@@ -47,29 +139,24 @@ unsafe impl Send for PanelPtr {}
 // tasks a pointer they offset into non-overlapping column panels.
 unsafe impl Sync for PanelPtr {}
 
-impl Mat {
+impl<T: Scalar> Matrix<T> {
     /// Creates a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Mat { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Creates a `rows × cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Mat { rows, cols, data: vec![value; rows * cols] }
+        Matrix { rows, cols, data: vec![T::ZERO; rows * cols] }
     }
 
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
-        let mut m = Mat::zeros(n, n);
+        let mut m = Self::zeros(n, n);
         for i in 0..n {
-            m[(i, i)] = 1.0;
+            m[(i, i)] = T::ONE;
         }
         m
     }
 
     /// Creates a matrix from a closure evaluated at every `(row, col)` index.
-    pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Self {
-        let mut m = Mat::zeros(rows, cols);
+    pub fn from_fn<F: FnMut(usize, usize) -> T>(rows: usize, cols: usize, mut f: F) -> Self {
+        let mut m = Self::zeros(rows, cols);
         for i in 0..rows {
             for j in 0..cols {
                 m[(i, j)] = f(i, j);
@@ -83,10 +170,10 @@ impl Mat {
     /// # Panics
     ///
     /// Panics if the rows have inconsistent lengths or `rows` is empty.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    pub fn from_rows(rows: &[&[T]]) -> Self {
         assert!(!rows.is_empty(), "from_rows requires at least one row");
         let cols = rows[0].len();
-        let mut m = Mat::zeros(rows.len(), cols);
+        let mut m = Self::zeros(rows.len(), cols);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.len(), cols, "inconsistent row length in from_rows");
             for (j, &v) in r.iter().enumerate() {
@@ -97,8 +184,8 @@ impl Mat {
     }
 
     /// Creates a square diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let mut m = Mat::zeros(diag.len(), diag.len());
+    pub fn from_diag(diag: &[T]) -> Self {
+        let mut m = Self::zeros(diag.len(), diag.len());
         for (i, &d) in diag.iter().enumerate() {
             m[(i, i)] = d;
         }
@@ -106,13 +193,8 @@ impl Mat {
     }
 
     /// Creates a column vector (`n × 1`) from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Mat { rows: v.len(), cols: 1, data: v.to_vec() }
-    }
-
-    /// Creates a row vector (`1 × n`) from a slice.
-    pub fn row_vector(v: &[f64]) -> Self {
-        Mat { rows: 1, cols: v.len(), data: v.to_vec() }
+    pub fn col_vector(v: &[T]) -> Self {
+        Matrix { rows: v.len(), cols: 1, data: v.to_vec() }
     }
 
     /// Number of rows.
@@ -140,12 +222,12 @@ impl Mat {
     }
 
     /// Read-only access to the underlying row-major storage.
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// Mutable access to the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
@@ -154,20 +236,40 @@ impl Mat {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub fn row(&self, i: usize) -> &[T] {
         assert!(i < self.rows, "row index out of bounds");
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Mutable access to two distinct rows at once (used by the Givens
+    /// rotation kernels of the Hessenberg/Schur iterations).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i == k` or either index is out of bounds.
+    pub fn two_rows_mut(&mut self, i: usize, k: usize) -> (&mut [T], &mut [T]) {
+        assert!(i != k && i < self.rows && k < self.rows, "two_rows_mut invalid row pair");
+        let cols = self.cols;
+        let (lo, hi) = if i < k { (i, k) } else { (k, i) };
+        let (head, tail) = self.data.split_at_mut(hi * cols);
+        let row_lo = &mut head[lo * cols..(lo + 1) * cols];
+        let row_hi = &mut tail[..cols];
+        if i < k {
+            (row_lo, row_hi)
+        } else {
+            (row_hi, row_lo)
+        }
+    }
+
     /// Returns column `j` as an owned `Vec`.
     ///
-    /// Prefer [`Mat::col_iter`] in hot paths: it visits the same entries
+    /// Prefer [`Matrix::col_iter`] in hot paths: it visits the same entries
     /// without allocating.
     ///
     /// # Panics
     ///
     /// Panics if `j >= cols`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
+    pub fn col(&self, j: usize) -> Vec<T> {
         self.col_iter(j).collect()
     }
 
@@ -176,42 +278,36 @@ impl Mat {
     /// # Panics
     ///
     /// Panics if `j >= cols`.
-    pub fn col_iter(&self, j: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+    pub fn col_iter(&self, j: usize) -> impl ExactSizeIterator<Item = T> + '_ {
         assert!(j < self.cols, "column index out of bounds");
         // `get` keeps the zero-row case (empty backing storage) a valid,
         // empty iterator instead of an out-of-range slice panic.
         self.data.get(j..).unwrap_or(&[]).iter().step_by(self.cols).copied()
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Mat {
-        let mut t = Mat::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
+    /// Transpose (without conjugation).
+    pub fn transpose(&self) -> Self {
+        Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
     /// Matrix product `self · rhs`.
     ///
     /// The product is computed by a cache-blocked kernel operating on
-    /// contiguous row panels (see [`Mat::matmul_into`]); use the in-place
+    /// contiguous row panels (see [`Matrix::matmul_into`]); use the in-place
     /// variant to reuse an output buffer across repeated products.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] when the inner dimensions
     /// disagree.
-    pub fn matmul(&self, rhs: &Mat) -> Result<Mat> {
-        let mut out = Mat::zeros(self.rows, rhs.cols);
+    pub fn matmul(&self, rhs: &Self) -> Result<Self> {
+        let mut out = Self::zeros(self.rows, rhs.cols);
         self.matmul_into(rhs, &mut out)?;
         Ok(out)
     }
 
     /// Matrix product `self · rhs` written into a caller-provided output
-    /// matrix (overwritten), avoiding the allocation of [`Mat::matmul`].
+    /// matrix (overwritten), avoiding the allocation of [`Matrix::matmul`].
     ///
     /// The kernel walks `self` row by row and accumulates scaled rows of
     /// `rhs` into the output row (an `axpy` formulation: every output entry
@@ -222,22 +318,22 @@ impl Mat {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] when the inner dimensions
     /// disagree or `out` has the wrong shape.
-    pub fn matmul_into(&self, rhs: &Mat, out: &mut Mat) -> Result<()> {
+    pub fn matmul_into(&self, rhs: &Self, out: &mut Self) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(LinalgError::DimensionMismatch {
-                context: "Mat::matmul",
+                context: "Matrix::matmul",
                 left: self.shape(),
                 right: rhs.shape(),
             });
         }
         if out.shape() != (self.rows, rhs.cols) {
             return Err(LinalgError::DimensionMismatch {
-                context: "Mat::matmul_into output",
+                context: "Matrix::matmul_into output",
                 left: (self.rows, rhs.cols),
                 right: out.shape(),
             });
         }
-        out.data.fill(0.0);
+        out.data.fill(T::ZERO);
         let (k_dim, n) = rhs.shape();
         if n == 0 || k_dim == 0 {
             return Ok(());
@@ -251,8 +347,8 @@ impl Mat {
                 self.data.chunks_exact(self.cols).zip(out.data.chunks_exact_mut(n))
             {
                 for (k, &aik) in a_row[kb..k_end].iter().enumerate() {
-                    // audit:allow(float-eq): exact-zero multiplier skips a no-op AXPY; preserves bit-identical sums
-                    if aik == 0.0 {
+                    // An exact-zero multiplier adds nothing: skip its AXPY.
+                    if aik == T::ZERO {
                         continue;
                     }
                     let b_row = &rhs.data[(kb + k) * n..(kb + k + 1) * n];
@@ -265,21 +361,167 @@ impl Mat {
         Ok(())
     }
 
-    /// Opt-in parallel variant of [`Mat::matmul_into`]: the blocked kernel is
+    /// Reference (naive triple-loop) product used as the oracle for the
+    /// blocked kernel in tests.
+    #[cfg(test)]
+    pub(crate) fn matmul_naive(&self, rhs: &Self) -> Result<Self> {
+        if self.cols != rhs.rows {
+            return Err(LinalgError::DimensionMismatch {
+                context: "Matrix::matmul",
+                left: self.shape(),
+                right: rhs.shape(),
+            });
+        }
+        let mut out = Self::zeros(self.rows, rhs.cols);
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let aik = self[(i, k)];
+                for j in 0..rhs.cols {
+                    out[(i, j)] += aik * rhs[(k, j)];
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Matrix–vector product `self · v`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] when `v.len() != cols`.
+    pub fn matvec(&self, v: &[T]) -> Result<Vec<T>> {
+        if v.len() != self.cols {
+            return Err(LinalgError::DimensionMismatch {
+                context: "Matrix::matvec",
+                left: self.shape(),
+                right: (v.len(), 1),
+            });
+        }
+        let mut out = vec![T::ZERO; self.rows];
+        for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols.max(1))) {
+            *o = row.iter().zip(v).map(|(&a, &b)| a * b).sum();
+        }
+        Ok(out)
+    }
+
+    /// Scales every entry by `k`, returning a new matrix.
+    pub fn scaled(&self, k: T) -> Self {
+        let mut out = self.clone();
+        out.scale_in_place(k);
+        out
+    }
+
+    /// Scales every entry by `k` in place (no allocation).
+    pub fn scale_in_place(&mut self, k: T) {
+        for v in &mut self.data {
+            *v *= k;
+        }
+    }
+
+    /// Sum of diagonal entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
+    pub fn trace(&self) -> T {
+        assert!(self.is_square(), "trace requires a square matrix");
+        (0..self.rows).map(|i| self[(i, i)]).sum()
+    }
+
+    /// Frobenius norm.
+    pub fn frobenius_norm(&self) -> f64 {
+        self.data.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt()
+    }
+
+    /// Maximum absolute entry.
+    pub fn max_abs(&self) -> f64 {
+        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
+    }
+
+    /// Extracts the block with top-left corner `(row, col)` and size `(nrows, ncols)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the requested block exceeds the matrix bounds.
+    pub fn block(&self, row: usize, col: usize, nrows: usize, ncols: usize) -> Self {
+        assert!(row + nrows <= self.rows && col + ncols <= self.cols, "block out of bounds");
+        Self::from_fn(nrows, ncols, |i, j| self[(row + i, col + j)])
+    }
+
+    /// Writes `block` into this matrix with top-left corner `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block exceeds the matrix bounds.
+    pub fn set_block(&mut self, row: usize, col: usize, block: &Self) {
+        assert!(
+            row + block.rows <= self.rows && col + block.cols <= self.cols,
+            "set_block out of bounds"
+        );
+        for i in 0..block.rows {
+            for j in 0..block.cols {
+                self[(row + i, col + j)] = block[(i, j)];
+            }
+        }
+    }
+
+    /// Inverse via LU factorization with partial pivoting.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NotSquare`] for non-square input and
+    /// [`LinalgError::Singular`] when a zero pivot is encountered.
+    pub fn inverse(&self) -> Result<Self> {
+        crate::lu::Lu::new(self)?.inverse()
+    }
+
+    /// Solves `self · X = B` via LU factorization.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NotSquare`], [`LinalgError::DimensionMismatch`],
+    /// or [`LinalgError::Singular`] as appropriate.
+    pub fn solve(&self, b: &Self) -> Result<Self> {
+        crate::lu::Lu::new(self)?.solve(b)
+    }
+
+    /// Maximum absolute difference with another matrix of identical shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub fn max_abs_diff(&self, other: &Self) -> f64 {
+        assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
+        self.data.iter().zip(other.data.iter()).fold(0.0_f64, |m, (&a, &b)| m.max((a - b).abs()))
+    }
+}
+
+impl Matrix<f64> {
+    /// Creates a `rows × cols` matrix filled with `value`.
+    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
+        Matrix { rows, cols, data: vec![value; rows * cols] }
+    }
+
+    /// Creates a row vector (`1 × n`) from a slice.
+    pub fn row_vector(v: &[f64]) -> Self {
+        Matrix { rows: 1, cols: v.len(), data: v.to_vec() }
+    }
+
+    /// Opt-in parallel variant of [`Matrix::matmul_into`]: the blocked kernel is
     /// split over contiguous **column panels** of `rhs`/`out`, one
     /// work-stealing task per panel on the given pool.
     ///
     /// Restricting a panel to columns `[j0, j1)` leaves every output entry's
     /// accumulation chain untouched (the `k`-blocking is identical and the
     /// inner axpy visits the same `(k, j)` pairs in the same order), so the
-    /// result is **bit-identical** to the serial [`Mat::matmul_into`] for
+    /// result is **bit-identical** to the serial [`Matrix::matmul_into`] for
     /// every thread count — the parallel-vs-serial proptest suite pins this.
     /// On a serial pool (or when the output is too narrow to split) this
     /// delegates to the serial kernel.
     ///
     /// # Errors
     ///
-    /// See [`Mat::matmul_into`].
+    /// See [`Matrix::matmul_into`].
     pub fn par_matmul_into(
         &self,
         rhs: &Mat,
@@ -359,123 +601,9 @@ impl Mat {
         Ok(())
     }
 
-    /// Reference (naive triple-loop) product used as the oracle for the
-    /// blocked kernel in tests.
-    #[cfg(test)]
-    pub(crate) fn matmul_naive(&self, rhs: &Mat) -> Result<Mat> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Mat::matmul",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let mut out = Mat::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                for j in 0..rhs.cols {
-                    out[(i, j)] += aik * rhs[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self · v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `v.len() != cols`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Mat::matvec",
-                left: self.shape(),
-                right: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.rows];
-        for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols.max(1))) {
-            *o = row.iter().zip(v).map(|(a, b)| a * b).sum();
-        }
-        Ok(out)
-    }
-
-    /// Scales every entry by `k`, returning a new matrix.
-    pub fn scaled(&self, k: f64) -> Mat {
-        let mut out = self.clone();
-        out.scale_in_place(k);
-        out
-    }
-
-    /// Scales every entry by `k` in place (no allocation).
-    pub fn scale_in_place(&mut self, k: f64) {
-        for v in &mut self.data {
-            *v *= k;
-        }
-    }
-
-    /// Sum of diagonal entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn trace(&self) -> f64 {
-        assert!(self.is_square(), "trace requires a square matrix");
-        (0..self.rows).map(|i| self[(i, i)]).sum()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
-    /// Extracts the block with top-left corner `(row, col)` and size `(nrows, ncols)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested block exceeds the matrix bounds.
-    pub fn block(&self, row: usize, col: usize, nrows: usize, ncols: usize) -> Mat {
-        assert!(row + nrows <= self.rows && col + ncols <= self.cols, "block out of bounds");
-        Mat::from_fn(nrows, ncols, |i, j| self[(row + i, col + j)])
-    }
-
-    /// Writes `block` into this matrix with top-left corner `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block exceeds the matrix bounds.
-    pub fn set_block(&mut self, row: usize, col: usize, block: &Mat) {
-        assert!(
-            row + block.rows <= self.rows && col + block.cols <= self.cols,
-            "set_block out of bounds"
-        );
-        for i in 0..block.rows {
-            for j in 0..block.cols {
-                self[(row + i, col + j)] = block[(i, j)];
-            }
-        }
-    }
-
     /// Converts into a complex matrix with zero imaginary part.
     pub fn to_complex(&self) -> CMat {
         CMat::from_fn(self.rows, self.cols, |i, j| Complex64::from_real(self[(i, j)]))
-    }
-
-    /// Maximum absolute difference with another matrix of identical shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn max_abs_diff(&self, other: &Mat) -> f64 {
-        assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
-        self.data.iter().zip(other.data.iter()).fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()))
     }
 
     /// Returns `true` if the matrix is symmetric to within `tol`.
@@ -494,94 +622,93 @@ impl Mat {
     }
 }
 
-impl Index<(usize, usize)> for Mat {
-    type Output = f64;
+impl Matrix<Complex64> {
+    /// Conjugate (Hermitian) transpose.
+    pub fn hermitian(&self) -> CMat {
+        CMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
+    }
+
+    /// Element-wise complex conjugate.
+    pub fn conj(&self) -> CMat {
+        CMat::from_fn(self.rows, self.cols, |i, j| self[(i, j)].conj())
+    }
+
+    /// Scales every entry by a real factor, returning a new matrix.
+    pub fn scaled_real(&self, k: f64) -> CMat {
+        self.scaled(Complex64::from_real(k))
+    }
+
+    /// Real part as a real matrix.
+    pub fn real(&self) -> Mat {
+        Mat::from_fn(self.rows, self.cols, |i, j| self[(i, j)].re)
+    }
+
+    /// Imaginary part as a real matrix.
+    pub fn imag(&self) -> Mat {
+        Mat::from_fn(self.rows, self.cols, |i, j| self[(i, j)].im)
+    }
+}
+
+impl<T> Index<(usize, usize)> for Matrix<T> {
+    type Output = T;
     #[inline]
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
+    fn index(&self, (i, j): (usize, usize)) -> &T {
         debug_assert!(i < self.rows && j < self.cols, "index out of bounds");
         &self.data[i * self.cols + j]
     }
 }
 
-impl IndexMut<(usize, usize)> for Mat {
+impl<T> IndexMut<(usize, usize)> for Matrix<T> {
     #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut T {
         debug_assert!(i < self.rows && j < self.cols, "index out of bounds");
         &mut self.data[i * self.cols + j]
     }
 }
 
-impl Add for &Mat {
-    type Output = Mat;
-    fn add(self, rhs: &Mat) -> Mat {
-        assert_eq!(self.shape(), rhs.shape(), "Mat add shape mismatch");
+impl<T: Scalar> Add for &Matrix<T> {
+    type Output = Matrix<T>;
+    fn add(self, rhs: &Matrix<T>) -> Matrix<T> {
         let mut out = self.clone();
-        for (o, r) in out.data.iter_mut().zip(rhs.data.iter()) {
-            *o += r;
-        }
+        out += rhs;
         out
     }
 }
 
-impl Sub for &Mat {
-    type Output = Mat;
-    fn sub(self, rhs: &Mat) -> Mat {
-        assert_eq!(self.shape(), rhs.shape(), "Mat sub shape mismatch");
+impl<T: Scalar> Sub for &Matrix<T> {
+    type Output = Matrix<T>;
+    fn sub(self, rhs: &Matrix<T>) -> Matrix<T> {
         let mut out = self.clone();
-        for (o, r) in out.data.iter_mut().zip(rhs.data.iter()) {
-            *o -= r;
-        }
+        out -= rhs;
         out
     }
 }
 
-impl Neg for &Mat {
-    type Output = Mat;
-    fn neg(self) -> Mat {
-        self.scaled(-1.0)
-    }
-}
-
-impl AddAssign<&Mat> for Mat {
-    fn add_assign(&mut self, rhs: &Mat) {
-        assert_eq!(self.shape(), rhs.shape(), "Mat add_assign shape mismatch");
-        for (o, r) in self.data.iter_mut().zip(rhs.data.iter()) {
+impl<T: Scalar> AddAssign<&Matrix<T>> for Matrix<T> {
+    fn add_assign(&mut self, rhs: &Matrix<T>) {
+        assert_eq!(self.shape(), rhs.shape(), "Matrix add shape mismatch");
+        for (o, &r) in self.data.iter_mut().zip(rhs.data.iter()) {
             *o += r;
         }
     }
 }
 
-impl SubAssign<&Mat> for Mat {
-    fn sub_assign(&mut self, rhs: &Mat) {
-        assert_eq!(self.shape(), rhs.shape(), "Mat sub_assign shape mismatch");
-        for (o, r) in self.data.iter_mut().zip(rhs.data.iter()) {
+impl<T: Scalar> SubAssign<&Matrix<T>> for Matrix<T> {
+    fn sub_assign(&mut self, rhs: &Matrix<T>) {
+        assert_eq!(self.shape(), rhs.shape(), "Matrix sub shape mismatch");
+        for (o, &r) in self.data.iter_mut().zip(rhs.data.iter()) {
             *o -= r;
         }
-    }
-}
-
-impl Mul<f64> for &Mat {
-    type Output = Mat;
-    fn mul(self, k: f64) -> Mat {
-        self.scaled(k)
-    }
-}
-
-impl fmt::Display for Mat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Mat {}x{}", self.rows, self.cols)?;
-        for i in 0..self.rows.min(10) {
-            let row: Vec<String> =
-                (0..self.cols.min(10)).map(|j| format!("{:>12.5e}", self[(i, j)])).collect();
-            writeln!(f, "  [{}]", row.join(", "))?;
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn c(re: f64, im: f64) -> Complex64 {
+        Complex64::new(re, im)
+    }
 
     #[test]
     fn constructors_and_indexing() {
@@ -594,6 +721,18 @@ mod tests {
         assert_eq!((d[(1, 1)]).to_bits(), 2.0f64.to_bits());
         assert_eq!((d[(0, 1)]).to_bits(), 0.0f64.to_bits());
         assert_eq!((Mat::identity(3).trace()).to_bits(), 3.0f64.to_bits());
+    }
+
+    #[test]
+    fn complex_constructors_and_indexing() {
+        let a = CMat::from_rows(&[&[c(1.0, 1.0), c(2.0, 0.0)], &[c(0.0, -1.0), c(3.0, 0.5)]]);
+        assert_eq!(a.shape(), (2, 2));
+        assert_eq!(a[(1, 0)], c(0.0, -1.0));
+        assert_eq!(a.col(1), vec![c(2.0, 0.0), c(3.0, 0.5)]);
+        let i = CMat::identity(3);
+        assert_eq!(i.trace(), c(3.0, 0.0));
+        let d = CMat::from_diag(&[c(1.0, 2.0)]);
+        assert_eq!(d[(0, 0)], c(1.0, 2.0));
     }
 
     #[test]
@@ -618,6 +757,27 @@ mod tests {
             let slow = a.matmul_naive(&b).unwrap();
             assert!(fast.max_abs_diff(&slow) < 1e-12, "mismatch for {m}x{k}x{n}");
         }
+    }
+
+    #[test]
+    fn complex_blocked_matmul_matches_naive_oracle() {
+        for &(m, k, n) in &[(1, 1, 1), (2, 33, 5), (9, 40, 9), (7, 65, 3)] {
+            let a = CMat::from_fn(m, k, |i, j| {
+                c(((i * 31 + j * 17) % 13) as f64 - 6.0, ((i + 2 * j) % 5) as f64)
+            });
+            let b = CMat::from_fn(k, n, |i, j| {
+                c(((i * 7 + j * 29) % 11) as f64 - 5.0, ((3 * i + j) % 7) as f64 - 3.0)
+            });
+            let fast = a.matmul(&b).unwrap();
+            let slow = a.matmul_naive(&b).unwrap();
+            assert!(fast.max_abs_diff(&slow) < 1e-12, "mismatch for {m}x{k}x{n}");
+        }
+        // Degenerate shapes produce empty results, not a panic.
+        let empty = CMat::zeros(2, 3).matmul(&CMat::zeros(3, 0)).unwrap();
+        assert_eq!(empty.shape(), (2, 0));
+        let zero_k = CMat::zeros(2, 0).matmul(&CMat::zeros(0, 3)).unwrap();
+        assert_eq!(zero_k.shape(), (2, 3));
+        assert_eq!((zero_k.max_abs()).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -713,19 +873,96 @@ mod tests {
         assert_eq!((c[(0, 0)]).to_bits(), 3.0f64.to_bits());
         let d = &c - &b;
         assert!(d.max_abs_diff(&a) < 1e-15);
-        let e = &a * 3.0;
+        let e = a.scaled(3.0);
         assert_eq!((e[(1, 1)]).to_bits(), 3.0f64.to_bits());
         let mut f = a.clone();
         f += &b;
         f -= &b;
         assert!(f.max_abs_diff(&a) < 1e-15);
-        assert_eq!(((-&a)[(0, 0)]).to_bits(), (-1.0f64).to_bits());
+        assert_eq!((a.scaled(-1.0)[(0, 0)]).to_bits(), (-1.0f64).to_bits());
     }
 
     #[test]
-    fn display_does_not_panic() {
-        let a = Mat::identity(3);
-        let s = format!("{a}");
-        assert!(s.contains("Mat 3x3"));
+    fn hermitian_transpose_and_conj() {
+        let a = CMat::from_rows(&[&[c(1.0, 1.0), c(2.0, -3.0)], &[c(0.0, 4.0), c(5.0, 0.0)]]);
+        let h = a.hermitian();
+        assert_eq!(h[(0, 1)], c(0.0, -4.0));
+        assert_eq!(h[(1, 0)], c(2.0, 3.0));
+        assert_eq!(a.transpose()[(0, 1)], c(0.0, 4.0));
+        assert_eq!(a.conj()[(0, 0)], c(1.0, -1.0));
+    }
+
+    #[test]
+    fn matmul_identity_and_products() {
+        let a = CMat::from_rows(&[&[c(1.0, 1.0), c(2.0, 0.0)], &[c(0.0, -1.0), c(3.0, 0.5)]]);
+        let i = CMat::identity(2);
+        assert!(a.matmul(&i).unwrap().max_abs_diff(&a) < 1e-15);
+        // (A A^H) must be Hermitian
+        let aah = a.matmul(&a.hermitian()).unwrap();
+        assert!(aah.max_abs_diff(&aah.hermitian()) < 1e-14);
+        assert!(a.matmul(&CMat::zeros(3, 3)).is_err());
+    }
+
+    #[test]
+    fn col_iter_two_rows_mut_and_scale_in_place() {
+        let a = CMat::from_rows(&[&[c(1.0, 0.0), c(2.0, 1.0)], &[c(3.0, -1.0), c(4.0, 0.0)]]);
+        let col: Vec<Complex64> = a.col_iter(1).collect();
+        assert_eq!(col, vec![c(2.0, 1.0), c(4.0, 0.0)]);
+        assert_eq!(a.row(1), &[c(3.0, -1.0), c(4.0, 0.0)]);
+        let mut b = a.clone();
+        {
+            let (r1, r0) = b.two_rows_mut(1, 0);
+            assert_eq!(r0[0], c(1.0, 0.0));
+            assert_eq!(r1[0], c(3.0, -1.0));
+            r1[0] = c(9.0, 9.0);
+        }
+        assert_eq!(b[(1, 0)], c(9.0, 9.0));
+        let mut s = a.clone();
+        s.scale_in_place(c(0.0, 1.0));
+        assert!(s.max_abs_diff(&a.scaled(c(0.0, 1.0))) < 1e-15);
+        // Zero-row matrices yield empty columns, not a slice panic.
+        let empty = CMat::zeros(0, 2);
+        assert_eq!(empty.col_iter(1).len(), 0);
+        assert!(empty.col(1).is_empty());
+    }
+
+    #[test]
+    fn matvec_and_scaling() {
+        let a = CMat::identity(2).scaled(c(0.0, 2.0));
+        let v = a.matvec(&[c(1.0, 0.0), c(0.0, 1.0)]).unwrap();
+        assert_eq!(v[0], c(0.0, 2.0));
+        assert_eq!(v[1], c(-2.0, 0.0));
+        assert!(a.matvec(&[c(1.0, 0.0)]).is_err());
+        assert_eq!(a.scaled_real(0.5)[(0, 0)], c(0.0, 1.0));
+    }
+
+    #[test]
+    fn parts_roundtrip_and_norms() {
+        let re = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let im = Mat::from_rows(&[&[-1.0, 0.0], &[0.5, 2.0]]);
+        let a = CMat::from_fn(2, 2, |i, j| Complex64::new(re[(i, j)], im[(i, j)]));
+        assert!(a.real().max_abs_diff(&re) < 1e-15);
+        assert!(a.imag().max_abs_diff(&im) < 1e-15);
+        assert!(a.frobenius_norm() > 0.0);
+        assert!(a.max_abs() >= 4.0);
+    }
+
+    #[test]
+    fn blocks_and_elementwise() {
+        let a = CMat::identity(3);
+        let b = a.block(1, 1, 2, 2);
+        assert_eq!(b, CMat::identity(2));
+        let mut m = CMat::zeros(3, 3);
+        m.set_block(0, 1, &CMat::identity(2));
+        assert_eq!(m[(1, 2)], Complex64::ONE);
+        let s = &a + &a;
+        assert_eq!(s[(0, 0)], c(2.0, 0.0));
+        let d = &s - &a;
+        assert!(d.max_abs_diff(&a) < 1e-15);
+        assert_eq!(a.scaled_real(-1.0)[(2, 2)], c(-1.0, 0.0));
+        let mut t = a.clone();
+        t += &a;
+        t -= &a;
+        assert!(t.max_abs_diff(&a) < 1e-15);
     }
 }

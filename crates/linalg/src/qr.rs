@@ -222,15 +222,6 @@ impl QrFactor {
     }
 }
 
-/// One-shot least squares solve `min ‖A·x − b‖₂` via Householder QR.
-///
-/// # Errors
-///
-/// See [`QrFactor::new`] and [`QrFactor::solve_least_squares`].
-pub fn lstsq(a: &Mat, b: &[f64]) -> Result<Vec<f64>> {
-    QrFactor::new(a)?.solve_least_squares(b)
-}
-
 /// Least squares with column equilibration and (optional) Tikhonov
 /// regularization: solves `min ‖A·x − b‖² + λ²‖Dx‖²` where `D` rescales every
 /// column of `A` to unit norm and `λ = lambda_rel · ‖A‖`.
@@ -305,7 +296,7 @@ mod tests {
         let a = Mat::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let x_true = vec![1.0, -2.0];
         let b = a.matvec(&x_true).unwrap();
-        let x = lstsq(&a, &b).unwrap();
+        let x = QrFactor::new(&a).unwrap().solve_least_squares(&b).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] + 2.0).abs() < 1e-12);
     }
 
@@ -315,7 +306,7 @@ mod tests {
         let ts = [0.0, 1.0, 2.0, 3.0, 4.0];
         let a = Mat::from_fn(ts.len(), 2, |i, j| if j == 0 { 1.0 } else { ts[i] });
         let b: Vec<f64> = ts.iter().map(|t| 2.0 + 3.0 * t).collect();
-        let x = lstsq(&a, &b).unwrap();
+        let x = QrFactor::new(&a).unwrap().solve_least_squares(&b).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12);
     }
 
@@ -324,11 +315,11 @@ mod tests {
         // Classic regression: the QR solution must match the normal equations.
         let a = Mat::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]);
         let b = vec![0.1, 0.9, 2.2, 2.9];
-        let x = lstsq(&a, &b).unwrap();
+        let x = QrFactor::new(&a).unwrap().solve_least_squares(&b).unwrap();
         // Normal equations solution computed analytically.
         let ata = a.transpose().matmul(&a).unwrap();
         let atb = a.transpose().matvec(&b).unwrap();
-        let x_ne = crate::lu::solve(&ata, &Mat::col_vector(&atb)).unwrap();
+        let x_ne = ata.solve(&Mat::col_vector(&atb)).unwrap();
         assert!((x[0] - x_ne[(0, 0)]).abs() < 1e-10);
         assert!((x[1] - x_ne[(1, 0)]).abs() < 1e-10);
         // Perturbing the solution must not reduce the residual.
@@ -348,17 +339,16 @@ mod tests {
                 assert_eq!((r[(i, j)]).to_bits(), 0.0f64.to_bits());
             }
         }
-        // |det(R)| = sqrt(det(A^T A))
+        // R^T R = A^T A, since Q has orthonormal columns.
         let ata = a.transpose().matmul(&a).unwrap();
-        let det_ata = crate::lu::det(&ata).unwrap();
-        let det_r: f64 = (0..3).map(|i| r[(i, i)]).product();
-        assert!((det_r.abs() - det_ata.sqrt()).abs() < 1e-8 * det_ata.sqrt().max(1.0));
+        let rtr = r.transpose().matmul(&r).unwrap();
+        assert!(rtr.max_abs_diff(&ata) < 1e-10 * ata.max_abs());
     }
 
     #[test]
     fn rank_deficient_is_detected() {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
-        let r = lstsq(&a, &[1.0, 2.0, 3.0]);
+        let r = QrFactor::new(&a).unwrap().solve_least_squares(&[1.0, 2.0, 3.0]);
         assert!(matches!(r, Err(LinalgError::Singular { .. })));
     }
 
@@ -378,7 +368,7 @@ mod tests {
         });
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         let b = a.matvec(&x_true).unwrap();
-        let x = lstsq(&a, &b).unwrap();
+        let x = QrFactor::new(&a).unwrap().solve_least_squares(&b).unwrap();
         let err: f64 = x.iter().zip(&x_true).map(|(p, q)| (p - q).abs()).fold(0.0, f64::max);
         assert!(err < 1e-8, "max error {err}");
     }
@@ -402,7 +392,7 @@ mod scaled_tests {
         // and splits the coefficient between the columns.
         let a = Mat::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
         let b = vec![2.0, 4.0, 6.0];
-        assert!(lstsq(&a, &b).is_err());
+        assert!(QrFactor::new(&a).unwrap().solve_least_squares(&b).is_err());
         let x = lstsq_scaled(&a, &b, 1e-8).unwrap();
         assert!((x[0] + x[1] - 2.0).abs() < 1e-5);
     }

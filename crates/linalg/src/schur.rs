@@ -61,9 +61,8 @@ pub fn complex_schur(a: &CMat) -> Result<Schur> {
     if n == 0 {
         return Ok(Schur { t: CMat::zeros(0, 0), u: CMat::zeros(0, 0) });
     }
-    let hes = hessenberg(a)?;
-    let mut t = hes.h;
-    let mut u = hes.q;
+    let mut u = CMat::identity(n);
+    let mut t = hessenberg(a, Some(&mut u))?;
     qr_iterate(&mut t, Some(&mut u))?;
     // Clean the strictly lower triangle (roundoff only).
     for i in 0..n {
@@ -105,7 +104,7 @@ fn qr_iterate(t: &mut CMat, mut u: Option<&mut CMat>) -> Result<()> {
     let mut iter_this_eig = 0usize;
     let mut total_iter = 0usize;
     let total_budget = MAX_ITER_PER_EIGENVALUE * n.max(4);
-    let mut rotations: Vec<(usize, Givens)> = Vec::with_capacity(n);
+    let mut rotations: Vec<(usize, Givens<Complex64>)> = Vec::with_capacity(n);
 
     loop {
         // Deflate negligible subdiagonal entries.
@@ -208,7 +207,7 @@ mod tests {
 
     /// The eigenvalue-only path on the Hessenberg form of `a`.
     fn eigenvalues_only(a: &CMat) -> Vec<Complex64> {
-        hessenberg_eigenvalues(hessenberg(a).unwrap().h).unwrap()
+        hessenberg_eigenvalues(hessenberg(a, None).unwrap()).unwrap()
     }
 
     fn random_cmat(n: usize, seed: u64) -> CMat {

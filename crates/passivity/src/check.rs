@@ -4,7 +4,6 @@
 use crate::grid::{FrequencyGrid, SamplingStrategy};
 use crate::{PassivityError, Result};
 use pim_linalg::eig::eigenvalues;
-use pim_linalg::lu::inverse;
 use pim_linalg::svd::{singular_values, svd};
 use pim_linalg::Mat;
 use pim_statespace::{PoleResidueModel, StateSpace};
@@ -84,12 +83,12 @@ pub fn hamiltonian_matrix(sys: &StateSpace) -> Result<Mat> {
     let ddt = d.matmul(&dt)?;
     let r = &dtd - &Mat::identity(p);
     let s = &ddt - &Mat::identity(p);
-    let r_inv = inverse(&r).map_err(|_| {
+    let r_inv = r.inverse().map_err(|_| {
         PassivityError::InvalidInput(
             "DᵀD − I is singular: a feedthrough singular value equals one".into(),
         )
     })?;
-    let s_inv = inverse(&s).map_err(|_| {
+    let s_inv = s.inverse().map_err(|_| {
         PassivityError::InvalidInput(
             "DDᵀ − I is singular: a feedthrough singular value equals one".into(),
         )

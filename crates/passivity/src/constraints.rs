@@ -15,7 +15,7 @@
 //! `F·vec(δC) ≤ g` used by the quadratic program of eq. (9).
 
 use crate::{PassivityError, Result};
-use pim_linalg::lu::CLu;
+use pim_linalg::lu::Lu;
 use pim_linalg::svd::svd;
 use pim_linalg::{Complex64, Mat};
 use pim_statespace::{PoleResidueModel, StateSpace};
@@ -94,7 +94,7 @@ pub fn build_constraints(
         for i in 0..n {
             si_a[(i, i)] += s;
         }
-        let phi = CLu::new(&si_a)?.solve(&b_cplx)?;
+        let phi = Lu::new(&si_a)?.solve(&b_cplx)?;
 
         let s_matrix = model.evaluate_at_omega(omega).map_err(PassivityError::StateSpace)?;
         let decomposition = svd(&s_matrix)?;

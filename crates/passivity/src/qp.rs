@@ -74,7 +74,7 @@ pub struct QpSolution {
 #[derive(Debug, Clone)]
 pub struct BlockQpFactors {
     blocks: Vec<Mat>,
-    factors: Vec<Lu>,
+    factors: Vec<Lu<f64>>,
     n_block: usize,
     base_regularization: f64,
     max_condition: f64,
@@ -86,7 +86,7 @@ pub struct BlockQpFactors {
 }
 
 /// Factors one block with a relative Tikhonov term `lambda`.
-fn factor_block(b: &Mat, n_block: usize, lambda: f64) -> crate::Result<Lu> {
+fn factor_block(b: &Mat, n_block: usize, lambda: f64) -> crate::Result<Lu<f64>> {
     let scale = b.trace().abs().max(1e-300) / n_block as f64;
     let reg = &Mat::identity(n_block).scaled(lambda * scale);
     Ok(Lu::new(&(b + reg))?)
@@ -100,7 +100,7 @@ fn factor_block_capped(
     n_block: usize,
     mut lambda: f64,
     max_condition: f64,
-) -> crate::Result<(Lu, f64, f64)> {
+) -> crate::Result<(Lu<f64>, f64, f64)> {
     let mut attempt = factor_block(b, n_block, lambda);
     for _ in 0..24 {
         let cond = match &attempt {

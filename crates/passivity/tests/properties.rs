@@ -1,7 +1,6 @@
 //! Property-based tests for the passivity kernels: the block-structured
 //! Hamiltonian assembly must agree with the naive textbook formula.
 
-use pim_linalg::lu::inverse;
 use pim_linalg::{CMat, Complex64, Mat};
 use pim_passivity::check::{hamiltonian_matrix, singular_value_sweep_with};
 use pim_passivity::qp::{solve_block_qp_factored, BlockQpFactors, QpOptions};
@@ -18,8 +17,8 @@ fn naive_hamiltonian(sys: &StateSpace) -> Mat {
     let (a, b, c, d) = (sys.a(), sys.b(), sys.c(), sys.d());
     let r = &d.transpose().matmul(d).unwrap() - &Mat::identity(p);
     let s = &d.matmul(&d.transpose()).unwrap() - &Mat::identity(p);
-    let r_inv = inverse(&r).unwrap();
-    let s_inv = inverse(&s).unwrap();
+    let r_inv = r.inverse().unwrap();
+    let s_inv = s.inverse().unwrap();
     let br = b.matmul(&r_inv).unwrap();
     let a11 = a - &br.matmul(&d.transpose()).unwrap().matmul(c).unwrap();
     let a12 = br.matmul(&b.transpose()).unwrap().scaled(-1.0);

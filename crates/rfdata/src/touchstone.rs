@@ -178,7 +178,13 @@ pub fn from_touchstone_string(text: &str, ports: usize) -> Result<NetworkData> {
         }
     }
 
-    let per_sample = 1 + 2 * ports * ports;
+    // 1 + 2·P² numbers per sample; P comes from outside (a file name), so
+    // a width that overflows `usize` is malformed input, not a panic.
+    let per_sample = ports
+        .checked_mul(ports)
+        .and_then(|p2| p2.checked_mul(2))
+        .and_then(|w| w.checked_add(1))
+        .ok_or_else(|| RfDataError::Parse(format!("port count {ports} is too large")))?;
     if numbers.is_empty() || !numbers.len().is_multiple_of(per_sample) {
         return Err(RfDataError::Parse(format!(
             "data length {} is not a multiple of {} (1 + 2·P²) for P = {}",
@@ -319,6 +325,7 @@ mod tests {
         assert!(from_touchstone_string("# HZ S QQ R 50\n1.0 0.0 0.0\n", 1).is_err());
         assert!(from_touchstone_string("", 1).is_err());
         assert!(from_touchstone_string("1.0 0.0 0.0", 0).is_err());
+        assert!(from_touchstone_string("1 0.5 0", 1 << 32).is_err());
     }
 
     #[test]

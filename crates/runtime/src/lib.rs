@@ -3,7 +3,7 @@
 //! A dependency-free (std-only) work-stealing thread pool with a
 //! deterministic data-parallel API, built for the embarrassingly parallel
 //! levels of the macromodeling workflow: independent scenario presets in
-//! [`Pipeline::sweep`](https://docs.rs/pim-core), independent frequency
+//! [`Pipeline::sweep_with`](https://docs.rs/pim-core), independent frequency
 //! samples in the passivity assessment grids, and independent Gaussian draws
 //! in the Monte Carlo sensitivity estimator.
 //!
@@ -460,26 +460,6 @@ fn default_threads(env_value: Option<String>) -> usize {
         Some(n) if n >= 1 => n,
         _ => std::thread::available_parallelism().map_or(1, usize::from),
     }
-}
-
-/// [`ThreadPool::par_map`] on the [`global()`] pool.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    global().par_map(items, f)
-}
-
-/// [`ThreadPool::par_chunks`] on the [`global()`] pool.
-pub fn par_chunks<T, A, F>(items: &[T], chunk_size: usize, f: F) -> Vec<A>
-where
-    T: Sync,
-    A: Send,
-    F: Fn(usize, &[T]) -> A + Sync,
-{
-    global().par_chunks(items, chunk_size, f)
 }
 
 #[cfg(test)]

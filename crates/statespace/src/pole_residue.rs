@@ -72,6 +72,26 @@ impl PoleResidueModel {
                     ports
                 )));
             }
+            if let Some(k) = r.as_slice().iter().position(|z| !z.is_finite()) {
+                return Err(StateSpaceError::InvalidModel(format!(
+                    "residue {n} has a non-finite entry at ({}, {})",
+                    k / ports,
+                    k % ports
+                )));
+            }
+        }
+        if let Some(n) = poles.iter().position(|p| !p.is_finite()) {
+            return Err(StateSpaceError::InvalidModel(format!(
+                "pole {n} ({}) is not finite",
+                poles[n]
+            )));
+        }
+        if let Some(k) = d.as_slice().iter().position(|v| !v.is_finite()) {
+            return Err(StateSpaceError::InvalidModel(format!(
+                "constant term D has a non-finite entry at ({}, {})",
+                k / ports,
+                k % ports
+            )));
         }
         let model = PoleResidueModel { poles, residues, d };
         model.validate_pairing()?;
@@ -278,6 +298,26 @@ mod tests {
             Mat::identity(1)
         )
         .is_err());
+        // Non-finite pole, residue entry and D entry, each named by index.
+        let non_finite = |poles: Vec<Complex64>, residues: Vec<CMat>, d: Mat, name: &str| {
+            match PoleResidueModel::new(poles, residues, d) {
+                Err(StateSpaceError::InvalidModel(msg)) => assert!(msg.contains(name), "{msg}"),
+                other => panic!("expected InvalidModel naming {name}, got {other:?}"),
+            }
+        };
+        non_finite(
+            vec![c(-1.0, 0.0), c(f64::NAN, 0.0)],
+            vec![r.clone(), r.clone()],
+            Mat::identity(1),
+            "pole 1",
+        );
+        non_finite(
+            vec![c(-1.0, 0.0)],
+            vec![CMat::from_diag(&[c(f64::INFINITY, 0.0)])],
+            Mat::identity(1),
+            "residue 0",
+        );
+        non_finite(vec![], vec![], Mat::from_diag(&[f64::NAN]), "D");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Real state-space realizations of pole–residue macromodels.
 
 use crate::{PoleResidueModel, Result, StateSpaceError};
-use pim_linalg::lu::CLu;
+use pim_linalg::lu::Lu;
 use pim_linalg::{CMat, Complex64, Mat};
 use pim_rfdata::{FrequencyGrid, NetworkData, ParameterKind};
 
@@ -117,7 +117,7 @@ impl StateSpace {
         for i in 0..n {
             si_a[(i, i)] += s;
         }
-        let lu = CLu::new(&si_a)?;
+        let lu = Lu::new(&si_a)?;
         let x = lu.solve(&self.b.to_complex())?;
         let mut h = self.c.to_complex().matmul(&x)?;
         h += &self.d.to_complex();

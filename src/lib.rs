@@ -40,7 +40,7 @@
 //! // Hamiltonian passivity assessment of the fitted macromodel: the
 //! // report records the provenance-tagged grid the sweep actually ran on.
 //! let assessment = pipeline.assess()?;
-//! assert!(assessment.sigma_max_before > 0.0);
+//! assert!(assessment.report.sigma_max > 0.0);
 //! assert!(!assessment.report.grid.is_empty());
 //! # Ok(())
 //! # }
@@ -50,7 +50,7 @@
 //! enforcement and the standard-norm baseline — is
 //! [`core_flow::Pipeline::report`]
 //! (`cargo run --release --example quickstart`), and
-//! [`core_flow::Pipeline::sweep`] batches it over
+//! [`core_flow::Pipeline::sweep_with`] batches it over
 //! [`core_flow::ScenarioPreset`]s.
 
 #![deny(missing_docs)]

@@ -183,7 +183,7 @@ fn stage_artifacts_match_the_assembled_report() {
     assert_slice_bits(&sensitivity.sensitivity, &report.sensitivity, "sensitivity artifact");
     assert_slice_bits(&sensitivity.weights, &report.weights, "weights artifact");
     assert_model_bits(&weighted.result.model, &report.weighted_fit.model, "weighted artifact");
-    assert_f64_bits(assessment.sigma_max_before, report.sigma_max_before, "sigma artifact");
+    assert_f64_bits(assessment.report.sigma_max, report.sigma_max_before, "sigma artifact");
     assert!(!assessment.report.passive);
 }
 
@@ -206,9 +206,9 @@ fn assert_trace_bits(a: &TraceObserver, b: &TraceObserver, what: &str) {
     }
 }
 
-/// The acceptance test of the parallel runtime: `Pipeline::sweep` over the
-/// registry presets on a multi-thread pool must be **bit-identical** to the
-/// serial sweep (float-bit `FlowReport` and trace comparison), and every
+/// The acceptance test of the parallel runtime: `Pipeline::sweep_with` over
+/// the registry presets on a multi-thread pool must be **bit-identical** to
+/// the serial sweep (float-bit `FlowReport` and trace comparison), and every
 /// swept scenario must reproduce the paper's weighted-beats-standard fit
 /// claim.
 ///
