@@ -10,7 +10,7 @@
 //! | `float-eq`      | no float `==`/`!=` (use `to_bits()`; annotate exact-zero fast paths) |
 //! | `hash-container`| no `HashMap`/`HashSet` (nondeterministic iteration order) |
 //! | `wall-clock`    | no `Instant`/`SystemTime`/OS randomness outside the bench layer |
-//! | `thread-spawn`  | no `std::thread` spawning outside `pim-runtime` |
+//! | `thread-spawn`  | no `std::thread` spawning or scoped threads outside `pim-runtime` |
 //! | `unwrap-ratchet`| `.unwrap()`/`.expect("")` in library code: counted, ratcheted |
 //! | `partial-cmp-unwrap` | no `partial_cmp(..).unwrap()`/`.expect(..)` (panics on NaN; use `total_cmp`) |
 //! | `dead-pub`      | no library `pub fn` whose only callers are its own file's unit tests |
@@ -42,7 +42,7 @@ pub enum Lint {
     HashContainer,
     /// L4: no wall-clock or OS-randomness source outside the bench layer.
     WallClock,
-    /// L5: no `std::thread` spawning outside `pim-runtime`.
+    /// L5: no `std::thread` spawning or scoped threads outside `pim-runtime`.
     ThreadSpawn,
     /// L7: no `partial_cmp(..)` followed directly by `.unwrap()` or
     /// `.expect(..)` — it panics on NaN; `total_cmp` orders every float.
@@ -384,8 +384,8 @@ fn lint_wall_clock(tokens: &[Token<'_>], code: &[usize], diagnostics: &mut Vec<D
     }
 }
 
-/// L5: `thread::spawn` / `thread::Builder` outside `pim-runtime` — all
-/// parallelism must go through the deterministic pool.
+/// L5: `thread::spawn` / `thread::Builder` / `thread::scope` outside
+/// `pim-runtime` — all parallelism must go through the deterministic pool.
 fn lint_thread_spawn(tokens: &[Token<'_>], code: &[usize], diagnostics: &mut Vec<Diagnostic>) {
     for w in code.windows(3) {
         let (a, b, c) = (&tokens[w[0]], &tokens[w[1]], &tokens[w[2]]);
@@ -393,7 +393,7 @@ fn lint_thread_spawn(tokens: &[Token<'_>], code: &[usize], diagnostics: &mut Vec
             && a.text == "thread"
             && b.text == "::"
             && c.kind == TokenKind::Ident
-            && matches!(c.text, "spawn" | "Builder")
+            && matches!(c.text, "spawn" | "Builder" | "scope")
         {
             diagnostics.push(Diagnostic {
                 lint: Lint::ThreadSpawn.name(),

@@ -104,14 +104,15 @@ fn l4_wall_clock_scoped_to_the_bench_layer() {
 
 #[test]
 fn l5_thread_spawn_scoped_to_the_runtime() {
-    let src =
-        "fn f() {\n    std::thread::spawn(|| {});\n    let b = std::thread::Builder::new();\n}\n";
-    assert_eq!(lint_lines(&audit(src), "thread-spawn"), vec![2, 3]);
+    let src = "fn f() {\n    std::thread::spawn(|| {});\n    \
+               let b = std::thread::Builder::new();\n    std::thread::scope(|s| {});\n}\n";
+    assert_eq!(lint_lines(&audit(src), "thread-spawn"), vec![2, 3, 4]);
     let runtime = audit_file("crates/runtime/src/lib.rs", src, false);
     assert!(lint_lines(&runtime, "thread-spawn").is_empty());
-    // Method calls named `spawn` (the pool's Scope::spawn) are not flagged.
-    let pool = "fn f(s: &Scope) {\n    s.spawn(|| {});\n}\n";
-    assert!(lint_lines(&audit(pool), "thread-spawn").is_empty());
+    // Method calls named `spawn` (a `std::thread::Scope` handle's) are not
+    // flagged: the `thread::scope` that opened the scope is.
+    let handle = "fn f(s: &Scope) {\n    s.spawn(|| {});\n}\n";
+    assert!(lint_lines(&audit(handle), "thread-spawn").is_empty());
 }
 
 #[test]

@@ -116,28 +116,12 @@ pub type Mat = Matrix<f64>;
 /// ```
 pub type CMat = Matrix<Complex64>;
 
-/// Panel depth of the blocked product kernels: KC rows of the right-hand
-/// side are streamed per output row. Shared between [`Matrix::matmul_into`]
-/// and [`Matrix::par_matmul_into`]. Blocking never reorders the sum behind
-/// an output entry (its `k` terms are added in increasing order whatever
-/// the panel depth), so one depth serves both scalar fields.
+/// Panel depth of the blocked product kernel [`Matrix::matmul_into`]: KC
+/// rows of the right-hand side are streamed per output row. Blocking never
+/// reorders the sum behind an output entry (its `k` terms are added in
+/// increasing order whatever the panel depth), so one depth serves both
+/// scalar fields.
 const KC: usize = 64;
-
-/// Raw pointer into an output buffer, shared across panel tasks. Safety rests
-/// on the panel decomposition: every task writes a disjoint set of columns.
-struct PanelPtr(*mut f64);
-// SAFETY: a raw `*mut f64` is only non-Send/non-Sync as a lint against
-// unsynchronized sharing; `PanelPtr` is constructed exclusively inside
-// `Mat::par_matmul_into` from `out.data.as_mut_ptr()`, which stays
-// exclusively borrowed for the whole pool scope. The tasks sharing it write
-// through disjoint column ranges `[j0, j1)` (see the panel proof at the
-// `from_raw_parts_mut` below), never read each other's panels, and the
-// scope joins every task before `out` is reborrowed — so cross-thread moves
-// (Send) and shared references (Sync) cannot introduce a data race.
-unsafe impl Send for PanelPtr {}
-// SAFETY: see the Send impl directly above — `&PanelPtr` only ever hands
-// tasks a pointer they offset into non-overlapping column panels.
-unsafe impl Sync for PanelPtr {}
 
 impl<T: Scalar> Matrix<T> {
     /// Creates a `rows × cols` matrix filled with zeros.
@@ -507,100 +491,6 @@ impl Matrix<f64> {
         Matrix { rows: 1, cols: v.len(), data: v.to_vec() }
     }
 
-    /// Opt-in parallel variant of [`Matrix::matmul_into`]: the blocked kernel is
-    /// split over contiguous **column panels** of `rhs`/`out`, one
-    /// work-stealing task per panel on the given pool.
-    ///
-    /// Restricting a panel to columns `[j0, j1)` leaves every output entry's
-    /// accumulation chain untouched (the `k`-blocking is identical and the
-    /// inner axpy visits the same `(k, j)` pairs in the same order), so the
-    /// result is **bit-identical** to the serial [`Matrix::matmul_into`] for
-    /// every thread count — the parallel-vs-serial proptest suite pins this.
-    /// On a serial pool (or when the output is too narrow to split) this
-    /// delegates to the serial kernel.
-    ///
-    /// # Errors
-    ///
-    /// See [`Matrix::matmul_into`].
-    pub fn par_matmul_into(
-        &self,
-        rhs: &Mat,
-        out: &mut Mat,
-        pool: &pim_runtime::ThreadPool,
-    ) -> Result<()> {
-        let (k_dim, n) = rhs.shape();
-        // Panels narrower than 16 columns don't amortize the task overhead.
-        let panel_w = n.div_ceil(pool.threads() * 2).max(16);
-        let panels = n.div_ceil(panel_w.max(1)).max(1);
-        if pool.is_serial() || panels <= 1 {
-            return self.matmul_into(rhs, out);
-        }
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Mat::matmul",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        if out.shape() != (self.rows, n) {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Mat::matmul_into output",
-                left: (self.rows, n),
-                right: out.shape(),
-            });
-        }
-        out.data.fill(0.0);
-        if k_dim == 0 || self.rows == 0 {
-            return Ok(());
-        }
-        let base = PanelPtr(out.data.as_mut_ptr());
-        pool.scope(|s| {
-            for p in 0..panels {
-                let j0 = p * panel_w;
-                let j1 = ((p + 1) * panel_w).min(n);
-                let base = &base;
-                s.spawn(move || {
-                    let width = j1 - j0;
-                    for kb in (0..k_dim).step_by(KC) {
-                        let k_end = (kb + KC).min(k_dim);
-                        for (i, a_row) in self.data.chunks_exact(self.cols).enumerate() {
-                            // SAFETY: disjointness + in-bounds proof.
-                            // `out` is row-major `rows × n`, so row `i` spans
-                            // `data[i*n .. (i+1)*n]`; this slice is its
-                            // sub-range `[i*n + j0, i*n + j1)` with
-                            // `width = j1 - j0 ≤ n - j0`, hence in bounds of
-                            // the allocation `base` points to. Panel `p`
-                            // owns columns `[p*panel_w, min((p+1)*panel_w, n))`:
-                            // the half-open intervals for distinct `p` are
-                            // pairwise disjoint, so for any two tasks and any
-                            // rows `i`, `i'`, the index sets
-                            // `{i*n + j0 .. i*n + j1}` never intersect across
-                            // tasks. The mutable slices alias nothing: `out`
-                            // stays exclusively borrowed for the whole
-                            // `pool.scope`, which joins every task before
-                            // returning, and within one task the slice is
-                            // dropped before the next row's is formed.
-                            let out_row = unsafe {
-                                std::slice::from_raw_parts_mut(base.0.add(i * n + j0), width)
-                            };
-                            for (k, &aik) in a_row[kb..k_end].iter().enumerate() {
-                                // audit:allow(float-eq): same exact-zero AXPY skip as the serial kernel, for bit parity
-                                if aik == 0.0 {
-                                    continue;
-                                }
-                                let b_row = &rhs.data[(kb + k) * n + j0..(kb + k) * n + j1];
-                                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                                    *o += aik * b;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        Ok(())
-    }
-
     /// Converts into a complex matrix with zero imaginary part.
     pub fn to_complex(&self) -> CMat {
         CMat::from_fn(self.rows, self.cols, |i, j| Complex64::from_real(self[(i, j)]))
@@ -778,33 +668,6 @@ mod tests {
         let zero_k = CMat::zeros(2, 0).matmul(&CMat::zeros(0, 3)).unwrap();
         assert_eq!(zero_k.shape(), (2, 3));
         assert_eq!((zero_k.max_abs()).to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn par_matmul_into_is_bit_identical_to_serial() {
-        for threads in [1usize, 2, 8] {
-            let pool = pim_runtime::ThreadPool::new(threads);
-            // Sizes around the KC=64 depth and the 16-column panel floor.
-            for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (17, 64, 40), (10, 65, 130), (33, 200, 70)] {
-                let a = Mat::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
-                let b = Mat::from_fn(k, n, |i, j| ((i * 7 + j * 29) % 11) as f64 - 5.0);
-                let mut serial = Mat::zeros(m, n);
-                a.matmul_into(&b, &mut serial).unwrap();
-                let mut parallel = Mat::filled(m, n, 42.0);
-                a.par_matmul_into(&b, &mut parallel, &pool).unwrap();
-                for (x, y) in serial.as_slice().iter().zip(parallel.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n} threads={threads}");
-                }
-            }
-            // Shape validation matches the serial kernel on both paths.
-            let a = Mat::zeros(2, 3);
-            let mut narrow = Mat::zeros(2, 2);
-            assert!(a.par_matmul_into(&Mat::zeros(4, 2), &mut narrow, &pool).is_err());
-            assert!(a.par_matmul_into(&Mat::zeros(3, 120), &mut narrow, &pool).is_err());
-            let mut wide = Mat::zeros(2, 120);
-            a.par_matmul_into(&Mat::zeros(3, 120), &mut wide, &pool).unwrap();
-            assert_eq!((wide.max_abs()).to_bits(), 0.0f64.to_bits());
-        }
     }
 
     #[test]

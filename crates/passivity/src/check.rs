@@ -57,9 +57,9 @@ pub struct PassivityReport {
 /// with `R = DᵀD − I` and `S = DDᵀ − I` both symmetric: the lower-right
 /// block is the negated transpose of the upper-left one and is filled by a
 /// copy instead of a second `N×N` matrix-product chain, and the blocks are
-/// written straight into the `2N×2N` result. The three `N×N`-output
-/// products run on the [`pim_runtime::global`] pool's column-panel kernel
-/// ([`Mat::par_matmul_into`]), which is bit-identical to the serial one.
+/// written straight into the `2N×2N` result. Every product runs on the
+/// serial blocked kernel ([`Mat::matmul`]): at these sizes a parallel
+/// split costs more than it saves.
 ///
 /// # Errors
 ///
@@ -94,18 +94,11 @@ pub fn hamiltonian_matrix(sys: &StateSpace) -> Result<Mat> {
         )
     })?;
 
-    // The products with a P-column output are too narrow to split; the
-    // three with an N-column output go through the parallel panel kernel.
-    let par_matmul = |lhs: &Mat, rhs: &Mat| -> Result<Mat> {
-        let mut out = Mat::zeros(lhs.rows(), rhs.cols());
-        lhs.par_matmul_into(rhs, &mut out, pim_runtime::global())?;
-        Ok(out)
-    };
     let br = b.matmul(&r_inv)?; // B (DᵀD − I)⁻¹
-    let a11 = a - &par_matmul(&br.matmul(&dt)?, c)?;
-    let mut a12 = par_matmul(&br, &b.transpose())?;
+    let a11 = a - &br.matmul(&dt)?.matmul(c)?;
+    let mut a12 = br.matmul(&b.transpose())?;
     a12.scale_in_place(-1.0);
-    let a21 = par_matmul(&c.transpose().matmul(&s_inv)?, c)?;
+    let a21 = c.transpose().matmul(&s_inv)?.matmul(c)?;
 
     let mut m = Mat::zeros(2 * n, 2 * n);
     m.set_block(0, 0, &a11);

@@ -109,10 +109,10 @@ pub fn analytic_sensitivity(
 ///
 /// Every frequency draws from its **own** SplitMix64 stream, whose seed is
 /// derived deterministically from `options.seed` and the frequency index.
-/// That makes the per-frequency estimates independent of how the frequency
-/// grid is chunked across threads: the estimator runs its Gaussian draws in
-/// parallel on the [`pim_runtime::global`] pool, and the result is
-/// bit-identical to the serial evaluation for every `PIM_THREADS`.
+/// That makes the per-frequency estimates independent of which thread runs
+/// them: the estimator maps the frequencies in parallel on the
+/// [`pim_runtime::global`] pool, and the result is bit-identical to the
+/// serial evaluation for every `PIM_THREADS`.
 ///
 /// # Errors
 ///
@@ -126,12 +126,6 @@ pub fn monte_carlo_sensitivity(
 ) -> Result<Vec<f64>> {
     monte_carlo_sensitivity_with(pim_runtime::global(), data, network, observation_port, options)
 }
-
-/// Frequencies per parallel work unit of the Monte Carlo estimator. Fixed —
-/// never derived from the thread count — so the chunk decomposition (and
-/// with it the accumulation order inside each chunk) is identical on every
-/// machine.
-const MC_CHUNK: usize = 4;
 
 /// [`monte_carlo_sensitivity`] on an explicit [`pim_runtime::ThreadPool`]
 /// (the determinism test suites compare pools of different sizes bit for
@@ -166,9 +160,9 @@ pub fn monte_carlo_sensitivity_with(
         (0..data.len()).map(|_| master.next_u64()).collect()
     };
 
-    let per_frequency = |k: usize| -> Result<f64> {
+    let per_frequency = |k: usize, &seed: &u64| -> Result<f64> {
         let y_l = network.load_admittance(omegas[k])?;
-        let mut rng = SplitMix64::seed_from_u64(seeds[k]);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut acc = 0.0;
         let mut used = 0usize;
         for _ in 0..options.trials {
@@ -202,16 +196,9 @@ pub fn monte_carlo_sensitivity_with(
         Ok(acc / (used as f64 * options.sigma))
     };
 
-    // Per-chunk accumulators (the chunk's frequency estimates in order),
-    // flattened back in fixed chunk order; the frequency index is the chunk
-    // start index plus the offset within the chunk.
-    let chunks: Result<Vec<Vec<f64>>> = pool
-        .par_chunks(&seeds, MC_CHUNK, |start, part| {
-            (start..start + part.len()).map(&per_frequency).collect::<Result<Vec<f64>>>()
-        })
-        .into_iter()
-        .collect();
-    Ok(chunks?.into_iter().flatten().collect())
+    // Collected in frequency order, so the reported error is the lowest
+    // failing frequency's.
+    pool.par_map(&seeds, per_frequency).into_iter().collect()
 }
 
 /// Post-processes raw sensitivity samples into Vector Fitting weights:

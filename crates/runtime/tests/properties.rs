@@ -1,6 +1,6 @@
-//! Property-based tests of the determinism invariant: every parallel entry
-//! point must return results that are **bit-identical** to the serial
-//! evaluation, for every thread count.
+//! Property-based tests of the determinism invariant: `par_map` must return
+//! results that are **bit-identical** to the serial evaluation, for every
+//! thread count.
 
 use pim_runtime::ThreadPool;
 use proptest::prelude::*;
@@ -35,37 +35,6 @@ proptest! {
                     "threads={threads} index={k}: {a} vs {b}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn par_chunks_reduction_is_bit_identical_to_serial(
-        len in 1usize..33,
-        chunk in 1usize..9,
-        v in prop::collection::vec(-1.0f64..1.0, 33),
-    ) {
-        let items = &v[..len];
-        // Serial reference: left fold over fixed-size chunks.
-        let serial: Vec<f64> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(c, part)| {
-                part.iter().enumerate().fold(0.0f64, |acc, (k, &x)| acc + mix(c * chunk + k, x))
-            })
-            .collect();
-        let serial_total = serial.iter().fold(0.0f64, |a, &b| a + b);
-        for threads in THREAD_COUNTS {
-            let pool = ThreadPool::new(threads);
-            let partial = pool.par_chunks(items, chunk, |start, part| {
-                part.iter().enumerate().fold(0.0f64, |acc, (k, &x)| acc + mix(start + k, x))
-            });
-            prop_assert!(partial.len() == serial.len());
-            for (a, b) in serial.iter().zip(&partial) {
-                prop_assert!(a.to_bits() == b.to_bits(), "threads={threads}");
-            }
-            // The fixed-order reduction of the accumulators is bit-stable too.
-            let total = partial.iter().fold(0.0f64, |a, &b| a + b);
-            prop_assert!(total.to_bits() == serial_total.to_bits(), "threads={threads}");
         }
     }
 
