@@ -121,7 +121,30 @@ pub fn hamiltonian_matrix(sys: &StateSpace) -> Result<Mat> {
 ///
 /// See [`hamiltonian_matrix`]; eigenvalue solver failures are propagated.
 pub fn hamiltonian_crossings(sys: &StateSpace) -> Result<Vec<f64>> {
-    let m = hamiltonian_matrix(sys)?;
+    let mut m = hamiltonian_matrix(sys)?;
+    // Balance the off-diagonal blocks before the eigensolve: the similarity
+    // diag(I, s·I) scales `A12` by `s` and `A21` by `1/s` and keeps the
+    // spectrum. On fitted PDN models `A21 = Cᵀ·S⁻¹·C` exceeds `A12` by 1e15
+    // to 1e18, and unbalanced the QR iteration moves crossings off the
+    // imaginary axis by up to 1e-3 relative, past the filter below. A power
+    // of two keeps the scaling exact.
+    let n = m.rows() / 2;
+    let (mut a12, mut a21) = (0.0_f64, 0.0_f64);
+    for i in 0..n {
+        for j in 0..n {
+            a12 = a12.max(m[(i, n + j)].abs());
+            a21 = a21.max(m[(n + i, j)].abs());
+        }
+    }
+    if a12 > 0.0 && a21 > 0.0 {
+        let s = (0.5 * (a21 / a12).log2()).round().exp2();
+        for i in 0..n {
+            for j in 0..n {
+                m[(i, n + j)] *= s;
+                m[(n + i, j)] /= s;
+            }
+        }
+    }
     let evs = eigenvalues(&m)?;
     // An eigenvalue is treated as (numerically) purely imaginary when its
     // real part is small *relative to its own magnitude*. The tolerance is

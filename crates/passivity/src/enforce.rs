@@ -134,6 +134,13 @@ impl PerturbationNorm {
 // bit-identical to the uncontrolled loop; backtracking remains the inner
 // fallback either way.
 
+/// Smallest backtracking fraction. A step that still grows `σ_max` at this
+/// fraction is taken anyway and the next iteration re-linearizes. Exact QP
+/// steps can overshoot the linearization by far more than 16×: on the
+/// `Minimal` preset under the fixture configuration, the first improving
+/// fraction is 1/64.
+const MIN_STEP: f64 = 1.0 / 1024.0;
+
 /// Consecutive bottomed-out-and-grew steps before the controller engages.
 const TR_ACTIVATE_AFTER: usize = 2;
 /// Reduction ratios at or above this grow the radius (when the step was
@@ -499,7 +506,7 @@ pub fn enforce_passivity(
             let candidate = apply_perturbation(&current, &scaled)?;
             let candidate_report = assess_with_sampling(pool, &candidate, &sweep, strategy)?;
             let candidate_sigma = candidate_report.sigma_max;
-            if candidate_sigma <= report.sigma_max * (1.0 + 1e-9) || step <= 1.0 / 16.0 {
+            if candidate_sigma <= report.sigma_max * (1.0 + 1e-9) || step <= MIN_STEP {
                 let norm_increment = norm.evaluate(&scaled)?;
                 accumulated_norm += norm_increment;
                 if let Some(obs) = observer.as_deref_mut() {
@@ -519,7 +526,7 @@ pub fn enforce_passivity(
                 // row mean the linearized QP is pushing the model the wrong
                 // way.
                 let grew = candidate_sigma > report.sigma_max * (1.0 + 1e-9);
-                if step <= 1.0 / 16.0 && grew {
+                if step <= MIN_STEP && grew {
                     bottomed_growth += 1;
                 } else {
                     bottomed_growth = 0;
@@ -820,13 +827,14 @@ mod tests {
         // A pathologically skewed norm: one residue direction is almost free
         // (Gramian eigenvalue ~1e-12), so the QP pushes enormous
         // perturbations along it and the linearization overshoots. With the
-        // adaptive damping off, the loop runs out of its iteration budget.
+        // adaptive damping off, the loop needs 7 iterations; a budget of 3
+        // runs out mid-trajectory.
         let model = violating_one_port();
         let g = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]]);
         let norm = PerturbationNorm::from_gramians(vec![g], 1, 2).unwrap();
         let cfg = EnforcementConfig {
             sweep_points: 100,
-            max_iterations: 40,
+            max_iterations: 3,
             qp: QpOptions { max_condition: f64::INFINITY, ..Default::default() },
             ..Default::default()
         };
@@ -877,9 +885,12 @@ mod tests {
 
     #[test]
     fn trust_region_and_damping_rescue_the_skewed_norm() {
-        // The exact regime of the budget-exhaustion test above — but with
-        // adaptive damping on, under a condition cap tight enough for this
-        // 1e12-condition Gramian: the loop must now deliver a passive model.
+        // The skewed norm of the budget-exhaustion test above, with adaptive
+        // damping on under a condition cap tight enough for this
+        // 1e12-condition Gramian. With exact QP steps the undamped loop
+        // converges too (in 7 iterations), so this pins that the damping
+        // engages, stays under its cap and still delivers a passive model,
+        // not that it rescues a run that would otherwise fail.
         let model = violating_one_port();
         let g = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]]);
         let norm = PerturbationNorm::from_gramians(vec![g], 1, 2).unwrap();
@@ -890,10 +901,10 @@ mod tests {
             ..Default::default()
         };
         let out = enforce_passivity(&model, &norm, 5000.0, &cfg, None)
-            .expect("damped loop must converge where the undamped loop ran out of budget");
+            .expect("the damped loop must converge");
         assert!(out.report.passive);
         assert!(out.report.sigma_max <= 1.0 + 1e-9);
-        // The rescue actually exercised the new machinery.
+        // The damping actually engaged.
         assert_eq!(out.robustness.qp_damped_blocks, 1);
         assert!(out.robustness.qp_lambda_max > cfg.qp.regularization);
         assert!(out.robustness.qp_condition_max <= 1e6 * (1.0 + 1e-9));

@@ -10,8 +10,9 @@
 //!   `σ_i(jω_ν) + δσ_i(jω_ν) ≤ 1` (eq. 8) with respect to a perturbation of
 //!   the state-space output matrix `C`;
 //! * [`qp`] — the convex quadratic program of eq. (9): minimize a
-//!   Gramian-weighted norm of `δC` under the linear constraints, solved by a
-//!   dual coordinate-ascent (Hildreth) method;
+//!   Gramian-weighted norm of `δC` under the linear constraints, solved
+//!   exactly as a least-distance problem in Cholesky-whitened coordinates by
+//!   the Goldfarb–Idnani dual active-set method;
 //! * [`enforce`] — the outer iterative perturbation loop. The loop is
 //!   parameterized by the per-element Gramians that define the perturbation
 //!   norm, so the *same* code runs both the standard L2 enforcement (eq. 10)
@@ -139,6 +140,19 @@ pub enum PassivityError {
         /// trajectory tail).
         diagnostics: Box<NotConvergedDiagnostics>,
     },
+    /// The linearized constraints of a perturbation step are inconsistent:
+    /// no step satisfies them all.
+    InfeasibleQp {
+        /// The constraint row the QP solver could not satisfy together
+        /// with the rows already active.
+        constraint: usize,
+    },
+    /// The QP solver reached its cap on active-set steps without an
+    /// optimum (only rounding can make it cycle).
+    QpStepCap {
+        /// The step cap that was reached.
+        steps: usize,
+    },
 }
 
 impl fmt::Display for PassivityError {
@@ -151,6 +165,13 @@ impl fmt::Display for PassivityError {
                 f,
                 "passivity enforcement did not converge after {iterations} iterations (sigma_max = {sigma_max}; {diagnostics})"
             ),
+            PassivityError::InfeasibleQp { constraint } => write!(
+                f,
+                "the linearized passivity constraints are infeasible (row {constraint} conflicts with the active rows)"
+            ),
+            PassivityError::QpStepCap { steps } => {
+                write!(f, "the perturbation QP reached its cap of {steps} active-set steps")
+            }
         }
     }
 }

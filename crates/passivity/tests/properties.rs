@@ -1,5 +1,6 @@
 //! Property-based tests for the passivity kernels: the block-structured
-//! Hamiltonian assembly must agree with the naive textbook formula.
+//! Hamiltonian assembly must agree with the naive textbook formula, and the
+//! perturbation QP must return a KKT point of random feasible problems.
 
 use pim_linalg::{CMat, Complex64, Mat};
 use pim_passivity::check::{hamiltonian_matrix, singular_value_sweep_with};
@@ -155,8 +156,9 @@ proptest! {
             .collect();
         let n = n_blocks * n_block;
         let f = Mat::from_fn(m, n, |i, j| at(61 + i * n + j));
-        // Mix of active (negative bound) and inactive constraints.
-        let g: Vec<f64> = (0..m).map(|i| 0.5 * at(97 + i)).collect();
+        // Feasible by construction: g = F·x₀ + |s| holds at x₀, and rows
+        // with F·x₀ < 0 get negative headroom, so constraints stay active.
+        let g = feasible_bounds(&f, &v, 97);
         let reg = if lambda_zero { 0.0 } else { 1e-10 };
         let options = QpOptions { regularization: reg, ..QpOptions::default() };
 
@@ -182,4 +184,121 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    // Small random QPs are cheap (well under a millisecond each), and
+    // active-set drops of a non-last column show up only in a fraction of
+    // the cases, so this property runs many more of them.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn qp_solution_satisfies_kkt_on_random_feasible_problems(
+        n_blocks in 1usize..6,
+        n_block in 1usize..5,
+        m in 1usize..9,
+        damped_pick in 0.0f64..1.0,
+        v in prop::collection::vec(-1.0f64..1.0, 256),
+    ) {
+        let at = |k: usize| v[k % v.len()];
+        // SPD blocks with condition up to ~1e3, factored undamped or with a
+        // visible relative Tikhonov term. No condition cap, so every block
+        // carries exactly the base λ and the damped Hessian is known here.
+        let blocks: Vec<Mat> = (0..n_blocks)
+            .map(|e| {
+                let l = Mat::from_fn(n_block, n_block, |i, j| at(e * 37 + i * n_block + j));
+                let mut g = l.matmul(&l.transpose()).unwrap();
+                for i in 0..n_block {
+                    g[(i, i)] += 0.01;
+                }
+                g
+            })
+            .collect();
+        let reg = if damped_pick < 0.5 { 0.0 } else { 1e-2 };
+        let factors = BlockQpFactors::new_adaptive(&blocks, reg, f64::INFINITY).unwrap();
+        let n = n_blocks * n_block;
+        let mut hessian = Mat::zeros(n, n);
+        for (e, b) in blocks.iter().enumerate() {
+            let shift = reg * b.trace() / n_block as f64;
+            hessian.set_block(e * n_block, e * n_block, &(b + &Mat::identity(n_block).scaled(shift)));
+        }
+        let f = Mat::from_fn(m, n, |i, j| at(71 + i * n + j));
+        let g = feasible_bounds(&f, &v, 131);
+        let sol = solve_block_qp_factored(&factors, &f, &g, &QpOptions::default()).unwrap();
+        let (x, lambda) = (&sol.x, &sol.multipliers);
+
+        let norm = |u: &[f64]| u.iter().map(|a| a * a).sum::<f64>().sqrt();
+        let fx = f.matvec(x).unwrap();
+        let gx = hessian.matvec(x).unwrap();
+        let mut stationarity: Vec<f64> = gx.iter().map(|a| 2.0 * a).collect();
+        let mut scale = norm(&stationarity);
+        for (i, &li) in lambda.iter().enumerate() {
+            prop_assert!(li >= 0.0, "multiplier {i} is negative: {li}");
+            let row = f.row(i);
+            let row_scale = norm(row) * norm(x) + g[i].abs() + f64::MIN_POSITIVE;
+            prop_assert!(
+                fx[i] - g[i] <= 1e-9 * row_scale,
+                "row {i} violated by {} (scale {row_scale})",
+                fx[i] - g[i]
+            );
+            prop_assert!(
+                li * (g[i] - fx[i]).abs() <= 1e-9 * li * row_scale,
+                "row {i}: multiplier {li} on slack {}",
+                g[i] - fx[i]
+            );
+            for (s, &fij) in stationarity.iter_mut().zip(row) {
+                *s += li * fij;
+            }
+            scale += li * norm(row);
+        }
+        prop_assert!(
+            norm(&stationarity) <= 1e-9 * scale.max(f64::MIN_POSITIVE),
+            "stationarity residual {} (scale {scale})",
+            norm(&stationarity)
+        );
+
+        // Small problems: the optimum is the best feasible equality-
+        // constrained minimizer over all 2^m candidate active sets.
+        if m <= 4 {
+            let objective = |u: &[f64]| {
+                u.iter().zip(&hessian.matvec(u).unwrap()).map(|(a, b)| a * b).sum::<f64>()
+            };
+            let h_inv = hessian.inverse().unwrap();
+            let mut best = f64::INFINITY;
+            for mask in 0usize..(1 << m) {
+                let rows: Vec<usize> = (0..m).filter(|i| mask & (1 << i) != 0).collect();
+                let candidate = if rows.is_empty() {
+                    vec![0.0; n]
+                } else {
+                    // x = −½·H⁻¹·F_Sᵀ·μ with (F_S·H⁻¹·F_Sᵀ)·μ = −2·g_S.
+                    let fs = Mat::from_fn(rows.len(), n, |i, j| f[(rows[i], j)]);
+                    let hf = h_inv.matmul(&fs.transpose()).unwrap();
+                    let rhs = Mat::from_fn(rows.len(), 1, |i, _| -2.0 * g[rows[i]]);
+                    let Ok(mu) = fs.matmul(&hf).unwrap().solve(&rhs) else { continue };
+                    hf.matvec(&mu.col(0)).unwrap().iter().map(|a| -0.5 * a).collect()
+                };
+                let cfx = f.matvec(&candidate).unwrap();
+                let feasible = (0..m).all(|i| {
+                    cfx[i] - g[i] <= 1e-10 * (norm(f.row(i)) * norm(&candidate) + g[i].abs())
+                });
+                if feasible {
+                    best = best.min(objective(&candidate));
+                }
+            }
+            let found = objective(x);
+            prop_assert!(
+                (found - best).abs() <= 1e-8 * best.max(f64::MIN_POSITIVE),
+                "objective {found} vs enumerated optimum {best}"
+            );
+        }
+    }
+}
+
+/// Constraint bounds `g = F·x₀ + |s|` feasible at a point `x₀` drawn from
+/// `v` (starting at `offset`), with slacks `|s|` up to 0.5.
+fn feasible_bounds(f: &Mat, v: &[f64], offset: usize) -> Vec<f64> {
+    let at = |k: usize| v[k % v.len()];
+    let x0: Vec<f64> = (0..f.cols()).map(|j| at(offset + j)).collect();
+    let fx0 = f.matvec(&x0).unwrap();
+    fx0.iter().enumerate().map(|(i, r)| r + 0.5 * at(offset + 53 + i).abs()).collect()
 }

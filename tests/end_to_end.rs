@@ -69,3 +69,40 @@ fn sensitivity_profile_is_reproducible_across_scenario_sizes() {
         assert!(contrast > 10.0, "{}: xi[1]/xi[last] = {contrast}", preset.name());
     }
 }
+
+/// The Hamiltonian witness brackets every unit crossing of `σ_max` that a
+/// dense sweep sees. On fitted PDN models `A21 = Cᵀ·S⁻¹·C` exceeds `A12` by
+/// 1e15 to 1e18; without balancing the two blocks the eigensolver moved 11 of
+/// these 14 crossings of the reduced preset's standard fit off the
+/// imaginary axis, past the crossing filter, and the adaptive sampling never
+/// refined around them.
+#[test]
+fn hamiltonian_crossings_bracket_every_sweep_crossing() -> pim_repro::Result<()> {
+    use pim_repro::core_flow::{FitKind, Pipeline};
+    use pim_repro::passivity::check::{hamiltonian_crossings, singular_value_sweep_with};
+    use pim_repro::statespace::StateSpace;
+
+    let preset = ScenarioPreset::Reduced;
+    let sc = preset.build()?;
+    let fit = Pipeline::from_scenario(&sc, preset.flow_config())?.fit(FitKind::Standard)?;
+    let model = &fit.result.model;
+    let crossings = hamiltonian_crossings(&StateSpace::from_pole_residue(model)?)?;
+    let points = 20_000;
+    let top = 1.5 * sc.data.grid().max_omega();
+    let omegas: Vec<f64> = (0..points).map(|k| top * (k as f64 + 0.5) / points as f64).collect();
+    let sigmas = singular_value_sweep_with(pim_repro::runtime::global(), model, &omegas)?;
+    let mut sign_changes = 0;
+    for k in 1..points {
+        if (sigmas[k - 1][0] > 1.0) != (sigmas[k][0] > 1.0) {
+            sign_changes += 1;
+            assert!(
+                crossings.iter().any(|&w| (omegas[k - 1]..=omegas[k]).contains(&w)),
+                "sigma_max crosses one in [{}, {}] rad/s but no Hamiltonian crossing lies there",
+                omegas[k - 1],
+                omegas[k]
+            );
+        }
+    }
+    assert!(sign_changes >= 10, "the fit must violate passivity: {sign_changes} crossings");
+    Ok(())
+}

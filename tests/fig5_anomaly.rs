@@ -126,11 +126,8 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
 
 /// Full-size acceptance run (paper scenario, `FlowConfig::default`): the
 /// delivered weighted model must certify σ_max ≤ 1 + 1e-8 on a 16× audit
-/// grid it was not constrained on. Takes minutes in release mode — CI runs
-/// it in the diagnostics step (`cargo test --release --test fig5_anomaly --
-/// --ignored`).
+/// grid it was not constrained on.
 #[test]
-#[ignore = "full paper-size scenario: minutes in release, run by the CI diagnostics step"]
 fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
     let sc = ScenarioPreset::Paper.build().unwrap();
     let config = FlowConfig::default();
@@ -157,6 +154,6 @@ fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
 // The 5×5 dense-decap divergence diagnostic that used to live here was
 // promoted to a committed minimized corpus fixture:
 // `tests/fixtures/corpus/dense-decap-5x5.fixture`, replayed by the
-// (release-only) regression in `tests/corpus.rs` — same regime, now
+// regression in `tests/corpus.rs` — same regime, now
 // expressed as a self-contained corpus case instead of an inline scenario
 // tweak.

@@ -348,7 +348,7 @@ fn exhausted_primary_budget_is_delivered_by_the_ladder() {
     assert_eq!(contract.rung, RecoveryRung::Regularized);
     assert_audit_reuses_the_delivered_crossings(&sc, &config, &report);
     let outcome = report.weighted_enforcement.as_ref().expect("the rung delivers a model");
-    assert_eq!(outcome.iterations, 9);
+    assert_eq!(outcome.iterations, 10);
     assert_eq!(trace.trace(NormKind::SensitivityWeighted).len(), outcome.iterations);
     assert_eq!(
         trace.failed,
