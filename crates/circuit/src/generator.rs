@@ -223,8 +223,16 @@ impl GeneratedBoard {
     ///
     /// # Errors
     ///
-    /// See [`build_board`].
+    /// Returns [`CircuitError::InvalidInput`] when the number of decap models
+    /// differs from the number of decap ports; otherwise see [`build_board`].
     pub fn build(&self) -> Result<SyntheticPdn> {
+        if self.decap_models.len() != self.spec.decap_ports.len() {
+            return Err(CircuitError::InvalidInput(format!(
+                "{} decap models for {} decap ports",
+                self.decap_models.len(),
+                self.spec.decap_ports.len()
+            )));
+        }
         build_board(&self.spec)
     }
 }

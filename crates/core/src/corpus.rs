@@ -15,9 +15,9 @@
 //!   weighted no better than standard): the paper's method underperforms in
 //!   this regime;
 //! * **Diverged** — the weighted enforcement returned
-//!   [`PassivityError::NotConverged`]: it ran out of its iteration budget on
-//!   the primary pass and on every recovery rung. The verdict notes whether
-//!   a best-so-far model came back;
+//!   [`PassivityError::NotConverged`]: it ran out of its iteration budget or
+//!   stalled on the primary pass and on every recovery rung. The verdict
+//!   notes whether a best-so-far model came back;
 //! * **Failed** — any other error (fit breakdown, solver failure, …).
 //!
 //! For any non-Certified case, [`minimize`] shrinks the scenario — grid
@@ -33,7 +33,7 @@ use crate::pipeline::Pipeline;
 use crate::recovery::RecoveryRung;
 use crate::scenario::{ScenarioConfig, StandardScenario};
 use crate::{CoreError, Result};
-use pim_circuit::board::{build_board, StackStage, SyntheticPdn};
+use pim_circuit::board::{StackStage, SyntheticPdn};
 use pim_circuit::generator::{BoardGenerator, DecapPart, DieModel, GeneratedBoard, VrmModel};
 use pim_circuit::PdnBoardSpec;
 use pim_passivity::{EnforcementConfig, PassivityError};
@@ -50,8 +50,8 @@ pub enum CorpusClass {
     Certified,
     /// The flow completed but a certification gate failed.
     Adverse,
-    /// The weighted enforcement ran out of its iteration budget on the
-    /// primary pass and on every recovery rung.
+    /// The weighted enforcement ran out of its iteration budget or stalled
+    /// on the primary pass and on every recovery rung.
     Diverged,
     /// The flow failed outright (fit, solver or assembly error).
     Failed,
@@ -203,7 +203,7 @@ pub struct CorpusVerdict {
     /// win by default).
     pub standard_error: Option<f64>,
     /// Weighted enforcement iterations (0 = the fit was already passive;
-    /// for `Diverged`, the primary pass's exhausted budget).
+    /// for `Diverged`, the primary pass's count when it stopped).
     pub iterations: usize,
     /// The recovery rung that delivered the model (completed flows only;
     /// [`RecoveryRung::Primary`] when the ladder never engaged).
@@ -729,8 +729,17 @@ impl MinimizedFixture {
             vrm_ports: parse_coords(get("vrm_ports")?)?,
             die_stack,
         };
+        let board = GeneratedBoard {
+            seed: get("seed")?.parse::<u64>().map_err(|e| {
+                CoreError::InvalidInput(format!("bad seed '{}': {e}", fields["seed"]))
+            })?,
+            spec,
+            decap_models,
+            vrm: VrmModel { resistance: vrm_resistance, inductance: vrm_inductance },
+            die: DieModel { resistance: die_resistance, capacitance: die_capacitance },
+        };
         // Fixtures must stay buildable without running the flow.
-        build_board(&spec)?;
+        board.build()?;
         let mut flow = corpus_flow_config(parse_usize(get("n_poles")?)?);
         flow.vf.n_iterations = parse_usize(get("vf_iterations")?)?;
         flow.sensitivity_order = parse_usize(get("sensitivity_order")?)?;
@@ -738,15 +747,7 @@ impl MinimizedFixture {
         flow.enforcement.sigma_margin = parse_f64(get("sigma_margin")?)?;
         flow.enforcement.max_iterations = parse_usize(get("max_iterations")?)?;
         let case = CorpusCase {
-            board: GeneratedBoard {
-                seed: get("seed")?.parse::<u64>().map_err(|e| {
-                    CoreError::InvalidInput(format!("bad seed '{}': {e}", fields["seed"]))
-                })?,
-                spec,
-                decap_models,
-                vrm: VrmModel { resistance: vrm_resistance, inductance: vrm_inductance },
-                die: DieModel { resistance: die_resistance, capacitance: die_capacitance },
-            },
+            board,
             flow,
             frequency_samples: parse_usize(get("frequency_samples")?)?,
             f_min_hz: parse_f64(get("f_min_hz")?)?,

@@ -24,7 +24,7 @@
 //! [`FlowConfig::enforcement`]`.sampling` (adaptive by default).
 //!
 //! [`Pipeline::report`] runs the sensitivity-weighted enforcement once and,
-//! only when it runs out of budget, the recovery ladder of
+//! only when it runs out of budget or stalls, the recovery ladder of
 //! [`crate::recovery`] once. Every enforcement stage — the primary pass, the
 //! standard baseline and each rung — goes through one private helper that
 //! reports the stage, its norm-labeled iterations and, on failure, the
@@ -352,8 +352,8 @@ impl<'a> Pipeline<'a> {
     /// # Errors
     ///
     /// Propagates norm-construction and enforcement failures (including
-    /// [`PassivityError::NotConverged`] when the iteration budget runs out;
-    /// its diagnostics carry the best-so-far model's audit `σ_max`).
+    /// [`PassivityError::NotConverged`] when the loop runs out of budget or
+    /// stalls; its diagnostics carry the best-so-far model's audit `σ_max`).
     pub fn enforce(&mut self, kind: NormKind) -> Result<EnforcementArtifact> {
         if let Some((_, artifact)) = self.enforcements.iter().find(|(k, _)| *k == kind) {
             return Ok(artifact.clone());
@@ -438,11 +438,11 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Climbs the recovery ladder of [`crate::recovery`] after the primary
-    /// weighted pass ran out of budget: regularized, then reduced order.
+    /// weighted pass did not converge: regularized, then reduced order.
     /// Each rung runs the full enforcement loop under the
     /// sensitivity-weighted norm, a tightened adaptive QP damping cap and an
     /// extended iteration budget; the first rung that delivers wins.
-    /// Returns `None` when every rung ran out of budget.
+    /// Returns `None` when no rung converges.
     fn run_recovery_ladder(&mut self) -> Result<Option<(RecoveryRung, EnforcementOutcome)>> {
         // Adaptive QP damping cap of every rung; the primary pass keeps its
         // own, much looser, cap.
@@ -514,8 +514,9 @@ impl<'a> Pipeline<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates failures of the individual stages; when the primary pass
-    /// and every rung run out of budget, the primary pass's `NotConverged`.
+    /// Propagates failures of the individual stages; when neither the
+    /// primary pass nor any rung converges, the primary pass's
+    /// `NotConverged`.
     pub fn report(&mut self) -> Result<FlowReport> {
         let sens = self.sensitivity()?;
         let standard_fit = self.fit(FitKind::Standard)?.result;
@@ -524,7 +525,7 @@ impl<'a> Pipeline<'a> {
         let assessment = self.assess()?;
 
         // The weighted pass delivers the model, through the recovery ladder
-        // when the primary pass runs out of budget; when every rung does too,
+        // when the primary pass does not converge; when no rung does either,
         // the primary failure stands.
         let (weighted_enforcement, rung) = match self.enforce(NormKind::SensitivityWeighted) {
             Ok(artifact) => (artifact.outcome, RecoveryRung::Primary),

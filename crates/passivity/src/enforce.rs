@@ -5,19 +5,21 @@
 //! constraints at the violation frequencies, solves the Gramian-weighted
 //! quadratic program for the smallest perturbation of the output matrix that
 //! removes the violations to first order, and applies it. The loop repeats
-//! until the model is passive or the iteration budget is exhausted. Every
-//! model is assessed once on the working grid: the backtracking search
-//! assesses each candidate, and the accepted candidate's report is where the
-//! next iteration starts.
+//! until the model is passive, the iteration budget is exhausted or the loop
+//! stalls. Every model is assessed once on the working grid: the
+//! backtracking search assesses each candidate, and the accepted candidate's
+//! report is where the next iteration starts.
 //!
-//! Three step controls keep the linearized steps in check. Backtracking
-//! halves a step that makes the worst singular value larger. A trust region
-//! bounds `‖δC‖` once backtracking has bottomed out on consecutive
-//! iterations. Adaptive Tikhonov damping of the QP (see [`crate::qp`])
-//! tames near-singular Gramian blocks. On healthy runs neither the trust
-//! region nor the damping engages, so they leave the numbers bit-identical.
-//! A run that does not converge stops at `max_iterations` and returns
-//! [`PassivityError::NotConverged`] with the best model it saw.
+//! Two step controls keep the linearized steps in check. Backtracking
+//! halves a step that makes the worst singular value larger. Adaptive
+//! Tikhonov damping of the QP (see [`crate::qp`]) tames near-singular
+//! Gramian blocks; on healthy runs it never engages, so it leaves the
+//! numbers bit-identical. A run stalls when backtracking bottoms out with
+//! the worst singular value still growing on consecutive iterations: the
+//! linearized QP is then pushing the model the wrong way, and more
+//! iterations do not recover it. A run that stalls or reaches
+//! `max_iterations` returns [`PassivityError::NotConverged`] with the best
+//! model it saw.
 //!
 //! The perturbation norm is supplied by the caller through
 //! [`PerturbationNorm`]: the plain controllability Gramians give the standard
@@ -25,7 +27,7 @@
 //! eq. (19)–(21) (built by `pim-core`) give the paper's method.
 
 use crate::check::{assess_with_crossings, assess_with_sampling, PassivityReport};
-use crate::constraints::{apply_perturbation, build_constraints, ConstraintSystem};
+use crate::constraints::{apply_perturbation, build_constraints};
 use crate::grid::{Adaptive, SamplingStrategy};
 use crate::qp::{solve_block_qp_factored, BlockQpFactors, QpOptions};
 use crate::{NotConvergedDiagnostics, PassivityError, Result};
@@ -124,16 +126,6 @@ impl PerturbationNorm {
     }
 }
 
-// Trust-region step control. The linearized QP can produce wildly
-// overshooting `δC` steps on ill-conditioned norms. Once
-// `TR_ACTIVATE_AFTER` *consecutive* backtracking steps have bottomed out at
-// the minimum fraction while `σ_max` still grew, the controller engages: it
-// bounds `‖δC‖` by a radius, then grows or shrinks the radius from the ratio
-// of the actual to the linearly predicted `σ_max` reduction. Healthy runs —
-// where at most isolated bottomed-out steps occur — never engage it and stay
-// bit-identical to the uncontrolled loop; backtracking remains the inner
-// fallback either way.
-
 /// Smallest backtracking fraction. A step that still grows `σ_max` at this
 /// fraction is taken anyway and the next iteration re-linearizes. Exact QP
 /// steps can overshoot the linearization by far more than 16×: on the
@@ -141,20 +133,9 @@ impl PerturbationNorm {
 /// fraction is 1/64.
 const MIN_STEP: f64 = 1.0 / 1024.0;
 
-/// Consecutive bottomed-out-and-grew steps before the controller engages.
-const TR_ACTIVATE_AFTER: usize = 2;
-/// Reduction ratios at or above this grow the radius (when the step was
-/// radius-limited and taken in full).
-const TR_ETA_GOOD: f64 = 0.75;
-/// Reduction ratios below this shrink the radius.
-const TR_ETA_BAD: f64 = 0.25;
-/// Radius growth factor on good steps.
-const TR_GROW: f64 = 2.0;
-/// Radius shrink factor on bad steps (also scales the engagement radius
-/// from the last bottomed-out step).
-const TR_SHRINK: f64 = 0.25;
-/// Radius floor, as a fraction of the engagement radius.
-const TR_MIN_RADIUS_SCALE: f64 = 1e-6;
+/// Consecutive bottomed-out-and-grew steps after which the loop stops as
+/// stalled. A single one is left to the next re-linearization.
+const STALL_AFTER: usize = 2;
 
 /// Configuration of the enforcement loop.
 #[derive(Debug, Clone)]
@@ -229,16 +210,10 @@ pub trait EnforcementObserver {
     fn on_enforcement_iteration(&mut self, event: &EnforcementIteration);
 }
 
-/// What the robustness machinery did during a run: whether the trust region
-/// engaged and how often it clipped, plus the adaptive QP damping state.
-/// All-zero / disengaged on healthy runs — which is exactly the bit-identity
-/// guarantee of the fixtures.
+/// What the adaptive QP damping did during a run. All-zero on healthy runs
+/// — which is exactly the bit-identity guarantee of the fixtures.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RobustnessInfo {
-    /// Whether the trust-region controller engaged at any point.
-    pub trust_region_engaged: bool,
-    /// Number of iterations whose `δC` was clipped to the radius.
-    pub trust_region_clips: usize,
     /// Largest relative Tikhonov λ the adaptive QP damping applied.
     pub qp_lambda_max: f64,
     /// Largest post-damping Gramian condition estimate.
@@ -261,7 +236,7 @@ pub struct EnforcementOutcome {
     pub accumulated_norm: f64,
     /// Final passivity report.
     pub report: PassivityReport,
-    /// Trust-region / adaptive-damping activity of the run.
+    /// Adaptive-damping activity of the run.
     pub robustness: RobustnessInfo,
 }
 
@@ -320,7 +295,8 @@ pub fn enforce_asymptotic_passivity(
 /// # Errors
 ///
 /// Returns [`PassivityError::NotConverged`] when the iteration budget is
-/// exhausted, and propagates numerical failures of the inner steps.
+/// exhausted or the loop stalls, and propagates numerical failures of the
+/// inner steps.
 pub fn enforce_passivity(
     model: &PoleResidueModel,
     norm: &PerturbationNorm,
@@ -362,14 +338,9 @@ pub fn enforce_passivity(
     // Best-so-far (lowest worst singular value) model, handed back inside
     // `NotConverged` so a failed run still yields its most passive iterate.
     let mut best: Option<(f64, PoleResidueModel)> = None;
-    // Consecutive bottomed-out-and-grew backtracking steps (the trust-region
-    // engagement trigger).
+    // Consecutive bottomed-out-and-grew backtracking steps (the stall
+    // trigger).
     let mut bottomed_growth = 0usize;
-    // Trust-region state: inactive (`None`) until `TR_ACTIVATE_AFTER`
-    // consecutive bottomed-out-and-grew steps; every float the loop produces
-    // before activation is identical to the uncontrolled loop.
-    let mut radius: Option<f64> = None;
-    let mut radius_floor = 0.0_f64;
     let mut robustness = RobustnessInfo::default();
     let mut last_step = 1.0_f64;
 
@@ -422,7 +393,7 @@ pub fn enforce_passivity(
         if best.as_ref().is_none_or(|(s, _)| report.sigma_max < *s) {
             best = Some((report.sigma_max, current.clone()));
         }
-        if iterations >= config.max_iterations {
+        if iterations >= config.max_iterations || bottomed_growth >= STALL_AFTER {
             let Some((_, best)) = best else { unreachable!("recorded just above") };
             return Err(PassivityError::NotConverged {
                 iterations,
@@ -432,8 +403,6 @@ pub fn enforce_passivity(
                     bottomed_out: bottomed_growth,
                     last_step,
                     sigma_tail: history[history.len().saturating_sub(8)..].to_vec(),
-                    trust_region_engaged: robustness.trust_region_engaged,
-                    trust_region_radius: radius,
                     qp_lambda_max: robustness.qp_lambda_max,
                     qp_condition_max: robustness.qp_condition_max,
                     best_sigma_max: None,
@@ -476,25 +445,7 @@ pub fn enforce_passivity(
                     .into(),
             ));
         }
-        let qp = solve_block_qp_factored(&qp_factors, &cons.f, &cons.g, &config.qp)?;
-
-        let mut delta = qp.x;
-
-        // Trust region (primary step control once engaged): bound ‖δC‖ by
-        // the radius before the backtracking fallback sees the step.
-        let delta_norm = delta.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let mut clipped = false;
-        if let Some(r) = radius {
-            if delta_norm > r && delta_norm > 0.0 {
-                let scale = r / delta_norm;
-                for v in &mut delta {
-                    *v *= scale;
-                }
-                clipped = true;
-                robustness.trust_region_clips += 1;
-            }
-        }
-        let bounded_norm = if clipped { radius.unwrap_or(delta_norm) } else { delta_norm };
+        let delta = solve_block_qp_factored(&qp_factors, &cons.f, &cons.g, &config.qp)?.x;
 
         // Backtracking safeguard: the constraints are linearized, so a full
         // step can overshoot and make the worst singular value larger. Halve
@@ -522,9 +473,8 @@ pub fn enforce_passivity(
                 }
                 // Backtracking bottomed out at the minimum step and the
                 // violation still grew. One such step happens in healthy
-                // runs (the next re-linearization recovers); several in a
-                // row mean the linearized QP is pushing the model the wrong
-                // way.
+                // runs (the next re-linearization recovers); `STALL_AFTER`
+                // in a row stop the loop at the top of the next iteration.
                 let grew = candidate_sigma > report.sigma_max * (1.0 + 1e-9);
                 if step <= MIN_STEP && grew {
                     bottomed_growth += 1;
@@ -532,40 +482,6 @@ pub fn enforce_passivity(
                     bottomed_growth = 0;
                 }
                 last_step = step;
-                let taken_norm = step * bounded_norm;
-
-                // Radius update from the predicted-vs-actual σ_max
-                // reduction of the accepted step.
-                if let Some(r) = radius {
-                    let predicted = predicted_sigma_max(&cons, &scaled, config.sigma_margin)?;
-                    let actual_reduction = report.sigma_max - candidate_sigma;
-                    let predicted_reduction = report.sigma_max - predicted;
-                    let rho = if predicted_reduction > f64::EPSILON {
-                        actual_reduction / predicted_reduction
-                    } else if actual_reduction > 0.0 {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                    // audit:allow(float-eq): step is assigned the literal 1.0 on the unclipped path
-                    let full_step = step == 1.0;
-                    if rho < TR_ETA_BAD {
-                        radius = Some((taken_norm * TR_SHRINK).max(radius_floor));
-                    } else if rho >= TR_ETA_GOOD && clipped && full_step {
-                        radius = Some(r * TR_GROW);
-                    }
-                }
-
-                // Engagement: enough consecutive bottomed-out-and-grew
-                // steps mean backtracking alone is not controlling the
-                // overshoot — bound the next steps below the one that just
-                // failed.
-                if radius.is_none() && bottomed_growth >= TR_ACTIVATE_AFTER {
-                    let engage = (taken_norm * TR_SHRINK).max(1e-300);
-                    radius = Some(engage);
-                    radius_floor = engage * TR_MIN_RADIUS_SCALE;
-                    robustness.trust_region_engaged = true;
-                }
 
                 // Adaptive damping decays once the iterate improves again,
                 // so the converged perturbation is not biased by λ.
@@ -581,18 +497,6 @@ pub fn enforce_passivity(
             step *= 0.5;
         }
     }
-}
-
-/// Linear prediction of the worst constrained singular value after the step
-/// `x`: `max_i (σ_i + (F·x)_i)` with `σ_i = 1 − margin − g_i` recovered from
-/// the constraint right-hand side.
-fn predicted_sigma_max(cons: &ConstraintSystem, x: &[f64], margin: f64) -> Result<f64> {
-    let fx = cons.f.matvec(x)?;
-    let mut worst = f64::NEG_INFINITY;
-    for (gi, fxi) in cons.g.iter().zip(&fx) {
-        worst = worst.max(1.0 - margin - gi + fxi);
-    }
-    Ok(worst)
 }
 
 /// Folds the current QP damping state into the run's [`RobustnessInfo`]
@@ -884,7 +788,7 @@ mod tests {
     }
 
     #[test]
-    fn trust_region_and_damping_rescue_the_skewed_norm() {
+    fn damping_engages_under_a_tight_cap_and_delivers_a_passive_model() {
         // The skewed norm of the budget-exhaustion test above, with adaptive
         // damping on under a condition cap tight enough for this
         // 1e12-condition Gramian. With exact QP steps the undamped loop
@@ -911,11 +815,10 @@ mod tests {
     }
 
     #[test]
-    fn inactive_trust_region_is_bit_identical_to_the_legacy_loop() {
-        // On a healthy run the trust region never engages and the adaptive
-        // damping never escalates, so the loop must reproduce the
-        // damping-off loop bit for bit — the guarantee that pins the
-        // committed fixtures.
+    fn idle_damping_is_bit_identical_to_the_undamped_loop() {
+        // On a healthy run the adaptive damping never escalates under the
+        // default cap, so the loop must reproduce the damping-off loop bit
+        // for bit — the guarantee that pins the committed fixtures.
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let robust = EnforcementConfig { sweep_points: 200, ..Default::default() };
@@ -934,9 +837,6 @@ mod tests {
         for (x, y) in a.model.residues().iter().zip(b.model.residues()) {
             assert_eq!((x.max_abs_diff(y)).to_bits(), 0.0f64.to_bits());
         }
-        assert!(!a.robustness.trust_region_engaged);
-        assert!(!b.robustness.trust_region_engaged);
-        assert_eq!(a.robustness.trust_region_clips, 0);
         assert_eq!(a.robustness.qp_damped_blocks, 0);
     }
 

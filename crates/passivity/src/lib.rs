@@ -63,20 +63,17 @@ use std::fmt;
 /// Post-mortem of a failed enforcement run, carried by
 /// [`PassivityError::NotConverged`] so failures are debuggable without a
 /// rerun: where the step control ended up, and how the worst singular value
-/// was moving when the iteration budget ran out.
+/// was moving when the run ran out of budget or stalled.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NotConvergedDiagnostics {
-    /// Consecutive bottomed-out-and-grew backtracking steps at exit.
+    /// Consecutive bottomed-out-and-grew backtracking steps at exit (2 when
+    /// the run stalled).
     pub bottomed_out: usize,
     /// Step fraction of the last accepted perturbation (1.0 = full step).
     pub last_step: f64,
     /// Tail of the per-iteration `σ_max` trajectory (up to the last 8
     /// entries, oldest first).
     pub sigma_tail: Vec<f64>,
-    /// Whether the trust-region controller had engaged.
-    pub trust_region_engaged: bool,
-    /// Trust-region radius at exit, when engaged.
-    pub trust_region_radius: Option<f64>,
     /// Largest relative Tikhonov λ the adaptive QP damping applied.
     pub qp_lambda_max: f64,
     /// Largest post-damping Gramian condition estimate.
@@ -90,12 +87,6 @@ pub struct NotConvergedDiagnostics {
 impl fmt::Display for NotConvergedDiagnostics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "bottomed-out x{}, last step {}", self.bottomed_out, self.last_step)?;
-        if self.trust_region_engaged {
-            write!(f, ", trust region engaged")?;
-            if let Some(r) = self.trust_region_radius {
-                write!(f, " (radius {r:.3e})")?;
-            }
-        }
         if self.qp_lambda_max > 0.0 {
             write!(f, ", qp lambda {:.1e}", self.qp_lambda_max)?;
         }
@@ -125,8 +116,8 @@ pub enum PassivityError {
     StateSpace(pim_statespace::StateSpaceError),
     /// The input model or configuration is invalid.
     InvalidInput(String),
-    /// The enforcement loop exhausted its iteration budget without
-    /// producing a passive model.
+    /// The enforcement loop ran out of its iteration budget or stalled
+    /// without producing a passive model.
     NotConverged {
         /// Number of outer iterations performed.
         iterations: usize,

@@ -1,13 +1,16 @@
 //! Integration tests of the stress-corpus harness: the committed pinned
-//! dense-decap fixture, its convergence-regression replay, a seeded corpus
-//! smoke run with classification invariants, and the robustness-layer
-//! properties (trust-region descent, recovery-ladder thread determinism,
-//! the reduced-order rung's rescue of corpus board 81).
+//! dense-decap fixture, its convergence-regression replay and the rejection
+//! of a garbled copy, a seeded corpus smoke run with classification
+//! invariants, and the robustness-layer properties (backtracking descent,
+//! the stall stop, recovery-ladder thread determinism, the reduced-order
+//! rung's rescue of corpus board 81).
 
 use pim_repro::core_flow::corpus::dense_decap_divergence_case;
 use pim_repro::core_flow::{
-    Corpus, CorpusClass, CorpusConfig, MinimizedFixture, Pipeline, RecoveryRung, TraceObserver,
+    CoreError, Corpus, CorpusClass, CorpusConfig, MinimizedFixture, Pipeline, RecoveryRung,
+    TraceObserver,
 };
+use pim_repro::passivity::{NormKind, PassivityError};
 use pim_runtime::ThreadPool;
 
 /// The committed fixture of the historical 5×5 dense-decap divergence
@@ -54,6 +57,18 @@ fn committed_dense_decap_fixture_parses_builds_and_round_trips() {
     let regime = dense_decap_divergence_case();
     assert_eq!(regime.board.spec, fixture.case.board.spec);
     assert_eq!(regime.flow.vf.n_poles, fixture.case.flow.vf.n_poles);
+}
+
+/// A fixture with one decap model fewer than decap ports does not describe
+/// a board: parsing it must fail instead of leaving the last decap port
+/// open and replaying a different board.
+#[test]
+fn fixture_with_a_missing_decap_model_is_rejected() {
+    let text = std::fs::read_to_string(DENSE_DECAP_FIXTURE).unwrap();
+    let models = text.lines().find(|l| l.starts_with("decap_models = ")).expect("decap models");
+    let garbled = text.replace(models, models.rsplit_once(';').expect("four decap models").0);
+    let err = MinimizedFixture::parse(&garbled).expect_err("3 decap models for 4 decap ports");
+    assert!(err.to_string().contains("3 decap models for 4 decap ports"), "{err}");
 }
 
 /// The promoted convergence regression (formerly the divergence replay):
@@ -130,11 +145,12 @@ fn seeded_corpus_run_classifies_consistently_and_reproduces() {
     assert_eq!(verdicts, again);
 }
 
-/// Trust-region-era descent invariant, swept across corpus seeds: every
+/// Backtracking descent invariant, swept across corpus seeds: every
 /// accepted enforcement iteration either decreases `σ_max` or had its
 /// backtracking bottom out at the minimum step (1/1024) — growth at larger
 /// steps would mean the line search accepted a worsening move, which it
-/// never does. Converged enforcements additionally show strict net descent.
+/// never does. Two such bottomed-out steps in a row stop the run as stalled.
+/// Converged enforcements additionally show strict net descent.
 #[test]
 fn enforcement_iterations_descend_or_bottom_out_across_corpus_seeds() {
     let config = pim_bench::corpus_smoke_config();
@@ -191,14 +207,41 @@ fn recovery_ladder_is_bit_identical_across_thread_counts() {
     assert!(a.rung.is_some_and(|r| r > RecoveryRung::Primary));
 }
 
-/// Board 81 of the committed corpus is the one board only the reduced-order
-/// rung rescues: the primary pass and the regularized rung both run out of
-/// budget, and without the reduced-order refit the board would classify
-/// Diverged.
+/// The weighted primary pass on corpus board 81 stalls: its first two
+/// iterations both bottom out at the minimum step with `σ_max` still
+/// growing, and the loop stops there with `NotConverged` instead of
+/// spending the rest of its 60-iteration budget.
+#[test]
+fn stalled_enforcement_stops_early_on_corpus_board_81() {
+    let case = Corpus::case(&CorpusConfig::default(), 81).expect("generator");
+    let (_pdn, data, network, observation_port) = case.assemble().expect("assemble");
+    let mut pipeline =
+        Pipeline::from_data(&data, &network, observation_port, case.flow.clone()).unwrap();
+    match pipeline.enforce(NormKind::SensitivityWeighted) {
+        Err(CoreError::Passivity(PassivityError::NotConverged {
+            iterations, diagnostics, ..
+        })) => {
+            assert!(
+                iterations < case.flow.enforcement.max_iterations,
+                "the stalled run spent its whole budget ({iterations}; {diagnostics})"
+            );
+            assert_eq!(diagnostics.bottomed_out, 2, "{diagnostics}");
+        }
+        Ok(_) => panic!("board 81's weighted primary pass converged"),
+        Err(e) => panic!("expected NotConverged, got {e}"),
+    }
+}
+
+/// Board 81 of the committed corpus is delivered by the reduced-order rung:
+/// the primary pass and the regularized rung both stall, and without the
+/// reduced-order refit the board would classify Diverged. The verdict
+/// matches the board's row in the committed report.
 #[test]
 fn reduced_order_rung_delivers_corpus_board_81() {
     let case = Corpus::case(&CorpusConfig::default(), 81).expect("generator");
     let verdict = case.classify();
     assert_eq!(verdict.class, CorpusClass::Adverse, "{}", verdict.detail);
     assert_eq!(verdict.rung, Some(RecoveryRung::ReducedOrder), "{}", verdict.detail);
+    assert_eq!(verdict.iterations, 5, "{}", verdict.detail);
+    assert_eq!(verdict.detail, "weighted 2.5621 does not beat standard 2.5511");
 }
