@@ -7,16 +7,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_core::flow::FlowConfig;
-use pim_core::pipeline::Pipeline;
+use pim_core::pipeline::{FitKind, Pipeline};
 use pim_core::scenario::ScenarioPreset;
 use pim_core::weighting::sensitivity_weighted_norm;
-use pim_passivity::check::assess_with_sampling;
+use pim_passivity::check::{assess_with_sampling, hamiltonian_crossings};
 use pim_passivity::enforce::{enforce_passivity, EnforcementConfig, PerturbationNorm};
 use pim_passivity::grid::{Adaptive, FixedLog, FrequencyGrid, SamplingStrategy};
 use pim_pdn::{
     analytic_sensitivity, monte_carlo_sensitivity_with, target_impedance, SensitivityOptions,
 };
 use pim_runtime::ThreadPool;
+use pim_statespace::StateSpace;
 use pim_vectfit::{fit_magnitude, vector_fit, MagnitudeFitConfig, VfConfig};
 
 fn bench_figures(c: &mut Criterion) {
@@ -53,6 +54,21 @@ fn bench_figures(c: &mut Criterion) {
     };
     c.bench_function("fig4_passivity_assessment", |b| b.iter(|| assess_base(&Adaptive::default())));
     c.bench_function("assess_fixed_log", |b| b.iter(|| assess_base(&FixedLog)));
+    // The Hamiltonian eigensolve by size: the weighted fits of the Reduced
+    // (2n = 144) and Paper (2n = 288) presets under their flow configs, the
+    // first models the benchmark's flow and read-only workloads assess.
+    for (name, preset) in [
+        ("eig_hamiltonian_crossings_reduced", ScenarioPreset::Reduced),
+        ("eig_hamiltonian_crossings_paper", ScenarioPreset::Paper),
+    ] {
+        let sc = preset.build().expect("scenario");
+        let fit = Pipeline::from_scenario(&sc, preset.flow_config())
+            .expect("pipeline")
+            .fit(FitKind::Weighted)
+            .expect("weighted fit");
+        let sys = StateSpace::from_pole_residue(&fit.result.model).expect("realization");
+        c.bench_function(name, |b| b.iter(|| hamiltonian_crossings(&sys).expect("crossings")));
+    }
     let mut slow = c.benchmark_group("enforcement");
     slow.sample_size(10);
     slow.bench_function("fig5_weighted_enforcement", |b| {

@@ -55,10 +55,10 @@ pub enum ScenarioPreset {
     BulkDecap,
     /// The minimal smoke board: a 3×3 grid with one die, one decap and one
     /// VRM port. Near-exact fits put its macromodels right on the passivity
-    /// boundary, which used to break the Hamiltonian Schur iteration at
-    /// fitting orders around 18 (QR non-convergence); the LAPACK-style
-    /// exceptional shifts fixed that, and the preset now runs the full flow
-    /// end to end.
+    /// boundary, which used to break the Hamiltonian eigensolve's QR
+    /// iteration at fitting orders around 18 (non-convergence); exceptional
+    /// shifts after a stall fixed that, and the preset now runs the full
+    /// flow end to end.
     Minimal,
 }
 

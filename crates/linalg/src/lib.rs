@@ -13,10 +13,11 @@
 //!   at either field ([`lu`]);
 //! * Householder QR and linear least squares for the Vector Fitting
 //!   identification steps ([`qr`]);
-//! * eigenvalues of real non-symmetric matrices (pole relocation, rational
-//!   zeros, Hamiltonian passivity tests) via Givens Hessenberg reduction
-//!   ([`hessenberg`]) and the single-shift complex QR iteration ([`schur`],
-//!   [`eig`]);
+//! * eigenvalues of real non-symmetric matrices via Givens Hessenberg
+//!   reduction ([`hessenberg`]) and Francis's double-shift QR iteration in
+//!   real arithmetic ([`eig`]; Hamiltonian passivity tests, system poles),
+//!   or the single-shift complex QR iteration ([`schur`]; pole relocation
+//!   and rational zeros in the fits);
 //! * singular value decomposition of small complex matrices (scattering
 //!   matrices at a frequency point) via one-sided Jacobi ([`svd`]);
 //! * Lyapunov / Sylvester solvers for controllability Gramians

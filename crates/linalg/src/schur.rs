@@ -1,11 +1,12 @@
 //! Complex Schur decomposition `A = U·T·Uᴴ` via the single-shift (Wilkinson)
 //! QR iteration on the Hessenberg form.
 //!
-//! The Schur form is the workhorse behind every spectral computation in the
-//! workspace: eigenvalues of pole-relocation matrices in Vector Fitting,
-//! imaginary eigenvalues of Hamiltonian matrices for the passivity test, and
-//! the Bartels–Stewart solution of Lyapunov equations for Gramian-weighted
-//! perturbation norms.
+//! The Schur form carries the Bartels–Stewart solution of Lyapunov equations
+//! for Gramian-weighted perturbation norms, and its eigenvalue-only iteration
+//! relocates the poles of Vector Fitting and the magnitude fit
+//! ([`crate::eig::eigenvalues_complex_qr`]). Other real spectra, the
+//! Hamiltonian passivity test's among them, come from the real Francis
+//! iteration of [`crate::eig::eigenvalues`].
 
 use crate::hessenberg::{hessenberg, Givens};
 use crate::{CMat, Complex64, LinalgError, Result};
@@ -33,10 +34,9 @@ const MAX_ITER_PER_EIGENVALUE: usize = 60;
 ///
 /// # Errors
 ///
-/// Returns [`LinalgError::NotSquare`] for non-square input and
-/// [`LinalgError::NonConvergence`] if the QR iteration stalls (which, with
-/// Wilkinson shifts plus exceptional shifts, indicates pathological input
-/// such as NaNs).
+/// Returns [`LinalgError::NotSquare`] for non-square input,
+/// [`LinalgError::InvalidArgument`] when an entry is NaN or infinite, and
+/// [`LinalgError::NonConvergence`] if the QR iteration stalls.
 ///
 /// ```
 /// use pim_linalg::{CMat, Complex64, schur::complex_schur};
@@ -57,6 +57,11 @@ pub fn complex_schur(a: &CMat) -> Result<Schur> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { context: "complex_schur", dims: a.shape() });
     }
+    if !a.as_slice().iter().all(|z| z.is_finite()) {
+        return Err(LinalgError::InvalidArgument {
+            context: "complex_schur: non-finite matrix entry",
+        });
+    }
     let n = a.rows();
     if n == 0 {
         return Ok(Schur { t: CMat::zeros(0, 0), u: CMat::zeros(0, 0) });
@@ -76,8 +81,8 @@ pub fn complex_schur(a: &CMat) -> Result<Schur> {
 /// Eigenvalues of a matrix that is **already** upper Hessenberg via the
 /// Schur iteration **without** accumulating the unitary factor.
 ///
-/// This is the fast path behind [`crate::eig::eigenvalues`], after its
-/// real-arithmetic reduction: skipping the `U` updates and restricting every
+/// This is the path behind [`crate::eig::eigenvalues_complex_qr`], after
+/// its real-arithmetic reduction: skipping the `U` updates and restricting every
 /// rotation to the active diagonal block roughly halves the work per QR
 /// sweep while producing bit-identical eigenvalues (entries outside the
 /// active block never feed back into it, and the spectrum of a
@@ -338,6 +343,21 @@ mod tests {
             let fast = eigenvalues_only(&c);
             for (x, y) in fast.iter().zip(&s.eigenvalues()) {
                 assert_eq!(x, y, "eigenvalue-only path drifted for n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_entries_are_rejected_at_once() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for entry in [Complex64::new(bad, 0.0), Complex64::new(0.5, bad)] {
+                let mut a = random_cmat(10, 3);
+                a[(4, 6)] = entry;
+                let result = complex_schur(&a);
+                assert!(
+                    matches!(result, Err(LinalgError::InvalidArgument { .. })),
+                    "{entry:?}: {result:?}"
+                );
             }
         }
     }

@@ -63,8 +63,48 @@ fn naive_cmatmul(a: &CMat, b: &CMat) -> CMat {
     out
 }
 
+/// `true` when `got` and `want` hold the same values as multisets, within
+/// `tol`: each entry of `got` is matched to the nearest unmatched entry of
+/// `want`.
+fn same_multiset(got: &[Complex64], want: &[Complex64], tol: f64) -> bool {
+    let mut unmatched = want.to_vec();
+    got.len() == want.len()
+        && got.iter().all(|g| {
+            let nearest = unmatched
+                .iter()
+                .enumerate()
+                .map(|(k, w)| (k, (*g - *w).abs()))
+                .min_by(|x, y| x.1.total_cmp(&y.1));
+            match nearest {
+                Some((k, d)) if d <= tol => {
+                    unmatched.swap_remove(k);
+                    true
+                }
+                _ => false,
+            }
+        })
+}
+
+/// The real Francis iteration against the complex Schur form of the same
+/// matrix, within `1e-9·(1 + max|a_ij|)`.
+fn matches_complex_oracle(a: &Mat) -> bool {
+    let real = eigenvalues(a).unwrap();
+    let oracle = complex_schur(&a.to_complex()).unwrap().eigenvalues();
+    same_multiset(&real, &oracle, 1e-9 * (1.0 + a.max_abs()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn real_francis_eigenvalues_match_the_complex_schur_oracle(
+        n in 1usize..41,
+        v in prop::collection::vec(-1.0f64..1.0, 40 * 40),
+        dominant in dominant_matrix(12),
+    ) {
+        prop_assert!(matches_complex_oracle(&Mat::from_fn(n, n, |i, j| v[i * 40 + j])));
+        prop_assert!(matches_complex_oracle(&dominant));
+    }
 
     #[test]
     fn blocked_matmul_matches_naive_reference(

@@ -18,7 +18,7 @@
 
 use crate::poles::{pole_blocks, symmetrize_spectrum, PoleBlock};
 use crate::{Result, VectFitError};
-use pim_linalg::eig::eigenvalues;
+use pim_linalg::eig::eigenvalues_complex_qr;
 use pim_linalg::qr::lstsq_scaled;
 use pim_linalg::{CMat, Complex64, Mat};
 use pim_statespace::{PoleResidueModel, StateSpace};
@@ -215,7 +215,7 @@ pub fn fit_magnitude(
         }
     }
     let closed = &a - &b.matmul(&c)?.scaled(1.0 / d_spec);
-    let x_zeros = symmetrize_spectrum(&eigenvalues(&closed)?);
+    let x_zeros = symmetrize_spectrum(&eigenvalues_complex_qr(&closed)?);
 
     // Undo the abscissa normalization, then map x-domain poles/zeros to the
     // stable / minimum-phase s-domain members:
@@ -317,7 +317,7 @@ fn relocate_real_axis_poles(xs: &[f64], gs: &[f64], q: &[Complex64]) -> Result<V
         }
     }
     let closed = &a_s - &b_s.matmul(&c_s)?;
-    let mut new_q = symmetrize_spectrum(&eigenvalues(&closed)?);
+    let mut new_q = symmetrize_spectrum(&eigenvalues_complex_qr(&closed)?);
     new_q.sort_by(|a, b| {
         (a.im.abs(), a.re).partial_cmp(&(b.im.abs(), b.re)).unwrap_or(std::cmp::Ordering::Equal)
     });

@@ -7,7 +7,7 @@
 
 use crate::poles::{flip_unstable, initial_poles, pole_blocks, symmetrize_spectrum, PoleBlock};
 use crate::{Result, VectFitError};
-use pim_linalg::eig::eigenvalues;
+use pim_linalg::eig::eigenvalues_complex_qr;
 use pim_linalg::qr::{lstsq_scaled, QrFactor};
 use pim_linalg::{CMat, Complex64, Mat};
 use pim_rfdata::NetworkData;
@@ -287,7 +287,7 @@ fn relocate_poles(
         }
     }
     let closed = &a_sigma - &b_sigma.matmul(&c_sigma)?;
-    let evs = eigenvalues(&closed)?;
+    let evs = eigenvalues_complex_qr(&closed)?;
     let mut new_poles = symmetrize_spectrum(&evs);
     // Keep a deterministic ordering: ascending |Im|, then ascending Re.
     sort_pole_pairs(&mut new_poles);

@@ -106,3 +106,63 @@ fn hamiltonian_crossings_bracket_every_sweep_crossing() -> pim_repro::Result<()>
     assert!(sign_changes >= 10, "the fit must violate passivity: {sign_changes} crossings");
     Ok(())
 }
+
+/// The real Francis eigensolver behind `hamiltonian_crossings` against a
+/// complex Schur oracle on the weighted fits of the presets the benchmark
+/// runs: the balanced Hamiltonian is rebuilt from `hamiltonian_matrix`, its
+/// complex Schur eigenvalues pass the same filter (|Re λ| ≤ 1e-4·|λ|) and
+/// merge (1e-9 relative), and the two crossing lists agree in count and
+/// within 1e-6 relative.
+#[test]
+fn hamiltonian_crossings_match_a_complex_schur_oracle() -> pim_repro::Result<()> {
+    use pim_repro::core_flow::{FitKind, Pipeline};
+    use pim_repro::linalg::schur::complex_schur;
+    use pim_repro::passivity::check::{hamiltonian_crossings, hamiltonian_matrix};
+    use pim_repro::statespace::StateSpace;
+
+    let presets = [
+        ScenarioPreset::Reduced,
+        ScenarioPreset::DenseDecap,
+        ScenarioPreset::BulkDecap,
+        ScenarioPreset::Paper,
+        ScenarioPreset::MultiVrm,
+    ];
+    for preset in presets {
+        let sc = preset.build()?;
+        let fit = Pipeline::from_scenario(&sc, preset.flow_config())?.fit(FitKind::Weighted)?;
+        let sys = StateSpace::from_pole_residue(&fit.result.model)?;
+        let mut m = hamiltonian_matrix(&sys)?;
+        let n = m.rows() / 2;
+        let (mut a12, mut a21) = (0.0_f64, 0.0_f64);
+        for i in 0..n {
+            for j in 0..n {
+                a12 = a12.max(m[(i, n + j)].abs());
+                a21 = a21.max(m[(n + i, j)].abs());
+            }
+        }
+        let s = (0.5 * (a21 / a12).log2()).round().exp2();
+        for i in 0..n {
+            for j in 0..n {
+                m[(i, n + j)] *= s;
+                m[(n + i, j)] /= s;
+            }
+        }
+        let mut oracle: Vec<f64> = complex_schur(&m.to_complex())?
+            .eigenvalues()
+            .into_iter()
+            .filter(|e| e.im > 0.0 && e.re.abs() <= 1e-4 * e.abs())
+            .map(|e| e.im)
+            .collect();
+        oracle.sort_by(f64::total_cmp);
+        oracle.dedup_by(|w, last| (*w - *last).abs() <= 1e-9 * w.max(1.0));
+
+        let crossings = hamiltonian_crossings(&sys)?;
+        let name = preset.name();
+        assert!(!oracle.is_empty(), "{name}: the weighted fit must cross one");
+        assert_eq!(crossings.len(), oracle.len(), "{name}: {crossings:?} vs {oracle:?}");
+        for (w, o) in crossings.iter().zip(&oracle) {
+            assert!((w - o).abs() <= 1e-6 * o, "{name}: crossing {w} vs oracle {o}");
+        }
+    }
+    Ok(())
+}
