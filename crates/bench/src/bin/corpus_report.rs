@@ -14,9 +14,9 @@
 //! * `--emit-known-adverse` — print the known-adverse lines for the run
 //!   (used to regenerate the committed list);
 //! * `--pin-dense-decap <path>` — classify the canonical 5×5 dense-decap
-//!   regime (historically the flagship divergence; the recovery ladder now
-//!   converges it) and write the replayable fixture with its fresh verdict
-//!   to `path` (used to regenerate
+//!   regime (historically the flagship divergence; the reduced-order retry
+//!   now delivers it, adverse) and write the replayable fixture with its
+//!   fresh verdict to `path` (used to regenerate
 //!   `tests/fixtures/corpus/dense-decap-5x5.fixture`);
 //! * `--minimize-failures <dir>` — auto-minimize every non-Certified corpus
 //!   scenario and write one fixture per seed into `dir`.
@@ -65,7 +65,7 @@ fn main() {
 
     if let Some(path) = &pin_dense {
         // The canonical case is pinned as-is (no shrinking): now that the
-        // recovery ladder converges it, minimizing toward the convergent
+        // reduced-order retry converges it, minimizing toward the convergent
         // class would collapse the board to a trivial one and lose the
         // historically-adversarial regime the fixture exists to exercise.
         let case = dense_decap_divergence_case();
@@ -135,9 +135,8 @@ fn main() {
     );
     let rung_count = |r: RecoveryRung| verdicts.iter().filter(|v| v.rung == Some(r)).count();
     println!(
-        "# recovery: {} primary, {} regularized, {} reduced-order",
+        "# recovery: {} primary, {} reduced-order",
         rung_count(RecoveryRung::Primary),
-        rung_count(RecoveryRung::Regularized),
         rung_count(RecoveryRung::ReducedOrder)
     );
     eprintln!("corpus run: {n} boards in {seconds:.1}s");

@@ -16,7 +16,7 @@
 //!   this regime;
 //! * **Diverged** — the weighted enforcement returned
 //!   [`PassivityError::NotConverged`]: it ran out of its iteration budget or
-//!   stalled on the primary pass and on every recovery rung. The verdict
+//!   stalled on the primary pass and on the reduced-order retry. The verdict
 //!   notes whether a best-so-far model came back;
 //! * **Failed** — any other error (fit breakdown, solver failure, …).
 //!
@@ -51,7 +51,7 @@ pub enum CorpusClass {
     /// The flow completed but a certification gate failed.
     Adverse,
     /// The weighted enforcement ran out of its iteration budget or stalled
-    /// on the primary pass and on every recovery rung.
+    /// on the primary pass and on the reduced-order retry.
     Diverged,
     /// The flow failed outright (fit, solver or assembly error).
     Failed,
@@ -205,8 +205,8 @@ pub struct CorpusVerdict {
     /// Weighted enforcement iterations (0 = the fit was already passive;
     /// for `Diverged`, the primary pass's count when it stopped).
     pub iterations: usize,
-    /// The recovery rung that delivered the model (completed flows only;
-    /// [`RecoveryRung::Primary`] when the ladder never engaged).
+    /// The enforcement pass that delivered the model (completed flows only;
+    /// [`RecoveryRung::Primary`] when the retry never engaged).
     pub rung: Option<RecoveryRung>,
     /// Human-readable reason / failure message.
     pub detail: String,
@@ -776,11 +776,11 @@ impl MinimizedFixture {
 /// The known 5×5 dense-decap divergence regime expressed as a corpus case:
 /// a 5×5 board ringed by four bulk decap banks, one central die block, an
 /// order-22 fit. The *primary* weighted enforcement walks into the
-/// divergence regime here; the recovery ladder's regularized rung now
-/// converges it, so the committed
-/// `tests/fixtures/corpus/dense-decap-5x5.fixture` is this case
-/// pinned with its fresh verdict (`corpus_report --pin-dense-decap`), not a
-/// [`minimize`] output — shrinking toward the convergent class would
+/// divergence regime here; the reduced-order retry now converges it
+/// (adverse: the delivered model does not beat the standard baseline), so
+/// the committed `tests/fixtures/corpus/dense-decap-5x5.fixture` is this
+/// case pinned with its fresh verdict (`corpus_report --pin-dense-decap`),
+/// not a [`minimize`] output — shrinking toward the convergent class would
 /// collapse the historically-adversarial board.
 pub fn dense_decap_divergence_case() -> CorpusCase {
     let bulk = DecapPart { capacitance: 47e-6, esr: 8e-3, esl: 1.2e-9 };

@@ -100,7 +100,7 @@ pub struct FlowReport {
     /// Evaluation of the standard-norm passive model, when available.
     pub standard_passive_eval: Option<ModelEvaluation>,
     /// The accuracy contract of the delivered model, including the
-    /// recovery rung that delivered it. [`Pipeline::report`] always attaches
+    /// enforcement pass that delivered it. [`Pipeline::report`] always attaches
     /// it, so it is always `Some`.
     ///
     /// [`Pipeline::report`]: crate::pipeline::Pipeline::report

@@ -34,8 +34,8 @@ pub enum Stage {
     Assessment,
     /// Iterative passivity enforcement under the named norm.
     Enforcement(NormKind),
-    /// One rung of the recovery ladder retrying a diverged weighted
-    /// enforcement (see [`crate::recovery`]).
+    /// The reduced-order retry of a diverged weighted enforcement (see
+    /// [`crate::recovery`]).
     Recovery(RecoveryRung),
     /// Accuracy evaluation of the fitted / enforced models.
     Evaluation,
@@ -85,7 +85,7 @@ pub trait FlowObserver {
         let _ = (norm, event);
     }
 
-    /// An enforcement attempt (primary, baseline or recovery rung) failed
+    /// An enforcement attempt (primary, baseline or retry) failed
     /// with `NotConverged`; the diagnostics carry the step control state,
     /// the `σ_max` trajectory tail and the best-so-far model's audit
     /// `σ_max`, so failures are debuggable without a rerun.
@@ -117,8 +117,8 @@ pub struct TraceObserver {
     pub failed: Vec<Stage>,
     /// Every enforcement iteration, labeled with the norm that produced it.
     pub iterations: Vec<(NormKind, EnforcementIteration)>,
-    /// Post-mortems of failed enforcement attempts (primary and recovery
-    /// rungs), labeled with the norm that diverged.
+    /// Post-mortems of failed enforcement attempts (primary and retry),
+    /// labeled with the norm that diverged.
     pub diagnostics: Vec<(NormKind, NotConvergedDiagnostics)>,
 }
 
@@ -182,7 +182,6 @@ mod tests {
             Stage::Assessment,
             Stage::Enforcement(NormKind::Standard),
             Stage::Enforcement(NormKind::SensitivityWeighted),
-            Stage::Recovery(RecoveryRung::Regularized),
             Stage::Recovery(RecoveryRung::ReducedOrder),
             Stage::Evaluation,
         ];

@@ -24,9 +24,9 @@
 //! [`FlowConfig::enforcement`]`.sampling` (adaptive by default).
 //!
 //! [`Pipeline::report`] runs the sensitivity-weighted enforcement once and,
-//! only when it runs out of budget or stalls, the recovery ladder of
+//! only when it runs out of budget or stalls, the reduced-order retry of
 //! [`crate::recovery`] once. Every enforcement stage — the primary pass, the
-//! standard baseline and each rung — goes through one private helper that
+//! standard baseline and the retry — goes through one private helper that
 //! reports the stage, its norm-labeled iterations and, on failure, the
 //! diagnostics.
 //!
@@ -380,9 +380,9 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Runs one enforcement stage — the primary pass, the standard baseline
-    /// or a recovery rung — and reports it to the observer: the stage
-    /// boundaries and every iteration, labeled with the enforced norm (a
-    /// rung always enforces the sensitivity-weighted one). On
+    /// or the reduced-order retry — and reports it to the observer: the stage
+    /// boundaries and every iteration, labeled with the enforced norm (the
+    /// retry always enforces the sensitivity-weighted one). On
     /// [`PassivityError::NotConverged`] the best-so-far model is audited
     /// on the contract grid inside the stage, so the diagnostics carry its
     /// own `σ_max`, before the failed-stage and diagnostics events.
@@ -395,7 +395,7 @@ impl<'a> Pipeline<'a> {
     ) -> Result<EnforcementOutcome> {
         let label = match stage {
             Stage::Enforcement(kind) => kind,
-            // A recovery rung.
+            // The reduced-order retry.
             _ => NormKind::SensitivityWeighted,
         };
         self.stage_start(stage);
@@ -437,49 +437,40 @@ impl<'a> Pipeline<'a> {
         )
     }
 
-    /// Climbs the recovery ladder of [`crate::recovery`] after the primary
-    /// weighted pass did not converge: regularized, then reduced order.
-    /// Each rung runs the full enforcement loop under the
+    /// The reduced-order retry of [`crate::recovery`], run once after the
+    /// primary weighted pass did not converge: the weighted fit is redone
+    /// two poles lower (never below order 6) and enforced under the
     /// sensitivity-weighted norm, a tightened adaptive QP damping cap and an
-    /// extended iteration budget; the first rung that delivers wins.
-    /// Returns `None` when no rung converges.
-    fn run_recovery_ladder(&mut self) -> Result<Option<(RecoveryRung, EnforcementOutcome)>> {
-        // Adaptive QP damping cap of every rung; the primary pass keeps its
+    /// extended iteration budget. Returns `None` when the order cannot be
+    /// reduced or the retry does not converge either.
+    fn run_reduced_order_retry(&mut self) -> Result<Option<EnforcementOutcome>> {
+        // Adaptive QP damping cap of the retry; the primary pass keeps its
         // own, much looser, cap.
         const MAX_CONDITION: f64 = 1e6;
-        // Outer iterations added to the configured budget on every rung.
+        // Outer iterations added to the configured budget.
         const EXTRA_ITERATIONS: usize = 40;
-        // Poles removed by the reduced-order rung, and the order it never
-        // refits below.
+        // Poles removed by the refit, and the order it never refits below.
         const ORDER_REDUCTION: usize = 2;
         const MIN_ORDER: usize = 6;
 
+        let n_poles = self.config.vf.n_poles.saturating_sub(ORDER_REDUCTION).max(MIN_ORDER);
+        if n_poles >= self.config.vf.n_poles {
+            return Ok(None);
+        }
         let weighting = self.weighting_model()?;
+        let weights = self.sensitivity()?.weights;
+        let vf = VfConfig { n_poles, ..self.config.vf.clone() };
+        let model = vector_fit(self.data, Some(&weights), &vf)?.model;
+        let norm = sensitivity_weighted_norm(&model, &weighting)?;
         let mut config = self.config.enforcement.clone();
         config.max_iterations += EXTRA_ITERATIONS;
         config.qp.max_condition = config.qp.max_condition.min(MAX_CONDITION);
-
-        let reduced_order = self.config.vf.n_poles.saturating_sub(ORDER_REDUCTION).max(MIN_ORDER);
-        let mut rungs = vec![RecoveryRung::Regularized];
-        if reduced_order < self.config.vf.n_poles {
-            rungs.push(RecoveryRung::ReducedOrder);
+        let stage = Stage::Recovery(RecoveryRung::ReducedOrder);
+        match self.run_enforcement(stage, &model, &norm, &config) {
+            Ok(outcome) => Ok(Some(outcome)),
+            Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => Ok(None),
+            Err(e) => Err(e),
         }
-        for rung in rungs {
-            let model = if rung == RecoveryRung::ReducedOrder {
-                let weights = self.sensitivity()?.weights;
-                let vf = VfConfig { n_poles: reduced_order, ..self.config.vf.clone() };
-                vector_fit(self.data, Some(&weights), &vf)?.model
-            } else {
-                self.weighted_fit.as_ref().expect("assess caches the weighted fit").model.clone()
-            };
-            let norm = sensitivity_weighted_norm(&model, &weighting)?;
-            match self.run_enforcement(Stage::Recovery(rung), &model, &norm, &config) {
-                Ok(outcome) => return Ok(Some((rung, outcome))),
-                Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
     }
 
     /// Evaluates an arbitrary macromodel against this pipeline's data and
@@ -505,8 +496,8 @@ impl<'a> Pipeline<'a> {
     /// Runs every remaining stage and assembles the full [`FlowReport`].
     ///
     /// The weighted enforcement must succeed: when the primary pass returns
-    /// [`PassivityError::NotConverged`], the recovery ladder runs once and
-    /// the rung that delivers is recorded in the accuracy contract. When the
+    /// [`PassivityError::NotConverged`], the reduced-order retry runs once
+    /// and the rung that delivers is recorded in the accuracy contract. When the
     /// fit needs enforcement, the standard-norm baseline runs too; it is
     /// only a comparison curve and tolerates `NotConverged` (reported as
     /// `None`). The contract audit runs inside the
@@ -515,7 +506,7 @@ impl<'a> Pipeline<'a> {
     /// # Errors
     ///
     /// Propagates failures of the individual stages; when neither the
-    /// primary pass nor any rung converges, the primary pass's
+    /// primary pass nor the retry converges, the primary pass's
     /// `NotConverged`.
     pub fn report(&mut self) -> Result<FlowReport> {
         let sens = self.sensitivity()?;
@@ -524,14 +515,14 @@ impl<'a> Pipeline<'a> {
         let sensitivity_model = self.weighting_model()?;
         let assessment = self.assess()?;
 
-        // The weighted pass delivers the model, through the recovery ladder
-        // when the primary pass does not converge; when no rung does either,
-        // the primary failure stands.
+        // The weighted pass delivers the model, through the reduced-order
+        // retry when the primary pass does not converge; when the retry does
+        // not either, the primary failure stands.
         let (weighted_enforcement, rung) = match self.enforce(NormKind::SensitivityWeighted) {
             Ok(artifact) => (artifact.outcome, RecoveryRung::Primary),
             Err(primary @ CoreError::Passivity(PassivityError::NotConverged { .. })) => {
-                match self.run_recovery_ladder()? {
-                    Some((rung, outcome)) => (Some(outcome), rung),
+                match self.run_reduced_order_retry()? {
+                    Some(outcome) => (Some(outcome), RecoveryRung::ReducedOrder),
                     None => return Err(primary),
                 }
             }
@@ -550,20 +541,17 @@ impl<'a> Pipeline<'a> {
         };
 
         self.stage_start(Stage::Evaluation);
-        let standard_model_eval = evaluate_model(
-            &standard_fit.model,
-            self.data,
-            self.network,
-            self.observation_port,
-            &sens.nominal_impedance,
-        )?;
-        let weighted_model_eval = evaluate_model(
-            &weighted_fit.model,
-            self.data,
-            self.network,
-            self.observation_port,
-            &sens.nominal_impedance,
-        )?;
+        let evaluate = |model: &PoleResidueModel| {
+            evaluate_model(
+                model,
+                self.data,
+                self.network,
+                self.observation_port,
+                &sens.nominal_impedance,
+            )
+        };
+        let standard_model_eval = evaluate(&standard_fit.model)?;
+        let weighted_model_eval = evaluate(&weighted_fit.model)?;
         // The final passive model is borrowed, not cloned: enforcement
         // artifacts are owned values already. Its Hamiltonian crossings are
         // known from the last report of that same model: the loop's final
@@ -572,23 +560,9 @@ impl<'a> Pipeline<'a> {
             Some(out) => (&out.model, &out.report.hamiltonian_crossings),
             None => (&weighted_fit.model, &assessment.report.hamiltonian_crossings),
         };
-        let weighted_passive_eval = evaluate_model(
-            weighted_passive_model,
-            self.data,
-            self.network,
-            self.observation_port,
-            &sens.nominal_impedance,
-        )?;
-        let standard_passive_eval = match &standard_enforcement {
-            Some(out) => Some(evaluate_model(
-                &out.model,
-                self.data,
-                self.network,
-                self.observation_port,
-                &sens.nominal_impedance,
-            )?),
-            None => None,
-        };
+        let weighted_passive_eval = evaluate(weighted_passive_model)?;
+        let standard_passive_eval =
+            standard_enforcement.as_ref().map(|out| evaluate(&out.model)).transpose()?;
 
         // The accuracy contract: audit the delivered model on a dense
         // fixed-log grid it was never constrained on, and pair the result

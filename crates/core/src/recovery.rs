@@ -1,44 +1,34 @@
-//! The enforcement recovery ladder and the accuracy contract.
+//! The reduced-order retry and the accuracy contract.
 //!
 //! The weighted enforcement loop can run out of its iteration budget, or
 //! stall, on hard boards. Instead of surfacing a bare `NotConverged` with a
 //! best-so-far model stapled on, [`crate::pipeline::Pipeline::report`]
-//! retries under an escalation policy — the **recovery ladder**:
+//! retries once: the weighted fit is redone two poles lower (never below
+//! order 6) and enforced under the weighted norm, with the adaptive QP
+//! damping cap tightened to `1e6` and the iteration budget grown by 40.
+//! Fewer states shrink the constraint null-space that lets the loop walk in
+//! circles. When the order cannot be reduced, or the retry fails too, the
+//! primary pass's failure stands.
 //!
-//! 1. [`RecoveryRung::Primary`] — the paper's sensitivity-weighted norm
-//!    under the configured numerics (not a retry; the name of the happy
-//!    path);
-//! 2. [`RecoveryRung::Regularized`] — same norm, but the adaptive QP
-//!    damping cap is tightened to `1e6` so near-singular Gramian blocks are
-//!    Tikhonov-damped hard, and the iteration budget grows by 40;
-//! 3. [`RecoveryRung::ReducedOrder`] — the weighted fit is redone two poles
-//!    lower (never below order 6) and enforced under the weighted norm with
-//!    the same damping and budget; fewer states shrink the constraint
-//!    null-space that lets the loop walk in circles.
-//!
-//! A 100-board corpus ablation, re-run after the QP steps became exact,
-//! keeps exactly these rungs: without the regularized rung boards 25 and 83
-//! rise to certified but board 71 falls to diverged, and boards 26, 81 and
-//! 90 are delivered only by the reduced-order rung (see EXPERIMENTS.md,
-//! *Robust enforcement*). Observers see every rung as a
-//! [`crate::observer::Stage::Recovery`] stage that starts and then
-//! completes or fails (with its `NotConverged` diagnostics). The delivered
-//! model — whatever rung produced it — always carries an
+//! On the 100-board corpus the retry delivers the ten boards whose primary
+//! pass fails, and the paper board's retry needs both the cap and the extra
+//! budget (see EXPERIMENTS.md, *Robust enforcement*). Observers see the
+//! retry as a [`crate::observer::Stage::Recovery`] stage that starts and
+//! then completes or fails (with its `NotConverged` diagnostics). The
+//! delivered model — primary or retry — always carries an
 //! [`AccuracyContract`]: its σ_max on a dense audit grid it was never
-//! constrained on, its target-impedance error, and the rung that produced
-//! it.
+//! constrained on, its target-impedance error, and the [`RecoveryRung`]
+//! that produced it.
 
 use std::fmt;
 
-/// The rung of the recovery ladder that produced a delivered model.
+/// The enforcement pass that produced a delivered model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecoveryRung {
     /// The primary sensitivity-weighted enforcement (no recovery needed).
     Primary,
-    /// Same weighted norm with hard adaptive QP damping and an extended
-    /// iteration budget.
-    Regularized,
-    /// Weighted refit at reduced order, enforced under the weighted norm.
+    /// Weighted refit at reduced order, enforced under the weighted norm
+    /// with hard adaptive QP damping and an extended iteration budget.
     ReducedOrder,
 }
 
@@ -47,7 +37,6 @@ impl RecoveryRung {
     pub fn name(self) -> &'static str {
         match self {
             RecoveryRung::Primary => "primary",
-            RecoveryRung::Regularized => "regularized",
             RecoveryRung::ReducedOrder => "reduced-order",
         }
     }
@@ -79,11 +68,11 @@ impl Default for ContractConfig {
 }
 
 /// The accuracy contract of a delivered model: what the pipeline measured
-/// about it on grids it was never constrained on, and which recovery rung
-/// produced it.
+/// about it on grids it was never constrained on, and which enforcement
+/// pass produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyContract {
-    /// The recovery rung that produced the delivered model.
+    /// The enforcement pass that produced the delivered model.
     pub rung: RecoveryRung,
     /// `σ_max` on the dense fixed-log audit grid.
     pub audit_sigma_max: f64,
@@ -126,14 +115,14 @@ mod tests {
     #[test]
     fn contract_display_reports_the_audit_verdict() {
         let mut contract = AccuracyContract {
-            rung: RecoveryRung::Regularized,
+            rung: RecoveryRung::ReducedOrder,
             audit_sigma_max: 1.0,
             audit_points: 3200,
             sigma_tolerance: 1e-8,
             impedance_error: 0.2,
         };
         assert!(contract.passivity_ok());
-        assert!(contract.to_string().contains("rung 'regularized'"));
+        assert!(contract.to_string().contains("rung 'reduced-order'"));
         assert!(contract.to_string().contains(": passive, impedance error 0.2000"));
         contract.audit_sigma_max = 1.1;
         assert!(!contract.passivity_ok());

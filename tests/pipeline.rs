@@ -217,8 +217,8 @@ fn assert_trace_bits(a: &TraceObserver, b: &TraceObserver, what: &str) {
 /// ROADMAP PR 3 note) before exceptional shifts — running it end-to-end
 /// here is the flow-level regression for that fix (`quick_config` fits at
 /// order 18). Its primary weighted pass sits on a roundoff edge: a 1e-13
-/// relative change of the crossings decides whether the primary pass or a
-/// recovery rung delivers, so the trace is reconciled run by run.
+/// relative change of the crossings decides whether the primary pass or the
+/// reduced-order retry delivers, so the trace is reconciled run by run.
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial_and_upholds_the_fit_claim() {
     let presets = [
@@ -243,7 +243,7 @@ fn parallel_sweep_is_bit_identical_to_serial_and_upholds_the_fit_claim() {
         let name = preset.name();
         // The merged per-preset trace reconciles with the report: one run
         // of events per weighted stage that started (the primary pass and
-        // each recovery rung it fell through to), each run numbered from 1;
+        // the retry when it fell through to it), each run numbered from 1;
         // every run but the last failed, and the last one delivered.
         let weighted_stage = |stage: &&Stage| {
             matches!(stage, Stage::Enforcement(NormKind::SensitivityWeighted) | Stage::Recovery(_))
@@ -350,9 +350,9 @@ fn assert_audit_reuses_the_delivered_crossings(
 }
 
 /// With no iteration budget, the primary weighted pass and the standard
-/// baseline both fail at once: `report()` delivers through the recovery
-/// ladder's regularized rung (which adds 40 iterations), records that rung
-/// in the contract, and reports the failed baseline as absent.
+/// baseline both fail at once: `report()` delivers through the reduced-order
+/// retry (which adds 40 iterations), runs it once, records it in the
+/// contract, and reports the failed baseline as absent.
 #[test]
 fn exhausted_primary_budget_is_delivered_by_the_ladder() {
     let sc = ScenarioPreset::Reduced.build().unwrap();
@@ -365,10 +365,10 @@ fn exhausted_primary_budget_is_delivered_by_the_ladder() {
         .report()
         .unwrap();
     let contract = report.contract.as_ref().expect("report() attaches the contract");
-    assert_eq!(contract.rung, RecoveryRung::Regularized);
+    assert_eq!(contract.rung, RecoveryRung::ReducedOrder);
     assert_audit_reuses_the_delivered_crossings(&sc, &config, &report);
-    let outcome = report.weighted_enforcement.as_ref().expect("the rung delivers a model");
-    assert_eq!(outcome.iterations, 10);
+    let outcome = report.weighted_enforcement.as_ref().expect("the retry delivers a model");
+    assert_eq!(outcome.iterations, 5);
     assert_eq!(trace.trace(NormKind::SensitivityWeighted).len(), outcome.iterations);
     assert_eq!(
         trace.failed,
@@ -377,8 +377,9 @@ fn exhausted_primary_budget_is_delivered_by_the_ladder() {
             Stage::Enforcement(NormKind::Standard)
         ]
     );
-    assert!(trace.completed.contains(&Stage::Recovery(RecoveryRung::Regularized)));
-    assert!(!trace.started.contains(&Stage::Recovery(RecoveryRung::ReducedOrder)));
+    let retry = Stage::Recovery(RecoveryRung::ReducedOrder);
+    assert_eq!(trace.started.iter().filter(|&&s| s == retry).count(), 1);
+    assert!(trace.completed.contains(&retry));
     assert!(report.standard_enforcement.is_none());
 }
 
