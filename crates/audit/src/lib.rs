@@ -8,11 +8,9 @@
 //!
 //! - [`lexer`]: a comment- and string-aware Rust lexer (raw strings,
 //!   nested block comments, char-vs-lifetime disambiguation),
-//! - [`lints`]: the lint catalog (L1 `unsafe-safety` … L5 `thread-spawn`,
-//!   L7 `partial-cmp-unwrap`, the cross-file L8 `dead-pub`, plus the
-//!   report-only L6 `unwrap-ratchet`) and the
-//!   `// audit:allow(<lint>): <reason>` suppression protocol,
-//! - [`baseline`]: the committed `audit_baseline.txt` shrink-only gate.
+//! - [`lints`]: the lint catalog (L1 `unsafe-safety` … L7
+//!   `partial-cmp-unwrap`, and the cross-file L8 `dead-pub`) and the
+//!   `// audit:allow(<lint>): <reason>` suppression protocol.
 //!
 //! Run it over the workspace with `cargo run -p pim-audit -- --check`
 //! (the CI step), or without `--check` for a report that never fails.
@@ -20,26 +18,17 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod lints;
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// Library crates whose `src/` trees count against the unwrap ratchet and
-/// declare the `pub fn`s `dead-pub` checks. Tools (`pim-audit` itself,
-/// `pim-bench`) and the offline dependency shims are deliberately outside:
-/// they are not shipped numeric code.
-const RATCHET_CRATES: [&str; 9] =
-    ["circuit", "core", "linalg", "passivity", "pdn", "rfdata", "runtime", "statespace", "vectfit"];
 
 /// One file's diagnostics, with its workspace-relative path attached.
 #[derive(Debug)]
 pub struct FileReport {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// The per-file audit (diagnostics, unwrap count, unused allows).
+    /// The per-file audit (diagnostics, unused allows).
     pub audit: lints::FileAudit,
 }
 
@@ -48,9 +37,6 @@ pub struct FileReport {
 pub struct WorkspaceAudit {
     /// Per-file reports, sorted by path, files with findings only.
     pub reports: Vec<FileReport>,
-    /// `unwrap-ratchet` counts for every in-scope file (zeros included,
-    /// so the baseline comparison sees files that became clean).
-    pub unwrap_counts: BTreeMap<String, usize>,
     /// Number of files audited (`perfbench/src` is read for `dead-pub`
     /// callers only).
     pub files_scanned: usize,
@@ -61,15 +47,6 @@ impl WorkspaceAudit {
     pub fn violations(&self) -> usize {
         self.reports.iter().map(|r| r.audit.diagnostics.len() + r.audit.unused_allows.len()).sum()
     }
-}
-
-/// Whether `rel` (workspace-relative, `/` separators) is in the
-/// unwrap-ratchet scope: library crate `src/` trees plus the root facade.
-fn in_ratchet_scope(rel: &str) -> bool {
-    if rel.starts_with("src/") {
-        return true;
-    }
-    RATCHET_CRATES.iter().any(|c| rel.starts_with(&format!("crates/{c}/src/")))
 }
 
 /// Recursively collects `.rs` files under `root`'s source directories,
@@ -131,9 +108,8 @@ pub fn audit_sources(sources: &[(&str, &str)]) -> WorkspaceAudit {
     let lexed: Vec<_> = sources.iter().map(|&(rel, source)| (rel, lexer::lex(source))).collect();
     let token_slices: Vec<_> =
         lexed.iter().map(|(rel, tokens)| (*rel, tokens.as_slice())).collect();
-    let dead = lints::dead_pub(&token_slices, in_ratchet_scope);
+    let dead = lints::dead_pub(&token_slices, lints::is_library_source);
     let mut reports = Vec::new();
-    let mut unwrap_counts = BTreeMap::new();
     let mut files_scanned = 0;
     for ((rel, tokens), dead) in token_slices.into_iter().zip(dead) {
         // The benchmark package is read only to find `dead-pub` callers.
@@ -141,16 +117,12 @@ pub fn audit_sources(sources: &[(&str, &str)]) -> WorkspaceAudit {
             continue;
         }
         files_scanned += 1;
-        let in_scope = in_ratchet_scope(rel);
-        let audit = lints::audit_tokens(rel, tokens, in_scope, dead);
-        if let Some(count) = audit.unwrap_count {
-            unwrap_counts.insert(rel.to_string(), count);
-        }
+        let audit = lints::audit_tokens(rel, tokens, dead);
         if !audit.diagnostics.is_empty() || !audit.unused_allows.is_empty() {
             reports.push(FileReport { path: rel.to_string(), audit });
         }
     }
-    WorkspaceAudit { reports, unwrap_counts, files_scanned }
+    WorkspaceAudit { reports, files_scanned }
 }
 
 /// Locates the workspace root: walks up from `start` to the first

@@ -11,13 +11,9 @@
 //! | `hash-container`| no `HashMap`/`HashSet` (nondeterministic iteration order) |
 //! | `wall-clock`    | no `Instant`/`SystemTime`/OS randomness outside the bench layer |
 //! | `thread-spawn`  | no `std::thread` spawning or scoped threads outside `pim-runtime` |
-//! | `unwrap-ratchet`| `.unwrap()`/`.expect("")` in library code: counted, ratcheted |
+//! | `unwrap-ratchet`| no `.unwrap()`/`.expect("")` in library code outside `#[cfg(test)]` modules |
 //! | `partial-cmp-unwrap` | no `partial_cmp(..).unwrap()`/`.expect(..)` (panics on NaN; use `total_cmp`) |
 //! | `dead-pub`      | no library `pub fn` whose only callers are its own file's unit tests |
-//!
-//! `unwrap-ratchet` is report-only: it produces a per-file count that the
-//! baseline gate (see [`crate::baseline`]) compares against the committed
-//! `audit_baseline.txt` — the count may shrink, never grow.
 //!
 //! A suppression marker is a comment of the form
 //! `// audit:allow(<lint>): <reason>` placed on the offending line or on
@@ -29,8 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Token, TokenKind};
 
-/// The deny-by-default lints. `unwrap-ratchet` is not listed here: it
-/// emits a count, not diagnostics.
+/// The deny-by-default lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
     /// L1: `unsafe` blocks/impls/fns must carry a `// SAFETY:` comment.
@@ -44,6 +39,10 @@ pub enum Lint {
     WallClock,
     /// L5: no `std::thread` spawning or scoped threads outside `pim-runtime`.
     ThreadSpawn,
+    /// L6: no `.unwrap()` or `.expect("")` in library code (see
+    /// [`is_library_source`]) outside `#[cfg(test)]` modules — library code
+    /// returns typed errors, or states why a call cannot fail.
+    UnwrapRatchet,
     /// L7: no `partial_cmp(..)` followed directly by `.unwrap()` or
     /// `.expect(..)` — it panics on NaN; `total_cmp` orders every float.
     PartialCmpUnwrap,
@@ -56,12 +55,13 @@ pub enum Lint {
 
 impl Lint {
     /// All deny-by-default lints.
-    pub const ALL: [Lint; 7] = [
+    pub const ALL: [Lint; 8] = [
         Lint::UnsafeSafety,
         Lint::FloatEq,
         Lint::HashContainer,
         Lint::WallClock,
         Lint::ThreadSpawn,
+        Lint::UnwrapRatchet,
         Lint::PartialCmpUnwrap,
         Lint::DeadPub,
     ];
@@ -74,6 +74,7 @@ impl Lint {
             Lint::HashContainer => "hash-container",
             Lint::WallClock => "wall-clock",
             Lint::ThreadSpawn => "thread-spawn",
+            Lint::UnwrapRatchet => "unwrap-ratchet",
             Lint::PartialCmpUnwrap => "partial-cmp-unwrap",
             Lint::DeadPub => "dead-pub",
         }
@@ -85,16 +86,32 @@ impl Lint {
     }
 
     /// Whether this lint applies to the file at workspace-relative `path`.
-    /// The bench layer owns the timers; `pim-runtime` owns the threads.
+    /// The bench layer owns the timers; `pim-runtime` owns the threads;
+    /// only library code is held to typed errors.
     pub fn applies_to(self, path: &str) -> bool {
         match self {
             Lint::WallClock => {
                 !path.starts_with("crates/bench/") && !path.starts_with("crates/criterion-shim/")
             }
             Lint::ThreadSpawn => !path.starts_with("crates/runtime/"),
+            Lint::UnwrapRatchet => is_library_source(path),
             _ => true,
         }
     }
+}
+
+/// Library crates whose `src/` trees the `unwrap-ratchet` lint covers and
+/// whose `pub fn`s `dead-pub` checks. Tools (`pim-audit` itself,
+/// `pim-bench`) and the offline dependency shims are deliberately outside:
+/// they are not shipped numeric code.
+const LIBRARY_CRATES: [&str; 9] =
+    ["circuit", "core", "linalg", "passivity", "pdn", "rfdata", "runtime", "statespace", "vectfit"];
+
+/// Whether `path` (workspace-relative, `/` separators) is library code:
+/// a library crate's `src/` tree or the root facade.
+pub fn is_library_source(path: &str) -> bool {
+    path.starts_with("src/")
+        || LIBRARY_CRATES.iter().any(|c| path.starts_with(&format!("crates/{c}/src/")))
 }
 
 /// One lint violation.
@@ -113,10 +130,6 @@ pub struct Diagnostic {
 pub struct FileAudit {
     /// Violations that survived suppression, sorted by line.
     pub diagnostics: Vec<Diagnostic>,
-    /// `unwrap-ratchet` count (`.unwrap()` + `.expect("")` outside
-    /// `#[cfg(test)]` modules). `None` when the file is outside the
-    /// ratchet scope.
-    pub unwrap_count: Option<usize>,
     /// `audit:allow` markers that matched no diagnostic: `(line, lint)`.
     pub unused_allows: Vec<(u32, String)>,
 }
@@ -128,11 +141,9 @@ struct Marker {
 }
 
 /// Runs every applicable single-file lint over `source`. `path` is
-/// workspace-relative with `/` separators and selects lint scopes;
-/// `count_unwraps` enables the `unwrap-ratchet` count (library-crate
-/// sources only).
-pub fn audit_file(path: &str, source: &str, count_unwraps: bool) -> FileAudit {
-    audit_tokens(path, &lex(source), count_unwraps, Vec::new())
+/// workspace-relative with `/` separators and selects lint scopes.
+pub fn audit_file(path: &str, source: &str) -> FileAudit {
+    audit_tokens(path, &lex(source), Vec::new())
 }
 
 /// [`audit_file`] over an already-lexed file, with `cross_file`
@@ -141,7 +152,6 @@ pub fn audit_file(path: &str, source: &str, count_unwraps: bool) -> FileAudit {
 pub(crate) fn audit_tokens(
     path: &str,
     tokens: &[Token<'_>],
-    count_unwraps: bool,
     cross_file: Vec<Diagnostic>,
 ) -> FileAudit {
     let code = code_indices(tokens);
@@ -158,6 +168,7 @@ pub(crate) fn audit_tokens(
             Lint::HashContainer => lint_hash_container(tokens, &code, &mut diagnostics),
             Lint::WallClock => lint_wall_clock(tokens, &code, &mut diagnostics),
             Lint::ThreadSpawn => lint_thread_spawn(tokens, &code, &mut diagnostics),
+            Lint::UnwrapRatchet => lint_unwrap(tokens, &code, &mut diagnostics),
             Lint::PartialCmpUnwrap => lint_partial_cmp_unwrap(tokens, &code, &mut diagnostics),
             Lint::DeadPub => {} // arrives in `cross_file`
         }
@@ -187,8 +198,7 @@ pub(crate) fn audit_tokens(
         .map(|m| (m.line, m.lint.name().to_string()))
         .collect();
 
-    let unwrap_count = count_unwraps.then(|| count_unwrap_expect(tokens, &code));
-    FileAudit { diagnostics, unwrap_count, unused_allows }
+    FileAudit { diagnostics, unused_allows }
 }
 
 /// Indices of non-comment tokens. The lints walk these, while L1 and the
@@ -566,11 +576,10 @@ fn pub_fns<'a>(tokens: &[Token<'a>], code: &[usize]) -> Vec<(&'a str, std::ops::
     fns
 }
 
-/// L6 count: `.unwrap()` and `.expect("")` occurrences outside
-/// `#[cfg(test)]` modules.
-fn count_unwrap_expect(tokens: &[Token<'_>], code: &[usize]) -> usize {
+/// L6: `.unwrap()` and `.expect("")` outside `#[cfg(test)]` modules — a
+/// panic where library code owes its caller a typed error.
+fn lint_unwrap(tokens: &[Token<'_>], code: &[usize], diagnostics: &mut Vec<Diagnostic>) {
     let excluded = cfg_test_ranges(tokens, code);
-    let mut count = 0usize;
     for (k, &i) in code.iter().enumerate() {
         if excluded.iter().any(|r| r.contains(&i)) {
             continue;
@@ -588,14 +597,21 @@ fn count_unwrap_expect(tokens: &[Token<'_>], code: &[usize]) -> usize {
             && at(3).is_some_and(|t| t.kind == TokenKind::Str && t.text == "\"\"")
             && at(4).is_some_and(|t| t.text == ")");
         if is_unwrap || is_empty_expect {
-            count += 1;
+            let call = if is_unwrap { ".unwrap()" } else { ".expect(\"\")" };
+            diagnostics.push(Diagnostic {
+                lint: Lint::UnwrapRatchet.name(),
+                line: tok.line,
+                message: format!(
+                    "`{call}` in library code — return a typed error, or state why it cannot \
+                     fail in `.expect(..)`"
+                ),
+            });
         }
     }
-    count
 }
 
 /// Token-index ranges covered by `#[cfg(test)] mod <name> { … }` — unit
-/// tests do not count against the unwrap ratchet.
+/// tests may unwrap, and their calls do not keep a `pub fn` alive.
 fn cfg_test_ranges(tokens: &[Token<'_>], code: &[usize]) -> Vec<std::ops::Range<usize>> {
     let mut ranges = Vec::new();
     let texts: Vec<&str> = code.iter().map(|&i| tokens[i].text).collect();

@@ -9,10 +9,9 @@
 use pim_audit::audit_sources;
 use pim_audit::lints::{audit_file, FileAudit};
 
-/// Audits `src` as a library-crate source file (every lint in scope,
-/// unwrap counting on).
+/// Audits `src` as a library-crate source file (every lint in scope).
 fn audit(src: &str) -> FileAudit {
-    audit_file("crates/linalg/src/fixture.rs", src, true)
+    audit_file("crates/linalg/src/fixture.rs", src)
 }
 
 fn lint_lines(audit: &FileAudit, lint: &str) -> Vec<u32> {
@@ -96,9 +95,9 @@ fn l4_wall_clock_scoped_to_the_bench_layer() {
     let src = "use std::time::Instant;\nfn f() {\n    let t = Instant::now();\n}\n";
     assert_eq!(lint_lines(&audit(src), "wall-clock"), vec![1, 3]);
     // The same source inside the bench layer is fine: it owns the timers.
-    let bench = audit_file("crates/bench/src/bin/fig.rs", src, false);
+    let bench = audit_file("crates/bench/src/bin/fig.rs", src);
     assert!(lint_lines(&bench, "wall-clock").is_empty());
-    let shim = audit_file("crates/criterion-shim/src/lib.rs", src, false);
+    let shim = audit_file("crates/criterion-shim/src/lib.rs", src);
     assert!(lint_lines(&shim, "wall-clock").is_empty());
 }
 
@@ -107,7 +106,7 @@ fn l5_thread_spawn_scoped_to_the_runtime() {
     let src = "fn f() {\n    std::thread::spawn(|| {});\n    \
                let b = std::thread::Builder::new();\n    std::thread::scope(|s| {});\n}\n";
     assert_eq!(lint_lines(&audit(src), "thread-spawn"), vec![2, 3, 4]);
-    let runtime = audit_file("crates/runtime/src/lib.rs", src, false);
+    let runtime = audit_file("crates/runtime/src/lib.rs", src);
     assert!(lint_lines(&runtime, "thread-spawn").is_empty());
     // Method calls named `spawn` (a `std::thread::Scope` handle's) are not
     // flagged: the `thread::scope` that opened the scope is.
@@ -133,10 +132,17 @@ fn l6_unwrap_count_skips_test_modules() {
                fn g(x: Option<u8>) -> u8 {\n    x.expect(\"\")\n}\n\
                fn h(x: Option<u8>) -> u8 {\n    x.expect(\"a real message\")\n}\n\
                #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        None::<u8>.unwrap();\n    }\n}\n";
-    let out = audit(src);
-    // f's unwrap + g's empty expect; h's messaged expect and the unit
-    // test's unwrap do not count.
-    assert_eq!(out.unwrap_count, Some(2));
+    // f's unwrap (line 2) and g's empty expect (line 5) fire; h's messaged
+    // expect and the unit test's unwrap (line 13) do not.
+    assert_eq!(lint_lines(&audit(src), "unwrap-ratchet"), vec![2, 5]);
+    // A reasoned marker silences it; outside library code it never fires.
+    let allowed = "fn f(x: Option<u8>) -> u8 {\n    \
+                   // audit:allow(unwrap-ratchet): x is Some by construction.\n    x.unwrap()\n}\n";
+    let out = audit(allowed);
+    assert!(out.diagnostics.is_empty() && out.unused_allows.is_empty(), "{out:?}");
+    for tool in ["crates/bench/src/lib.rs", "crates/audit/src/main.rs", "tests/corpus.rs"] {
+        assert!(lint_lines(&audit_file(tool, src), "unwrap-ratchet").is_empty(), "{tool}");
+    }
 }
 
 #[test]

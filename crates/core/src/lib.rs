@@ -10,8 +10,8 @@
 //!   minimum-phase weighting model `Ξ̃(s)` by Magnitude Vector Fitting, the
 //!   cascade `S_ij(s)·Ξ̃(s)` of eq. (18) is realized for the shared
 //!   per-element dynamics, and the `(1,1)` block of its controllability
-//!   Gramian (eq. 19–20) becomes the per-element weight of the enforcement
-//!   norm (eq. 21);
+//!   Gramian (eq. 19–20) becomes the one weight that every matrix element
+//!   of the enforcement norm shares (eq. 21);
 //! * [`pipeline`] — the staged, observable macromodeling pipeline: typed
 //!   stage handles (`sensitivity → fit → weighting_model → assess →
 //!   enforce`), each returning an owned artifact, the full

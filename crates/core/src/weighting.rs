@@ -12,12 +12,13 @@ use pim_vectfit::SensitivityModel;
 /// Builds the sensitivity-weighted perturbation norm `‖δS‖²_Ξ = ‖Ξ̃·δS‖²₂`
 /// for a macromodel.
 ///
-/// For every matrix element the cascade `S_ij(s)·Ξ̃(s)` of eq. (18) is
-/// realized and the `(1,1)` block of its controllability Gramian (eq. 19)
-/// becomes the quadratic weight of the `δc_ij` perturbation (eq. 20); the
-/// per-element contributions add up to the norm of eq. (21). Because the
-/// macromodel uses common poles, all elements share the same `(A_e, b_e)`
-/// pair, hence the same weighted Gramian — it is computed once and reused.
+/// The paper realizes the cascade `S_ij(s)·Ξ̃(s)` of eq. (18) for every
+/// matrix element; the `(1,1)` block of its controllability Gramian
+/// (eq. 19) weights the `δc_ij` perturbation (eq. 20), and the element
+/// contributions add up to the norm of eq. (21). Because the macromodel
+/// uses common poles, all elements share the same `(A_e, b_e)` pair, hence
+/// the same weighted Gramian: it is computed once, and the norm holds that
+/// one matrix.
 ///
 /// # Errors
 ///
@@ -39,7 +40,7 @@ use pim_vectfit::SensitivityModel;
 /// let omegas: Vec<f64> = (0..40).map(|k| 10f64.powf(1.0 + 0.1 * k as f64)).collect();
 /// let xi = fit_magnitude(&omegas, &vec![2.0; 40], &MagnitudeFitConfig { order: 2 })?;
 /// let norm = sensitivity_weighted_norm(&model, &xi)?;
-/// assert_eq!(norm.gramians().len(), 1);
+/// assert_eq!(norm.gramians().shape(), (1, 1));
 /// # Ok(())
 /// # }
 /// ```
@@ -47,13 +48,9 @@ pub fn sensitivity_weighted_norm(
     model: &PoleResidueModel,
     sensitivity: &SensitivityModel,
 ) -> Result<PerturbationNorm> {
-    let ports = model.ports();
     let element = StateSpace::from_pole_residue_element(model, 0, 0)?;
     let weight = sensitivity.state_space()?;
-    let gramian = weighted_element_gramian(&element, &weight)?;
-    let states = element.order();
-    let blocks = vec![gramian; ports * ports];
-    Ok(PerturbationNorm::from_gramians(blocks, ports, states)?)
+    Ok(PerturbationNorm::from_gramian(weighted_element_gramian(&element, &weight)?)?)
 }
 
 /// [`NormBuilder`] for the paper's sensitivity-weighted norm: captures the
@@ -71,11 +68,6 @@ impl SensitivityWeightedNorm {
     /// Wraps a fitted weighting model `Ξ̃(s)`.
     pub fn new(weighting: SensitivityModel) -> Self {
         SensitivityWeightedNorm { weighting }
-    }
-
-    /// The weighting model this builder applies.
-    pub fn weighting_model(&self) -> &SensitivityModel {
-        &self.weighting
     }
 }
 
@@ -139,13 +131,14 @@ mod tests {
     #[test]
     fn flat_weight_scales_the_standard_gramian() {
         let model = two_port_model();
-        let norm1 = sensitivity_weighted_norm(&model, &flat_weight(1.0)).unwrap();
+        let weight = flat_weight(1.0);
+        let norm1 = sensitivity_weighted_norm(&model, &weight).unwrap();
         let norm3 = sensitivity_weighted_norm(&model, &flat_weight(3.0)).unwrap();
         let element = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
         let plain = element_gramian(&element).unwrap();
         // |Ξ| = 1 reproduces the standard Gramian, |Ξ| = 3 scales it by 9.
-        let g1 = &norm1.gramians()[0];
-        let g3 = &norm3.gramians()[0];
+        let g1 = norm1.gramians();
+        let g3 = norm3.gramians();
         assert!(g1.max_abs_diff(&plain) < 0.05 * plain.max_abs());
         for i in 0..g1.rows() {
             for j in 0..g1.cols() {
@@ -157,12 +150,13 @@ mod tests {
                 );
             }
         }
-        // One Gramian per matrix element, all identical (common poles).
-        assert_eq!(norm1.gramians().len(), 4);
-        assert_eq!(
-            norm1.gramians()[0].max_abs_diff(&norm1.gramians()[3]).to_bits(),
-            0.0f64.to_bits()
-        );
+        // The norm holds the one cascade Gramian every element shares
+        // (common poles), bit for bit.
+        let cascade = weighted_element_gramian(&element, &weight.state_space().unwrap()).unwrap();
+        assert_eq!(g1.shape(), cascade.shape());
+        for (a, b) in g1.as_slice().iter().zip(cascade.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -175,7 +169,7 @@ mod tests {
         let weighted = sensitivity_weighted_norm(&model, &lowpass_weight()).unwrap();
         let element = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
         let plain = element_gramian(&element).unwrap();
-        let gw = &weighted.gramians()[0];
+        let gw = weighted.gramians();
         // Direction e0 excites the real (low-frequency) pole; e1/e2 the pair.
         let cost = |g: &Mat, dir: &[f64]| -> f64 {
             let gv = g.matvec(dir).unwrap();
@@ -196,23 +190,17 @@ mod tests {
         let model = two_port_model();
         let weight = lowpass_weight();
         let direct = sensitivity_weighted_norm(&model, &weight).unwrap();
-        let weight_order = weight.order();
         let builder = SensitivityWeightedNorm::new(weight);
         assert_eq!(builder.kind(), NormKind::SensitivityWeighted);
-        assert_eq!(builder.weighting_model().order(), weight_order);
         let built = builder.build(&model).unwrap();
-        assert_eq!(built.ports(), direct.ports());
         assert_eq!(built.states(), direct.states());
-        for (a, b) in built.gramians().iter().zip(direct.gramians()) {
-            assert_eq!((a.max_abs_diff(b)).to_bits(), 0.0f64.to_bits());
-        }
+        assert_eq!((built.gramians().max_abs_diff(direct.gramians())).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn norm_dimensions_match_model() {
         let model = two_port_model();
         let norm = sensitivity_weighted_norm(&model, &flat_weight(1.0)).unwrap();
-        assert_eq!(norm.ports(), 2);
         assert_eq!(norm.states(), 3);
         let v = norm.evaluate(&[1e-3; 2 * 2 * 3]).unwrap();
         assert!(v > 0.0);

@@ -162,10 +162,10 @@ impl Lu<f64> {
     /// Cheap condition-number estimate from the pivot spread:
     /// `max_i |u_ii| / min_i |u_ii|` of the factored `U`.
     ///
-    /// For the symmetric positive-definite Gramian blocks of the enforcement
-    /// QP this tracks the true 2-norm condition number to within a modest
-    /// factor — good enough to detect the near-singular blocks that blow up
-    /// the perturbation step. Returns `f64::INFINITY` when a diagonal entry
+    /// For the symmetric positive-definite Gramian of the enforcement QP
+    /// this tracks the true 2-norm condition number to within a modest
+    /// factor — good enough to detect a near-singular Gramian that would
+    /// blow up the perturbation step. Returns `f64::INFINITY` when a diagonal entry
     /// underflows to zero.
     pub fn condition_estimate(&self) -> f64 {
         let n = self.dim();

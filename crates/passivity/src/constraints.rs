@@ -30,18 +30,9 @@ pub struct ConstraintSystem {
     pub f: Mat,
     /// Right-hand side: the available singular-value headroom `1 − δ − σ_i`.
     pub g: Vec<f64>,
-    /// Number of matrix elements (`P²`).
-    pub elements: usize,
-    /// States per element (`N`).
-    pub states_per_element: usize,
 }
 
 impl ConstraintSystem {
-    /// Total number of unknowns `P²·N`.
-    pub fn unknowns(&self) -> usize {
-        self.elements * self.states_per_element
-    }
-
     /// Number of constraint rows.
     pub fn rows(&self) -> usize {
         self.g.len()
@@ -120,7 +111,7 @@ pub fn build_constraints(
     }
 
     let f = Mat::from_fn(rows.len(), elements * n_states, |r, c| rows[r][c]);
-    Ok(ConstraintSystem { f, g, elements, states_per_element: n_states })
+    Ok(ConstraintSystem { f, g })
 }
 
 /// Applies a stacked perturbation vector (as produced by the quadratic
@@ -194,11 +185,12 @@ mod tests {
         let omega = 900.0;
         let cons = build_constraints(&model, &element, &[omega], 0.0, 0.0).unwrap();
         assert!(cons.rows() >= 1);
-        assert_eq!(cons.unknowns(), 4 * 3);
+        let unknowns = cons.f.cols();
+        assert_eq!(unknowns, 4 * 3);
         // Take a small random-ish perturbation and verify the first-order
         // prediction of the largest singular value change.
-        let delta: Vec<f64> = (0..cons.unknowns()).map(|k| 1e-5 * ((k % 7) as f64 - 3.0)).collect();
-        let predicted_change: f64 = (0..cons.unknowns()).map(|k| cons.f[(0, k)] * delta[k]).sum();
+        let delta: Vec<f64> = (0..unknowns).map(|k| 1e-5 * ((k % 7) as f64 - 3.0)).collect();
+        let predicted_change: f64 = (0..unknowns).map(|k| cons.f[(0, k)] * delta[k]).sum();
         let sigma_before = crate::check::sigma_max_at(&model, omega).unwrap();
         let perturbed = apply_perturbation(&model, &delta).unwrap();
         let sigma_after = crate::check::sigma_max_at(&perturbed, omega).unwrap();

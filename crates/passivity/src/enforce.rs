@@ -12,9 +12,9 @@
 //!
 //! Two step controls keep the linearized steps in check. Backtracking
 //! halves a step that makes the worst singular value larger. Adaptive
-//! Tikhonov damping of the QP (see [`crate::qp`]) tames near-singular
-//! Gramian blocks; on healthy runs it never engages, so it leaves the
-//! numbers bit-identical. A run stalls when backtracking bottoms out with
+//! Tikhonov damping of the QP (see [`crate::qp`]) tames a near-singular
+//! Gramian; on healthy runs it never engages, so it leaves the numbers
+//! bit-identical. A run stalls when backtracking bottoms out with
 //! the worst singular value still growing on consecutive iterations: the
 //! linearized QP is then pushing the model the wrong way, and more
 //! iterations do not recover it. A run that stalls or reaches
@@ -22,9 +22,9 @@
 //! model it saw.
 //!
 //! The perturbation norm is supplied by the caller through
-//! [`PerturbationNorm`]: the plain controllability Gramians give the standard
-//! L2 enforcement of eq. (10)–(11), while the sensitivity-weighted Gramians of
-//! eq. (19)–(21) (built by `pim-core`) give the paper's method.
+//! [`PerturbationNorm`]: the plain controllability Gramian gives the standard
+//! L2 enforcement of eq. (10)–(11), while the sensitivity-weighted Gramian of
+//! eq. (19)–(21) (built by `pim-core`) gives the paper's method.
 
 use crate::check::{assess_with_crossings, assess_with_sampling, PassivityReport};
 use crate::constraints::{apply_perturbation, build_constraints};
@@ -37,89 +37,76 @@ use pim_statespace::gramian::element_gramian;
 use pim_statespace::{PoleResidueModel, StateSpace};
 use std::sync::Arc;
 
-/// The per-element quadratic forms defining the perturbation norm
-/// `‖δS‖² = Σ_e δc_e G_e δc_eᵀ`.
+/// The quadratic form defining the perturbation norm
+/// `‖δS‖² = Σ_e δc_e·G·δc_eᵀ`. Every matrix element of a common-pole fit
+/// shares one realization `(A_e, b_e)`, so one `N × N` Gramian `G` weights
+/// them all; it depends only on the poles (and the sensitivity weight).
 #[derive(Debug, Clone)]
 pub struct PerturbationNorm {
-    /// One Gramian per matrix element, in row-major element order
-    /// (`(i, j) → i·P + j`), each `N × N`.
-    gramians: Vec<Mat>,
-    ports: usize,
-    states: usize,
+    gramian: Mat,
 }
 
 impl PerturbationNorm {
-    /// Builds a norm from explicit per-element Gramians (row-major element
-    /// order, each `N × N` where `N` is the model order).
+    /// Builds a norm from an explicit `N × N` Gramian, `N` being the model
+    /// order.
     ///
     /// # Errors
     ///
-    /// Returns [`PassivityError::InvalidInput`] when the number or the size
-    /// of the blocks is inconsistent.
-    pub fn from_gramians(gramians: Vec<Mat>, ports: usize, states: usize) -> Result<Self> {
-        if gramians.len() != ports * ports {
+    /// Returns [`PassivityError::InvalidInput`] when the matrix is empty,
+    /// not square or not finite.
+    pub fn from_gramian(gramian: Mat) -> Result<Self> {
+        if !gramian.is_square() || gramian.rows() == 0 {
             return Err(PassivityError::InvalidInput(format!(
-                "expected {} Gramian blocks, got {}",
-                ports * ports,
-                gramians.len()
+                "the Gramian must be square and non-empty, got {}x{}",
+                gramian.rows(),
+                gramian.cols()
             )));
         }
-        if gramians.iter().any(|g| g.shape() != (states, states)) {
-            return Err(PassivityError::InvalidInput(format!(
-                "every Gramian block must be {states}x{states}"
-            )));
+        if !gramian.as_slice().iter().all(|v| v.is_finite()) {
+            return Err(PassivityError::InvalidInput("the Gramian is not finite".into()));
         }
-        Ok(PerturbationNorm { gramians, ports, states })
+        Ok(PerturbationNorm { gramian })
     }
 
-    /// The standard (unweighted) L2 norm of eq. (10): every element is
-    /// weighted by the plain controllability Gramian of the shared
-    /// per-element realization.
+    /// The standard (unweighted) L2 norm of eq. (10): the plain
+    /// controllability Gramian of the shared per-element realization.
     ///
     /// # Errors
     ///
     /// Propagates realization and Lyapunov failures.
     pub fn standard(model: &PoleResidueModel) -> Result<Self> {
-        let ports = model.ports();
         let element = StateSpace::from_pole_residue_element(model, 0, 0)?;
-        let p = element_gramian(&element).map_err(PassivityError::StateSpace)?;
-        let states = element.order();
-        Ok(PerturbationNorm { gramians: vec![p; ports * ports], ports, states })
+        Self::from_gramian(element_gramian(&element).map_err(PassivityError::StateSpace)?)
     }
 
-    /// The Gramian blocks (row-major element order).
-    pub fn gramians(&self) -> &[Mat] {
-        &self.gramians
+    /// The Gramian `G`, `N × N`.
+    pub fn gramians(&self) -> &Mat {
+        &self.gramian
     }
 
-    /// Number of ports the norm was built for.
-    pub fn ports(&self) -> usize {
-        self.ports
-    }
-
-    /// States per element.
+    /// States per element (`N`).
     pub fn states(&self) -> usize {
-        self.states
+        self.gramian.rows()
     }
 
-    /// Evaluates the norm `Σ_e δc_e G_e δc_eᵀ` of a stacked perturbation
-    /// vector (diagnostic helper).
+    /// Evaluates the norm `Σ_e δc_e·G·δc_eᵀ` of a stacked perturbation
+    /// vector, one `N`-long segment per element (diagnostic helper).
     ///
     /// # Errors
     ///
-    /// Returns [`PassivityError::InvalidInput`] on a length mismatch.
+    /// Returns [`PassivityError::InvalidInput`] when the length is not a
+    /// positive multiple of `N`.
     pub fn evaluate(&self, delta: &[f64]) -> Result<f64> {
-        if delta.len() != self.ports * self.ports * self.states {
+        let states = self.states();
+        if delta.is_empty() || !delta.len().is_multiple_of(states) {
             return Err(PassivityError::InvalidInput(format!(
-                "perturbation vector has {} entries, expected {}",
-                delta.len(),
-                self.ports * self.ports * self.states
+                "perturbation vector has {} entries, expected a positive multiple of {states}",
+                delta.len()
             )));
         }
         let mut total = 0.0;
-        for (e, g) in self.gramians.iter().enumerate() {
-            let seg = &delta[e * self.states..(e + 1) * self.states];
-            let gs = g.matvec(seg)?;
+        for seg in delta.chunks_exact(states) {
+            let gs = self.gramian.matvec(seg)?;
             total += seg.iter().zip(&gs).map(|(a, b)| a * b).sum::<f64>();
         }
         Ok(total)
@@ -210,16 +197,17 @@ pub trait EnforcementObserver {
     fn on_enforcement_iteration(&mut self, event: &EnforcementIteration);
 }
 
-/// What the adaptive QP damping did during a run. All-zero on healthy runs
-/// — which is exactly the bit-identity guarantee of the fixtures.
+/// What the adaptive QP damping did during a run. `qp_lambda_max` is zero
+/// on healthy runs — which is exactly the bit-identity guarantee of the
+/// fixtures.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RobustnessInfo {
-    /// Largest relative Tikhonov λ the adaptive QP damping applied.
+    /// Largest relative Tikhonov λ the adaptive QP damping applied: zero
+    /// unless the damping was escalated above the base λ, and at least
+    /// 1e-14 once it was.
     pub qp_lambda_max: f64,
     /// Largest post-damping Gramian condition estimate.
     pub qp_condition_max: f64,
-    /// Number of Gramian blocks whose damping was escalated above the base.
-    pub qp_damped_blocks: usize,
 }
 
 /// Result of a passivity enforcement run.
@@ -304,12 +292,10 @@ pub fn enforce_passivity(
     config: &EnforcementConfig,
     mut observer: Option<&mut dyn EnforcementObserver>,
 ) -> Result<EnforcementOutcome> {
-    if norm.ports() != model.ports() || norm.states() != model.order() {
+    if norm.states() != model.order() {
         return Err(PassivityError::InvalidInput(format!(
-            "norm was built for a {}-port order-{} model, got {}-port order-{}",
-            norm.ports(),
+            "norm was built for an order-{} model, got order {}",
             norm.states(),
-            model.ports(),
             model.order()
         )));
     }
@@ -347,10 +333,10 @@ pub fn enforce_passivity(
     // Quantities that are invariant across the outer iterations: the
     // perturbation only moves residues, never poles, so the shared
     // per-element realization `(A_e, b_e)` used by the constraint
-    // linearization is fixed, and so are the Gramian weights — factor them
-    // once instead of re-running LU per iteration. Near-singular blocks get
-    // adaptive Tikhonov damping (decayed as the iterate improves);
-    // well-conditioned blocks factor bit-identically to the fixed path.
+    // linearization is fixed, and so is the Gramian — factor it once
+    // instead of re-running LU per iteration. A near-singular Gramian gets
+    // adaptive Tikhonov damping (decayed as the iterate improves); a
+    // well-conditioned one factors bit-identically to the fixed path.
     let element = StateSpace::from_pole_residue_element(&current, 0, 0)?;
     let mut qp_factors = BlockQpFactors::new_adaptive(
         norm.gramians(),
@@ -485,7 +471,7 @@ pub fn enforce_passivity(
 
                 // Adaptive damping decays once the iterate improves again,
                 // so the converged perturbation is not biased by λ.
-                if !grew && qp_factors.damped_blocks() > 0 {
+                if !grew {
                     qp_factors.decay()?;
                 }
                 record_qp_state(&mut robustness, &qp_factors);
@@ -502,11 +488,9 @@ pub fn enforce_passivity(
 /// Folds the current QP damping state into the run's [`RobustnessInfo`]
 /// (maxima over the run; λ counts only when escalated above the base).
 fn record_qp_state(robustness: &mut RobustnessInfo, factors: &BlockQpFactors) {
-    robustness.qp_condition_max = robustness.qp_condition_max.max(factors.max_condition_estimate());
-    robustness.qp_damped_blocks = robustness.qp_damped_blocks.max(factors.damped_blocks());
-    if factors.damped_blocks() > 0 {
-        robustness.qp_lambda_max =
-            robustness.qp_lambda_max.max(factors.max_applied_regularization());
+    robustness.qp_condition_max = robustness.qp_condition_max.max(factors.condition_estimate());
+    if factors.is_damped() {
+        robustness.qp_lambda_max = robustness.qp_lambda_max.max(factors.applied_regularization());
     }
 }
 
@@ -735,7 +719,7 @@ mod tests {
         // runs out mid-trajectory.
         let model = violating_one_port();
         let g = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]]);
-        let norm = PerturbationNorm::from_gramians(vec![g], 1, 2).unwrap();
+        let norm = PerturbationNorm::from_gramian(g).unwrap();
         let cfg = EnforcementConfig {
             sweep_points: 100,
             max_iterations: 3,
@@ -797,7 +781,7 @@ mod tests {
         // not that it rescues a run that would otherwise fail.
         let model = violating_one_port();
         let g = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]]);
-        let norm = PerturbationNorm::from_gramians(vec![g], 1, 2).unwrap();
+        let norm = PerturbationNorm::from_gramian(g).unwrap();
         let cfg = EnforcementConfig {
             sweep_points: 100,
             max_iterations: 60,
@@ -809,7 +793,6 @@ mod tests {
         assert!(out.report.passive);
         assert!(out.report.sigma_max <= 1.0 + 1e-9);
         // The damping actually engaged.
-        assert_eq!(out.robustness.qp_damped_blocks, 1);
         assert!(out.robustness.qp_lambda_max > cfg.qp.regularization);
         assert!(out.robustness.qp_condition_max <= 1e6 * (1.0 + 1e-9));
     }
@@ -837,21 +820,25 @@ mod tests {
         for (x, y) in a.model.residues().iter().zip(b.model.residues()) {
             assert_eq!((x.max_abs_diff(y)).to_bits(), 0.0f64.to_bits());
         }
-        assert_eq!(a.robustness.qp_damped_blocks, 0);
+        assert_eq!(a.robustness.qp_lambda_max.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn norm_validation_and_evaluation() {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
-        assert_eq!(norm.ports(), 1);
         assert_eq!(norm.states(), 2);
-        assert_eq!(norm.gramians().len(), 1);
+        assert_eq!(norm.gramians().shape(), (2, 2));
         let v = norm.evaluate(&[1.0, 0.0]).unwrap();
         assert!(v > 0.0);
+        // The one Gramian weights every N-long segment.
+        let two = norm.evaluate(&[1.0, 0.0, 1.0, 0.0]).unwrap();
+        assert_eq!(two.to_bits(), (v + v).to_bits());
         assert!(norm.evaluate(&[1.0]).is_err());
-        assert!(PerturbationNorm::from_gramians(vec![Mat::identity(2)], 2, 2).is_err());
-        assert!(PerturbationNorm::from_gramians(vec![Mat::identity(3)], 1, 2).is_err());
+        assert!(norm.evaluate(&[]).is_err());
+        assert!(PerturbationNorm::from_gramian(Mat::zeros(2, 3)).is_err());
+        assert!(PerturbationNorm::from_gramian(Mat::zeros(0, 0)).is_err());
+        assert!(PerturbationNorm::from_gramian(Mat::from_diag(&[1.0, f64::NAN])).is_err());
         // Mismatched norm vs model is rejected by the loop.
         let other = violating_two_port();
         assert!(
@@ -873,34 +860,26 @@ mod tests {
 
     #[test]
     fn weighted_norm_changes_where_the_perturbation_lands() {
-        // Weight element (0,0) enormously: the enforcement should prefer to
-        // perturb it less than with the standard norm. We verify through the
-        // low-frequency response deviation of the two passive models.
+        // Weight one pole's states: G' = D·G·D with D scaling the states of
+        // the resonant pair (states 0 and 1) by 10, so perturbing its
+        // residues costs 100 times more. The enforcement should then move
+        // that pole's residues less than under the standard norm.
         let model = violating_two_port();
         let standard = PerturbationNorm::standard(&model).unwrap();
-        let heavy = {
-            let mut blocks = standard.gramians().to_vec();
-            blocks[0] = blocks[0].scaled(100.0);
-            PerturbationNorm::from_gramians(blocks, 2, 3).unwrap()
-        };
+        let d = [10.0, 10.0, 1.0];
+        let g = standard.gramians();
+        let heavy =
+            PerturbationNorm::from_gramian(Mat::from_fn(3, 3, |i, j| d[i] * g[(i, j)] * d[j]))
+                .unwrap();
         let cfg = EnforcementConfig { sweep_points: 150, max_iterations: 60, ..Default::default() };
         let out_std = enforce_passivity(&model, &standard, 6000.0, &cfg, None).unwrap();
         let out_w = enforce_passivity(&model, &heavy, 6000.0, &cfg, None).unwrap();
         assert!(out_std.report.passive && out_w.report.passive);
-        let dev = |m: &PoleResidueModel| -> f64 {
-            let mut acc: f64 = 0.0;
-            for k in 1..40 {
-                let w = k as f64 * 20.0;
-                let a = m.evaluate_at_omega(w).unwrap()[(0, 0)];
-                let b = model.evaluate_at_omega(w).unwrap()[(0, 0)];
-                acc = acc.max((a - b).abs());
-            }
-            acc
-        };
-        assert!(
-            dev(&out_w.model) <= dev(&out_std.model) + 1e-12,
-            "heavily weighting element (0,0) must not increase its deviation"
-        );
+        // Largest change of the pair's residue over all matrix elements:
+        // about 4.0 weighted against 29 standard here.
+        let moved = |m: &PoleResidueModel| m.residues()[0].max_abs_diff(&model.residues()[0]);
+        let (w, s) = (moved(&out_w.model), moved(&out_std.model));
+        assert!(w < s, "weighting the pair's states must move its residues less: {w} vs {s}");
         let _ = sigma_max_at(&out_w.model, 900.0).unwrap();
     }
 }

@@ -14,8 +14,9 @@
 //!   exactly as a least-distance problem in Cholesky-whitened coordinates by
 //!   the Goldfarb–Idnani dual active-set method;
 //! * [`enforce`] — the outer iterative perturbation loop. The loop is
-//!   parameterized by the per-element Gramians that define the perturbation
-//!   norm, so the *same* code runs both the standard L2 enforcement (eq. 10)
+//!   parameterized by the one Gramian, shared by every matrix element, that
+//!   defines the perturbation norm, so the *same* code runs both the
+//!   standard L2 enforcement (eq. 10)
 //!   and the sensitivity-weighted enforcement of the paper (eq. 20–21, built
 //!   by `pim-core`), and it reports every outer iteration to an optional
 //!   [`enforce::EnforcementObserver`];

@@ -1,8 +1,8 @@
 //! Pluggable construction of perturbation norms.
 //!
 //! The enforcement loop of [`crate::enforce`] is parameterized by a
-//! [`PerturbationNorm`] — the per-element Gramian blocks weighting the
-//! residue perturbation. This module makes the *construction* of that norm a
+//! [`PerturbationNorm`] — the Gramian, shared by every matrix element, that
+//! weights the residue perturbation. This module makes the *construction* of that norm a
 //! first-class, pluggable step: [`NormBuilder`] abstracts "given a macromodel,
 //! build its perturbation norm", and [`NormKind`] names the families so that
 //! diagnostics and observers can label which norm an enforcement run used.
@@ -19,9 +19,10 @@ use std::fmt;
 /// Identifies a perturbation-norm family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NormKind {
-    /// The standard (unweighted) L2 norm: plain controllability Gramians.
+    /// The standard (unweighted) L2 norm: the plain controllability
+    /// Gramian.
     Standard,
-    /// The paper's sensitivity-weighted norm: cascade Gramians of
+    /// The paper's sensitivity-weighted norm: the cascade Gramian of
     /// `Ξ̃(s)·δS(s)`.
     SensitivityWeighted,
 }
@@ -40,13 +41,13 @@ impl fmt::Display for NormKind {
 /// Implementations capture whatever side information the norm family needs
 /// (the standard norm needs none; the sensitivity-weighted norm carries the
 /// weighting model `Ξ̃(s)`), and [`NormBuilder::build`] instantiates the
-/// Gramian blocks for the concrete model about to be enforced.
+/// Gramian for the concrete model about to be enforced.
 pub trait NormBuilder {
     /// The family this builder belongs to (used for diagnostics and
     /// observer labeling).
     fn kind(&self) -> NormKind;
 
-    /// Builds the per-element Gramian norm for `model`.
+    /// Builds the Gramian norm for `model`.
     ///
     /// # Errors
     ///

@@ -5,18 +5,20 @@
 //! The problem is
 //!
 //! ```text
-//! minimize    Σ_e  δc_e · G_e · δc_eᵀ
+//! minimize    Σ_e  δc_e · G · δc_eᵀ
 //! subject to  F · x ≤ g
 //! ```
 //!
-//! with `x` stacking the per-element rows `δc_e` and each `G_e` symmetric
-//! positive definite (a controllability Gramian, plain or sensitivity
-//! weighted: eq. 10–11 and 19–21).
+//! with `x` stacking the per-element rows `δc_e` and `G` one symmetric
+//! positive definite `N × N` matrix that weights every element: the
+//! elements of a common-pole fit share their realization, hence their
+//! controllability Gramian, plain or sensitivity weighted (eq. 10–11 and
+//! 19–21).
 //!
-//! [`BlockQpFactors`] Cholesky-factors every damped block,
-//! `G_e + λ_e·s_e·I = L_e·L_eᵀ`. In the whitened unknowns `y_e = L_eᵀ·x_e`
-//! the objective is `‖y‖²` and the constraints read `F̃·y ≤ g` with
-//! `F̃ = F·blkdiag(L_e⁻ᵀ)`: a least-distance problem.
+//! [`BlockQpFactors`] Cholesky-factors the damped Gramian once,
+//! `G + λ·s·I = L·Lᵀ`. In the whitened unknowns `y_e = Lᵀ·x_e` the
+//! objective is `‖y‖²` and the constraints read `F̃·y ≤ g` with
+//! `F̃ = F·(I ⊗ L⁻ᵀ)`: a least-distance problem.
 //! [`solve_block_qp_factored`] scales the rows of `F̃` to unit length and
 //! solves it exactly with the dual active-set method of Goldfarb and Idnani
 //! ("A numerically stable dual method for solving strictly convex quadratic
@@ -29,33 +31,33 @@
 //! O(n·k) for `n` unknowns and `k` active constraints, plus an O(m·n) scan
 //! for the next violated row; no m×m dual Hessian, no n×n matrix and no
 //! normal-equations product is formed. The solution maps back as
-//! `x_e = L_e⁻ᵀ·y_e`.
+//! `x_e = L⁻ᵀ·y_e`.
 //!
 //! The solve is exact up to rounding. [`QpSolution::iterations`] counts the
 //! active-set steps, one per constraint added or dropped. The
-//! [`QpSolution::multipliers`] satisfy the KKT conditions `2·G·x + Fᵀ·λ = 0`,
-//! `λ ≥ 0` and `λ_i·(F·x − g)_i = 0`, with `G` the damped blocks.
-//! Inconsistent constraints return [`PassivityError::InfeasibleQp`] and a
-//! solve that reaches the step cap returns [`PassivityError::QpStepCap`];
-//! neither returns a partial step.
+//! [`QpSolution::multipliers`] satisfy the KKT conditions
+//! `2·(I ⊗ G)·x + Fᵀ·λ = 0`, `λ ≥ 0` and `λ_i·(F·x − g)_i = 0`, with `G`
+//! the damped Gramian. Inconsistent constraints return
+//! [`PassivityError::InfeasibleQp`] and a solve that reaches the step cap
+//! returns [`PassivityError::QpStepCap`]; neither returns a partial step.
 
 use crate::{PassivityError, Result};
 use pim_linalg::lu::Lu;
 use pim_linalg::Mat;
 
-/// Options of the perturbation QP: the Tikhonov damping of its Gramian
-/// blocks, applied when [`BlockQpFactors`] factors them.
+/// Options of the perturbation QP: the Tikhonov damping of its Gramian,
+/// applied when [`BlockQpFactors`] factors it.
 #[derive(Debug, Clone)]
 pub struct QpOptions {
-    /// Relative Tikhonov regularization added to each Gramian block to keep
-    /// the Hessian safely positive definite.
+    /// Relative Tikhonov regularization added to the Gramian to keep the
+    /// Hessian safely positive definite.
     pub regularization: f64,
-    /// Condition cap for adaptive Tikhonov damping: Gramian blocks whose LU
-    /// condition estimate exceeds this get their regularization escalated
-    /// (×100 per step) until they comply, so a near-singular block damps the
-    /// perturbation instead of blowing up the step. `f64::INFINITY` disables
-    /// the adaptive path; well-conditioned blocks are factored bit-identically
-    /// to the fixed-Tikhonov path either way.
+    /// Condition cap for adaptive Tikhonov damping: a Gramian whose LU
+    /// condition estimate exceeds this gets its regularization escalated
+    /// (×100 per step) until it complies, so a near-singular Gramian damps
+    /// the perturbation instead of blowing up the step. `f64::INFINITY`
+    /// disables the adaptive path; a well-conditioned Gramian is factored
+    /// bit-identically to the fixed-Tikhonov path either way.
     pub max_condition: f64,
 }
 
@@ -71,55 +73,49 @@ pub struct QpSolution {
     /// The optimal perturbation vector (stacked per-element rows).
     pub x: Vec<f64>,
     /// Lagrange multipliers `λ ≥ 0` of the constraints, with
-    /// `2·G·x + Fᵀ·λ = 0` for the damped blocks `G`; exactly zero for the
-    /// constraints that are not active at the solution.
+    /// `2·(I ⊗ G)·x + Fᵀ·λ = 0` for the damped Gramian `G`; exactly zero for
+    /// the constraints that are not active at the solution.
     pub multipliers: Vec<f64>,
     /// Number of active-set steps (constraints added plus dropped).
     pub iterations: usize,
-    /// Objective value `Σ_e x_eᵀ·G_e·x_e` at the solution, with the
-    /// undamped blocks.
+    /// Objective value `Σ_e x_eᵀ·G·x_e` at the solution, with the undamped
+    /// Gramian.
     pub objective: f64,
 }
 
-/// Pre-factored Gramian blocks of the QP Hessian.
+/// The pre-factored Gramian of the QP Hessian `I ⊗ G`.
 ///
-/// The Gramian weights are fixed across the outer iterations of the
-/// enforcement loop (the norm depends only on the poles and the sensitivity
-/// weight, neither of which the perturbation changes), so the per-block
-/// Cholesky factors can be computed once and reused by every
-/// [`solve_block_qp_factored`] call instead of being rebuilt from scratch
-/// each iteration.
+/// The Gramian is fixed across the outer iterations of the enforcement loop
+/// (the norm depends only on the poles and the sensitivity weight, neither
+/// of which the perturbation changes), so its Cholesky factor is computed
+/// once and reused by every [`solve_block_qp_factored`] call instead of
+/// being rebuilt from scratch each iteration.
 #[derive(Debug, Clone)]
 pub struct BlockQpFactors {
-    blocks: Vec<Mat>,
-    /// Lower Cholesky factor `L_e` of each damped block.
-    factors: Vec<Mat>,
-    n_block: usize,
+    gramian: Mat,
+    /// Lower Cholesky factor `L` of the damped Gramian.
+    factor: Mat,
     base_regularization: f64,
     max_condition: f64,
-    /// Relative Tikhonov λ actually baked into each block's factorization
-    /// (`== base_regularization` for well-conditioned blocks).
-    applied: Vec<f64>,
-    /// LU condition estimate of each block after damping.
-    conditions: Vec<f64>,
+    /// Relative Tikhonov λ baked into the factorization
+    /// (`== base_regularization` unless escalated).
+    applied: f64,
+    /// LU condition estimate of the Gramian after damping.
+    condition: f64,
 }
 
-/// The block with a relative Tikhonov term `lambda` on its diagonal.
-fn damped(b: &Mat, n_block: usize, lambda: f64) -> Mat {
-    let scale = b.trace().abs().max(1e-300) / n_block as f64;
-    b + &Mat::identity(n_block).scaled(lambda * scale)
+/// The Gramian with a relative Tikhonov term `lambda` on its diagonal.
+fn damped(g: &Mat, lambda: f64) -> Mat {
+    let n = g.rows();
+    let scale = g.trace().abs().max(1e-300) / n as f64;
+    g + &Mat::identity(n).scaled(lambda * scale)
 }
 
-/// Escalates `lambda` (×100 per step) until the damped block's LU condition
-/// estimate is at or below `max_condition`, returning the Cholesky factor of
-/// that damped block, the λ used and the final estimate.
-fn factor_block_capped(
-    b: &Mat,
-    n_block: usize,
-    mut lambda: f64,
-    max_condition: f64,
-) -> Result<(Mat, f64, f64)> {
-    let mut matrix = damped(b, n_block, lambda);
+/// Escalates `lambda` (×100 per step) until the damped Gramian's LU
+/// condition estimate is at or below `max_condition`, returning the Cholesky
+/// factor of that damped Gramian, the λ used and the final estimate.
+fn factor_capped(g: &Mat, mut lambda: f64, max_condition: f64) -> Result<(Mat, f64, f64)> {
+    let mut matrix = damped(g, lambda);
     let mut attempt = Lu::new(&matrix);
     for _ in 0..24 {
         let cond = match &attempt {
@@ -130,7 +126,7 @@ fn factor_block_capped(
             break;
         }
         lambda = lambda.max(1e-16) * 100.0;
-        matrix = damped(b, n_block, lambda);
+        matrix = damped(g, lambda);
         attempt = Lu::new(&matrix);
     }
     let cond = attempt?.condition_estimate();
@@ -151,7 +147,7 @@ fn cholesky(a: &Mat) -> Result<Mat> {
                 l[(i, i)] = s.sqrt();
             } else {
                 return Err(PassivityError::InvalidInput(
-                    "a damped Gramian block is not positive definite".into(),
+                    "the damped Gramian is not positive definite".into(),
                 ));
             }
         }
@@ -164,99 +160,77 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 impl BlockQpFactors {
-    /// Factors the Gramian blocks with the relative Tikhonov term
-    /// `regularization` and adaptive damping: any block whose LU condition
-    /// estimate exceeds `max_condition` gets its λ escalated until it
-    /// complies. Well-conditioned blocks are factored bit-identically to the
-    /// fixed-Tikhonov factorization (`max_condition = f64::INFINITY`).
+    /// Factors the Gramian with the relative Tikhonov term `regularization`
+    /// and adaptive damping: if its LU condition estimate exceeds
+    /// `max_condition`, λ is escalated until it complies. A well-conditioned
+    /// Gramian is factored bit-identically to the fixed-Tikhonov
+    /// factorization (`max_condition = f64::INFINITY`).
     ///
     /// # Errors
     ///
-    /// Returns [`PassivityError::InvalidInput`] on inconsistent block shapes
-    /// or a damped block that is not positive definite, and propagates
-    /// factorization failures.
-    pub fn new_adaptive(blocks: &[Mat], regularization: f64, max_condition: f64) -> Result<Self> {
-        if blocks.is_empty() {
-            return Err(PassivityError::InvalidInput(
-                "at least one Gramian block is required".into(),
-            ));
+    /// Returns [`PassivityError::InvalidInput`] on an empty or non-square
+    /// Gramian or a damped Gramian that is not positive definite, and
+    /// propagates factorization failures.
+    pub fn new_adaptive(gramian: &Mat, regularization: f64, max_condition: f64) -> Result<Self> {
+        if !gramian.is_square() || gramian.rows() == 0 {
+            return Err(PassivityError::InvalidInput(format!(
+                "the Gramian must be square and non-empty, got {}x{}",
+                gramian.rows(),
+                gramian.cols()
+            )));
         }
-        let n_block = blocks[0].rows();
-        if blocks.iter().any(|b| !b.is_square() || b.rows() != n_block) {
-            return Err(PassivityError::InvalidInput(
-                "all Gramian blocks must be square and of identical size".into(),
-            ));
-        }
-        let mut factors = Vec::with_capacity(blocks.len());
-        let mut applied = Vec::with_capacity(blocks.len());
-        let mut conditions = Vec::with_capacity(blocks.len());
-        for b in blocks {
-            let (l, lambda, cond) = factor_block_capped(b, n_block, regularization, max_condition)?;
-            factors.push(l);
-            applied.push(lambda);
-            conditions.push(cond);
-        }
+        let (factor, applied, condition) = factor_capped(gramian, regularization, max_condition)?;
         Ok(BlockQpFactors {
-            blocks: blocks.to_vec(),
-            factors,
-            n_block,
+            gramian: gramian.clone(),
+            factor,
             base_regularization: regularization,
             max_condition,
             applied,
-            conditions,
+            condition,
         })
     }
 
-    /// Total number of unknowns (`blocks · block size`).
-    pub fn unknowns(&self) -> usize {
-        self.blocks.len() * self.n_block
+    /// Relative Tikhonov λ baked into the factorization.
+    pub fn applied_regularization(&self) -> f64 {
+        self.applied
     }
 
-    /// Largest relative Tikhonov λ baked into any block.
-    pub fn max_applied_regularization(&self) -> f64 {
-        self.applied.iter().fold(0.0, |a, &b| a.max(b))
+    /// Condition estimate of the Gramian after damping.
+    pub fn condition_estimate(&self) -> f64 {
+        self.condition
     }
 
-    /// Largest post-damping condition estimate across the blocks.
-    pub fn max_condition_estimate(&self) -> f64 {
-        self.conditions.iter().fold(0.0, |a, &b| a.max(b))
+    /// Whether the damping was escalated above the base λ.
+    pub fn is_damped(&self) -> bool {
+        self.applied > self.base_regularization
     }
 
-    /// Number of blocks whose damping was escalated above the base λ.
-    pub fn damped_blocks(&self) -> usize {
-        self.applied.iter().filter(|&&l| l > self.base_regularization).count()
-    }
-
-    /// Divides the extra damping (above the base λ) of every escalated
-    /// block by 10, re-escalating where the condition cap would break, and
-    /// refactors the changed blocks. The enforcement loop calls it on every
-    /// accepted improving step, so the bias vanishes as the loop converges.
-    /// Returns `true` if any block changed. No-op (and bit-identity-safe)
-    /// when nothing was ever escalated.
+    /// Divides an escalated λ by 10 (never below the base λ),
+    /// re-escalating where the condition cap would break, and refactors
+    /// the Gramian. The enforcement loop calls it on every accepted
+    /// improving step, so the bias vanishes as the loop converges. Returns
+    /// `true` if the factor changed. No-op (and bit-identity-safe) when
+    /// nothing was ever escalated.
     ///
     /// # Errors
     ///
     /// Propagates factorization failures.
     pub fn decay(&mut self) -> Result<bool> {
         const FACTOR: f64 = 10.0;
-        let mut changed = false;
-        for e in 0..self.blocks.len() {
-            if self.applied[e] <= self.base_regularization {
-                continue;
-            }
-            let target = (self.applied[e] / FACTOR).max(self.base_regularization);
-            let (l, lambda, cond) =
-                factor_block_capped(&self.blocks[e], self.n_block, target, self.max_condition)?;
-            // Never escalate past the current λ from inside a decay — that
-            // would oscillate between a too-light and a too-heavy damping.
-            if lambda < self.applied[e] {
-                self.factors[e] = l;
-                self.applied[e] = lambda;
-                self.conditions[e] = cond;
-                changed = true;
-            }
+        if !self.is_damped() {
+            return Ok(false);
         }
-        Ok(changed)
+        let target = (self.applied / FACTOR).max(self.base_regularization);
+        let (factor, lambda, condition) = factor_capped(&self.gramian, target, self.max_condition)?;
+        // Never escalate past the current λ from inside a decay — that
+        // would oscillate between a too-light and a too-heavy damping.
+        if lambda >= self.applied {
+            return Ok(false);
+        }
+        self.factor = factor;
+        self.applied = lambda;
+        self.condition = condition;
+        Ok(true)
     }
 }
 
@@ -363,16 +337,18 @@ impl ActiveSet {
     }
 }
 
-/// Solves the block-diagonal Gramian-weighted QP with pre-factored blocks.
+/// Solves the Gramian-weighted QP with the pre-factored Gramian.
 ///
-/// `f` and `g` define the inequality constraints `F·x ≤ g`. The options are
-/// not consulted here: the Tikhonov term is baked into `factors` at
+/// `f` and `g` define the inequality constraints `F·x ≤ g`; the columns of
+/// `f` are the segments `x_e`, `N` each. The options are not consulted
+/// here: the Tikhonov term is baked into `factors` at
 /// [`BlockQpFactors::new_adaptive`] time (that is the whole point of
 /// pre-factoring).
 ///
 /// # Errors
 ///
-/// Returns [`PassivityError::InvalidInput`] on dimension mismatches and
+/// Returns [`PassivityError::InvalidInput`] on dimension mismatches (a
+/// column count that is not a positive multiple of `N` included) and
 /// non-finite constraints, [`PassivityError::InfeasibleQp`] when no `x`
 /// satisfies the constraints, and [`PassivityError::QpStepCap`] when the
 /// active-set iteration reaches its step cap.
@@ -382,13 +358,12 @@ pub fn solve_block_qp_factored(
     g: &[f64],
     _options: &QpOptions,
 ) -> Result<QpSolution> {
-    let n_block = factors.n_block;
-    let n = factors.unknowns();
-    if f.cols() != n {
+    let l = &factors.factor;
+    let n_block = l.rows();
+    let n = f.cols();
+    if n == 0 || !n.is_multiple_of(n_block) {
         return Err(PassivityError::InvalidInput(format!(
-            "constraint matrix has {} columns, expected {}",
-            f.cols(),
-            n
+            "constraint matrix has {n} columns, expected a positive multiple of {n_block}"
         )));
     }
     if f.rows() != g.len() {
@@ -401,16 +376,14 @@ pub fn solve_block_qp_factored(
     let m = g.len();
 
     // Whitened unit rows a_r = F̃_r/ν_r with bounds b_r = g_r/ν_r, where
-    // F̃_r = F_r·blkdiag(L_e⁻ᵀ) (forward substitution per block) and
+    // F̃_r = F_r·(I ⊗ L⁻ᵀ) (forward substitution per segment) and
     // ν_r = ‖F̃_r‖. A zero row constrains nothing when g_r ≥ 0.
     let mut a = vec![0.0; m * n];
     let mut b = vec![0.0; m];
     let mut scale = vec![0.0; m];
     let mut selectable = vec![true; m];
     for (r, row) in a.chunks_exact_mut(n).enumerate() {
-        for (e, l) in factors.factors.iter().enumerate() {
-            let seg = &mut row[e * n_block..(e + 1) * n_block];
-            let rhs = &f.row(r)[e * n_block..(e + 1) * n_block];
+        for (seg, rhs) in row.chunks_exact_mut(n_block).zip(f.row(r).chunks_exact(n_block)) {
             for i in 0..n_block {
                 seg[i] = (rhs[i] - dot(&l.row(i)[..i], &seg[..i])) / l[(i, i)];
             }
@@ -506,11 +479,10 @@ pub fn solve_block_qp_factored(
         }
     }
 
-    // Back to the original unknowns: x_e = L_e⁻ᵀ·y_e.
+    // Back to the original unknowns: x_e = L⁻ᵀ·y_e.
     let mut x = vec![0.0; n];
-    for (e, l) in factors.factors.iter().enumerate() {
-        let mut rem = y[e * n_block..(e + 1) * n_block].to_vec();
-        let seg = &mut x[e * n_block..(e + 1) * n_block];
+    for (seg, y_e) in x.chunks_exact_mut(n_block).zip(y.chunks_exact(n_block)) {
+        let mut rem = y_e.to_vec();
         for i in (0..n_block).rev() {
             seg[i] = rem[i] / l[(i, i)];
             for (rk, lk) in rem[..i].iter_mut().zip(&l.row(i)[..i]) {
@@ -524,12 +496,10 @@ pub fn solve_block_qp_factored(
     for (&row, &u) in active.rows.iter().zip(&active.u) {
         multipliers[row] = 2.0 * u / scale[row];
     }
-    // Objective xᵀ (blkdiag G) x.
+    // Objective xᵀ·(I ⊗ G)·x.
     let mut objective = 0.0;
-    for (e, blk) in factors.blocks.iter().enumerate() {
-        let seg = &x[e * n_block..(e + 1) * n_block];
-        let bs = blk.matvec(seg)?;
-        objective += dot(seg, &bs);
+    for seg in x.chunks_exact(n_block) {
+        objective += dot(seg, &factors.gramian.matvec(seg)?);
     }
     Ok(QpSolution { x, multipliers, iterations: steps, objective })
 }
@@ -538,18 +508,17 @@ pub fn solve_block_qp_factored(
 mod tests {
     use super::*;
 
-    /// The QP with fixed Tikhonov factors (no adaptive damping).
-    fn solve_fixed(blocks: &[Mat], f: &Mat, g: &[f64]) -> Result<QpSolution> {
+    /// The QP with a fixed Tikhonov factor (no adaptive damping).
+    fn solve_fixed(gramian: &Mat, f: &Mat, g: &[f64]) -> Result<QpSolution> {
         let options = QpOptions::default();
-        let factors = BlockQpFactors::new_adaptive(blocks, options.regularization, f64::INFINITY)?;
+        let factors = BlockQpFactors::new_adaptive(gramian, options.regularization, f64::INFINITY)?;
         solve_block_qp_factored(&factors, f, g, &options)
     }
 
     #[test]
     fn unconstrained_problem_returns_zero() {
-        let blocks = vec![Mat::identity(2)];
         let f = Mat::zeros(0, 2);
-        let sol = solve_fixed(&blocks, &f, &[]).unwrap();
+        let sol = solve_fixed(&Mat::identity(2), &f, &[]).unwrap();
         assert_eq!(sol.x, vec![0.0, 0.0]);
         assert_eq!((sol.objective).to_bits(), 0.0f64.to_bits());
         assert_eq!(sol.iterations, 0);
@@ -558,10 +527,10 @@ mod tests {
     #[test]
     fn single_constraint_identity_hessian_matches_analytic_solution() {
         // min ||x||^2  s.t.  a·x <= -1  with a = [1, 1]: solution is the
-        // projection x = -a/||a||^2 = [-0.5, -0.5], with 2x + λa = 0.
-        let blocks = vec![Mat::identity(1), Mat::identity(1)];
+        // projection x = -a/||a||^2 = [-0.5, -0.5], with 2x + λa = 0. The
+        // 1×1 Gramian weights two segments.
         let f = Mat::from_rows(&[&[1.0, 1.0]]);
-        let sol = solve_fixed(&blocks, &f, &[-1.0]).unwrap();
+        let sol = solve_fixed(&Mat::identity(1), &f, &[-1.0]).unwrap();
         assert!((sol.x[0] + 0.5).abs() < 1e-8);
         assert!((sol.x[1] + 0.5).abs() < 1e-8);
         assert!((sol.objective - 0.5).abs() < 1e-7);
@@ -573,29 +542,27 @@ mod tests {
     fn weighted_hessian_biases_solution_toward_cheap_directions() {
         // min x^T diag(10, 0.1) x  s.t.  x1 + x2 <= -1: most of the movement
         // must happen along the cheap coordinate x2.
-        let blocks = vec![Mat::from_diag(&[10.0]), Mat::from_diag(&[0.1])];
+        let gramian = Mat::from_diag(&[10.0, 0.1]);
         let f = Mat::from_rows(&[&[1.0, 1.0]]);
-        let sol = solve_fixed(&blocks, &f, &[-1.0]).unwrap();
+        let sol = solve_fixed(&gramian, &f, &[-1.0]).unwrap();
         assert!((sol.x[0] + sol.x[1] + 1.0).abs() < 1e-12, "constraint must be active");
         assert!(sol.x[1].abs() > 50.0 * sol.x[0].abs());
     }
 
     #[test]
     fn inactive_constraints_do_not_move_the_solution() {
-        let blocks = vec![Mat::identity(2)];
         let f = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         // Both constraints are satisfied at x = 0 (g >= 0): optimum stays 0.
-        let sol = solve_fixed(&blocks, &f, &[1.0, 2.0]).unwrap();
+        let sol = solve_fixed(&Mat::identity(2), &f, &[1.0, 2.0]).unwrap();
         assert!(sol.x.iter().all(|v| v.abs() < 1e-12));
         assert!(sol.multipliers.iter().all(|&l| l.to_bits() == 0.0f64.to_bits()));
     }
 
     #[test]
     fn multiple_active_constraints_are_satisfied() {
-        let blocks = vec![Mat::identity(3)];
         let f = Mat::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0], &[1.0, 0.0, 1.0]]);
         let g = vec![-1.0, -0.5, -2.0];
-        let sol = solve_fixed(&blocks, &f, &g).unwrap();
+        let sol = solve_fixed(&Mat::identity(3), &f, &g).unwrap();
         let fx = f.matvec(&sol.x).unwrap();
         for (lhs, rhs) in fx.iter().zip(&g) {
             assert!(*lhs <= rhs + 1e-12, "constraint violated: {lhs} > {rhs}");
@@ -609,9 +576,8 @@ mod tests {
         // row 2 is still violated. Adding it drives row 1's multiplier to
         // zero, so row 1 leaves: the optimum is x = (−1, −1.1) with rows 0
         // and 2 active, λ = (4.2, 0, 2.2).
-        let blocks = vec![Mat::identity(2)];
         let f = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[-1.0, 1.0]]);
-        let sol = solve_fixed(&blocks, &f, &[-1.0, -0.9, -0.1]).unwrap();
+        let sol = solve_fixed(&Mat::identity(2), &f, &[-1.0, -0.9, -0.1]).unwrap();
         assert!((sol.x[0] + 1.0).abs() < 1e-8 && (sol.x[1] + 1.1).abs() < 1e-8, "{:?}", sol.x);
         assert!((sol.multipliers[0] - 4.2).abs() < 1e-8);
         assert_eq!(sol.multipliers[1].to_bits(), 0.0f64.to_bits());
@@ -622,9 +588,8 @@ mod tests {
     #[test]
     fn contradictory_constraints_are_reported_infeasible() {
         // a·x ≤ −1 and −a·x ≤ −1 ask for a·x ≤ −1 and a·x ≥ 1 at once.
-        let blocks = vec![Mat::identity(2)];
         let f = Mat::from_rows(&[&[1.0, 2.0], &[-1.0, -2.0]]);
-        match solve_fixed(&blocks, &f, &[-1.0, -1.0]) {
+        match solve_fixed(&Mat::identity(2), &f, &[-1.0, -1.0]) {
             Err(PassivityError::InfeasibleQp { constraint }) => assert_eq!(constraint, 1),
             other => panic!("expected InfeasibleQp, got {other:?}"),
         }
@@ -632,44 +597,45 @@ mod tests {
 
     #[test]
     fn a_zero_row_is_infeasible_only_with_negative_headroom() {
-        let blocks = vec![Mat::identity(2)];
+        let identity = Mat::identity(2);
         let f = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]);
-        match solve_fixed(&blocks, &f, &[-1.0, -1e-3]) {
+        match solve_fixed(&identity, &f, &[-1.0, -1e-3]) {
             Err(PassivityError::InfeasibleQp { constraint }) => assert_eq!(constraint, 1),
             other => panic!("expected InfeasibleQp, got {other:?}"),
         }
         // With g ≥ 0 the zero row constrains nothing.
-        let sol = solve_fixed(&blocks, &f, &[-1.0, 0.0]).unwrap();
+        let sol = solve_fixed(&identity, &f, &[-1.0, 0.0]).unwrap();
         assert!((sol.x[0] + 1.0).abs() < 1e-12 && sol.x[1].abs() < 1e-12);
         assert_eq!(sol.multipliers[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn adaptive_damping_caps_near_singular_blocks_and_decays() {
-        // One healthy block, one near-singular block (condition ~1e12).
-        let blocks = vec![Mat::identity(2), Mat::from_diag(&[1.0, 1e-12])];
-        let mut factors = BlockQpFactors::new_adaptive(&blocks, 1e-10, 1e6).unwrap();
-        assert_eq!(factors.damped_blocks(), 1);
-        assert!(factors.max_condition_estimate() <= 1e6);
-        assert!(factors.max_applied_regularization() > 1e-10);
+        // A near-singular Gramian (condition ~1e12).
+        let gramian = Mat::from_diag(&[1.0, 1e-12]);
+        let mut factors = BlockQpFactors::new_adaptive(&gramian, 1e-10, 1e6).unwrap();
+        assert!(factors.is_damped());
+        assert!(factors.condition_estimate() <= 1e6);
+        assert!(factors.applied_regularization() > 1e-10);
         // Decay relaxes the damping only while the cap still holds.
-        let lambda_before = factors.max_applied_regularization();
+        let lambda_before = factors.applied_regularization();
         factors.decay().unwrap();
-        assert!(factors.max_applied_regularization() <= lambda_before);
-        assert!(factors.max_condition_estimate() <= 1e6);
-        // Decay never touches blocks that were never escalated.
-        let mut plain = BlockQpFactors::new_adaptive(&blocks[..1], 1e-10, f64::INFINITY).unwrap();
+        assert!(factors.applied_regularization() <= lambda_before);
+        assert!(factors.condition_estimate() <= 1e6);
+        // Decay never touches a Gramian that was never escalated.
+        let mut plain = BlockQpFactors::new_adaptive(&gramian, 1e-10, f64::INFINITY).unwrap();
+        assert!(!plain.is_damped());
         assert!(!plain.decay().unwrap());
     }
 
     #[test]
     fn adaptive_path_is_bit_identical_for_well_conditioned_blocks() {
-        let blocks = vec![Mat::from_diag(&[2.0, 3.0]), Mat::identity(2)];
+        let gramian = Mat::from_diag(&[2.0, 3.0]);
         let f = Mat::from_rows(&[&[1.0, 1.0, 0.5, -0.25]]);
         let g = [-1.0];
-        let plain = BlockQpFactors::new_adaptive(&blocks, 1e-10, f64::INFINITY).unwrap();
-        let adaptive = BlockQpFactors::new_adaptive(&blocks, 1e-10, 1e13).unwrap();
-        assert_eq!(adaptive.damped_blocks(), 0);
+        let plain = BlockQpFactors::new_adaptive(&gramian, 1e-10, f64::INFINITY).unwrap();
+        let adaptive = BlockQpFactors::new_adaptive(&gramian, 1e-10, 1e13).unwrap();
+        assert!(!adaptive.is_damped());
         let opts = QpOptions::default();
         let a = solve_block_qp_factored(&plain, &f, &g, &opts).unwrap();
         let b = solve_block_qp_factored(&adaptive, &f, &g, &opts).unwrap();
@@ -680,15 +646,27 @@ mod tests {
 
     #[test]
     fn input_validation() {
-        let blocks = vec![Mat::identity(2)];
-        assert!(solve_fixed(&[], &Mat::zeros(1, 2), &[0.0]).is_err());
-        assert!(solve_fixed(&blocks, &Mat::zeros(1, 3), &[0.0]).is_err());
-        assert!(solve_fixed(&blocks, &Mat::zeros(2, 2), &[0.0]).is_err());
-        let bad = vec![Mat::identity(2), Mat::identity(3)];
-        assert!(solve_fixed(&bad, &Mat::zeros(1, 5), &[0.0]).is_err());
+        let identity = Mat::identity(2);
+        assert!(solve_fixed(&Mat::zeros(0, 0), &Mat::zeros(1, 2), &[0.0]).is_err());
+        // Column counts that are not a positive multiple of N = 2.
+        for cols in [0, 3] {
+            assert!(matches!(
+                solve_fixed(&identity, &Mat::zeros(1, cols), &[0.0]),
+                Err(PassivityError::InvalidInput(_))
+            ));
+        }
+        assert!(solve_fixed(&identity, &Mat::zeros(2, 2), &[0.0]).is_err());
+        let not_square = Mat::zeros(2, 3);
+        assert!(matches!(
+            solve_fixed(&not_square, &Mat::zeros(1, 6), &[0.0]),
+            Err(PassivityError::InvalidInput(_))
+        ));
         let nan = Mat::from_rows(&[&[f64::NAN, 1.0]]);
-        assert!(matches!(solve_fixed(&blocks, &nan, &[0.0]), Err(PassivityError::InvalidInput(_))));
-        let indefinite = vec![Mat::from_diag(&[1.0, -1.0])];
+        assert!(matches!(
+            solve_fixed(&identity, &nan, &[0.0]),
+            Err(PassivityError::InvalidInput(_))
+        ));
+        let indefinite = Mat::from_diag(&[1.0, -1.0]);
         assert!(matches!(
             BlockQpFactors::new_adaptive(&indefinite, 0.0, f64::INFINITY),
             Err(PassivityError::InvalidInput(_))

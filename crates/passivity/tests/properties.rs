@@ -132,29 +132,24 @@ proptest! {
 
     #[test]
     fn adaptive_qp_is_bit_identical_to_fixed_tikhonov_when_well_conditioned(
-        n_blocks in 1usize..5,
+        segments in 1usize..6,
         n_block in 1usize..5,
         m in 1usize..7,
         lambda_pick in 0.0f64..1.0,
         v in prop::collection::vec(-1.0f64..1.0, 128),
     ) {
         let lambda_zero = lambda_pick < 0.5;
-        // Diagonally dominant SPD Gramian blocks: condition stays far below
+        // A diagonally dominant SPD Gramian: its condition stays far below
         // any realistic cap, so the adaptive path must never escalate and
         // the factorization (hence the QP solution) must be bit-identical
         // to the fixed-Tikhonov path.
         let at = |k: usize| v[k % v.len()];
-        let blocks: Vec<Mat> = (0..n_blocks)
-            .map(|e| {
-                let l = Mat::from_fn(n_block, n_block, |i, j| at(e * 31 + i * n_block + j));
-                let mut g = l.matmul(&l.transpose()).unwrap();
-                for i in 0..n_block {
-                    g[(i, i)] += n_block as f64 + 1.0;
-                }
-                g
-            })
-            .collect();
-        let n = n_blocks * n_block;
+        let l = Mat::from_fn(n_block, n_block, |i, j| at(i * n_block + j));
+        let mut gramian = l.matmul(&l.transpose()).unwrap();
+        for i in 0..n_block {
+            gramian[(i, i)] += n_block as f64 + 1.0;
+        }
+        let n = segments * n_block;
         let f = Mat::from_fn(m, n, |i, j| at(61 + i * n + j));
         // Feasible by construction: g = F·x₀ + |s| holds at x₀, and rows
         // with F·x₀ < 0 get negative headroom, so constraints stay active.
@@ -162,10 +157,10 @@ proptest! {
         let reg = if lambda_zero { 0.0 } else { 1e-10 };
         let options = QpOptions { regularization: reg, ..QpOptions::default() };
 
-        let fixed = BlockQpFactors::new_adaptive(&blocks, reg, f64::INFINITY).unwrap();
-        let adaptive = BlockQpFactors::new_adaptive(&blocks, reg, 1e13).unwrap();
-        prop_assert!(adaptive.damped_blocks() == 0, "no block may be escalated");
-        prop_assert!(adaptive.max_applied_regularization() == reg);
+        let fixed = BlockQpFactors::new_adaptive(&gramian, reg, f64::INFINITY).unwrap();
+        let adaptive = BlockQpFactors::new_adaptive(&gramian, reg, 1e13).unwrap();
+        prop_assert!(!adaptive.is_damped(), "the Gramian may not be escalated");
+        prop_assert!(adaptive.applied_regularization() == reg);
 
         let a = solve_block_qp_factored(&fixed, &f, &g, &options).unwrap();
         let b = solve_block_qp_factored(&adaptive, &f, &g, &options).unwrap();
@@ -194,33 +189,29 @@ proptest! {
 
     #[test]
     fn qp_solution_satisfies_kkt_on_random_feasible_problems(
-        n_blocks in 1usize..6,
+        segments in 1usize..6,
         n_block in 1usize..5,
         m in 1usize..9,
         damped_pick in 0.0f64..1.0,
         v in prop::collection::vec(-1.0f64..1.0, 256),
     ) {
         let at = |k: usize| v[k % v.len()];
-        // SPD blocks with condition up to ~1e3, factored undamped or with a
-        // visible relative Tikhonov term. No condition cap, so every block
-        // carries exactly the base λ and the damped Hessian is known here.
-        let blocks: Vec<Mat> = (0..n_blocks)
-            .map(|e| {
-                let l = Mat::from_fn(n_block, n_block, |i, j| at(e * 37 + i * n_block + j));
-                let mut g = l.matmul(&l.transpose()).unwrap();
-                for i in 0..n_block {
-                    g[(i, i)] += 0.01;
-                }
-                g
-            })
-            .collect();
+        // An SPD Gramian with condition up to ~1e3, factored undamped or with
+        // a visible relative Tikhonov term. No condition cap, so it carries
+        // exactly the base λ and the damped Hessian I ⊗ G is known here.
+        let l = Mat::from_fn(n_block, n_block, |i, j| at(i * n_block + j));
+        let mut gramian = l.matmul(&l.transpose()).unwrap();
+        for i in 0..n_block {
+            gramian[(i, i)] += 0.01;
+        }
         let reg = if damped_pick < 0.5 { 0.0 } else { 1e-2 };
-        let factors = BlockQpFactors::new_adaptive(&blocks, reg, f64::INFINITY).unwrap();
-        let n = n_blocks * n_block;
+        let factors = BlockQpFactors::new_adaptive(&gramian, reg, f64::INFINITY).unwrap();
+        let n = segments * n_block;
+        let shift = reg * gramian.trace() / n_block as f64;
+        let damped = &gramian + &Mat::identity(n_block).scaled(shift);
         let mut hessian = Mat::zeros(n, n);
-        for (e, b) in blocks.iter().enumerate() {
-            let shift = reg * b.trace() / n_block as f64;
-            hessian.set_block(e * n_block, e * n_block, &(b + &Mat::identity(n_block).scaled(shift)));
+        for e in 0..segments {
+            hessian.set_block(e * n_block, e * n_block, &damped);
         }
         let f = Mat::from_fn(m, n, |i, j| at(71 + i * n + j));
         let g = feasible_bounds(&f, &v, 131);
