@@ -81,6 +81,15 @@ pub trait FlowObserver {
     }
 
     /// One outer enforcement iteration completed under the given norm.
+    ///
+    /// A stage's iteration events arrive in iteration order, after its start
+    /// event and before its done or failed event. They are delivered once the
+    /// stage's loop has returned, not while it runs: [`Pipeline::report`]
+    /// runs the weighted pass and the standard baseline at once and then
+    /// replays both stages' events in the serial order, so the events of two
+    /// stages never interleave.
+    ///
+    /// [`Pipeline::report`]: crate::pipeline::Pipeline::report
     fn on_enforcement_iteration(&mut self, norm: NormKind, event: &EnforcementIteration) {
         let _ = (norm, event);
     }

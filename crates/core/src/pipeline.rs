@@ -23,12 +23,17 @@
 //! policy of the assessment and of every enforcement grid is
 //! [`FlowConfig::enforcement`]`.sampling` (adaptive by default).
 //!
-//! [`Pipeline::report`] runs the sensitivity-weighted enforcement once and,
-//! only when it runs out of budget or stalls, the reduced-order retry of
+//! [`Pipeline::report`] runs the sensitivity-weighted enforcement and the
+//! standard-norm baseline **at once**, as the two items of one
+//! [`pim_runtime::ThreadPool::par_map`], and, only when the weighted pass
+//! runs out of budget or stalls, the reduced-order retry of
 //! [`crate::recovery`] once. Every enforcement stage — the primary pass, the
-//! standard baseline and the retry — goes through one private helper that
-//! reports the stage, its norm-labeled iterations and, on failure, the
-//! diagnostics.
+//! standard baseline and the retry — runs in two halves: a `self`-free half
+//! that runs the loop and collects its iterations, and one private emitter
+//! that delivers the norm-labeled iterations and the done or failed event
+//! (with the diagnostics on failure). The observer therefore sees the
+//! serial order — the weighted pass's events, the retry's, then the
+//! baseline's — for every thread count.
 //!
 //! [`Pipeline::sweep_with`] is the batch entry point: it evaluates a list of
 //! [`ScenarioPreset`]s end-to-end and returns one [`FlowReport`] per
@@ -122,17 +127,47 @@ pub struct SweepEntry {
     pub trace: TraceObserver,
 }
 
-/// Forwards per-iteration enforcement events to a [`FlowObserver`], labeled
-/// with the norm being enforced.
-struct NormLabeled<'x> {
-    inner: &'x mut dyn FlowObserver,
-    norm: NormKind,
+/// Collects the iteration events of an enforcement loop, in order, for
+/// [`Pipeline::emit_stage`] to deliver once the loop has returned.
+#[derive(Default)]
+struct Collected(Vec<EnforcementIteration>);
+
+impl EnforcementObserver for Collected {
+    fn on_enforcement_iteration(&mut self, event: &EnforcementIteration) {
+        self.0.push(*event);
+    }
 }
 
-impl EnforcementObserver for NormLabeled<'_> {
-    fn on_enforcement_iteration(&mut self, event: &EnforcementIteration) {
-        self.inner.on_enforcement_iteration(self.norm, event);
-    }
+/// What one enforcement stage did: its iterations, in order, and its result.
+struct StageRun {
+    iterations: Vec<EnforcementIteration>,
+    result: pim_passivity::Result<EnforcementOutcome>,
+}
+
+/// The `self`-free half of an enforcement stage: runs the loop with its
+/// iterations collected. On [`PassivityError::NotConverged`] the
+/// best-so-far model is audited on the contract grid, so the diagnostics
+/// carry its own `σ_max`. It shares no mutable state, so the primary pass
+/// and the standard baseline can run at once.
+fn run_stage(
+    model: &PoleResidueModel,
+    norm: &PerturbationNorm,
+    band_max_omega: f64,
+    config: &EnforcementConfig,
+    audit_grid: &FrequencyGrid,
+) -> StageRun {
+    let mut collected = Collected::default();
+    let result = match enforce_passivity(model, norm, band_max_omega, config, Some(&mut collected))
+    {
+        Err(PassivityError::NotConverged { iterations, sigma_max, best, mut diagnostics }) => {
+            if let Ok(audit) = assess_on(&best, audit_grid) {
+                diagnostics.best_sigma_max = Some(audit.sigma_max);
+            }
+            Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics })
+        }
+        other => other,
+    };
+    StageRun { iterations: collected.0, result }
 }
 
 /// The staged macromodeling pipeline (see the module docs for the stage
@@ -355,8 +390,8 @@ impl<'a> Pipeline<'a> {
     /// [`PassivityError::NotConverged`] when the loop runs out of budget or
     /// stalls; its diagnostics carry the best-so-far model's audit `σ_max`).
     pub fn enforce(&mut self, kind: NormKind) -> Result<EnforcementArtifact> {
-        if let Some((_, artifact)) = self.enforcements.iter().find(|(k, _)| *k == kind) {
-            return Ok(artifact.clone());
+        if let Some(artifact) = self.cached_enforcement(kind) {
+            return Ok(artifact);
         }
         let weighting = match kind {
             NormKind::Standard => None,
@@ -374,18 +409,28 @@ impl<'a> Pipeline<'a> {
             let config = self.config.enforcement.clone();
             Some(self.run_enforcement(Stage::Enforcement(kind), &model, &norm, &config)?)
         };
-        let artifact = EnforcementArtifact { norm: kind, outcome };
-        self.enforcements.push((kind, artifact.clone()));
-        Ok(artifact)
+        Ok(self.store_enforcement(kind, outcome))
     }
 
-    /// Runs one enforcement stage — the primary pass, the standard baseline
-    /// or the reduced-order retry — and reports it to the observer: the stage
-    /// boundaries and every iteration, labeled with the enforced norm (the
-    /// retry always enforces the sensitivity-weighted one). On
-    /// [`PassivityError::NotConverged`] the best-so-far model is audited
-    /// on the contract grid inside the stage, so the diagnostics carry its
-    /// own `σ_max`, before the failed-stage and diagnostics events.
+    fn cached_enforcement(&self, kind: NormKind) -> Option<EnforcementArtifact> {
+        self.enforcements.iter().find(|(k, _)| *k == kind).map(|(_, artifact)| artifact.clone())
+    }
+
+    /// Caches a successful enforcement artifact.
+    fn store_enforcement(
+        &mut self,
+        kind: NormKind,
+        outcome: Option<EnforcementOutcome>,
+    ) -> EnforcementArtifact {
+        let artifact = EnforcementArtifact { norm: kind, outcome };
+        self.enforcements.push((kind, artifact.clone()));
+        artifact
+    }
+
+    /// Runs one enforcement stage on the caller — `enforce`'s pass or the
+    /// reduced-order retry — as its two halves back to back: the stage
+    /// starts live, [`run_stage`] runs the loop, and
+    /// [`Pipeline::emit_stage`] delivers the rest.
     fn run_enforcement(
         &mut self,
         stage: Stage,
@@ -393,29 +438,30 @@ impl<'a> Pipeline<'a> {
         norm: &PerturbationNorm,
         config: &EnforcementConfig,
     ) -> Result<EnforcementOutcome> {
+        self.stage_start(stage);
+        let run = run_stage(model, norm, self.data.grid().max_omega(), config, &self.audit_grid());
+        self.emit_stage(stage, run)
+    }
+
+    /// The `&mut self` half of an enforcement stage — the primary pass, the
+    /// standard baseline or the reduced-order retry — whose start was
+    /// already reported: delivers every iteration in order, labeled with
+    /// the enforced norm (the retry always enforces the sensitivity-weighted
+    /// one), and then either the done event or the failed event and, on
+    /// [`PassivityError::NotConverged`], the diagnostics.
+    fn emit_stage(&mut self, stage: Stage, run: StageRun) -> Result<EnforcementOutcome> {
         let label = match stage {
             Stage::Enforcement(kind) => kind,
             // The reduced-order retry.
             _ => NormKind::SensitivityWeighted,
         };
-        self.stage_start(stage);
-        let mut labeled =
-            self.observer.as_deref_mut().map(|inner| NormLabeled { inner, norm: label });
-        let observer = labeled.as_mut().map(|l| l as &mut dyn EnforcementObserver);
-        let band_max_omega = self.data.grid().max_omega();
-        let result = match enforce_passivity(model, norm, band_max_omega, config, observer) {
-            Err(PassivityError::NotConverged { iterations, sigma_max, best, mut diagnostics }) => {
-                if let Ok(audit) = assess_on(&best, &self.audit_grid()) {
-                    diagnostics.best_sigma_max = Some(audit.sigma_max);
-                }
-                Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics })
+        if let Some(obs) = self.observer.as_deref_mut() {
+            for event in &run.iterations {
+                obs.on_enforcement_iteration(label, event);
             }
-            other => other,
-        };
-        match &result {
-            Ok(_) => self.stage_done(stage),
-            Err(e) => {
-                if let Some(obs) = self.observer.as_deref_mut() {
+            match &run.result {
+                Ok(_) => obs.on_stage_done(stage),
+                Err(e) => {
                     obs.on_stage_failed(stage);
                     if let PassivityError::NotConverged { diagnostics, .. } = e {
                         obs.on_enforcement_diagnostics(label, diagnostics);
@@ -423,7 +469,7 @@ impl<'a> Pipeline<'a> {
                 }
             }
         }
-        result.map_err(CoreError::from)
+        run.result.map_err(CoreError::from)
     }
 
     /// The dense fixed-log audit grid of the accuracy contract:
@@ -500,8 +546,14 @@ impl<'a> Pipeline<'a> {
     /// and the rung that delivers is recorded in the accuracy contract. When the
     /// fit needs enforcement, the standard-norm baseline runs too; it is
     /// only a comparison curve and tolerates `NotConverged` (reported as
-    /// `None`). The contract audit runs inside the
-    /// [`Stage::Evaluation`] stage.
+    /// `None`). The primary pass and the baseline start from the same fit
+    /// and share no state, so they run at once on [`pim_runtime::global`].
+    /// Their events still arrive in the serial order — the weighted pass's,
+    /// the retry's, then the baseline's — and the numbers are bit-identical
+    /// to the serial run (`PIM_THREADS=1`) and to [`Pipeline::enforce`]
+    /// calls made one after the other. When the weighted pass fails for good
+    /// the baseline is discarded unreported. The contract audit runs inside
+    /// the [`Stage::Evaluation`] stage.
     ///
     /// # Errors
     ///
@@ -515,29 +567,10 @@ impl<'a> Pipeline<'a> {
         let sensitivity_model = self.weighting_model()?;
         let assessment = self.assess()?;
 
-        // The weighted pass delivers the model, through the reduced-order
-        // retry when the primary pass does not converge; when the retry does
-        // not either, the primary failure stands.
-        let (weighted_enforcement, rung) = match self.enforce(NormKind::SensitivityWeighted) {
-            Ok(artifact) => (artifact.outcome, RecoveryRung::Primary),
-            Err(primary @ CoreError::Passivity(PassivityError::NotConverged { .. })) => {
-                match self.run_reduced_order_retry()? {
-                    Some(outcome) => (Some(outcome), RecoveryRung::ReducedOrder),
-                    None => return Err(primary),
-                }
-            }
-            Err(e) => return Err(e),
-        };
-        let standard_enforcement = if assessment.report.passive {
-            None
+        let (weighted_enforcement, rung, standard_enforcement) = if assessment.report.passive {
+            (self.enforce(NormKind::SensitivityWeighted)?.outcome, RecoveryRung::Primary, None)
         } else {
-            // The baseline is only a comparison curve: a NotConverged failure
-            // is reported as absent rather than failing the flow.
-            match self.enforce(NormKind::Standard) {
-                Ok(artifact) => artifact.outcome,
-                Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => None,
-                Err(e) => return Err(e),
-            }
+            self.enforce_both(&weighted_fit.model, &sensitivity_model)?
         };
 
         self.stage_start(Stage::Evaluation);
@@ -600,6 +633,81 @@ impl<'a> Pipeline<'a> {
             standard_passive_eval,
             contract: Some(contract),
         })
+    }
+
+    /// The enforcement stages of [`Pipeline::report`] on a fit that is not
+    /// passive. The sensitivity-weighted primary pass and the standard-norm
+    /// baseline run as the two items of one `par_map`; a pass that
+    /// [`Pipeline::enforce`] already delivered is reused, not re-run. The
+    /// weighted stage starts live, so a stage timer spans the concurrent
+    /// section. Then the weighted pass's events are delivered, the
+    /// reduced-order retry runs on the caller when that pass did not
+    /// converge, and the baseline's events follow. When the weighted pass
+    /// and the retry both fail, or the pass fails otherwise, the baseline is
+    /// dropped unreported, as if it had never run.
+    fn enforce_both(
+        &mut self,
+        model: &PoleResidueModel,
+        weighting: &SensitivityModel,
+    ) -> Result<(Option<EnforcementOutcome>, RecoveryRung, Option<EnforcementOutcome>)> {
+        let (weighted, standard) = (NormKind::SensitivityWeighted, NormKind::Standard);
+        let weighted_cached = self.cached_enforcement(weighted);
+        let standard_cached = self.cached_enforcement(standard);
+        let weighted_norm = weighted_cached
+            .is_none()
+            .then(|| sensitivity_weighted_norm(model, weighting))
+            .transpose()?;
+        // A standard norm that cannot be built fails the flow where the
+        // serial order builds it: after the weighted stages.
+        let standard_norm = standard_cached.is_none().then(|| PerturbationNorm::standard(model));
+        let norms = [weighted_norm.as_ref(), standard_norm.as_ref().and_then(|n| n.as_ref().ok())];
+        if weighted_norm.is_some() {
+            self.stage_start(Stage::Enforcement(weighted));
+        }
+        let (band_max_omega, audit_grid) = (self.data.grid().max_omega(), self.audit_grid());
+        let config = &self.config.enforcement;
+        let mut runs = pim_runtime::global()
+            .par_map(&norms, |_, norm| {
+                norm.map(|norm| run_stage(model, norm, band_max_omega, config, &audit_grid))
+            })
+            .into_iter();
+        let (weighted_run, standard_run) = (runs.next().flatten(), runs.next().flatten());
+
+        // The weighted pass delivers the model, through the reduced-order
+        // retry when the primary pass does not converge; when the retry does
+        // not either, the primary failure stands.
+        let primary = match weighted_run {
+            Some(run) => self
+                .emit_stage(Stage::Enforcement(weighted), run)
+                .map(|outcome| self.store_enforcement(weighted, Some(outcome)).outcome),
+            None => Ok(weighted_cached.and_then(|artifact| artifact.outcome)),
+        };
+        let (weighted_outcome, rung) = match primary {
+            Ok(outcome) => (outcome, RecoveryRung::Primary),
+            Err(primary @ CoreError::Passivity(PassivityError::NotConverged { .. })) => {
+                match self.run_reduced_order_retry()? {
+                    Some(outcome) => (Some(outcome), RecoveryRung::ReducedOrder),
+                    None => return Err(primary),
+                }
+            }
+            Err(e) => return Err(e),
+        };
+
+        // The baseline is only a comparison curve: a NotConverged failure is
+        // reported as absent rather than failing the flow.
+        let standard_outcome = match (standard_run, standard_norm) {
+            (Some(run), _) => {
+                self.stage_start(Stage::Enforcement(standard));
+                match self.emit_stage(Stage::Enforcement(standard), run) {
+                    Ok(outcome) => self.store_enforcement(standard, Some(outcome)).outcome,
+                    Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => None,
+                    Err(e) => return Err(e),
+                }
+            }
+            (None, Some(Err(e))) => return Err(e.into()),
+            (None, _) => standard_cached.and_then(|artifact| artifact.outcome),
+        };
+        Ok((weighted_outcome, rung, standard_outcome))
     }
 
     /// Batch runner: builds every preset scenario and runs the full flow on

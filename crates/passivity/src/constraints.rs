@@ -44,7 +44,9 @@ impl ConstraintSystem {
 ///
 /// For every frequency, all singular values larger than `sigma_threshold`
 /// contribute one constraint forcing the perturbed singular value below
-/// `1 − margin`.
+/// `1 − margin`. The per-frequency `φ(jω)` and SVDs are computed first, so
+/// `F` is allocated once at its final `m × P²N` size and its rows are
+/// written in place.
 ///
 /// # Errors
 ///
@@ -69,33 +71,40 @@ pub fn build_constraints(
     }
     let ports = model.ports();
     let n_states = element_realization.order();
-    let elements = ports * ports;
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut g: Vec<f64> = Vec::new();
+    let cols = ports * ports * n_states;
+    let constrained = |sigma: f64| !(sigma <= sigma_threshold);
 
     // The shifted matrix jωI − A_e differs between frequencies only on the
     // diagonal: build the negated A once and patch the diagonal per ω.
     let neg_a = element_realization.a().to_complex().scaled_real(-1.0);
     let b_cplx = element_realization.b().to_complex();
+    let mut points = Vec::with_capacity(omegas.len());
     for &omega in omegas {
         // φ(jω) = (jωI − A_e)⁻¹ b_e  (shared by every matrix element).
         let s = Complex64::from_imag(omega);
-        let n = element_realization.order();
         let mut si_a = neg_a.clone();
-        for i in 0..n {
+        for i in 0..n_states {
             si_a[(i, i)] += s;
         }
         let phi = Lu::new(&si_a)?.solve(&b_cplx)?;
-
         let s_matrix = model.evaluate_at_omega(omega).map_err(PassivityError::StateSpace)?;
-        let decomposition = svd(&s_matrix)?;
+        points.push((phi, svd(&s_matrix)?));
+    }
+
+    let rows = points
+        .iter()
+        .map(|(_, d)| d.singular_values.iter().filter(|&&sigma| constrained(sigma)).count())
+        .sum();
+    let mut f = Mat::zeros(rows, cols);
+    let mut g: Vec<f64> = Vec::with_capacity(rows);
+    for (phi, decomposition) in &points {
+        let (u, v) = (&decomposition.u, &decomposition.v);
         for (idx, &sigma) in decomposition.singular_values.iter().enumerate() {
-            if sigma <= sigma_threshold {
+            if !constrained(sigma) {
                 continue;
             }
-            let u = &decomposition.u;
-            let v = &decomposition.v;
-            let mut row = vec![0.0; elements * n_states];
+            let r = g.len();
+            let row = &mut f.as_mut_slice()[r * cols..(r + 1) * cols];
             for i in 0..ports {
                 for j in 0..ports {
                     let scale = u[(i, idx)].conj() * v[(j, idx)];
@@ -105,12 +114,9 @@ pub fn build_constraints(
                     }
                 }
             }
-            rows.push(row);
             g.push(1.0 - margin - sigma);
         }
     }
-
-    let f = Mat::from_fn(rows.len(), elements * n_states, |r, c| rows[r][c]);
     Ok(ConstraintSystem { f, g })
 }
 

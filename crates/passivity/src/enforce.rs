@@ -29,7 +29,7 @@
 use crate::check::{assess_with_crossings, assess_with_sampling, PassivityReport};
 use crate::constraints::{apply_perturbation, build_constraints};
 use crate::grid::{Adaptive, SamplingStrategy};
-use crate::qp::{solve_block_qp_factored, BlockQpFactors, QpOptions};
+use crate::qp::{solve_block_qp_in_place, BlockQpFactors, QpOptions};
 use crate::{NotConvergedDiagnostics, PassivityError, Result};
 use pim_linalg::svd::svd;
 use pim_linalg::{Complex64, Mat};
@@ -424,14 +424,16 @@ pub fn enforce_passivity(
             config.sigma_threshold,
             config.sigma_margin,
         )?;
-        if cons.rows() == 0 {
+        let constraints = cons.rows();
+        if constraints == 0 {
             return Err(PassivityError::InvalidInput(
                 "violations were detected but no constraint could be formed; \
                  lower sigma_threshold"
                     .into(),
             ));
         }
-        let delta = solve_block_qp_factored(&qp_factors, &cons.f, &cons.g, &config.qp)?.x;
+        // The QP whitens F in place: the loop never holds two copies of it.
+        let delta = solve_block_qp_in_place(&qp_factors, cons.f, &cons.g)?.x;
 
         // Backtracking safeguard: the constraints are linearized, so a full
         // step can overshoot and make the worst singular value larger. Halve
@@ -453,7 +455,7 @@ pub fn enforce_passivity(
                         sigma_after: candidate_sigma,
                         step,
                         norm_increment,
-                        constraints: cons.rows(),
+                        constraints,
                         grid_points: candidate_report.grid.len(),
                     });
                 }

@@ -343,7 +343,9 @@ impl ActiveSet {
 /// `f` are the segments `x_e`, `N` each. The options are not consulted
 /// here: the Tikhonov term is baked into `factors` at
 /// [`BlockQpFactors::new_adaptive`] time (that is the whole point of
-/// pre-factoring).
+/// pre-factoring). The solver whitens `F` in place, so this by-reference
+/// entry clones it once; the enforcement loop hands its constraint matrix
+/// over instead and holds no second `m × P²N` copy.
 ///
 /// # Errors
 ///
@@ -357,6 +359,16 @@ pub fn solve_block_qp_factored(
     f: &Mat,
     g: &[f64],
     _options: &QpOptions,
+) -> Result<QpSolution> {
+    solve_block_qp_in_place(factors, f.clone(), g)
+}
+
+/// [`solve_block_qp_factored`] on an owned constraint matrix, whose storage
+/// becomes the whitened unit rows.
+pub(crate) fn solve_block_qp_in_place(
+    factors: &BlockQpFactors,
+    mut f: Mat,
+    g: &[f64],
 ) -> Result<QpSolution> {
     let l = &factors.factor;
     let n_block = l.rows();
@@ -376,16 +388,17 @@ pub fn solve_block_qp_factored(
     let m = g.len();
 
     // Whitened unit rows a_r = F̃_r/ν_r with bounds b_r = g_r/ν_r, where
-    // F̃_r = F_r·(I ⊗ L⁻ᵀ) (forward substitution per segment) and
-    // ν_r = ‖F̃_r‖. A zero row constrains nothing when g_r ≥ 0.
-    let mut a = vec![0.0; m * n];
+    // F̃_r = F_r·(I ⊗ L⁻ᵀ) (forward substitution per segment, in place: entry
+    // i is read before it is overwritten) and ν_r = ‖F̃_r‖. A zero row
+    // constrains nothing when g_r ≥ 0.
+    let a = f.as_mut_slice();
     let mut b = vec![0.0; m];
     let mut scale = vec![0.0; m];
     let mut selectable = vec![true; m];
     for (r, row) in a.chunks_exact_mut(n).enumerate() {
-        for (seg, rhs) in row.chunks_exact_mut(n_block).zip(f.row(r).chunks_exact(n_block)) {
+        for seg in row.chunks_exact_mut(n_block) {
             for i in 0..n_block {
-                seg[i] = (rhs[i] - dot(&l.row(i)[..i], &seg[..i])) / l[(i, i)];
+                seg[i] = (seg[i] - dot(&l.row(i)[..i], &seg[..i])) / l[(i, i)];
             }
         }
         let nu = dot(row, row).sqrt();

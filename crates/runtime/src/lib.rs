@@ -4,9 +4,10 @@
 //! data-parallel primitive, [`ThreadPool::par_map`], built for the
 //! embarrassingly parallel levels of the macromodeling workflow: independent
 //! scenario presets in
-//! [`Pipeline::sweep_with`](https://docs.rs/pim-core), independent frequency
-//! samples in the passivity assessment grids, and independent per-frequency
-//! Gaussian draws in the Monte Carlo sensitivity estimator.
+//! [`Pipeline::sweep_with`](https://docs.rs/pim-core), the weighted and the
+//! standard enforcement pass of one `Pipeline::report`, independent
+//! frequency samples in the passivity assessment grids, and independent
+//! per-frequency Gaussian draws in the Monte Carlo sensitivity estimator.
 //!
 //! ## Determinism guarantee
 //!
@@ -42,26 +43,46 @@
 //! A pool of `threads` has `threads − 1` persistent background workers and
 //! one shared task deque. `par_map` queues its input as contiguous chunks
 //! (about four per thread) at the back of the deque; workers take the
-//! oldest task, and the calling thread takes the newest while it waits for
-//! its chunks, so a `par_map` nested inside a task cannot deadlock. A
-//! 1-thread pool has no workers at all and maps inline on the caller (the
-//! serial fallback path). A panic inside a chunk is caught, and once every
-//! chunk has finished the panic of the lowest-index chunk (so of the
-//! lowest-index item) is re-raised on the caller.
+//! oldest task, and the calling thread runs tasks while it waits for its
+//! chunks, so a `par_map` nested inside a task cannot deadlock. The waiting
+//! caller runs its own queued chunks first, newest first; when none is
+//! left it takes the newest task nested at least as deeply as its own
+//! chunks, never a chunk of an enclosing `par_map`. A whole corpus board
+//! taken up while waiting on one board's inner work would keep the caller
+//! from its own map long after that work is done, and another board's
+//! inner work taken up before its own would leave it waiting on a thread
+//! that is busy with the rest of that board. A 1-thread pool
+//! has no workers at all and maps inline on the caller (the serial fallback
+//! path). A panic inside a chunk is caught, and once every chunk has
+//! finished the panic of the lowest-index chunk (so of the lowest-index
+//! item) is re-raised on the caller.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// A queued chunk of a `par_map` call: its work, lifetime-erased to
-/// `'static` (see the SAFETY proof in [`ThreadPool::par_map`]), and the
-/// count of the call's unfinished chunks.
-type Task = (Box<dyn FnOnce() + Send + 'static>, Arc<AtomicUsize>);
+/// A queued chunk of a `par_map` call.
+struct Task {
+    /// The chunk's work, lifetime-erased to `'static` (see the SAFETY proof
+    /// in [`ThreadPool::par_map`]).
+    work: Box<dyn FnOnce() + Send + 'static>,
+    /// The count of the call's unfinished chunks.
+    pending: Arc<AtomicUsize>,
+    /// The call's nesting depth (see [`DEPTH`]).
+    depth: usize,
+}
+
+thread_local! {
+    /// Nesting depth of the task this thread runs: 0 outside any task; the
+    /// chunks of a `par_map` called at depth `d` run at depth `d + 1`.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
+}
 
 /// The deque and the shutdown flag, guarded together by [`Shared::queue`].
 struct Queue {
@@ -93,8 +114,10 @@ impl Shared {
     /// the last chunk of a call wakes the caller. Taking the lock before
     /// the wake orders it after the check a sleeping caller made under the
     /// lock, so the wake cannot be missed.
-    fn run(&self, (work, pending): Task) {
+    fn run(&self, Task { work, pending, depth }: Task) {
+        let outer = DEPTH.replace(depth);
         work();
+        DEPTH.set(outer);
         // Release pairs with the Acquire load in `wait_for`: a caller that
         // sees zero also sees every chunk's slot write.
         if pending.fetch_sub(1, Ordering::Release) == 1 {
@@ -162,9 +185,9 @@ impl ThreadPool {
     /// `f` receives `(index, &item)`.
     ///
     /// Work is split into contiguous chunks (about four per thread); the
-    /// caller runs queued chunks while it waits. A panic inside `f` is
-    /// re-raised on the caller after every chunk has finished; when several
-    /// items panic, the lowest index wins.
+    /// caller runs its own queued chunks, then other queued chunks nested at
+    /// least as deeply, while it waits. A panic inside `f` is re-raised on the caller after every
+    /// chunk has finished; when several items panic, the lowest index wins.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -180,6 +203,7 @@ impl ThreadPool {
             items.chunks(chunk).map(|_| Mutex::new(None)).collect();
         let pending = Arc::new(AtomicUsize::new(slots.len()));
         let f = &f;
+        let depth = DEPTH.get() + 1;
         let mut tasks: Vec<Task> = Vec::with_capacity(slots.len());
         for (c, (part, slot)) in items.chunks(chunk).zip(&slots).enumerate() {
             let work: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
@@ -209,11 +233,11 @@ impl ThreadPool {
             // reinterpreted, not altered.
             #[allow(unsafe_code)]
             let work: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(work) };
-            tasks.push((work, Arc::clone(&pending)));
+            tasks.push(Task { work, pending: Arc::clone(&pending), depth });
         }
         self.shared.lock().tasks.extend(tasks);
         self.shared.changed.notify_all();
-        self.wait_for(&pending);
+        self.wait_for(&pending, depth);
         let mut out = Vec::with_capacity(items.len());
         for slot in slots {
             match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
@@ -225,14 +249,22 @@ impl ThreadPool {
         out
     }
 
-    /// Blocks until `pending` reaches zero, running queued tasks (newest
-    /// first) on the calling thread meanwhile. Completion is checked before
-    /// each take, so a caller whose chunks are done returns instead of
-    /// absorbing unrelated queued work.
-    fn wait_for(&self, pending: &AtomicUsize) {
+    /// Blocks until `pending` reaches zero, running queued tasks on the
+    /// calling thread meanwhile: the call's own chunks (those counted by
+    /// `pending`) newest first, then the newest task at least `depth` deep,
+    /// never a chunk of an enclosing map. It sleeps only while its own
+    /// chunks run on other threads. Completion is checked before each take,
+    /// so a caller whose chunks are done returns instead of absorbing
+    /// unrelated queued work.
+    fn wait_for(&self, pending: &AtomicUsize, depth: usize) {
         let mut queue = self.shared.lock();
         while pending.load(Ordering::Acquire) != 0 {
-            if let Some(task) = queue.tasks.pop_back() {
+            let tasks = &queue.tasks;
+            let next = tasks
+                .iter()
+                .rposition(|task| std::ptr::eq(Arc::as_ptr(&task.pending), pending))
+                .or_else(|| tasks.iter().rposition(|task| task.depth >= depth));
+            if let Some(task) = next.and_then(|i| queue.tasks.remove(i)) {
                 drop(queue);
                 self.shared.run(task);
                 queue = self.shared.lock();
@@ -346,6 +378,27 @@ mod tests {
         });
         let expected: Vec<usize> = outer.iter().map(|&k| k * (k + 1) / 2).collect();
         assert_eq!(result, expected);
+    }
+
+    #[test]
+    fn a_waiting_caller_never_takes_up_a_chunk_of_an_enclosing_map() {
+        thread_local! {
+            static IN_OUTER: Cell<bool> = const { Cell::new(false) };
+        }
+        let pool = ThreadPool::new(2);
+        let stacked = AtomicUsize::new(0);
+        let outer: Vec<usize> = (0..16).collect();
+        pool.par_map(&outer, |_, _| {
+            // An outer chunk that starts while this thread is already inside
+            // one was taken up by a waiting nested call.
+            if IN_OUTER.replace(true) {
+                stacked.fetch_add(1, Ordering::Relaxed);
+            }
+            let inner: Vec<u64> = (0..4).collect();
+            pool.par_map(&inner, |_, _| std::thread::sleep(std::time::Duration::from_millis(1)));
+            IN_OUTER.set(false);
+        });
+        assert_eq!(stacked.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! enforcement-trace regression fixture.
 
 use pim_repro::core_flow::{
-    CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, RecoveryRung,
-    ScenarioPreset, Stage, StandardScenario, TraceObserver,
+    CoreError, FitKind, FlowConfig, FlowObserver, FlowReport, ModelEvaluation, Pipeline,
+    RecoveryRung, ScenarioPreset, Stage, StandardScenario, TraceObserver,
 };
 use pim_repro::linalg::{CMat, Complex64, Mat};
 use pim_repro::passivity::check::{assess_on, hamiltonian_crossings};
+use pim_repro::passivity::enforce::EnforcementIteration;
 use pim_repro::passivity::grid::FrequencyGrid;
-use pim_repro::passivity::{EnforcementOutcome, NormKind, PassivityError};
+use pim_repro::passivity::{EnforcementOutcome, NormKind, NotConvergedDiagnostics, PassivityError};
 use pim_repro::runtime::ThreadPool;
 use pim_repro::statespace::{PoleResidueModel, StateSpace};
 
@@ -381,6 +382,128 @@ fn exhausted_primary_budget_is_delivered_by_the_ladder() {
     assert_eq!(trace.started.iter().filter(|&&s| s == retry).count(), 1);
     assert!(trace.completed.contains(&retry));
     assert!(report.standard_enforcement.is_none());
+}
+
+/// One observer callback, as delivered.
+#[derive(Debug, Clone, PartialEq)]
+enum Event {
+    Start(Stage),
+    Done(Stage),
+    Failed(Stage),
+    Iteration(NormKind, EnforcementIteration),
+    Diagnostics(NormKind, NotConvergedDiagnostics),
+}
+
+/// Records every callback into one log in call order, so events of two
+/// stages that interleaved would show (a [`TraceObserver`] keeps one vector
+/// per kind and cannot).
+#[derive(Default)]
+struct EventLog(Vec<Event>);
+
+impl FlowObserver for EventLog {
+    fn on_stage_start(&mut self, stage: Stage) {
+        self.0.push(Event::Start(stage));
+    }
+
+    fn on_stage_done(&mut self, stage: Stage) {
+        self.0.push(Event::Done(stage));
+    }
+
+    fn on_stage_failed(&mut self, stage: Stage) {
+        self.0.push(Event::Failed(stage));
+    }
+
+    fn on_enforcement_iteration(&mut self, norm: NormKind, event: &EnforcementIteration) {
+        self.0.push(Event::Iteration(norm, *event));
+    }
+
+    fn on_enforcement_diagnostics(
+        &mut self,
+        norm: NormKind,
+        diagnostics: &NotConvergedDiagnostics,
+    ) {
+        self.0.push(Event::Diagnostics(norm, diagnostics.clone()));
+    }
+}
+
+/// `report()` runs the weighted pass and the standard baseline at once; it
+/// must deliver what `enforce` delivers when the stages run one after the
+/// other in the same order, bit for bit, with the same ordered event log.
+/// Under `PIM_THREADS=1` both pipelines run serially, so the two test
+/// passes pin the concurrent path against the serial one.
+#[test]
+fn report_equals_the_staged_serial_calls() {
+    let sc = ScenarioPreset::Reduced.build().unwrap();
+    let mut concurrent = EventLog::default();
+    let report = Pipeline::from_scenario(&sc, quick_config())
+        .unwrap()
+        .with_observer(&mut concurrent)
+        .report()
+        .unwrap();
+
+    let mut serial = EventLog::default();
+    let (weighted, standard, staged) = {
+        let mut pipeline =
+            Pipeline::from_scenario(&sc, quick_config()).unwrap().with_observer(&mut serial);
+        // The prerequisites in report()'s order, then one pass after the
+        // other; report() then reuses both cached passes.
+        pipeline.sensitivity().unwrap();
+        pipeline.fit(FitKind::Standard).unwrap();
+        pipeline.fit(FitKind::Weighted).unwrap();
+        pipeline.weighting_model().unwrap();
+        pipeline.assess().unwrap();
+        let weighted = pipeline.enforce(NormKind::SensitivityWeighted).unwrap().outcome;
+        let standard = pipeline.enforce(NormKind::Standard).unwrap().outcome;
+        (weighted, standard, pipeline.report().unwrap())
+    };
+    assert!(weighted.is_some() && standard.is_some(), "both passes run and converge");
+    assert_enforcement_bits(&report.weighted_enforcement, &weighted, "weighted pass");
+    assert_enforcement_bits(&report.standard_enforcement, &standard, "standard baseline");
+    assert_report_bits(&report, &staged);
+    assert_eq!(concurrent.0, serial.0, "ordered event log");
+}
+
+/// When the primary pass and the reduced-order retry both fail, `report()`
+/// returns the primary pass's `NotConverged` with the best-so-far audit
+/// `σ_max`, and the concurrently run baseline is discarded unreported: the
+/// observer sees no `Enforcement(Standard)` event, as if it had never run.
+#[test]
+fn both_weighted_attempts_fail_and_the_baseline_is_not_reported() {
+    let sc = ScenarioPreset::Reduced.build().unwrap();
+    let mut config = quick_config();
+    // Order 6 is the retry's floor, so the retry returns at once.
+    config.vf.n_poles = 6;
+    config.enforcement.max_iterations = 0;
+    let mut log = EventLog::default();
+    let err = Pipeline::from_scenario(&sc, config).unwrap().with_observer(&mut log).report();
+    match err {
+        Err(CoreError::Passivity(PassivityError::NotConverged {
+            iterations, diagnostics, ..
+        })) => {
+            assert_eq!(iterations, 0);
+            assert!(diagnostics.best_sigma_max.is_some(), "{diagnostics}");
+        }
+        Err(other) => panic!("expected NotConverged, got {other}"),
+        Ok(_) => panic!("expected NotConverged, got a report"),
+    }
+    let weighted = Stage::Enforcement(NormKind::SensitivityWeighted);
+    let tail: Vec<&Event> = log.0.iter().skip_while(|e| **e != Event::Start(weighted)).collect();
+    assert!(
+        matches!(
+            tail.as_slice(),
+            [
+                Event::Start(s),
+                Event::Failed(f),
+                Event::Diagnostics(NormKind::SensitivityWeighted, d),
+            ] if *s == weighted && *f == weighted && d.best_sigma_max.is_some()
+        ),
+        "{tail:?}"
+    );
+    assert!(log.0.iter().all(|e| !matches!(
+        e,
+        Event::Start(Stage::Enforcement(NormKind::Standard) | Stage::Recovery(_))
+            | Event::Iteration(NormKind::Standard, _)
+    )));
 }
 
 /// Regression fixture for the Fig. 5 anomaly investigation: the weighted and
