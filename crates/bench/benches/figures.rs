@@ -80,7 +80,7 @@ fn bench_figures(c: &mut Criterion) {
                 sigma_margin: 1e-3,
                 ..Default::default()
             };
-            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg, None)
+            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg)
         })
     });
     slow.bench_function("ablation_standard_norm_enforcement", |b| {
@@ -92,7 +92,7 @@ fn bench_figures(c: &mut Criterion) {
                 sigma_margin: 1e-3,
                 ..Default::default()
             };
-            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg, None)
+            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg)
         })
     });
     slow.finish();
@@ -112,11 +112,15 @@ fn bench_figures(c: &mut Criterion) {
         })
     });
 
-    // --- pim-runtime: serial vs parallel trajectories. The parallel
-    // variants are bit-identical to the serial ones (pinned by the
-    // integration/property suites); these benches track the wall-clock
-    // ratio. On a single-core host the ratio is ~1 (the pool degrades to
-    // near-serial scheduling); see EXPERIMENTS.md.
+    // --- pim-runtime: the same work mapped on a 1-thread pool and on a wide
+    // one. The preset sweep maps its presets one at a time or at once; each
+    // preset's report() runs its two enforcement passes and its assessment
+    // sweeps on the global pool either way, so neither variant is serial.
+    // The Monte Carlo estimator maps its frequencies on the given pool, so
+    // its pair is serial against parallel. Every variant is bit-identical to
+    // its partner (pinned by the integration/property suites); these benches
+    // track the wall-clock ratio, ~1 on a single-core host (the pool
+    // degrades to near-serial scheduling); see EXPERIMENTS.md.
     let serial_pool = ThreadPool::new(1);
     // At least 2 threads so the parallel variants exercise the pooled path
     // even on a single-core host (where the ratio is then ~1 by necessity).
@@ -136,10 +140,10 @@ fn bench_figures(c: &mut Criterion) {
     };
     let mut sweeps = c.benchmark_group("runtime");
     sweeps.sample_size(5);
-    sweeps.bench_function("sweep_presets_serial", |b| {
+    sweeps.bench_function("sweep_presets_one_at_a_time", |b| {
         b.iter(|| Pipeline::sweep_with(&serial_pool, &sweep_presets, &sweep_config).expect("sweep"))
     });
-    sweeps.bench_function("sweep_presets_parallel", |b| {
+    sweeps.bench_function("sweep_presets_at_once", |b| {
         b.iter(|| Pipeline::sweep_with(&wide_pool, &sweep_presets, &sweep_config).expect("sweep"))
     });
     sweeps.finish();

@@ -14,6 +14,6 @@ fn main() {
         println!("{:>12.4e} {:>14.9} {:>14.9}", f, before[k][0], after[k][0]);
     }
     if let Some(out) = &report.weighted_enforcement {
-        println!("# enforcement iterations: {}", out.iterations);
+        println!("# enforcement iterations: {}", out.trace.len());
     }
 }

@@ -303,8 +303,7 @@ impl CorpusCase {
         let audit_sigma_max = contract.audit_sigma_max;
         verdict.audit_sigma_max = Some(audit_sigma_max);
         verdict.rung = Some(contract.rung);
-        verdict.iterations =
-            report.weighted_enforcement.as_ref().map(|out| out.iterations).unwrap_or(0);
+        verdict.iterations = report.weighted_enforcement.as_ref().map_or(0, |out| out.trace.len());
         let weighted_error = report.weighted_passive_eval.impedance_relative_error;
         verdict.weighted_error = Some(weighted_error);
 

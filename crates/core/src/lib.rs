@@ -54,8 +54,7 @@ pub use corpus::{
 pub use flow::{FlowConfig, FlowReport, ModelEvaluation};
 pub use observer::{FlowObserver, Stage, TraceObserver};
 pub use pipeline::{
-    AssessmentArtifact, EnforcementArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact,
-    SweepEntry,
+    AssessmentArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact, SweepEntry,
 };
 pub use recovery::{AccuracyContract, ContractConfig, RecoveryRung};
 pub use scenario::{ScenarioConfig, ScenarioPreset, StandardScenario};

@@ -2,10 +2,12 @@
 //!
 //! A [`FlowObserver`] attached to a [`crate::pipeline::Pipeline`] receives a
 //! callback when each stage starts and finishes, plus one event per outer
-//! passivity-enforcement iteration (forwarded from
-//! [`pim_passivity::enforce::EnforcementObserver`], labeled with the
-//! [`NormKind`] being enforced). Observers are purely diagnostic: running a
-//! pipeline with or without one produces bit-identical results.
+//! passivity-enforcement iteration, labeled with the [`NormKind`] being
+//! enforced. The pipeline replays those events from the record each
+//! enforcement run returns
+//! ([`pim_passivity::enforce::EnforcementOutcome::trace`], or the trace in
+//! the `NotConverged` diagnostics). Observers are purely diagnostic:
+//! running a pipeline with or without one produces bit-identical results.
 //!
 //! [`TraceObserver`] is the ready-made recording observer behind the
 //! `iterations_report` diagnostic of the Fig. 5 anomaly investigation: it
@@ -74,8 +76,13 @@ pub trait FlowObserver {
     }
 
     /// A stage that had started failed with an error (e.g. a non-converging
-    /// enforcement). Events already delivered for the stage — such as
-    /// enforcement iterations — belong to the failed attempt.
+    /// enforcement). Events already delivered for the stage belong to the
+    /// failed attempt: an enforcement stage that failed with `NotConverged`
+    /// delivered its iterations before this event and delivers its
+    /// diagnostics after it. An enforcement stage that ends in any other
+    /// error — an infeasible QP, the QP step cap, a linear-algebra failure,
+    /// or a failure to build its norm or the retry's refit — delivers no
+    /// iterations.
     fn on_stage_failed(&mut self, stage: Stage) {
         let _ = stage;
     }
@@ -83,11 +90,11 @@ pub trait FlowObserver {
     /// One outer enforcement iteration completed under the given norm.
     ///
     /// A stage's iteration events arrive in iteration order, after its start
-    /// event and before its done or failed event. They are delivered once the
-    /// stage's loop has returned, not while it runs: [`Pipeline::report`]
-    /// runs the weighted pass and the standard baseline at once and then
-    /// replays both stages' events in the serial order, so the events of two
-    /// stages never interleave.
+    /// event and before its done or failed event. They are replayed from the
+    /// record the stage's loop returns, once it has returned, not while it
+    /// runs: [`Pipeline::report`] runs the weighted pass and the standard
+    /// baseline at once and then replays both stages' events in the serial
+    /// order, so the events of two stages never interleave.
     ///
     /// [`Pipeline::report`]: crate::pipeline::Pipeline::report
     fn on_enforcement_iteration(&mut self, norm: NormKind, event: &EnforcementIteration) {
@@ -110,11 +117,10 @@ pub trait FlowObserver {
 /// A recording [`FlowObserver`]: keeps the stage log and the per-norm
 /// enforcement iteration traces.
 ///
-/// This replaces the ad-hoc `iterations_report` diagnostic the quickstart
-/// example used to assemble from `sigma_max_history`: the traces additionally
-/// carry the per-iteration perturbation-norm increment, the backtracking step
-/// and the constraint count — the quantities the open Fig. 5 anomaly
-/// investigation needs to compare the weighted and the standard loop.
+/// Per iteration the traces carry the `σ_max` before and after, the
+/// perturbation-norm increment, the backtracking step and the constraint
+/// count: the quantities that compare the weighted and the standard loop
+/// (Fig. 5).
 #[derive(Debug, Clone, Default)]
 pub struct TraceObserver {
     /// Stages that started, in order.
@@ -215,14 +221,15 @@ mod tests {
             norm_increment: 3.0,
             constraints: 4,
             grid_points: 201,
+            qp_lambda: 0.0,
         };
         obs.on_enforcement_iteration(NormKind::SensitivityWeighted, &ev);
         obs.on_enforcement_iteration(NormKind::Standard, &ev);
         obs.on_stage_failed(Stage::Enforcement(NormKind::Standard));
         let diag = NotConvergedDiagnostics {
             bottomed_out: 3,
-            last_step: 0.0625,
             sigma_tail: vec![1.2, 1.3],
+            trace: vec![EnforcementIteration { step: 0.0625, ..ev }],
             ..Default::default()
         };
         obs.on_enforcement_diagnostics(NormKind::Standard, &diag);

@@ -5,12 +5,13 @@
 //!
 //! ```text
 //! Pipeline::from_scenario(..) / from_data(..)
-//!     .sensitivity()       -> SensitivityArtifact   (Ξ_k, weights, Z_nominal)
-//!     .fit(FitKind::..)    -> FitArtifact           (standard / weighted VF)
-//!     .weighting_model()   -> SensitivityModel      (Ξ̃(s), eq. 15–17)
-//!     .assess()            -> AssessmentArtifact    (Hamiltonian + sweep)
-//!     .enforce(NormKind::..) -> EnforcementArtifact (perturbation loop)
-//!     .report()            -> FlowReport            (everything, assembled)
+//!     .sensitivity()         -> SensitivityArtifact        (Ξ_k, weights, Z_nominal)
+//!     .fit(FitKind::..)      -> FitArtifact                (standard / weighted VF)
+//!     .weighting_model()     -> SensitivityModel           (Ξ̃(s), eq. 15–17)
+//!     .assess()              -> AssessmentArtifact         (Hamiltonian + sweep)
+//!     .enforce(NormKind::..) -> Option<EnforcementOutcome> (norm + perturbation loop;
+//!                                                           None when already passive)
+//!     .report()              -> FlowReport                 (everything, assembled)
 //! ```
 //!
 //! Stages compute lazily and cache their successes: calling
@@ -29,11 +30,14 @@
 //! runs out of budget or stalls, the reduced-order retry of
 //! [`crate::recovery`] once. Every enforcement stage — the primary pass, the
 //! standard baseline and the retry — runs in two halves: a `self`-free half
-//! that runs the loop and collects its iterations, and one private emitter
-//! that delivers the norm-labeled iterations and the done or failed event
-//! (with the diagnostics on failure). The observer therefore sees the
-//! serial order — the weighted pass's events, the retry's, then the
-//! baseline's — for every thread count.
+//! that builds the stage's norm (after the retry's reduced-order refit) and
+//! runs the loop, which returns its iterations with its result, and one
+//! private emitter that replays those iterations, labeled with the norm,
+//! and delivers the done or failed event (with the diagnostics on
+//! failure). Each stage starts before its norm is built, so its span covers
+//! the Gramian solves and the retry's refit. The observer sees the serial
+//! order — the weighted pass's events, the retry's, then the baseline's —
+//! for every thread count.
 //!
 //! [`Pipeline::sweep_with`] is the batch entry point: it evaluates a list of
 //! [`ScenarioPreset`]s end-to-end and returns one [`FlowReport`] per
@@ -49,8 +53,7 @@ use pim_passivity::check::{
     assess_on, assess_with_crossings, assess_with_sampling, PassivityReport,
 };
 use pim_passivity::enforce::{
-    enforce_passivity, EnforcementConfig, EnforcementIteration, EnforcementObserver,
-    EnforcementOutcome, PerturbationNorm,
+    enforce_passivity, EnforcementConfig, EnforcementOutcome, PerturbationNorm,
 };
 use pim_passivity::grid::{FixedLog, FrequencyGrid};
 use pim_passivity::norm::NormKind;
@@ -100,16 +103,6 @@ pub struct AssessmentArtifact {
     pub report: PassivityReport,
 }
 
-/// Artifact of an enforcement stage.
-#[derive(Debug, Clone)]
-pub struct EnforcementArtifact {
-    /// The norm family the enforcement minimized.
-    pub norm: NormKind,
-    /// The enforcement outcome; `None` when the assessed model was already
-    /// passive and the loop never ran.
-    pub outcome: Option<EnforcementOutcome>,
-}
-
 /// One entry of a [`Pipeline::sweep_with`] run.
 #[derive(Debug, Clone)]
 pub struct SweepEntry {
@@ -127,47 +120,28 @@ pub struct SweepEntry {
     pub trace: TraceObserver,
 }
 
-/// Collects the iteration events of an enforcement loop, in order, for
-/// [`Pipeline::emit_stage`] to deliver once the loop has returned.
-#[derive(Default)]
-struct Collected(Vec<EnforcementIteration>);
-
-impl EnforcementObserver for Collected {
-    fn on_enforcement_iteration(&mut self, event: &EnforcementIteration) {
-        self.0.push(*event);
-    }
-}
-
-/// What one enforcement stage did: its iterations, in order, and its result.
-struct StageRun {
-    iterations: Vec<EnforcementIteration>,
-    result: pim_passivity::Result<EnforcementOutcome>,
-}
-
-/// The `self`-free half of an enforcement stage: runs the loop with its
-/// iterations collected. On [`PassivityError::NotConverged`] the
-/// best-so-far model is audited on the contract grid, so the diagnostics
-/// carry its own `σ_max`. It shares no mutable state, so the primary pass
-/// and the standard baseline can run at once.
+/// The `self`-free half of an enforcement stage: builds the norm of
+/// `model` — sensitivity-weighted by `weighting`, standard without — and
+/// runs the loop. On [`PassivityError::NotConverged`] the best-so-far model
+/// is audited on the contract grid, so the diagnostics carry its own
+/// `σ_max`. It shares no mutable state, so the primary pass and the
+/// standard baseline can run at once.
 fn run_stage(
     model: &PoleResidueModel,
-    norm: &PerturbationNorm,
+    weighting: Option<&SensitivityModel>,
     band_max_omega: f64,
     config: &EnforcementConfig,
     audit_grid: &FrequencyGrid,
-) -> StageRun {
-    let mut collected = Collected::default();
-    let result = match enforce_passivity(model, norm, band_max_omega, config, Some(&mut collected))
-    {
-        Err(PassivityError::NotConverged { iterations, sigma_max, best, mut diagnostics }) => {
-            if let Ok(audit) = assess_on(&best, audit_grid) {
-                diagnostics.best_sigma_max = Some(audit.sigma_max);
-            }
-            Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics })
-        }
-        other => other,
+) -> Result<EnforcementOutcome> {
+    let norm = match weighting {
+        Some(weighting) => sensitivity_weighted_norm(model, weighting)?,
+        None => PerturbationNorm::standard(model)?,
     };
-    StageRun { iterations: collected.0, result }
+    let mut result = enforce_passivity(model, &norm, band_max_omega, config);
+    if let Err(PassivityError::NotConverged { best, diagnostics, .. }) = &mut result {
+        diagnostics.best_sigma_max = assess_on(best, audit_grid).ok().map(|a| a.sigma_max);
+    }
+    Ok(result?)
 }
 
 /// The staged macromodeling pipeline (see the module docs for the stage
@@ -183,7 +157,9 @@ pub struct Pipeline<'a> {
     weighted_fit: Option<VfResult>,
     weighting: Option<SensitivityModel>,
     assessment: Option<AssessmentArtifact>,
-    enforcements: Vec<(NormKind, EnforcementArtifact)>,
+    /// Delivered enforcements, `None` when the assessed model was already
+    /// passive.
+    enforcements: Vec<(NormKind, Option<EnforcementOutcome>)>,
 }
 
 impl<'a> Pipeline<'a> {
@@ -378,20 +354,20 @@ impl<'a> Pipeline<'a> {
 
     /// Enforcement stage under the given norm.
     ///
-    /// Returns an artifact with `outcome: None` when the assessed model is
-    /// already passive. Successful artifacts are cached per [`NormKind`]:
-    /// re-enforcing with the same kind returns the cached result without
-    /// re-running the loop or re-emitting observer events. Errors are not
-    /// cached, so a retry after a failure runs the loop again.
+    /// Returns `None` when the assessed model is already passive. Successful
+    /// outcomes are cached per [`NormKind`]: re-enforcing with the same kind
+    /// returns the cached result without re-running the loop or re-emitting
+    /// observer events. Errors are not cached, so a retry after a failure
+    /// runs the loop again.
     ///
     /// # Errors
     ///
     /// Propagates norm-construction and enforcement failures (including
     /// [`PassivityError::NotConverged`] when the loop runs out of budget or
     /// stalls; its diagnostics carry the best-so-far model's audit `σ_max`).
-    pub fn enforce(&mut self, kind: NormKind) -> Result<EnforcementArtifact> {
-        if let Some(artifact) = self.cached_enforcement(kind) {
-            return Ok(artifact);
+    pub fn enforce(&mut self, kind: NormKind) -> Result<Option<EnforcementOutcome>> {
+        if let Some(outcome) = self.cached_enforcement(kind) {
+            return Ok(outcome);
         }
         let weighting = match kind {
             NormKind::Standard => None,
@@ -400,76 +376,78 @@ impl<'a> Pipeline<'a> {
         let outcome = if self.assess()?.report.passive {
             None
         } else {
-            let model =
-                self.weighted_fit.as_ref().expect("assess caches the weighted fit").model.clone();
-            let norm = match &weighting {
-                None => PerturbationNorm::standard(&model)?,
-                Some(weighting) => sensitivity_weighted_norm(&model, weighting)?,
-            };
-            let config = self.config.enforcement.clone();
-            Some(self.run_enforcement(Stage::Enforcement(kind), &model, &norm, &config)?)
+            let stage = Stage::Enforcement(kind);
+            self.stage_start(stage);
+            let model = &self.weighted_fit.as_ref().expect("assess caches the weighted fit").model;
+            let result = run_stage(
+                model,
+                weighting.as_ref(),
+                self.data.grid().max_omega(),
+                &self.config.enforcement,
+                &self.audit_grid(),
+            );
+            Some(self.emit_stage(stage, result)?)
         };
         Ok(self.store_enforcement(kind, outcome))
     }
 
-    fn cached_enforcement(&self, kind: NormKind) -> Option<EnforcementArtifact> {
-        self.enforcements.iter().find(|(k, _)| *k == kind).map(|(_, artifact)| artifact.clone())
+    fn cached_enforcement(&self, kind: NormKind) -> Option<Option<EnforcementOutcome>> {
+        self.enforcements.iter().find(|(k, _)| *k == kind).map(|(_, outcome)| outcome.clone())
     }
 
-    /// Caches a successful enforcement artifact.
+    /// Caches a successful enforcement outcome.
     fn store_enforcement(
         &mut self,
         kind: NormKind,
         outcome: Option<EnforcementOutcome>,
-    ) -> EnforcementArtifact {
-        let artifact = EnforcementArtifact { norm: kind, outcome };
-        self.enforcements.push((kind, artifact.clone()));
-        artifact
-    }
-
-    /// Runs one enforcement stage on the caller — `enforce`'s pass or the
-    /// reduced-order retry — as its two halves back to back: the stage
-    /// starts live, [`run_stage`] runs the loop, and
-    /// [`Pipeline::emit_stage`] delivers the rest.
-    fn run_enforcement(
-        &mut self,
-        stage: Stage,
-        model: &PoleResidueModel,
-        norm: &PerturbationNorm,
-        config: &EnforcementConfig,
-    ) -> Result<EnforcementOutcome> {
-        self.stage_start(stage);
-        let run = run_stage(model, norm, self.data.grid().max_omega(), config, &self.audit_grid());
-        self.emit_stage(stage, run)
+    ) -> Option<EnforcementOutcome> {
+        self.enforcements.push((kind, outcome.clone()));
+        outcome
     }
 
     /// The `&mut self` half of an enforcement stage — the primary pass, the
     /// standard baseline or the reduced-order retry — whose start was
-    /// already reported: delivers every iteration in order, labeled with
-    /// the enforced norm (the retry always enforces the sensitivity-weighted
-    /// one), and then either the done event or the failed event and, on
-    /// [`PassivityError::NotConverged`], the diagnostics.
-    fn emit_stage(&mut self, stage: Stage, run: StageRun) -> Result<EnforcementOutcome> {
+    /// already reported: replays the run's iterations in order from its
+    /// result, labeled with the enforced norm (the retry always enforces the
+    /// sensitivity-weighted one), and then either the done event or the
+    /// failed event and, on [`PassivityError::NotConverged`], the
+    /// diagnostics. Any other error carries no iterations, so its stage
+    /// reports only its start and its failure.
+    fn emit_stage(
+        &mut self,
+        stage: Stage,
+        result: Result<EnforcementOutcome>,
+    ) -> Result<EnforcementOutcome> {
         let label = match stage {
             Stage::Enforcement(kind) => kind,
             // The reduced-order retry.
             _ => NormKind::SensitivityWeighted,
         };
         if let Some(obs) = self.observer.as_deref_mut() {
-            for event in &run.iterations {
+            let diagnostics = match &result {
+                Err(CoreError::Passivity(PassivityError::NotConverged { diagnostics, .. })) => {
+                    Some(diagnostics.as_ref())
+                }
+                _ => None,
+            };
+            let trace = match (&result, diagnostics) {
+                (Ok(outcome), _) => outcome.trace.as_slice(),
+                (Err(_), Some(diagnostics)) => diagnostics.trace.as_slice(),
+                (Err(_), None) => &[],
+            };
+            for event in trace {
                 obs.on_enforcement_iteration(label, event);
             }
-            match &run.result {
-                Ok(_) => obs.on_stage_done(stage),
-                Err(e) => {
-                    obs.on_stage_failed(stage);
-                    if let PassivityError::NotConverged { diagnostics, .. } = e {
-                        obs.on_enforcement_diagnostics(label, diagnostics);
-                    }
-                }
+            if result.is_ok() {
+                obs.on_stage_done(stage);
+            } else {
+                obs.on_stage_failed(stage);
+            }
+            if let Some(diagnostics) = diagnostics {
+                obs.on_enforcement_diagnostics(label, diagnostics);
             }
         }
-        run.result.map_err(CoreError::from)
+        result
     }
 
     /// The dense fixed-log audit grid of the accuracy contract:
@@ -487,8 +465,9 @@ impl<'a> Pipeline<'a> {
     /// primary weighted pass did not converge: the weighted fit is redone
     /// two poles lower (never below order 6) and enforced under the
     /// sensitivity-weighted norm, a tightened adaptive QP damping cap and an
-    /// extended iteration budget. Returns `None` when the order cannot be
-    /// reduced or the retry does not converge either.
+    /// extended iteration budget. The stage starts before the refit. Returns
+    /// `None` when the order cannot be reduced or the retry does not
+    /// converge either.
     fn run_reduced_order_retry(&mut self) -> Result<Option<EnforcementOutcome>> {
         // Adaptive QP damping cap of the retry; the primary pass keeps its
         // own, much looser, cap.
@@ -506,13 +485,17 @@ impl<'a> Pipeline<'a> {
         let weighting = self.weighting_model()?;
         let weights = self.sensitivity()?.weights;
         let vf = VfConfig { n_poles, ..self.config.vf.clone() };
-        let model = vector_fit(self.data, Some(&weights), &vf)?.model;
-        let norm = sensitivity_weighted_norm(&model, &weighting)?;
         let mut config = self.config.enforcement.clone();
         config.max_iterations += EXTRA_ITERATIONS;
         config.qp.max_condition = config.qp.max_condition.min(MAX_CONDITION);
         let stage = Stage::Recovery(RecoveryRung::ReducedOrder);
-        match self.run_enforcement(stage, &model, &norm, &config) {
+        self.stage_start(stage);
+        let result =
+            vector_fit(self.data, Some(&weights), &vf).map_err(CoreError::from).and_then(|fit| {
+                let band_max_omega = self.data.grid().max_omega();
+                run_stage(&fit.model, Some(&weighting), band_max_omega, &config, &self.audit_grid())
+            });
+        match self.emit_stage(stage, result) {
             Ok(outcome) => Ok(Some(outcome)),
             Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => Ok(None),
             Err(e) => Err(e),
@@ -568,7 +551,7 @@ impl<'a> Pipeline<'a> {
         let assessment = self.assess()?;
 
         let (weighted_enforcement, rung, standard_enforcement) = if assessment.report.passive {
-            (self.enforce(NormKind::SensitivityWeighted)?.outcome, RecoveryRung::Primary, None)
+            (self.enforce(NormKind::SensitivityWeighted)?, RecoveryRung::Primary, None)
         } else {
             self.enforce_both(&weighted_fit.model, &sensitivity_model)?
         };
@@ -637,14 +620,14 @@ impl<'a> Pipeline<'a> {
 
     /// The enforcement stages of [`Pipeline::report`] on a fit that is not
     /// passive. The sensitivity-weighted primary pass and the standard-norm
-    /// baseline run as the two items of one `par_map`; a pass that
-    /// [`Pipeline::enforce`] already delivered is reused, not re-run. The
-    /// weighted stage starts live, so a stage timer spans the concurrent
-    /// section. Then the weighted pass's events are delivered, the
-    /// reduced-order retry runs on the caller when that pass did not
-    /// converge, and the baseline's events follow. When the weighted pass
-    /// and the retry both fail, or the pass fails otherwise, the baseline is
-    /// dropped unreported, as if it had never run.
+    /// baseline, each building its own norm, run as the two items of one
+    /// `par_map`; a pass that [`Pipeline::enforce`] already delivered is
+    /// reused, not re-run. The weighted stage starts live, so a stage timer
+    /// spans the concurrent section. Then the weighted pass's events are
+    /// delivered, the reduced-order retry runs on the caller when that pass
+    /// did not converge, and the baseline's events follow. When the weighted
+    /// pass and the retry both fail, or the pass fails otherwise, the
+    /// baseline is dropped unreported, as if it had never run.
     fn enforce_both(
         &mut self,
         model: &PoleResidueModel,
@@ -653,22 +636,21 @@ impl<'a> Pipeline<'a> {
         let (weighted, standard) = (NormKind::SensitivityWeighted, NormKind::Standard);
         let weighted_cached = self.cached_enforcement(weighted);
         let standard_cached = self.cached_enforcement(standard);
-        let weighted_norm = weighted_cached
-            .is_none()
-            .then(|| sensitivity_weighted_norm(model, weighting))
-            .transpose()?;
-        // A standard norm that cannot be built fails the flow where the
-        // serial order builds it: after the weighted stages.
-        let standard_norm = standard_cached.is_none().then(|| PerturbationNorm::standard(model));
-        let norms = [weighted_norm.as_ref(), standard_norm.as_ref().and_then(|n| n.as_ref().ok())];
-        if weighted_norm.is_some() {
+        // The passes still to run, each with the weighting of its norm.
+        let passes = [
+            weighted_cached.is_none().then_some(Some(weighting)),
+            standard_cached.is_none().then_some(None),
+        ];
+        if weighted_cached.is_none() {
             self.stage_start(Stage::Enforcement(weighted));
         }
         let (band_max_omega, audit_grid) = (self.data.grid().max_omega(), self.audit_grid());
         let config = &self.config.enforcement;
         let mut runs = pim_runtime::global()
-            .par_map(&norms, |_, norm| {
-                norm.map(|norm| run_stage(model, norm, band_max_omega, config, &audit_grid))
+            .par_map(&passes, |_, pass| {
+                pass.map(|weighting| {
+                    run_stage(model, weighting, band_max_omega, config, &audit_grid)
+                })
             })
             .into_iter();
         let (weighted_run, standard_run) = (runs.next().flatten(), runs.next().flatten());
@@ -677,10 +659,10 @@ impl<'a> Pipeline<'a> {
         // retry when the primary pass does not converge; when the retry does
         // not either, the primary failure stands.
         let primary = match weighted_run {
-            Some(run) => self
-                .emit_stage(Stage::Enforcement(weighted), run)
-                .map(|outcome| self.store_enforcement(weighted, Some(outcome)).outcome),
-            None => Ok(weighted_cached.and_then(|artifact| artifact.outcome)),
+            Some(result) => self
+                .emit_stage(Stage::Enforcement(weighted), result)
+                .map(|outcome| self.store_enforcement(weighted, Some(outcome))),
+            None => Ok(weighted_cached.flatten()),
         };
         let (weighted_outcome, rung) = match primary {
             Ok(outcome) => (outcome, RecoveryRung::Primary),
@@ -695,17 +677,16 @@ impl<'a> Pipeline<'a> {
 
         // The baseline is only a comparison curve: a NotConverged failure is
         // reported as absent rather than failing the flow.
-        let standard_outcome = match (standard_run, standard_norm) {
-            (Some(run), _) => {
+        let standard_outcome = match standard_run {
+            Some(result) => {
                 self.stage_start(Stage::Enforcement(standard));
-                match self.emit_stage(Stage::Enforcement(standard), run) {
-                    Ok(outcome) => self.store_enforcement(standard, Some(outcome)).outcome,
+                match self.emit_stage(Stage::Enforcement(standard), result) {
+                    Ok(outcome) => self.store_enforcement(standard, Some(outcome)),
                     Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => None,
                     Err(e) => return Err(e),
                 }
             }
-            (None, Some(Err(e))) => return Err(e.into()),
-            (None, _) => standard_cached.and_then(|artifact| artifact.outcome),
+            None => standard_cached.flatten(),
         };
         Ok((weighted_outcome, rung, standard_outcome))
     }

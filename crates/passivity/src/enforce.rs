@@ -28,7 +28,7 @@
 
 use crate::check::{assess_with_crossings, assess_with_sampling, PassivityReport};
 use crate::constraints::{apply_perturbation, build_constraints};
-use crate::grid::{Adaptive, SamplingStrategy};
+use crate::grid::{Adaptive, FrequencyGrid, SamplingStrategy};
 use crate::qp::{solve_block_qp_in_place, BlockQpFactors, QpOptions};
 use crate::{NotConvergedDiagnostics, PassivityError, Result};
 use pim_linalg::svd::svd;
@@ -138,10 +138,10 @@ pub struct EnforcementConfig {
     pub sigma_threshold: f64,
     /// Number of points of the baseline singular-value sweep.
     pub sweep_points: usize,
-    /// The sampling strategy that builds the working sweep, the convergence
-    /// double-check grid and the final verification grid, and refines every
-    /// per-iteration assessment (see [`crate::grid`]). The default
-    /// [`Adaptive`] chases violation bands narrower than the grid spacing.
+    /// The sampling strategy that builds the working sweep and refines every
+    /// assessment of the loop, the 4× denser verification sweep's included
+    /// (see [`crate::grid`]). The default [`Adaptive`] chases violation
+    /// bands narrower than the grid spacing.
     pub sampling: Arc<dyn SamplingStrategy>,
     /// Options of the inner quadratic program.
     pub qp: QpOptions,
@@ -160,9 +160,10 @@ impl Default for EnforcementConfig {
     }
 }
 
-/// Snapshot of one outer enforcement iteration, delivered to an
-/// [`EnforcementObserver`] right after the iteration's perturbation is
-/// accepted.
+/// One outer iteration of an enforcement run, recorded right after its
+/// perturbation is accepted. A run returns its iterations in order: as
+/// [`EnforcementOutcome::trace`], or, when it fails with
+/// [`PassivityError::NotConverged`], as the diagnostics' `trace`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnforcementIteration {
     /// 1-based index of the iteration within the loop.
@@ -185,47 +186,25 @@ pub struct EnforcementIteration {
     /// baseline as the bisection chases sub-grid features; under
     /// [`crate::grid::FixedLog`] it is the baseline.
     pub grid_points: usize,
+    /// Relative Tikhonov λ of this iteration's QP when the adaptive damping
+    /// had escalated it above the base λ (at least 1e-14 then), and 0 when
+    /// it had not, as on every healthy run.
+    pub qp_lambda: f64,
 }
 
-/// Per-iteration observer hook of the enforcement loop.
-///
-/// Implementations receive one [`EnforcementIteration`] per outer iteration;
-/// the hook is purely observational — it cannot alter the loop, and running
-/// with or without an observer produces bit-identical models.
-pub trait EnforcementObserver {
-    /// Called once per outer iteration, after the perturbation is applied.
-    fn on_enforcement_iteration(&mut self, event: &EnforcementIteration);
-}
-
-/// What the adaptive QP damping did during a run. `qp_lambda_max` is zero
-/// on healthy runs — which is exactly the bit-identity guarantee of the
-/// fixtures.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RobustnessInfo {
-    /// Largest relative Tikhonov λ the adaptive QP damping applied: zero
-    /// unless the damping was escalated above the base λ, and at least
-    /// 1e-14 once it was.
-    pub qp_lambda_max: f64,
-    /// Largest post-damping Gramian condition estimate.
-    pub qp_condition_max: f64,
-}
-
-/// Result of a passivity enforcement run.
+/// Result of a passivity enforcement run that delivered a passive model.
 #[derive(Debug, Clone)]
 pub struct EnforcementOutcome {
-    /// The final (passive, unless the loop gave up) macromodel.
+    /// The passive macromodel.
     pub model: PoleResidueModel,
-    /// Number of outer iterations performed.
-    pub iterations: usize,
-    /// Worst singular value after each iteration (starting with the initial
-    /// model).
-    pub sigma_max_history: Vec<f64>,
-    /// Accumulated perturbation norm `Σ ‖δS‖²` over all iterations.
-    pub accumulated_norm: f64,
-    /// Final passivity report.
+    /// Final passivity report, on the dense verification grid.
     pub report: PassivityReport,
-    /// Adaptive-damping activity of the run.
-    pub robustness: RobustnessInfo,
+    /// Every outer iteration, in order; empty when the input model was
+    /// already passive. Its length is the iteration count, the sum of its
+    /// `norm_increment`s the accumulated perturbation norm `Σ ‖δS‖²`, and
+    /// its `sigma_before`s followed by `report.sigma_max` the `σ_max`
+    /// trajectory.
+    pub trace: Vec<EnforcementIteration>,
 }
 
 /// Enforces asymptotic passivity by clipping the singular values of the
@@ -276,9 +255,9 @@ pub fn enforce_asymptotic_passivity(
 ///
 /// The asymptotic term is clipped first (see
 /// [`enforce_asymptotic_passivity`]); the loop then perturbs only the
-/// residues / output matrix as in the paper. An `observer`, when given,
-/// receives one [`EnforcementIteration`] after each outer iteration;
-/// numerics are identical with and without one.
+/// residues / output matrix as in the paper. The run returns every outer
+/// iteration it made, as [`EnforcementOutcome::trace`] or inside the
+/// `NotConverged` diagnostics.
 ///
 /// # Errors
 ///
@@ -290,7 +269,6 @@ pub fn enforce_passivity(
     norm: &PerturbationNorm,
     band_max_omega: f64,
     config: &EnforcementConfig,
-    mut observer: Option<&mut dyn EnforcementObserver>,
 ) -> Result<EnforcementOutcome> {
     if norm.states() != model.order() {
         return Err(PassivityError::InvalidInput(format!(
@@ -308,27 +286,24 @@ pub fn enforce_passivity(
         return Err(PassivityError::InvalidInput("sweep_points must be at least 10".into()));
     }
 
-    // All three grids of the loop come from the one sampling strategy: the
-    // per-iteration working sweep, and the denser double-check grid that
-    // also serves as the final verification sweep (narrow violation bands
-    // can slip between the points of the working sweep).
+    // The loop assesses on two grids, both refined by the one sampling
+    // strategy: the strategy's per-iteration working sweep, and a 4× denser
+    // logarithmic grid that double-checks convergence and serves as the
+    // final verification sweep (narrow violation bands can slip between the
+    // points of the working sweep).
     let strategy = config.sampling.as_ref();
     let pool = pim_runtime::global();
     let sweep = strategy.working_grid(band_max_omega, config.sweep_points);
-    let verify_sweep = strategy.verification_grid(band_max_omega, config.sweep_points);
+    let verify_sweep = FrequencyGrid::enforcement_log(band_max_omega, 4 * config.sweep_points);
 
     let mut current = enforce_asymptotic_passivity(model, 1.0 - config.sigma_margin)?;
-    let mut history = Vec::new();
-    let mut accumulated_norm = 0.0;
-    let mut iterations = 0;
+    let mut trace: Vec<EnforcementIteration> = Vec::new();
     // Best-so-far (lowest worst singular value) model, handed back inside
     // `NotConverged` so a failed run still yields its most passive iterate.
     let mut best: Option<(f64, PoleResidueModel)> = None;
     // Consecutive bottomed-out-and-grew backtracking steps (the stall
     // trigger).
     let mut bottomed_growth = 0usize;
-    let mut robustness = RobustnessInfo::default();
-    let mut last_step = 1.0_f64;
 
     // Quantities that are invariant across the outer iterations: the
     // perturbation only moves residues, never poles, so the shared
@@ -343,7 +318,6 @@ pub fn enforce_passivity(
         config.qp.regularization,
         config.qp.max_condition,
     )?;
-    record_qp_state(&mut robustness, &qp_factors);
 
     // The working-grid report of `current`. Only the input model is assessed
     // here; every later iterate is the candidate an iteration accepted, and
@@ -363,39 +337,32 @@ pub fn enforce_passivity(
                 strategy,
             )?;
             if verification.passive {
-                history.push(verification.sigma_max);
-                return Ok(EnforcementOutcome {
-                    model: current,
-                    iterations,
-                    sigma_max_history: history,
-                    accumulated_norm,
-                    report: verification,
-                    robustness,
-                });
+                return Ok(EnforcementOutcome { model: current, report: verification, trace });
             }
             report = verification;
         }
-        history.push(report.sigma_max);
         if best.as_ref().is_none_or(|(s, _)| report.sigma_max < *s) {
             best = Some((report.sigma_max, current.clone()));
         }
-        if iterations >= config.max_iterations || bottomed_growth >= STALL_AFTER {
+        if trace.len() >= config.max_iterations || bottomed_growth >= STALL_AFTER {
             let Some((_, best)) = best else { unreachable!("recorded just above") };
+            // The last 8 entries of the σ_max trajectory: each iteration's
+            // starting σ_max, then the final one.
+            let tail = (trace.len() + 1).saturating_sub(8);
+            let sigma_tail =
+                trace[tail..].iter().map(|it| it.sigma_before).chain([report.sigma_max]).collect();
             return Err(PassivityError::NotConverged {
-                iterations,
+                iterations: trace.len(),
                 sigma_max: report.sigma_max,
                 best: Box::new(best),
                 diagnostics: Box::new(NotConvergedDiagnostics {
                     bottomed_out: bottomed_growth,
-                    last_step,
-                    sigma_tail: history[history.len().saturating_sub(8)..].to_vec(),
-                    qp_lambda_max: robustness.qp_lambda_max,
-                    qp_condition_max: robustness.qp_condition_max,
+                    sigma_tail,
                     best_sigma_max: None,
+                    trace,
                 }),
             });
         }
-        iterations += 1;
 
         // Constraint frequencies: violation-band peaks, edges and midpoints,
         // plus the Hamiltonian crossings themselves.
@@ -432,6 +399,8 @@ pub fn enforce_passivity(
                     .into(),
             ));
         }
+        let qp_lambda =
+            if qp_factors.is_damped() { qp_factors.applied_regularization() } else { 0.0 };
         // The QP whitens F in place: the loop never holds two copies of it.
         let delta = solve_block_qp_in_place(&qp_factors, cons.f, &cons.g)?.x;
 
@@ -446,19 +415,16 @@ pub fn enforce_passivity(
             let candidate_report = assess_with_sampling(pool, &candidate, &sweep, strategy)?;
             let candidate_sigma = candidate_report.sigma_max;
             if candidate_sigma <= report.sigma_max * (1.0 + 1e-9) || step <= MIN_STEP {
-                let norm_increment = norm.evaluate(&scaled)?;
-                accumulated_norm += norm_increment;
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs.on_enforcement_iteration(&EnforcementIteration {
-                        iteration: iterations,
-                        sigma_before: report.sigma_max,
-                        sigma_after: candidate_sigma,
-                        step,
-                        norm_increment,
-                        constraints,
-                        grid_points: candidate_report.grid.len(),
-                    });
-                }
+                trace.push(EnforcementIteration {
+                    iteration: trace.len() + 1,
+                    sigma_before: report.sigma_max,
+                    sigma_after: candidate_sigma,
+                    step,
+                    norm_increment: norm.evaluate(&scaled)?,
+                    constraints,
+                    grid_points: candidate_report.grid.len(),
+                    qp_lambda,
+                });
                 // Backtracking bottomed out at the minimum step and the
                 // violation still grew. One such step happens in healthy
                 // runs (the next re-linearization recovers); `STALL_AFTER`
@@ -469,14 +435,12 @@ pub fn enforce_passivity(
                 } else {
                     bottomed_growth = 0;
                 }
-                last_step = step;
 
                 // Adaptive damping decays once the iterate improves again,
                 // so the converged perturbation is not biased by λ.
                 if !grew {
                     qp_factors.decay()?;
                 }
-                record_qp_state(&mut robustness, &qp_factors);
 
                 current = candidate;
                 report = candidate_report;
@@ -484,15 +448,6 @@ pub fn enforce_passivity(
             }
             step *= 0.5;
         }
-    }
-}
-
-/// Folds the current QP damping state into the run's [`RobustnessInfo`]
-/// (maxima over the run; λ counts only when escalated above the base).
-fn record_qp_state(robustness: &mut RobustnessInfo, factors: &BlockQpFactors) {
-    robustness.qp_condition_max = robustness.qp_condition_max.max(factors.condition_estimate());
-    if factors.is_damped() {
-        robustness.qp_lambda_max = robustness.qp_lambda_max.max(factors.applied_regularization());
     }
 }
 
@@ -537,18 +492,18 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg, None).unwrap();
+        let out = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
         assert!(out.report.passive);
-        assert!(out.iterations >= 1 && out.iterations <= cfg.max_iterations);
+        assert!(!out.trace.is_empty() && out.trace.len() <= cfg.max_iterations);
         assert!(out.report.sigma_max <= 1.0 + 1e-9);
         // The perturbed model keeps the original poles.
         for (a, b) in model.poles().iter().zip(out.model.poles()) {
             assert_eq!(a, b);
         }
-        // sigma_max history is non-increasing in its last step and starts >1.
-        assert!(out.sigma_max_history[0] > 1.0);
-        assert!(*out.sigma_max_history.last().unwrap() <= 1.0 + 1e-9);
-        assert!(out.accumulated_norm > 0.0);
+        // The σ_max trajectory starts above 1, and the run perturbed the
+        // model.
+        assert!(out.trace[0].sigma_before > 1.0);
+        assert!(out.trace.iter().map(|it| it.norm_increment).sum::<f64>() > 0.0);
     }
 
     #[test]
@@ -556,7 +511,7 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg, None).unwrap();
+        let out = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
         // Compare responses far from the violation: they must stay close.
         let omegas: Vec<f64> = (1..60).map(|k| k as f64 * 10.0).collect();
         let before: Vec<Complex64> =
@@ -572,7 +527,7 @@ mod tests {
         let model = violating_two_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 6000.0, &cfg, None).unwrap();
+        let out = enforce_passivity(&model, &norm, 6000.0, &cfg).unwrap();
         assert!(out.report.passive);
         // The model is reciprocal and so is the standard norm, so the QP's
         // constraints and minimizer are symmetric too: the loop keeps the
@@ -591,11 +546,9 @@ mod tests {
         )
         .unwrap();
         let norm = PerturbationNorm::standard(&model).unwrap();
-        let out =
-            enforce_passivity(&model, &norm, 1000.0, &EnforcementConfig::default(), None).unwrap();
-        assert_eq!(out.iterations, 0);
+        let out = enforce_passivity(&model, &norm, 1000.0, &EnforcementConfig::default()).unwrap();
+        assert!(out.trace.is_empty());
         assert!(out.report.passive);
-        assert_eq!((out.accumulated_norm).to_bits(), 0.0f64.to_bits());
         for (a, b) in model.residues().iter().zip(out.model.residues()) {
             assert!(a.max_abs_diff(b) < 1e-15);
         }
@@ -606,9 +559,10 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { max_iterations: 0, sweep_points: 100, ..Default::default() };
-        match enforce_passivity(&model, &norm, 5000.0, &cfg, None) {
+        match enforce_passivity(&model, &norm, 5000.0, &cfg) {
             Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics }) => {
                 assert_eq!(iterations, 0);
+                assert!(diagnostics.trace.is_empty());
                 assert!(sigma_max > 1.0);
                 // Even a zero-budget failure hands back its best iterate
                 // (here the asymptotically clipped input model).
@@ -621,38 +575,45 @@ mod tests {
         }
     }
 
+    /// Two runs of the same problem return bit-identical models and traces,
+    /// and the trace numbers its iterations in order: each starts where the
+    /// previous one ended, and a healthy run never damps its QP.
     #[test]
-    fn observed_enforcement_is_bit_identical_and_reports_every_iteration() {
-        struct Collect(Vec<EnforcementIteration>);
-        impl EnforcementObserver for Collect {
-            fn on_enforcement_iteration(&mut self, event: &EnforcementIteration) {
-                self.0.push(*event);
-            }
-        }
+    fn a_run_is_deterministic_and_traces_every_iteration() {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let plain = enforce_passivity(&model, &norm, 5000.0, &cfg, None).unwrap();
-        let mut obs = Collect(Vec::new());
-        let observed = enforce_passivity(&model, &norm, 5000.0, &cfg, Some(&mut obs)).unwrap();
-        // Bit-identical outcome.
-        assert_eq!(plain.iterations, observed.iterations);
-        assert_eq!(plain.accumulated_norm.to_bits(), observed.accumulated_norm.to_bits());
-        for (a, b) in plain.sigma_max_history.iter().zip(&observed.sigma_max_history) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let a = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        let b = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        assert_traces_bits(&a.trace, &b.trace);
+        for (x, y) in a.model.residues().iter().zip(b.model.residues()) {
+            assert_eq!((x.max_abs_diff(y)).to_bits(), 0.0f64.to_bits());
         }
-        for (a, b) in plain.model.residues().iter().zip(observed.model.residues()) {
-            assert_eq!((a.max_abs_diff(b)).to_bits(), 0.0f64.to_bits());
+        assert!(!a.trace.is_empty());
+        for (k, it) in a.trace.iter().enumerate() {
+            assert_eq!(it.iteration, k + 1);
+            assert!(it.step > 0.0 && it.step <= 1.0);
+            assert!(it.constraints >= 1);
+            assert_eq!(it.qp_lambda.to_bits(), 0.0f64.to_bits());
         }
-        // One event per outer iteration, consistent with the outcome.
-        assert_eq!(obs.0.len(), observed.iterations);
-        let total: f64 = obs.0.iter().map(|e| e.norm_increment).sum();
-        assert!((total - observed.accumulated_norm).abs() <= 1e-12 * observed.accumulated_norm);
-        for (k, ev) in obs.0.iter().enumerate() {
-            assert_eq!(ev.iteration, k + 1);
-            assert_eq!(ev.sigma_before.to_bits(), observed.sigma_max_history[k].to_bits());
-            assert!(ev.step > 0.0 && ev.step <= 1.0);
-            assert!(ev.constraints >= 1);
+        for pair in a.trace.windows(2) {
+            assert_eq!(pair[1].sigma_before.to_bits(), pair[0].sigma_after.to_bits());
+        }
+    }
+
+    /// Asserts two traces equal, floats bit for bit.
+    fn assert_traces_bits(a: &[EnforcementIteration], b: &[EnforcementIteration]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            let bits = |it: &EnforcementIteration| {
+                [it.sigma_before, it.sigma_after, it.step, it.norm_increment, it.qp_lambda]
+                    .map(f64::to_bits)
+            };
+            assert_eq!(
+                (x.iteration, x.constraints, x.grid_points),
+                (y.iteration, y.constraints, y.grid_points)
+            );
+            assert_eq!(bits(x), bits(y));
         }
     }
 
@@ -686,13 +647,6 @@ mod tests {
                 self.inner.refine(pool, model, base, crossings)
             }
         }
-        struct Steps(Vec<EnforcementIteration>);
-        impl EnforcementObserver for Steps {
-            fn on_enforcement_iteration(&mut self, ev: &EnforcementIteration) {
-                self.0.push(*ev);
-            }
-        }
-
         let counting = Arc::new(Counting::default());
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
@@ -701,14 +655,12 @@ mod tests {
             sampling: counting.clone(),
             ..Default::default()
         };
-        let mut steps = Steps(Vec::new());
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg, Some(&mut steps)).unwrap();
-        assert!(out.iterations >= 1, "the invariant needs at least one iteration");
-        assert_eq!(steps.0.len(), out.iterations);
+        let out = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        assert!(!out.trace.is_empty(), "the invariant needs at least one iteration");
         // Backtracking tries the steps 1, 1/2, 1/4, ... down to the one it
         // accepts: 1 + log2(1/step) candidates per iteration.
         let candidates: usize =
-            steps.0.iter().map(|ev| 1 + (1.0 / ev.step).log2().round() as usize).sum();
+            out.trace.iter().map(|ev| 1 + (1.0 / ev.step).log2().round() as usize).sum();
         assert_eq!(counting.refines.load(Ordering::Relaxed), 1 + candidates + 1);
     }
 
@@ -728,17 +680,10 @@ mod tests {
             qp: QpOptions { max_condition: f64::INFINITY, ..Default::default() },
             ..Default::default()
         };
-        struct Steps(Vec<EnforcementIteration>);
-        impl EnforcementObserver for Steps {
-            fn on_enforcement_iteration(&mut self, ev: &EnforcementIteration) {
-                self.0.push(*ev);
-            }
-        }
-        let mut steps = Steps(Vec::new());
-        match enforce_passivity(&model, &norm, 5000.0, &cfg, Some(&mut steps)) {
+        match enforce_passivity(&model, &norm, 5000.0, &cfg) {
             Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics }) => {
                 assert_eq!(iterations, cfg.max_iterations);
-                assert_eq!(steps.0.len(), cfg.max_iterations);
+                assert_eq!(diagnostics.trace.len(), cfg.max_iterations);
                 assert!(sigma_max > 1.0);
                 // The best-so-far model, re-assessed exactly as the loop
                 // assessed its iterates (working grid + the configured
@@ -753,21 +698,24 @@ mod tests {
                 )
                 .unwrap()
                 .sigma_max;
-                let start_sigma = steps.0[0].sigma_before;
+                let start_sigma = diagnostics.trace[0].sigma_before;
                 assert!(
                     best_sigma <= sigma_max && best_sigma <= start_sigma,
                     "best-so-far ({best_sigma}) must be no worse than the start \
                      ({start_sigma}) or the end state ({sigma_max})"
                 );
-                // The post-mortem carries the trajectory tail and renders it.
-                assert!(!diagnostics.sigma_tail.is_empty());
+                // The post-mortem carries the trajectory tail, each
+                // iteration's starting σ_max then the final one, and renders
+                // it.
+                let starts: Vec<f64> = diagnostics.trace.iter().map(|it| it.sigma_before).collect();
+                assert_eq!(diagnostics.sigma_tail[..starts.len()], starts[..]);
                 assert_eq!(*diagnostics.sigma_tail.last().unwrap(), sigma_max);
                 let rendered = diagnostics.to_string();
                 assert!(rendered.contains("sigma tail"), "{rendered}");
             }
             Ok(out) => panic!(
                 "the skewed norm should exhaust the budget, but converged in {} iterations",
-                out.iterations
+                out.trace.len()
             ),
             Err(e) => panic!("expected NotConverged, got {e}"),
         }
@@ -790,13 +738,15 @@ mod tests {
             qp: QpOptions { max_condition: 1e6, ..Default::default() },
             ..Default::default()
         };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg, None)
-            .expect("the damped loop must converge");
+        let out =
+            enforce_passivity(&model, &norm, 5000.0, &cfg).expect("the damped loop must converge");
         assert!(out.report.passive);
         assert!(out.report.sigma_max <= 1.0 + 1e-9);
-        // The damping actually engaged.
-        assert!(out.robustness.qp_lambda_max > cfg.qp.regularization);
-        assert!(out.robustness.qp_condition_max <= 1e6 * (1.0 + 1e-9));
+        // The damping actually engaged, from the first QP on, and decayed as
+        // the iterate improved.
+        let lambdas: Vec<f64> = out.trace.iter().map(|it| it.qp_lambda).collect();
+        assert!(lambdas[0] > cfg.qp.regularization, "{lambdas:?}");
+        assert!(lambdas.windows(2).all(|w| w[1] <= w[0]), "{lambdas:?}");
     }
 
     #[test]
@@ -812,17 +762,16 @@ mod tests {
             qp: QpOptions { max_condition: f64::INFINITY, ..Default::default() },
             ..Default::default()
         };
-        let a = enforce_passivity(&model, &norm, 5000.0, &robust, None).unwrap();
-        let b = enforce_passivity(&model, &norm, 5000.0, &legacy, None).unwrap();
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.accumulated_norm.to_bits(), b.accumulated_norm.to_bits());
-        for (x, y) in a.sigma_max_history.iter().zip(&b.sigma_max_history) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        let a = enforce_passivity(&model, &norm, 5000.0, &robust).unwrap();
+        let b = enforce_passivity(&model, &norm, 5000.0, &legacy).unwrap();
+        // The traces carry every iteration's σ_max, step, norm increment and
+        // QP λ (zero: the damping never escalated).
+        assert_traces_bits(&a.trace, &b.trace);
+        assert!(a.trace.iter().all(|it| it.qp_lambda.to_bits() == 0.0f64.to_bits()));
+        assert_eq!(a.report.sigma_max.to_bits(), b.report.sigma_max.to_bits());
         for (x, y) in a.model.residues().iter().zip(b.model.residues()) {
             assert_eq!((x.max_abs_diff(y)).to_bits(), 0.0f64.to_bits());
         }
-        assert_eq!(a.robustness.qp_lambda_max.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -843,21 +792,14 @@ mod tests {
         assert!(PerturbationNorm::from_gramian(Mat::from_diag(&[1.0, f64::NAN])).is_err());
         // Mismatched norm vs model is rejected by the loop.
         let other = violating_two_port();
-        assert!(
-            enforce_passivity(&other, &norm, 100.0, &EnforcementConfig::default(), None).is_err()
-        );
+        assert!(enforce_passivity(&other, &norm, 100.0, &EnforcementConfig::default()).is_err());
         for band_edge in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
-            assert!(enforce_passivity(
-                &model,
-                &norm,
-                band_edge,
-                &EnforcementConfig::default(),
-                None
-            )
-            .is_err());
+            assert!(
+                enforce_passivity(&model, &norm, band_edge, &EnforcementConfig::default()).is_err()
+            );
         }
         let bad_cfg = EnforcementConfig { sweep_points: 3, ..Default::default() };
-        assert!(enforce_passivity(&model, &norm, 100.0, &bad_cfg, None).is_err());
+        assert!(enforce_passivity(&model, &norm, 100.0, &bad_cfg).is_err());
     }
 
     #[test]
@@ -874,8 +816,8 @@ mod tests {
             PerturbationNorm::from_gramian(Mat::from_fn(3, 3, |i, j| d[i] * g[(i, j)] * d[j]))
                 .unwrap();
         let cfg = EnforcementConfig { sweep_points: 150, max_iterations: 60, ..Default::default() };
-        let out_std = enforce_passivity(&model, &standard, 6000.0, &cfg, None).unwrap();
-        let out_w = enforce_passivity(&model, &heavy, 6000.0, &cfg, None).unwrap();
+        let out_std = enforce_passivity(&model, &standard, 6000.0, &cfg).unwrap();
+        let out_w = enforce_passivity(&model, &heavy, 6000.0, &cfg).unwrap();
         assert!(out_std.report.passive && out_w.report.passive);
         // Largest change of the pair's residue over all matrix elements:
         // about 4.0 weighted against 29 standard here.

@@ -12,8 +12,8 @@
 //!   (rad/s), each tagged with its [`PointProvenance`] (seed point, crossing
 //!   refinement, adaptive bisection);
 //! * [`SamplingStrategy`] — the policy trait: how to build the enforcement
-//!   working and verification grids, and how to refine a base grid for one
-//!   assessment of a concrete model;
+//!   working grid, and how to refine a base grid for one assessment of a
+//!   concrete model;
 //! * [`FixedLog`] — no refinement: sweep exactly the base grid (audits);
 //! * [`Adaptive`] — the default: seeds the grid with midpoints / geometric
 //!   means between consecutive Hamiltonian crossings plus ±0.1 %
@@ -36,8 +36,9 @@
 //! let grid = adaptive.working_grid(1e10, 400);
 //! assert_eq!(grid.len(), 401);
 //! assert_eq!(grid.points()[0], 0.0);
-//! // The convergence double-check grid is 4x denser.
-//! assert_eq!(adaptive.verification_grid(1e10, 400).len(), 1601);
+//! // The loop's convergence double-check grid is the same logarithmic grid,
+//! // 4x denser (every strategy refines it like any other base grid).
+//! assert_eq!(FrequencyGrid::enforcement_log(1e10, 4 * 400).len(), 1601);
 //! // Strategies are compared by name in diagnostics.
 //! assert_eq!(adaptive.name(), "adaptive");
 //! // Grids canonicalize on construction: sorted, deduplicated.
@@ -167,8 +168,8 @@ impl FrequencyGrid {
 }
 
 /// A policy for where to sample singular values: how the enforcement
-/// working and verification grids are built, and how a base grid is
-/// refined for one assessment of a concrete model.
+/// working grid is built, and how a base grid is refined for one
+/// assessment of a concrete model.
 ///
 /// Strategies must be [`Send`] + [`Sync`]: enforcement runs inside the
 /// parallel preset sweeps of the pipeline, and the configuration (which
@@ -182,12 +183,6 @@ pub trait SamplingStrategy: fmt::Debug + Send + Sync {
     /// the historical logarithmic grid.
     fn working_grid(&self, band_max_omega: f64, sweep_points: usize) -> FrequencyGrid {
         FrequencyGrid::enforcement_log(band_max_omega, sweep_points)
-    }
-
-    /// The convergence double-check / final verification grid. The default
-    /// is the historical 4× dense logarithmic grid.
-    fn verification_grid(&self, band_max_omega: f64, sweep_points: usize) -> FrequencyGrid {
-        FrequencyGrid::enforcement_log(band_max_omega, sweep_points * 4)
     }
 
     /// Refines `base` for one assessment of `model`, given the model's

@@ -18,8 +18,10 @@
 //!   defines the perturbation norm, so the *same* code runs both the
 //!   standard L2 enforcement (eq. 10)
 //!   and the sensitivity-weighted enforcement of the paper (eq. 20–21, built
-//!   by `pim-core`), and it reports every outer iteration to an optional
-//!   [`enforce::EnforcementObserver`];
+//!   by `pim-core`), and every run returns its own record: one
+//!   [`enforce::EnforcementIteration`] per outer iteration, as
+//!   [`enforce::EnforcementOutcome::trace`] or, when it fails, inside
+//!   [`NotConvergedDiagnostics`];
 //! * [`norm`] — the pluggable norm-construction layer: [`norm::NormKind`]
 //!   names the norm families and [`norm::NormBuilder`] abstracts building a
 //!   [`enforce::PerturbationNorm`] for a model;
@@ -28,8 +30,8 @@
 //!   pluggable [`grid::SamplingStrategy`] — [`grid::Adaptive`] (the
 //!   default: bisection around Hamiltonian crossings and local σ maxima
 //!   until the interpolation error falls below tolerance) and
-//!   [`grid::FixedLog`] (no refinement, for audits) — that drives every
-//!   assessment and all three enforcement grids.
+//!   [`grid::FixedLog`] (no refinement, for audits) — that builds the
+//!   enforcement working grid and refines every assessment.
 //!
 //! There is one way to assess, [`check::assess_with_sampling`] (with
 //! [`check::assess_on`] as its fixed-grid audit form, and
@@ -52,8 +54,8 @@ pub use check::{
     singular_value_sweep_with, PassivityReport, ViolationBand,
 };
 pub use enforce::{
-    enforce_passivity, EnforcementConfig, EnforcementIteration, EnforcementObserver,
-    EnforcementOutcome, PerturbationNorm, RobustnessInfo,
+    enforce_passivity, EnforcementConfig, EnforcementIteration, EnforcementOutcome,
+    PerturbationNorm,
 };
 pub use grid::{Adaptive, FixedLog, FrequencyGrid, PointProvenance, SamplingStrategy};
 pub use norm::{NormBuilder, NormKind};
@@ -63,33 +65,34 @@ use std::fmt;
 
 /// Post-mortem of a failed enforcement run, carried by
 /// [`PassivityError::NotConverged`] so failures are debuggable without a
-/// rerun: where the step control ended up, and how the worst singular value
-/// was moving when the run ran out of budget or stalled.
+/// rerun: every iteration the run made, where the step control ended up,
+/// and how the worst singular value was moving when the run ran out of
+/// budget or stalled.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NotConvergedDiagnostics {
     /// Consecutive bottomed-out-and-grew backtracking steps at exit (2 when
     /// the run stalled).
     pub bottomed_out: usize,
-    /// Step fraction of the last accepted perturbation (1.0 = full step).
-    pub last_step: f64,
     /// Tail of the per-iteration `σ_max` trajectory (up to the last 8
     /// entries, oldest first).
     pub sigma_tail: Vec<f64>,
-    /// Largest relative Tikhonov λ the adaptive QP damping applied.
-    pub qp_lambda_max: f64,
-    /// Largest post-damping Gramian condition estimate.
-    pub qp_condition_max: f64,
     /// Audit `σ_max` of the best-so-far model, filled in by callers that
     /// audit the `best` model when the run fails (the pipeline does, on its
     /// contract audit grid; the raw loop leaves it `None`).
     pub best_sigma_max: Option<f64>,
+    /// Every outer iteration of the run, in order.
+    pub trace: Vec<enforce::EnforcementIteration>,
 }
 
 impl fmt::Display for NotConvergedDiagnostics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bottomed-out x{}, last step {}", self.bottomed_out, self.last_step)?;
-        if self.qp_lambda_max > 0.0 {
-            write!(f, ", qp lambda {:.1e}", self.qp_lambda_max)?;
+        // The step of the last accepted perturbation (1.0 before any), and
+        // the largest Tikhonov λ the adaptive QP damping applied.
+        let last_step = self.trace.last().map_or(1.0, |it| it.step);
+        write!(f, "bottomed-out x{}, last step {last_step}", self.bottomed_out)?;
+        let qp_lambda_max = self.trace.iter().fold(0.0_f64, |max, it| max.max(it.qp_lambda));
+        if qp_lambda_max > 0.0 {
+            write!(f, ", qp lambda {qp_lambda_max:.1e}")?;
         }
         if let Some(s) = self.best_sigma_max {
             write!(f, ", best audit sigma {s:.6}")?;
@@ -128,8 +131,8 @@ pub enum PassivityError {
         /// a failed enforcement still yields its best iterate. Boxed to
         /// keep the error type small.
         best: Box<pim_statespace::PoleResidueModel>,
-        /// Post-mortem of the failed run (step control state, `σ_max`
-        /// trajectory tail).
+        /// Post-mortem of the failed run (its iterations, step control
+        /// state, `σ_max` trajectory tail).
         diagnostics: Box<NotConvergedDiagnostics>,
     },
     /// The linearized constraints of a perturbation step are inconsistent:

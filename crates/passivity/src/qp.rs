@@ -100,8 +100,6 @@ pub struct BlockQpFactors {
     /// Relative Tikhonov λ baked into the factorization
     /// (`== base_regularization` unless escalated).
     applied: f64,
-    /// LU condition estimate of the Gramian after damping.
-    condition: f64,
 }
 
 /// The Gramian with a relative Tikhonov term `lambda` on its diagonal.
@@ -113,8 +111,8 @@ fn damped(g: &Mat, lambda: f64) -> Mat {
 
 /// Escalates `lambda` (×100 per step) until the damped Gramian's LU
 /// condition estimate is at or below `max_condition`, returning the Cholesky
-/// factor of that damped Gramian, the λ used and the final estimate.
-fn factor_capped(g: &Mat, mut lambda: f64, max_condition: f64) -> Result<(Mat, f64, f64)> {
+/// factor of that damped Gramian and the λ used.
+fn factor_capped(g: &Mat, mut lambda: f64, max_condition: f64) -> Result<(Mat, f64)> {
     let mut matrix = damped(g, lambda);
     let mut attempt = Lu::new(&matrix);
     for _ in 0..24 {
@@ -129,8 +127,9 @@ fn factor_capped(g: &Mat, mut lambda: f64, max_condition: f64) -> Result<(Mat, f
         matrix = damped(g, lambda);
         attempt = Lu::new(&matrix);
     }
-    let cond = attempt?.condition_estimate();
-    Ok((cholesky(&matrix)?, lambda, cond))
+    // A damped Gramian the LU still cannot factor fails here.
+    attempt?;
+    Ok((cholesky(&matrix)?, lambda))
 }
 
 /// Lower Cholesky factor `L` of a symmetric positive definite matrix
@@ -179,25 +178,19 @@ impl BlockQpFactors {
                 gramian.cols()
             )));
         }
-        let (factor, applied, condition) = factor_capped(gramian, regularization, max_condition)?;
+        let (factor, applied) = factor_capped(gramian, regularization, max_condition)?;
         Ok(BlockQpFactors {
             gramian: gramian.clone(),
             factor,
             base_regularization: regularization,
             max_condition,
             applied,
-            condition,
         })
     }
 
     /// Relative Tikhonov λ baked into the factorization.
     pub fn applied_regularization(&self) -> f64 {
         self.applied
-    }
-
-    /// Condition estimate of the Gramian after damping.
-    pub fn condition_estimate(&self) -> f64 {
-        self.condition
     }
 
     /// Whether the damping was escalated above the base λ.
@@ -221,7 +214,7 @@ impl BlockQpFactors {
             return Ok(false);
         }
         let target = (self.applied / FACTOR).max(self.base_regularization);
-        let (factor, lambda, condition) = factor_capped(&self.gramian, target, self.max_condition)?;
+        let (factor, lambda) = factor_capped(&self.gramian, target, self.max_condition)?;
         // Never escalate past the current λ from inside a decay — that
         // would oscillate between a too-light and a too-heavy damping.
         if lambda >= self.applied {
@@ -229,7 +222,6 @@ impl BlockQpFactors {
         }
         self.factor = factor;
         self.applied = lambda;
-        self.condition = condition;
         Ok(true)
     }
 }
@@ -626,15 +618,21 @@ mod tests {
     fn adaptive_damping_caps_near_singular_blocks_and_decays() {
         // A near-singular Gramian (condition ~1e12).
         let gramian = Mat::from_diag(&[1.0, 1e-12]);
+        // The LU condition estimate of the Gramian under the applied damping.
+        let condition = |factors: &BlockQpFactors| {
+            Lu::new(&damped(&gramian, factors.applied_regularization()))
+                .unwrap()
+                .condition_estimate()
+        };
         let mut factors = BlockQpFactors::new_adaptive(&gramian, 1e-10, 1e6).unwrap();
         assert!(factors.is_damped());
-        assert!(factors.condition_estimate() <= 1e6);
+        assert!(condition(&factors) <= 1e6);
         assert!(factors.applied_regularization() > 1e-10);
         // Decay relaxes the damping only while the cap still holds.
         let lambda_before = factors.applied_regularization();
         factors.decay().unwrap();
         assert!(factors.applied_regularization() <= lambda_before);
-        assert!(factors.condition_estimate() <= 1e6);
+        assert!(condition(&factors) <= 1e6);
         // Decay never touches a Gramian that was never escalated.
         let mut plain = BlockQpFactors::new_adaptive(&gramian, 1e-10, f64::INFINITY).unwrap();
         assert!(!plain.is_damped());

@@ -14,7 +14,7 @@ fn main() -> Result<(), PimError> {
     let mut pipeline = Pipeline::from_scenario(&sc, FlowConfig::default())?;
     let fit = pipeline.fit(FitKind::Weighted)?;
     let enforcement = pipeline.enforce(NormKind::SensitivityWeighted)?;
-    let final_model = match &enforcement.outcome {
+    let final_model = match &enforcement {
         Some(out) => &out.model,
         None => &fit.result.model,
     };
@@ -26,9 +26,11 @@ fn main() -> Result<(), PimError> {
     for (k, &f) in sc.data.grid().freqs_hz().iter().enumerate().step_by(6) {
         println!("{:>12.3e} {:>16.9} {:>16.9}", f, before[k][0], after[k][0]);
     }
-    if let Some(out) = &enforcement.outcome {
-        println!("\nenforcement iterations: {}", out.iterations);
-        println!("sigma_max history: {:?}", out.sigma_max_history);
+    if let Some(out) = &enforcement {
+        println!("\nenforcement iterations: {}", out.trace.len());
+        let history: Vec<f64> =
+            out.trace.iter().map(|it| it.sigma_before).chain([out.report.sigma_max]).collect();
+        println!("sigma_max history: {history:?}");
     }
     Ok(())
 }

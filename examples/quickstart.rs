@@ -37,7 +37,8 @@ fn main() -> Result<(), PimError> {
     if let Some(out) = &report.weighted_enforcement {
         println!(
             "weighted enforcement: {} iterations, final sigma_max {:.6}",
-            out.iterations, out.report.sigma_max
+            out.trace.len(),
+            out.report.sigma_max
         );
     } else {
         println!("weighted model was already passive");

@@ -7,10 +7,10 @@
 
 use pim_repro::core_flow::corpus::dense_decap_divergence_case;
 use pim_repro::core_flow::{
-    CoreError, Corpus, CorpusClass, CorpusConfig, MinimizedFixture, Pipeline, RecoveryRung,
+    CoreError, Corpus, CorpusClass, CorpusConfig, MinimizedFixture, Pipeline, RecoveryRung, Stage,
     TraceObserver,
 };
-use pim_repro::passivity::{NormKind, PassivityError};
+use pim_repro::passivity::{EnforcementIteration, NormKind, PassivityError};
 use pim_runtime::ThreadPool;
 
 /// The committed fixture of the historical 5×5 dense-decap divergence
@@ -212,14 +212,18 @@ fn corpus_smoke_and_dense_decap_verdicts_are_deterministic() {
 /// The weighted primary pass on corpus board 81 stalls: its first two
 /// iterations both bottom out at the minimum step with `σ_max` still
 /// growing, and the loop stops there with `NotConverged` instead of
-/// spending the rest of its 60-iteration budget.
+/// spending the rest of its 60-iteration budget. The failed stage replays
+/// those two iterations to the observer before its failure, bit for bit as
+/// the error's trace records them.
 #[test]
 fn stalled_enforcement_stops_early_on_corpus_board_81() {
     let case = Corpus::case(&CorpusConfig::default(), 81).expect("generator");
     let (_pdn, data, network, observation_port) = case.assemble().expect("assemble");
-    let mut pipeline =
-        Pipeline::from_data(&data, &network, observation_port, case.flow.clone()).unwrap();
-    match pipeline.enforce(NormKind::SensitivityWeighted) {
+    let mut trace = TraceObserver::new();
+    let mut pipeline = Pipeline::from_data(&data, &network, observation_port, case.flow.clone())
+        .unwrap()
+        .with_observer(&mut trace);
+    let diagnostics = match pipeline.enforce(NormKind::SensitivityWeighted) {
         Err(CoreError::Passivity(PassivityError::NotConverged {
             iterations, diagnostics, ..
         })) => {
@@ -228,9 +232,26 @@ fn stalled_enforcement_stops_early_on_corpus_board_81() {
                 "the stalled run spent its whole budget ({iterations}; {diagnostics})"
             );
             assert_eq!(diagnostics.bottomed_out, 2, "{diagnostics}");
+            diagnostics
         }
         Ok(_) => panic!("board 81's weighted primary pass converged"),
         Err(e) => panic!("expected NotConverged, got {e}"),
+    };
+    drop(pipeline);
+    // Only the weighted stage ran an enforcement, so every iteration event
+    // came before its failure.
+    assert_eq!(trace.failed, vec![Stage::Enforcement(NormKind::SensitivityWeighted)]);
+    let bits = |it: &EnforcementIteration| {
+        let floats = [it.sigma_before, it.sigma_after, it.step, it.norm_increment, it.qp_lambda];
+        (it.iteration, it.constraints, it.grid_points, floats.map(f64::to_bits))
+    };
+    let observed: Vec<_> =
+        trace.trace(NormKind::SensitivityWeighted).into_iter().map(bits).collect();
+    assert_eq!(observed, diagnostics.trace.iter().map(bits).collect::<Vec<_>>());
+    assert_eq!(diagnostics.trace.len(), 2, "{diagnostics}");
+    for it in &diagnostics.trace {
+        assert_eq!(it.step.to_bits(), (1.0f64 / 1024.0).to_bits(), "{it:?}");
+        assert!(it.sigma_after > it.sigma_before, "{it:?}");
     }
 }
 

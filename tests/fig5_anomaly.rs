@@ -19,7 +19,7 @@
 use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, ScenarioPreset, TraceObserver};
 use pim_repro::passivity::check::{assess_on, assess_with_sampling};
 use pim_repro::passivity::grid::{Adaptive, FixedLog, FrequencyGrid};
-use pim_repro::passivity::NormKind;
+use pim_repro::passivity::{EnforcementIteration, NormKind};
 use pim_repro::runtime::ThreadPool;
 
 /// The hidden violation band of the anomaly (rad/s).
@@ -113,10 +113,17 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
         std_eval.impedance_relative_error
     );
 
-    // --- 5. Observability: the adaptive working grid grew beyond the
-    //        fixed 201-point baseline in every recorded iteration.
+    // --- 5. Observability: the observer received the delivered run's trace,
+    //        bit for bit, and the adaptive working grid grew beyond the fixed
+    //        201-point baseline in every recorded iteration.
+    let bits = |it: &EnforcementIteration| {
+        let floats = [it.sigma_before, it.sigma_after, it.step, it.norm_increment, it.qp_lambda];
+        (it.iteration, it.constraints, it.grid_points, floats.map(f64::to_bits))
+    };
+    let observed: Vec<_> =
+        trace.trace(NormKind::SensitivityWeighted).into_iter().map(bits).collect();
+    assert_eq!(observed, out.trace.iter().map(bits).collect::<Vec<_>>());
     let growth = trace.grid_growth(NormKind::SensitivityWeighted);
-    assert_eq!(growth.len(), out.iterations);
     assert!(
         growth.iter().all(|&n| n > working.len()),
         "adaptive iterations must refine beyond the {}-point baseline: {growth:?}",

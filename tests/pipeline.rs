@@ -79,6 +79,31 @@ fn assert_eval_bits(a: &ModelEvaluation, b: &ModelEvaluation, what: &str) {
     }
 }
 
+fn assert_iteration_bits(a: &EnforcementIteration, b: &EnforcementIteration, what: &str) {
+    assert_eq!(a.iteration, b.iteration, "{what}: index");
+    assert_eq!(a.constraints, b.constraints, "{what}: constraints");
+    assert_eq!(a.grid_points, b.grid_points, "{what}: grid points");
+    assert_f64_bits(a.sigma_before, b.sigma_before, &format!("{what}: sigma_before"));
+    assert_f64_bits(a.sigma_after, b.sigma_after, &format!("{what}: sigma_after"));
+    assert_f64_bits(a.step, b.step, &format!("{what}: step"));
+    assert_f64_bits(a.norm_increment, b.norm_increment, &format!("{what}: norm increment"));
+    assert_f64_bits(a.qp_lambda, b.qp_lambda, &format!("{what}: qp lambda"));
+}
+
+/// Asserts that iteration events (as an observer received them) equal a
+/// run's trace, in order and bit for bit.
+fn assert_iterations_bits<'a>(
+    events: impl IntoIterator<Item = &'a EnforcementIteration>,
+    trace: &[EnforcementIteration],
+    what: &str,
+) {
+    let events: Vec<&EnforcementIteration> = events.into_iter().collect();
+    assert_eq!(events.len(), trace.len(), "{what}: iteration count");
+    for (i, (a, b)) in events.into_iter().zip(trace).enumerate() {
+        assert_iteration_bits(a, b, &format!("{what}: iteration {i}"));
+    }
+}
+
 fn assert_enforcement_bits(
     a: &Option<EnforcementOutcome>,
     b: &Option<EnforcementOutcome>,
@@ -86,10 +111,8 @@ fn assert_enforcement_bits(
 ) {
     assert_eq!(a.is_some(), b.is_some(), "{what}: presence");
     if let (Some(x), Some(y)) = (a, b) {
-        assert_eq!(x.iterations, y.iterations, "{what}: iterations");
+        assert_iterations_bits(&x.trace, &y.trace, &format!("{what}: trace"));
         assert_model_bits(&x.model, &y.model, &format!("{what}: model"));
-        assert_slice_bits(&x.sigma_max_history, &y.sigma_max_history, &format!("{what}: history"));
-        assert_f64_bits(x.accumulated_norm, y.accumulated_norm, &format!("{what}: norm"));
         assert_eq!(x.report.passive, y.report.passive, "{what}: passive flag");
         assert_f64_bits(x.report.sigma_max, y.report.sigma_max, &format!("{what}: sigma_max"));
     }
@@ -146,7 +169,7 @@ fn staged_pipeline_is_bit_identical_to_a_plain_report() {
         // Deliberately not the report() order: enforcement first (pulling
         // in its prerequisites lazily), then the remaining stages from cache.
         let enf = pipeline.enforce(NormKind::SensitivityWeighted).unwrap();
-        assert!(enf.outcome.is_some(), "reduced scenario needs enforcement");
+        assert!(enf.is_some(), "reduced scenario needs enforcement");
         let _ = pipeline.weighting_model().unwrap();
         let _ = pipeline.fit(FitKind::Standard).unwrap();
         let _ = pipeline.fit(FitKind::Weighted).unwrap();
@@ -156,12 +179,12 @@ fn staged_pipeline_is_bit_identical_to_a_plain_report() {
     };
     assert_report_bits(&plain, &staged);
 
-    // The observer saw the enforcement iterations of both norms and they
-    // reconcile with the outcomes in the report.
-    let weighted = trace.trace(NormKind::SensitivityWeighted);
-    assert_eq!(weighted.len(), staged.weighted_enforcement.as_ref().unwrap().iterations);
+    // The observer saw the enforcement iterations of both norms, and they
+    // are the traces of the outcomes in the report.
+    let weighted = staged.weighted_enforcement.as_ref().unwrap();
+    assert_iterations_bits(trace.trace(NormKind::SensitivityWeighted), &weighted.trace, "weighted");
     if let Some(std_out) = &staged.standard_enforcement {
-        assert_eq!(trace.trace(NormKind::Standard).len(), std_out.iterations);
+        assert_iterations_bits(trace.trace(NormKind::Standard), &std_out.trace, "standard");
     }
     // Stage caching: the scrambled calls above must not have re-run any
     // stage — one start event per distinct stage.
@@ -198,12 +221,7 @@ fn assert_trace_bits(a: &TraceObserver, b: &TraceObserver, what: &str) {
     assert_eq!(a.iterations.len(), b.iterations.len(), "{what}: iteration count");
     for (i, ((ka, ea), (kb, eb))) in a.iterations.iter().zip(&b.iterations).enumerate() {
         assert_eq!(ka, kb, "{what}: norm of iteration {i}");
-        assert_eq!(ea.iteration, eb.iteration, "{what}: iteration index {i}");
-        assert_eq!(ea.constraints, eb.constraints, "{what}: constraints {i}");
-        assert_f64_bits(ea.sigma_before, eb.sigma_before, &format!("{what}: sigma_before {i}"));
-        assert_f64_bits(ea.sigma_after, eb.sigma_after, &format!("{what}: sigma_after {i}"));
-        assert_f64_bits(ea.step, eb.step, &format!("{what}: step {i}"));
-        assert_f64_bits(ea.norm_increment, eb.norm_increment, &format!("{what}: norm inc {i}"));
+        assert_iteration_bits(ea, eb, &format!("{what}: iteration {i}"));
     }
 }
 
@@ -264,7 +282,10 @@ fn parallel_sweep_is_bit_identical_to_serial_and_upholds_the_fit_claim() {
         match &r.weighted_enforcement {
             Some(out) => {
                 assert_eq!(runs.len(), failed + 1, "{name}: runs vs failed weighted stages");
-                assert_eq!(runs.last(), Some(&out.iterations), "{name}: delivered run length");
+                assert_eq!(runs.last(), Some(&out.trace.len()), "{name}: delivered run length");
+                let events = entry.trace.trace(NormKind::SensitivityWeighted);
+                let delivered = &events[events.len() - out.trace.len()..];
+                assert_iterations_bits(delivered.iter().copied(), &out.trace, name);
             }
             None => assert!(runs.is_empty(), "{name}: no enforcement, no trace"),
         }
@@ -369,8 +390,8 @@ fn exhausted_primary_budget_is_delivered_by_the_ladder() {
     assert_eq!(contract.rung, RecoveryRung::ReducedOrder);
     assert_audit_reuses_the_delivered_crossings(&sc, &config, &report);
     let outcome = report.weighted_enforcement.as_ref().expect("the retry delivers a model");
-    assert_eq!(outcome.iterations, 5);
-    assert_eq!(trace.trace(NormKind::SensitivityWeighted).len(), outcome.iterations);
+    assert_eq!(outcome.trace.len(), 5);
+    assert_iterations_bits(trace.trace(NormKind::SensitivityWeighted), &outcome.trace, "retry");
     assert_eq!(
         trace.failed,
         vec![
@@ -452,8 +473,8 @@ fn report_equals_the_staged_serial_calls() {
         pipeline.fit(FitKind::Weighted).unwrap();
         pipeline.weighting_model().unwrap();
         pipeline.assess().unwrap();
-        let weighted = pipeline.enforce(NormKind::SensitivityWeighted).unwrap().outcome;
-        let standard = pipeline.enforce(NormKind::Standard).unwrap().outcome;
+        let weighted = pipeline.enforce(NormKind::SensitivityWeighted).unwrap();
+        let standard = pipeline.enforce(NormKind::Standard).unwrap();
         (weighted, standard, pipeline.report().unwrap())
     };
     assert!(weighted.is_some() && standard.is_some(), "both passes run and converge");
@@ -461,6 +482,53 @@ fn report_equals_the_staged_serial_calls() {
     assert_enforcement_bits(&report.standard_enforcement, &standard, "standard baseline");
     assert_report_bits(&report, &staged);
     assert_eq!(concurrent.0, serial.0, "ordered event log");
+}
+
+/// A primary weighted pass that runs out of budget after some iterations
+/// replays them before its failure. In `report()`, where it runs beside the
+/// standard baseline, the weighted events delivered before the
+/// reduced-order retry starts are exactly the trace its `NotConverged`
+/// diagnostics carry, and the retry's events are the delivered run's trace.
+#[test]
+fn a_failed_primary_pass_replays_its_iterations_before_the_retry() {
+    let sc = ScenarioPreset::Reduced.build().unwrap();
+    let mut config = quick_config();
+    // The primary pass needs 10 iterations (fig5_iterations.txt).
+    config.enforcement.max_iterations = 3;
+    let mut log = EventLog::default();
+    let report =
+        Pipeline::from_scenario(&sc, config).unwrap().with_observer(&mut log).report().unwrap();
+    assert_eq!(report.contract.as_ref().unwrap().rung, RecoveryRung::ReducedOrder);
+
+    let (weighted, retry) = (
+        Stage::Enforcement(NormKind::SensitivityWeighted),
+        Stage::Recovery(RecoveryRung::ReducedOrder),
+    );
+    let at = |event: Event| log.0.iter().position(|e| *e == event).expect("event delivered");
+    let iterations = |events: &[Event]| -> Vec<EnforcementIteration> {
+        events
+            .iter()
+            .map(|e| match e {
+                Event::Iteration(NormKind::SensitivityWeighted, it) => *it,
+                other => panic!("expected a weighted iteration, got {other:?}"),
+            })
+            .collect()
+    };
+    // Start(weighted), its iterations, Failed(weighted), its diagnostics,
+    // then Start(retry).
+    let primary = &log.0[at(Event::Start(weighted)) + 1..at(Event::Start(retry))];
+    let [events @ .., Event::Failed(failed), Event::Diagnostics(NormKind::SensitivityWeighted, d)] =
+        primary
+    else {
+        panic!("the primary pass must fail with diagnostics: {primary:?}");
+    };
+    assert_eq!(*failed, weighted);
+    assert_eq!(d.trace.len(), 3, "the pass spends its budget");
+    assert_iterations_bits(&iterations(events), &d.trace, "failed primary pass");
+
+    let delivered = &log.0[at(Event::Start(retry)) + 1..at(Event::Done(retry))];
+    let outcome = report.weighted_enforcement.as_ref().expect("the retry delivers a model");
+    assert_iterations_bits(&iterations(delivered), &outcome.trace, "retry");
 }
 
 /// When the primary pass and the reduced-order retry both fail, `report()`
