@@ -52,7 +52,7 @@ fn bench_figures(c: &mut Criterion) {
         assess_with_sampling(pim_runtime::global(), &weighted.model, &base_grid, strategy)
             .expect("assess")
     };
-    c.bench_function("fig4_passivity_assessment", |b| b.iter(|| assess_base(&Adaptive::default())));
+    c.bench_function("fig4_passivity_assessment", |b| b.iter(|| assess_base(&Adaptive)));
     c.bench_function("assess_fixed_log", |b| b.iter(|| assess_base(&FixedLog)));
     // The Hamiltonian eigensolve by size: the weighted fits of the Reduced
     // (2n = 144) and Paper (2n = 288) presets under their flow configs, the

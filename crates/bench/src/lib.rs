@@ -6,7 +6,10 @@
 //! in `src/bin/` (printing the series the paper plots) and a Criterion
 //! benchmark in `benches/` timing the underlying computation. See
 //! `EXPERIMENTS.md` at the workspace root for the experiment index and the
-//! mapping from figures to pipeline stages.
+//! mapping from figures to pipeline stages. Two binaries are not figures:
+//! `corpus_report` runs the certification-gated corpus, and `bit_digest`
+//! prints bit-pattern digests of the flow's fits, realizations and
+//! delivered models, so a refactor can show its numbers unchanged.
 
 #![deny(missing_docs)]
 

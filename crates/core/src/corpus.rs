@@ -272,18 +272,13 @@ impl CorpusCase {
         };
         let report = match pipeline.report() {
             Ok(report) => report,
-            Err(CoreError::Passivity(PassivityError::NotConverged {
-                iterations,
-                sigma_max,
-                diagnostics,
-                ..
-            })) => {
+            Err(CoreError::Passivity(PassivityError::NotConverged { diagnostics, .. })) => {
                 verdict.class = CorpusClass::Diverged;
-                verdict.iterations = iterations;
+                verdict.iterations = diagnostics.trace.len();
                 verdict.audit_sigma_max = diagnostics.best_sigma_max;
                 verdict.detail = format!(
-                    "weighted enforcement diverged at iteration {iterations} \
-                     (sigma_max {sigma_max:.6}); {diagnostics}"
+                    "weighted enforcement diverged at iteration {} (sigma_max {:.6}); {diagnostics}",
+                    verdict.iterations, diagnostics.sigma_max
                 );
                 return verdict;
             }

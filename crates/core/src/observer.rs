@@ -228,7 +228,7 @@ mod tests {
         obs.on_stage_failed(Stage::Enforcement(NormKind::Standard));
         let diag = NotConvergedDiagnostics {
             bottomed_out: 3,
-            sigma_tail: vec![1.2, 1.3],
+            sigma_max: 1.3,
             trace: vec![EnforcementIteration { step: 0.0625, ..ev }],
             ..Default::default()
         };

@@ -138,7 +138,7 @@ fn run_stage(
         None => PerturbationNorm::standard(model)?,
     };
     let mut result = enforce_passivity(model, &norm, band_max_omega, config);
-    if let Err(PassivityError::NotConverged { best, diagnostics, .. }) = &mut result {
+    if let Err(PassivityError::NotConverged { best, diagnostics }) = &mut result {
         diagnostics.best_sigma_max = assess_on(best, audit_grid).ok().map(|a| a.sigma_max);
     }
     Ok(result?)

@@ -35,40 +35,17 @@ const MAX_ITER_PER_EIGENVALUE: usize = 60;
 /// # }
 /// ```
 pub fn eigenvalues(a: &Mat) -> Result<Vec<Complex64>> {
-    francis_eigenvalues(finite_hessenberg(a, "eigenvalues")?)
-}
-
-/// Eigenvalues of a real square matrix by the single-shift complex QR
-/// iteration on the real Hessenberg form, without accumulating the Schur
-/// vectors.
-///
-/// Vector Fitting's pole relocation and the magnitude fit call this path
-/// instead of [`eigenvalues`]: their fits are pinned bit for bit, and the
-/// real kernel moves the relocated poles by roundoff that reaches the fitted
-/// impedance errors.
-///
-/// # Errors
-///
-/// As [`eigenvalues`].
-pub fn eigenvalues_complex_qr(a: &Mat) -> Result<Vec<Complex64>> {
-    crate::schur::hessenberg_eigenvalues(
-        finite_hessenberg(a, "eigenvalues_complex_qr")?.to_complex(),
-    )
-}
-
-/// The real Hessenberg form of `a`, after checking that `a` is square and
-/// finite: a NaN or infinite entry would otherwise run the QR iteration to
-/// its budget and surface as a convergence failure.
-fn finite_hessenberg(a: &Mat, context: &'static str) -> Result<Mat> {
     if !a.is_square() {
-        return Err(LinalgError::NotSquare { context, dims: a.shape() });
+        return Err(LinalgError::NotSquare { context: "eigenvalues", dims: a.shape() });
     }
+    // A NaN or infinite entry would otherwise run the QR iteration to its
+    // budget and surface as a convergence failure.
     if !a.as_slice().iter().all(|x| x.is_finite()) {
         return Err(LinalgError::InvalidArgument {
             context: "eigenvalues: non-finite matrix entry",
         });
     }
-    hessenberg(a, None)
+    francis_eigenvalues(hessenberg(a, None)?)
 }
 
 /// Francis's double-shift QR iteration on an upper Hessenberg matrix,
@@ -344,19 +321,17 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut a = random_mat(12, 5);
             a[(7, 3)] = bad;
-            for result in [eigenvalues(&a), eigenvalues_complex_qr(&a)] {
-                assert!(
-                    matches!(result, Err(LinalgError::InvalidArgument { .. })),
-                    "{bad}: {result:?}"
-                );
-            }
+            let result = eigenvalues(&a);
+            assert!(
+                matches!(result, Err(LinalgError::InvalidArgument { .. })),
+                "{bad}: {result:?}"
+            );
         }
     }
 
     #[test]
     fn rejects_non_square() {
         assert!(eigenvalues(&Mat::zeros(1, 2)).is_err());
-        assert!(eigenvalues_complex_qr(&Mat::zeros(1, 2)).is_err());
         assert!(eigenvalues(&Mat::zeros(0, 0)).unwrap().is_empty());
     }
 }

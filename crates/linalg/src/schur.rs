@@ -2,11 +2,12 @@
 //! QR iteration on the Hessenberg form.
 //!
 //! The Schur form carries the Bartels–Stewart solution of Lyapunov equations
-//! for Gramian-weighted perturbation norms, and its eigenvalue-only iteration
-//! relocates the poles of Vector Fitting and the magnitude fit
-//! ([`crate::eig::eigenvalues_complex_qr`]). Other real spectra, the
-//! Hamiltonian passivity test's among them, come from the real Francis
-//! iteration of [`crate::eig::eigenvalues`].
+//! for Gramian-weighted perturbation norms, and its diagonal relocates the
+//! poles of Vector Fitting and the magnitude fit (from the real Hessenberg
+//! form, whose exact zeros below the subdiagonal leave this module's own
+//! reduction nothing to rotate). Other real spectra, the Hamiltonian
+//! passivity test's among them, come from the real Francis iteration of
+//! [`crate::eig::eigenvalues`].
 
 use crate::hessenberg::{hessenberg, Givens};
 use crate::{CMat, Complex64, LinalgError, Result};
@@ -68,7 +69,7 @@ pub fn complex_schur(a: &CMat) -> Result<Schur> {
     }
     let mut u = CMat::identity(n);
     let mut t = hessenberg(a, Some(&mut u))?;
-    qr_iterate(&mut t, Some(&mut u))?;
+    qr_iterate(&mut t, &mut u)?;
     // Clean the strictly lower triangle (roundoff only).
     for i in 0..n {
         for j in 0..i {
@@ -78,27 +79,9 @@ pub fn complex_schur(a: &CMat) -> Result<Schur> {
     Ok(Schur { t, u })
 }
 
-/// Eigenvalues of a matrix that is **already** upper Hessenberg via the
-/// Schur iteration **without** accumulating the unitary factor.
-///
-/// This is the path behind [`crate::eig::eigenvalues_complex_qr`], after
-/// its real-arithmetic reduction: skipping the `U` updates and restricting every
-/// rotation to the active diagonal block roughly halves the work per QR
-/// sweep while producing bit-identical eigenvalues (entries outside the
-/// active block never feed back into it, and the spectrum of a
-/// block-triangular matrix is the union of its diagonal blocks' spectra).
-pub(crate) fn hessenberg_eigenvalues(mut t: CMat) -> Result<Vec<Complex64>> {
-    qr_iterate(&mut t, None)?;
-    Ok((0..t.rows()).map(|i| t[(i, i)]).collect())
-}
-
-/// Single-shift QR iteration driving a Hessenberg matrix to triangular form.
-///
-/// With `u = Some(..)` the rotations are applied over the full row/column
-/// range and accumulated into `u`, yielding a true Schur decomposition. With
-/// `u = None` only the active block is updated — sufficient (and exact) when
-/// only the eigenvalues are required.
-fn qr_iterate(t: &mut CMat, mut u: Option<&mut CMat>) -> Result<()> {
+/// Single-shift QR iteration driving a Hessenberg matrix to triangular form,
+/// accumulating the rotations into `u`.
+fn qr_iterate(t: &mut CMat, u: &mut CMat) -> Result<()> {
     let n = t.rows();
     if n <= 1 {
         return Ok(());
@@ -162,26 +145,21 @@ fn qr_iterate(t: &mut CMat, mut u: Option<&mut CMat>) -> Result<()> {
             wilkinson_shift(t[(hi - 1, hi - 1)], t[(hi - 1, hi)], t[(hi, hi - 1)], t[(hi, hi)])
         };
 
-        // Explicit single-shift QR sweep on the active block [lo, hi]. For
-        // the eigenvalue-only path the row updates stop at column `hi` and
-        // the column updates start at row `lo`: entries outside the block
-        // are never read again by shifts, deflation checks or rotations.
-        let (col_to, row_from) = if u.is_some() { (n, 0) } else { (hi + 1, lo) };
+        // Explicit single-shift QR sweep on the active block [lo, hi],
+        // applied to the full rows and columns of `T`.
         for i in lo..=hi {
             t[(i, i)] -= shift;
         }
         rotations.clear();
         for k in lo..hi {
             let g = Givens::compute(t[(k, k)], t[(k + 1, k)]);
-            g.apply_left(t, k, k + 1, k, col_to);
+            g.apply_left(t, k, k + 1, k, n);
             t[(k + 1, k)] = Complex64::ZERO;
             rotations.push((k, g));
         }
         for &(k, g) in &rotations {
-            g.apply_right(t, k, k + 1, row_from, (k + 2).min(hi + 1));
-            if let Some(u) = u.as_deref_mut() {
-                g.apply_right(u, k, k + 1, 0, n);
-            }
+            g.apply_right(t, k, k + 1, 0, (k + 2).min(hi + 1));
+            g.apply_right(u, k, k + 1, 0, n);
         }
         for i in lo..=hi {
             t[(i, i)] += shift;
@@ -209,11 +187,6 @@ fn wilkinson_shift(a: Complex64, b: Complex64, c: Complex64, d: Complex64) -> Co
 mod tests {
     use super::*;
     use crate::Mat;
-
-    /// The eigenvalue-only path on the Hessenberg form of `a`.
-    fn eigenvalues_only(a: &CMat) -> Vec<Complex64> {
-        hessenberg_eigenvalues(hessenberg(a, None).unwrap()).unwrap()
-    }
 
     fn random_cmat(n: usize, seed: u64) -> CMat {
         let mut state = seed;
@@ -273,20 +246,28 @@ mod tests {
         assert!((im[0] + 2.0).abs() < 1e-10 && (im[3] - 2.0).abs() < 1e-10);
     }
 
+    /// The fits read their zeros off `complex_schur` of a real Hessenberg
+    /// form. The real reduction leaves exact zeros below the subdiagonal, so
+    /// the complex reduction inside `complex_schur` rotates nothing: `T`
+    /// starts as the real form itself and the Schur vectors as the identity.
     #[test]
-    fn eigenvalue_only_path_matches_full_schur() {
+    fn a_real_hessenberg_form_passes_the_reduction_unrotated() {
         for n in [1usize, 2, 5, 12, 24] {
-            let a = random_cmat(n, 31 + n as u64);
-            let full = complex_schur(&a).unwrap().eigenvalues();
-            let fast = eigenvalues_only(&a);
-            assert_eq!(fast.len(), n);
-            // The restricted-update iteration performs identical arithmetic
-            // inside the active block, so the eigenvalues agree bit for bit.
-            for (x, y) in fast.iter().zip(&full) {
-                assert_eq!(x, y, "eigenvalue drift for n={n}");
-            }
+            let mut state = 31 + n as u64;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 33) as f64) / (u32::MAX as f64) - 0.5
+            };
+            let h = hessenberg(&Mat::from_fn(n, n, |_, _| next()), None).unwrap().to_complex();
+            let mut q = CMat::identity(n);
+            let again = hessenberg(&h, Some(&mut q)).unwrap();
+            let bits = |m: &CMat| -> Vec<(u64, u64)> {
+                m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&again), bits(&h), "n={n}");
+            assert_eq!(bits(&q), bits(&CMat::identity(n)), "n={n}");
+            check_schur(&h, &complex_schur(&h).unwrap(), 1e-9);
         }
-        assert!(eigenvalues_only(&CMat::zeros(0, 0)).is_empty());
     }
 
     #[test]
@@ -340,10 +321,6 @@ mod tests {
                 assert!((ev.abs() - 1.0).abs() < 1e-9, "n={n}: |{ev:?}| off the unit circle");
             }
             check_schur(&c, &s, 1e-9);
-            let fast = eigenvalues_only(&c);
-            for (x, y) in fast.iter().zip(&s.eigenvalues()) {
-                assert_eq!(x, y, "eigenvalue-only path drifted for n={n}");
-            }
         }
     }
 

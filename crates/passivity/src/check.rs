@@ -338,7 +338,7 @@ mod tests {
             pim_runtime::global(),
             model,
             &FrequencyGrid::from_omegas(omegas),
-            &Adaptive::default(),
+            &Adaptive,
         )
         .unwrap()
     }
@@ -462,7 +462,7 @@ mod tests {
         let pool = pim_runtime::ThreadPool::new(1);
         let base =
             FrequencyGrid::from_omegas(&(1..200).map(|k| k as f64 * 10.0).collect::<Vec<_>>());
-        for strategy in [&FixedLog as &dyn SamplingStrategy, &Adaptive::default()] {
+        for strategy in [&FixedLog as &dyn SamplingStrategy, &Adaptive] {
             let full = assess_with_sampling(&pool, &m, &base, strategy).unwrap();
             let known = assess_with_crossings(&pool, &m, &crossings, &base, strategy).unwrap();
             assert_eq!(known.sigma_max.to_bits(), full.sigma_max.to_bits(), "{}", strategy.name());
@@ -485,7 +485,7 @@ mod tests {
         let pool = pim_runtime::ThreadPool::new(1);
         let base =
             FrequencyGrid::from_omegas(&(0..60).map(|k| k as f64 * 20.0).collect::<Vec<_>>());
-        for strategy in [&FixedLog as &dyn SamplingStrategy, &Adaptive::default()] {
+        for strategy in [&FixedLog as &dyn SamplingStrategy, &Adaptive] {
             let (refined, _) = strategy.refine(&pool, &m, &base, &crossings).unwrap();
             assert!(refined.len() >= base.len(), "{} shrank the grid", strategy.name());
             let report = assess_with_sampling(&pool, &m, &base, strategy).unwrap();
@@ -523,7 +523,7 @@ mod tests {
         // A coarse base that cannot see the cluster on its own.
         let base =
             FrequencyGrid::from_omegas(&(1..20).map(|k| k as f64 * 100.0).collect::<Vec<_>>());
-        let report = assess_with_sampling(&pool, &m, &base, &Adaptive::default()).unwrap();
+        let report = assess_with_sampling(&pool, &m, &base, &Adaptive).unwrap();
         for w in report.grid.points().windows(2) {
             assert!(w[1] > w[0], "grid must stay strictly increasing after dedup");
         }
@@ -557,7 +557,7 @@ mod tests {
         let base = FrequencyGrid::from_omegas(
             &std::iter::once(0.0).chain((0..40).map(|k| 2.0 * 1.3f64.powi(k))).collect::<Vec<_>>(),
         );
-        let report = assess_with_sampling(&pool, &m, &base, &Adaptive::default()).unwrap();
+        let report = assess_with_sampling(&pool, &m, &base, &Adaptive).unwrap();
         assert!(report.grid.points().iter().all(|&w| w >= 0.0));
         assert_eq!(report.grid.points()[0].to_bits(), 0.0f64.to_bits(), "DC point lost");
         assert!(!report.passive, "DC violation missed");

@@ -18,7 +18,7 @@ use crate::{PassivityError, Result};
 use pim_linalg::lu::Lu;
 use pim_linalg::svd::svd;
 use pim_linalg::{Complex64, Mat};
-use pim_statespace::{PoleResidueModel, StateSpace};
+use pim_statespace::{pole_blocks, PoleBlock, PoleResidueModel, StateSpace};
 
 /// The linearized passivity constraint system `F·x ≤ g`, where the unknown
 /// vector `x` stacks the per-element output-row perturbations `δc_ij`
@@ -142,20 +142,21 @@ pub fn apply_perturbation(model: &PoleResidueModel, delta: &[f64]) -> Result<Pol
             ports * ports * n
         )));
     }
+    let blocks = pole_blocks(model.poles())?;
     let mut residues = model.residues().to_vec();
     for i in 0..ports {
         for j in 0..ports {
-            let base = (i * ports + j) * n;
-            let mut m = 0usize;
-            while m < n {
-                if model.is_real_pole(m) {
-                    residues[m][(i, j)] += Complex64::from_real(delta[base + m]);
-                    m += 1;
-                } else {
-                    let dr = Complex64::new(0.5 * delta[base + m], 0.5 * delta[base + m + 1]);
-                    residues[m][(i, j)] += dr;
-                    residues[m + 1][(i, j)] += dr.conj();
-                    m += 2;
+            let dc = &delta[(i * ports + j) * n..];
+            for &block in &blocks {
+                match block {
+                    PoleBlock::Real(m) => {
+                        residues[m][(i, j)] += Complex64::from_real(dc[m]);
+                    }
+                    PoleBlock::Pair(m) => {
+                        let dr = Complex64::new(0.5 * dc[m], 0.5 * dc[m + 1]);
+                        residues[m][(i, j)] += dr;
+                        residues[m + 1][(i, j)] += dr.conj();
+                    }
                 }
             }
         }

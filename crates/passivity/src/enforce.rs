@@ -154,7 +154,7 @@ impl Default for EnforcementConfig {
             sigma_margin: 1e-4,
             sigma_threshold: 0.999,
             sweep_points: 400,
-            sampling: Arc::new(Adaptive::default()),
+            sampling: Arc::new(Adaptive),
             qp: QpOptions::default(),
         }
     }
@@ -346,18 +346,11 @@ pub fn enforce_passivity(
         }
         if trace.len() >= config.max_iterations || bottomed_growth >= STALL_AFTER {
             let Some((_, best)) = best else { unreachable!("recorded just above") };
-            // The last 8 entries of the σ_max trajectory: each iteration's
-            // starting σ_max, then the final one.
-            let tail = (trace.len() + 1).saturating_sub(8);
-            let sigma_tail =
-                trace[tail..].iter().map(|it| it.sigma_before).chain([report.sigma_max]).collect();
             return Err(PassivityError::NotConverged {
-                iterations: trace.len(),
-                sigma_max: report.sigma_max,
                 best: Box::new(best),
                 diagnostics: Box::new(NotConvergedDiagnostics {
                     bottomed_out: bottomed_growth,
-                    sigma_tail,
+                    sigma_max: report.sigma_max,
                     best_sigma_max: None,
                     trace,
                 }),
@@ -560,16 +553,17 @@ mod tests {
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { max_iterations: 0, sweep_points: 100, ..Default::default() };
         match enforce_passivity(&model, &norm, 5000.0, &cfg) {
-            Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics }) => {
-                assert_eq!(iterations, 0);
+            Err(PassivityError::NotConverged { best, diagnostics }) => {
                 assert!(diagnostics.trace.is_empty());
-                assert!(sigma_max > 1.0);
+                assert!(diagnostics.sigma_max > 1.0);
                 // Even a zero-budget failure hands back its best iterate
                 // (here the asymptotically clipped input model).
                 assert_eq!(best.poles().len(), model.poles().len());
-                // The trajectory tail carries the final sigma.
+                // The trajectory tail is the final sigma alone.
                 assert_eq!(diagnostics.bottomed_out, 0);
-                assert_eq!(*diagnostics.sigma_tail.last().unwrap(), sigma_max);
+                let rendered = diagnostics.to_string();
+                let tail = format!("; sigma tail [{:.6}]", diagnostics.sigma_max);
+                assert!(rendered.ends_with(&tail), "{rendered}");
             }
             other => panic!("expected NotConverged, got {other:?}"),
         }
@@ -681,8 +675,8 @@ mod tests {
             ..Default::default()
         };
         match enforce_passivity(&model, &norm, 5000.0, &cfg) {
-            Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics }) => {
-                assert_eq!(iterations, cfg.max_iterations);
+            Err(PassivityError::NotConverged { best, diagnostics }) => {
+                let sigma_max = diagnostics.sigma_max;
                 assert_eq!(diagnostics.trace.len(), cfg.max_iterations);
                 assert!(sigma_max > 1.0);
                 // The best-so-far model, re-assessed exactly as the loop
@@ -704,14 +698,18 @@ mod tests {
                     "best-so-far ({best_sigma}) must be no worse than the start \
                      ({start_sigma}) or the end state ({sigma_max})"
                 );
-                // The post-mortem carries the trajectory tail, each
-                // iteration's starting σ_max then the final one, and renders
-                // it.
-                let starts: Vec<f64> = diagnostics.trace.iter().map(|it| it.sigma_before).collect();
-                assert_eq!(diagnostics.sigma_tail[..starts.len()], starts[..]);
-                assert_eq!(*diagnostics.sigma_tail.last().unwrap(), sigma_max);
+                // The post-mortem renders the trajectory tail: each
+                // iteration's starting σ_max, then the final one.
+                let tail: Vec<String> = diagnostics
+                    .trace
+                    .iter()
+                    .map(|it| it.sigma_before)
+                    .chain([sigma_max])
+                    .map(|s| format!("{s:.6}"))
+                    .collect();
                 let rendered = diagnostics.to_string();
-                assert!(rendered.contains("sigma tail"), "{rendered}");
+                let want = format!("; sigma tail [{}]", tail.join(", "));
+                assert!(rendered.ends_with(&want), "{rendered}");
             }
             Ok(out) => panic!(
                 "the skewed norm should exhaust the budget, but converged in {} iterations",

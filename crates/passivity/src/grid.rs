@@ -32,7 +32,7 @@
 //!
 //! // The enforcement working grid of a 400-point sweep over a band that
 //! // tops out at 1e10 rad/s: logarithmic plus the DC point.
-//! let adaptive = Adaptive::default();
+//! let adaptive = Adaptive;
 //! let grid = adaptive.working_grid(1e10, 400);
 //! assert_eq!(grid.len(), 401);
 //! assert_eq!(grid.points()[0], 0.0);
@@ -256,8 +256,8 @@ fn crossing_points(crossings: &[f64]) -> Vec<(f64, PointProvenance)> {
 
 /// Adaptive bisection, the default strategy: crossing refinement first,
 /// then repeated bisection around the Hamiltonian crossings and the under-resolved local `σ_max`
-/// maxima until the σ-interpolation error estimate falls below
-/// [`Adaptive::tolerance`].
+/// maxima until the σ-interpolation error estimate falls below a relative
+/// tolerance of 10⁻³.
 ///
 /// Each round sweeps `σ_max` over the current grid on the given
 /// [`pim_runtime::ThreadPool`] (one evaluate + SVD per new point), then for
@@ -265,33 +265,26 @@ fn crossing_points(crossings: &[f64]) -> Vec<(f64, PointProvenance)> {
 /// the sampled `σ_max` and its log-frequency linear interpolation from the
 /// two neighbors (the estimate concentrates exactly at under-resolved
 /// extrema and crossing neighborhoods). Intervals flanking a point whose
-/// error exceeds the (relative) tolerance — and whose σ is within reach of
-/// the passivity boundary, see [`Adaptive::sigma_floor`] — are bisected at
-/// their geometric midpoint. Rounds stop when no interval qualifies, after
-/// [`Adaptive::max_rounds`], or at the [`Adaptive::max_points`] hard cap.
+/// error exceeds `10⁻³·max(1, σ)` — and where σ reaches 0.9 at the point
+/// or a neighbor (sub-unit ripple far from the passivity boundary is not
+/// worth resolving) — are bisected at their geometric midpoint. Rounds
+/// stop when no interval qualifies, after 24 rounds, or at a hard cap of
+/// 20 000 grid points.
 ///
 /// The refinement is deterministic for every thread count: candidate
 /// intervals are scanned in ascending frequency order and the midpoint
 /// formulas depend only on the interval endpoints.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Adaptive {
-    /// Relative σ-interpolation error tolerance driving the bisection
-    /// (`|σ − σ_interp| > tolerance · max(1, σ)` triggers refinement).
-    pub tolerance: f64,
-    /// Only chase features whose σ exceeds this floor; sub-unit ripple far
-    /// from the passivity boundary is not worth resolving.
-    pub sigma_floor: f64,
-    /// Maximum number of bisection rounds per assessment.
-    pub max_rounds: usize,
-    /// Hard cap on the refined grid size.
-    pub max_points: usize,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Adaptive;
 
-impl Default for Adaptive {
-    fn default() -> Self {
-        Adaptive { tolerance: 1e-3, sigma_floor: 0.9, max_rounds: 24, max_points: 20_000 }
-    }
-}
+/// Relative σ-interpolation error tolerance driving the bisection.
+const TOLERANCE: f64 = 1e-3;
+/// Only chase features whose σ exceeds this floor.
+const SIGMA_FLOOR: f64 = 0.9;
+/// Maximum number of bisection rounds per assessment.
+const MAX_ROUNDS: usize = 24;
+/// Hard cap on the refined grid size.
+const MAX_POINTS: usize = 20_000;
 
 impl Adaptive {
     /// Geometric midpoint of `(a, b)` (arithmetic when `a` is DC, where the
@@ -323,99 +316,106 @@ impl SamplingStrategy for Adaptive {
         base: &FrequencyGrid,
         crossings: &[f64],
     ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
-        // Seed with the crossing neighborhoods, so every Hamiltonian
-        // crossing is resolved before the bisection starts.
-        let mut grid = base.merged_with(crossing_points(crossings));
-        let mut sigmas: Vec<f64> = pool
-            .par_map(grid.points(), |_, &w| sigma_max_at(model, w))
+        refine_adaptive(pool, model, base, crossings, MAX_POINTS)
+    }
+}
+
+/// The [`Adaptive`] refinement with a hard cap of `max_points` on the
+/// refined grid size.
+fn refine_adaptive(
+    pool: &pim_runtime::ThreadPool,
+    model: &PoleResidueModel,
+    base: &FrequencyGrid,
+    crossings: &[f64],
+    max_points: usize,
+) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+    // Seed with the crossing neighborhoods, so every Hamiltonian
+    // crossing is resolved before the bisection starts.
+    let mut grid = base.merged_with(crossing_points(crossings));
+    let mut sigmas: Vec<f64> = pool
+        .par_map(grid.points(), |_, &w| sigma_max_at(model, w))
+        .into_iter()
+        .collect::<Result<_>>()?;
+
+    for _ in 0..MAX_ROUNDS {
+        if grid.len() >= max_points {
+            break;
+        }
+        let w = grid.points();
+        // Collect the intervals to bisect, ascending, deduplicated by
+        // construction (each interval is pushed at most twice and the
+        // grid merge collapses identical midpoints).
+        let mut splits: Vec<(f64, f64)> = Vec::new();
+        let mark = |a: f64, b: f64, splits: &mut Vec<(f64, f64)>| {
+            if Adaptive::splittable(a, b) {
+                splits.push((a, b));
+            }
+        };
+        for k in 1..w.len().saturating_sub(1) {
+            let (s0, s1, s2) = (sigmas[k - 1], sigmas[k], sigmas[k + 1]);
+            if s0.max(s1).max(s2) < SIGMA_FLOOR {
+                continue;
+            }
+            // Log-frequency linear interpolation of σ at w[k] from the
+            // neighbors (plain linear when the left neighbor is DC).
+            let (x0, x1, x2) = if w[k - 1] > 0.0 {
+                (w[k - 1].ln(), w[k].ln(), w[k + 1].ln())
+            } else {
+                (w[k - 1], w[k], w[k + 1])
+            };
+            let t = if x2 > x0 { (x1 - x0) / (x2 - x0) } else { 0.5 };
+            let predicted = s0 + t * (s2 - s0);
+            let interp_error = (s1 - predicted).abs();
+            if interp_error > TOLERANCE * s1.abs().max(1.0) {
+                mark(w[k - 1], w[k], &mut splits);
+                mark(w[k], w[k + 1], &mut splits);
+            }
+        }
+        if splits.is_empty() {
+            break;
+        }
+        // An interval flanked by two qualifying points is pushed twice,
+        // back to back — drop the duplicates so the budget below is
+        // spent on distinct intervals only.
+        splits.dedup();
+        let budget = max_points.saturating_sub(grid.len());
+        splits.truncate(budget);
+        let new_points: Vec<f64> = splits.iter().map(|&(a, b)| Adaptive::midpoint(a, b)).collect();
+        let refined =
+            grid.merged_with(new_points.iter().map(|&w| (w, PointProvenance::Bisection)).collect());
+        if refined.len() == grid.len() {
+            break;
+        }
+        // Evaluate σ only at the genuinely new points, then rebuild the
+        // σ array in grid order (old points keep their sampled values).
+        // Keyed by the f64 bit pattern: exact lookup, and BTreeMap so no
+        // nondeterministic-order container sits in the sampling layer
+        // (the lookups below are keyed, but the invariant is cheap).
+        let old: std::collections::BTreeMap<u64, f64> =
+            grid.points().iter().zip(&sigmas).map(|(&w, &s)| (w.to_bits(), s)).collect();
+        let missing: Vec<f64> =
+            refined.points().iter().copied().filter(|w| !old.contains_key(&w.to_bits())).collect();
+        let fresh: Vec<f64> = pool
+            .par_map(&missing, |_, &w| sigma_max_at(model, w))
             .into_iter()
             .collect::<Result<_>>()?;
-
-        for _ in 0..self.max_rounds {
-            if grid.len() >= self.max_points {
-                break;
-            }
-            let w = grid.points();
-            // Collect the intervals to bisect, ascending, deduplicated by
-            // construction (each interval is pushed at most twice and the
-            // grid merge collapses identical midpoints).
-            let mut splits: Vec<(f64, f64)> = Vec::new();
-            let mark = |a: f64, b: f64, splits: &mut Vec<(f64, f64)>| {
-                if Adaptive::splittable(a, b) {
-                    splits.push((a, b));
-                }
-            };
-            for k in 1..w.len().saturating_sub(1) {
-                let (s0, s1, s2) = (sigmas[k - 1], sigmas[k], sigmas[k + 1]);
-                if s0.max(s1).max(s2) < self.sigma_floor {
-                    continue;
-                }
-                // Log-frequency linear interpolation of σ at w[k] from the
-                // neighbors (plain linear when the left neighbor is DC).
-                let (x0, x1, x2) = if w[k - 1] > 0.0 {
-                    (w[k - 1].ln(), w[k].ln(), w[k + 1].ln())
-                } else {
-                    (w[k - 1], w[k], w[k + 1])
-                };
-                let t = if x2 > x0 { (x1 - x0) / (x2 - x0) } else { 0.5 };
-                let predicted = s0 + t * (s2 - s0);
-                let interp_error = (s1 - predicted).abs();
-                if interp_error > self.tolerance * s1.abs().max(1.0) {
-                    mark(w[k - 1], w[k], &mut splits);
-                    mark(w[k], w[k + 1], &mut splits);
-                }
-            }
-            if splits.is_empty() {
-                break;
-            }
-            // An interval flanked by two qualifying points is pushed twice,
-            // back to back — drop the duplicates so the budget below is
-            // spent on distinct intervals only.
-            splits.dedup();
-            let budget = self.max_points.saturating_sub(grid.len());
-            splits.truncate(budget);
-            let new_points: Vec<f64> =
-                splits.iter().map(|&(a, b)| Adaptive::midpoint(a, b)).collect();
-            let refined = grid
-                .merged_with(new_points.iter().map(|&w| (w, PointProvenance::Bisection)).collect());
-            if refined.len() == grid.len() {
-                break;
-            }
-            // Evaluate σ only at the genuinely new points, then rebuild the
-            // σ array in grid order (old points keep their sampled values).
-            // Keyed by the f64 bit pattern: exact lookup, and BTreeMap so no
-            // nondeterministic-order container sits in the sampling layer
-            // (the lookups below are keyed, but the invariant is cheap).
-            let old: std::collections::BTreeMap<u64, f64> =
-                grid.points().iter().zip(&sigmas).map(|(&w, &s)| (w.to_bits(), s)).collect();
-            let missing: Vec<f64> = refined
-                .points()
-                .iter()
-                .copied()
-                .filter(|w| !old.contains_key(&w.to_bits()))
-                .collect();
-            let fresh: Vec<f64> = pool
-                .par_map(&missing, |_, &w| sigma_max_at(model, w))
-                .into_iter()
-                .collect::<Result<_>>()?;
-            let fresh_map: std::collections::BTreeMap<u64, f64> =
-                missing.iter().zip(&fresh).map(|(&w, &s)| (w.to_bits(), s)).collect();
-            sigmas = refined
-                .points()
-                .iter()
-                .map(|w| {
-                    old.get(&w.to_bits())
-                        .or_else(|| fresh_map.get(&w.to_bits()))
-                        .copied()
-                        .expect("every refined grid point is either inherited or freshly sampled")
-                })
-                .collect();
-            grid = refined;
-        }
-        // The σ samples are exactly `σ_max` at every grid point, in grid
-        // order — the assessment can consume them instead of re-sweeping.
-        Ok((grid, Some(sigmas)))
+        let fresh_map: std::collections::BTreeMap<u64, f64> =
+            missing.iter().zip(&fresh).map(|(&w, &s)| (w.to_bits(), s)).collect();
+        sigmas = refined
+            .points()
+            .iter()
+            .map(|w| {
+                old.get(&w.to_bits())
+                    .or_else(|| fresh_map.get(&w.to_bits()))
+                    .copied()
+                    .expect("every refined grid point is either inherited or freshly sampled")
+            })
+            .collect();
+        grid = refined;
     }
+    // The σ samples are exactly `σ_max` at every grid point, in grid
+    // order — the assessment can consume them instead of re-sweeping.
+    Ok((grid, Some(sigmas)))
 }
 
 #[cfg(test)]
@@ -557,8 +557,7 @@ mod tests {
         };
         let coarse_max = sigma_on(&base);
         let crossing_max = sigma_on(&base.merged_with(crossing_points(&crossings)));
-        let (refined, sigma) =
-            Adaptive::default().refine(&pool, &model, &base, &crossings).unwrap();
+        let (refined, sigma) = Adaptive.refine(&pool, &model, &base, &crossings).unwrap();
         let refined_max = sigma_on(&refined);
         // The handed-back samples are σ_max at every grid point, in order.
         let sigma = sigma.expect("adaptive refinement samples every point");
@@ -582,7 +581,7 @@ mod tests {
         assert!(refined.count_of(PointProvenance::Bisection) > 0);
         // Deterministic across thread counts (bit-identical grid).
         let wide = ThreadPool::new(4);
-        let (again, _) = Adaptive::default().refine(&wide, &model, &base, &crossings).unwrap();
+        let (again, _) = Adaptive.refine(&wide, &model, &base, &crossings).unwrap();
         assert_eq!(again.len(), refined.len());
         for (a, b) in again.points().iter().zip(refined.points()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -603,15 +602,14 @@ mod tests {
         let base = FrequencyGrid::from_omegas(
             &(0..40).map(|k| 10.0 * (k as f64 + 1.0)).collect::<Vec<_>>(),
         );
-        let (refined, _) = Adaptive::default().refine(&pool, &smooth, &base, &[]).unwrap();
+        let (refined, _) = Adaptive.refine(&pool, &smooth, &base, &[]).unwrap();
         assert_eq!(refined.len(), base.len(), "smooth sub-floor model needs no refinement");
         // The cap is a hard ceiling even for a violating model.
-        let capped = Adaptive { max_points: 25, ..Adaptive::default() };
         let model = narrow_peak_model(1e6, 2e2);
         let wide_base = FrequencyGrid::from_omegas(
             &(0..20).map(|k| 10f64.powf(4.0 + 4.0 * k as f64 / 19.0)).collect::<Vec<_>>(),
         );
-        let (refined, _) = capped.refine(&pool, &model, &wide_base, &[]).unwrap();
+        let (refined, _) = refine_adaptive(&pool, &model, &wide_base, &[], 25).unwrap();
         assert!(refined.len() <= 25 + 2, "cap exceeded: {}", refined.len());
     }
 

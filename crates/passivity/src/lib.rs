@@ -66,21 +66,21 @@ use std::fmt;
 /// Post-mortem of a failed enforcement run, carried by
 /// [`PassivityError::NotConverged`] so failures are debuggable without a
 /// rerun: every iteration the run made, where the step control ended up,
-/// and how the worst singular value was moving when the run ran out of
-/// budget or stalled.
+/// and the worst singular value the run ended on when it ran out of budget
+/// or stalled.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NotConvergedDiagnostics {
     /// Consecutive bottomed-out-and-grew backtracking steps at exit (2 when
     /// the run stalled).
     pub bottomed_out: usize,
-    /// Tail of the per-iteration `σ_max` trajectory (up to the last 8
-    /// entries, oldest first).
-    pub sigma_tail: Vec<f64>,
+    /// Worst singular value at the end of the loop.
+    pub sigma_max: f64,
     /// Audit `σ_max` of the best-so-far model, filled in by callers that
     /// audit the `best` model when the run fails (the pipeline does, on its
     /// contract audit grid; the raw loop leaves it `None`).
     pub best_sigma_max: Option<f64>,
-    /// Every outer iteration of the run, in order.
+    /// Every outer iteration of the run, in order: its length is the number
+    /// of iterations performed.
     pub trace: Vec<enforce::EnforcementIteration>,
 }
 
@@ -97,17 +97,18 @@ impl fmt::Display for NotConvergedDiagnostics {
         if let Some(s) = self.best_sigma_max {
             write!(f, ", best audit sigma {s:.6}")?;
         }
-        if !self.sigma_tail.is_empty() {
-            write!(f, "; sigma tail [")?;
-            for (k, s) in self.sigma_tail.iter().enumerate() {
-                if k > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{s:.6}")?;
+        // The tail of the σ_max trajectory, oldest first: the starting
+        // σ_max of the last iterations, then the final one (8 entries at
+        // most).
+        let tail = self.trace.iter().map(|it| it.sigma_before).chain([self.sigma_max]);
+        write!(f, "; sigma tail [")?;
+        for (k, s) in tail.skip((self.trace.len() + 1).saturating_sub(8)).enumerate() {
+            if k > 0 {
+                write!(f, ", ")?;
             }
-            write!(f, "]")?;
+            write!(f, "{s:.6}")?;
         }
-        Ok(())
+        write!(f, "]")
     }
 }
 
@@ -123,16 +124,12 @@ pub enum PassivityError {
     /// The enforcement loop ran out of its iteration budget or stalled
     /// without producing a passive model.
     NotConverged {
-        /// Number of outer iterations performed.
-        iterations: usize,
-        /// Worst singular value at the end of the loop.
-        sigma_max: f64,
         /// The most passive (lowest `σ_max`) model seen during the run, so
         /// a failed enforcement still yields its best iterate. Boxed to
         /// keep the error type small.
         best: Box<pim_statespace::PoleResidueModel>,
         /// Post-mortem of the failed run (its iterations, step control
-        /// state, `σ_max` trajectory tail).
+        /// state and final `σ_max`).
         diagnostics: Box<NotConvergedDiagnostics>,
     },
     /// The linearized constraints of a perturbation step are inconsistent:
@@ -156,9 +153,11 @@ impl fmt::Display for PassivityError {
             PassivityError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             PassivityError::StateSpace(e) => write!(f, "model manipulation failure: {e}"),
             PassivityError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
-            PassivityError::NotConverged { iterations, sigma_max, diagnostics, .. } => write!(
+            PassivityError::NotConverged { diagnostics, .. } => write!(
                 f,
-                "passivity enforcement did not converge after {iterations} iterations (sigma_max = {sigma_max}; {diagnostics})"
+                "passivity enforcement did not converge after {} iterations (sigma_max = {}; {diagnostics})",
+                diagnostics.trace.len(),
+                diagnostics.sigma_max
             ),
             PassivityError::InfeasibleQp { constraint } => write!(
                 f,

@@ -10,8 +10,16 @@
 //!
 //! * [`PoleResidueModel`] — a multiport transfer matrix
 //!   `S(s) = Σₙ Rₙ/(s − pₙ) + D` with poles shared by all matrix elements;
-//! * [`StateSpace`] — a real `{A, B, C, D}` realization, either of the full
-//!   multiport model or of a single matrix element;
+//! * [`StateSpace`] — a real `{A, B, C, D}` realization. One builder,
+//!   [`StateSpace::from_real_coefficients`], assembles the real
+//!   block-diagonal form of common-pole single-input functions (a 2×2 block
+//!   `[[σ, ω], [−ω, σ]]` per conjugate pair); a single matrix element and
+//!   the full multiport model (the `A_e ⊗ I_P` expansion of all its
+//!   elements) are built from it, and so are the fitters' pole-relocation
+//!   realizations in `pim-vectfit`;
+//! * [`poles`] — [`PoleBlock`] and [`pole_blocks`], the real-block walk of a
+//!   conjugate-symmetric pole list shared by the realizations, the fitters'
+//!   least-squares bases and the enforcement's perturbation of `C`;
 //! * [`gramian`] — controllability Gramians and the
 //!   partitioned Gramian of a cascade `S_ij(s)·Ξ̃(s)`.
 
@@ -20,9 +28,11 @@
 
 pub mod gramian;
 pub mod pole_residue;
+pub mod poles;
 pub mod realization;
 
 pub use pole_residue::PoleResidueModel;
+pub use poles::{pole_blocks, PoleBlock};
 pub use realization::StateSpace;
 
 use std::error::Error;

@@ -160,12 +160,6 @@ impl PoleResidueModel {
         &self.d
     }
 
-    /// Returns `true` when the pole at `index` is (numerically) real.
-    pub fn is_real_pole(&self, index: usize) -> bool {
-        let p = self.poles[index];
-        p.im.abs() <= PAIR_TOL * p.abs().max(1.0)
-    }
-
     /// Returns `true` when every pole has a strictly negative real part.
     pub fn is_stable(&self) -> bool {
         self.poles.iter().all(|p| p.re < 0.0)
@@ -254,8 +248,6 @@ mod tests {
         assert_eq!(m.ports(), 2);
         assert_eq!(m.order(), 3);
         assert!(m.is_stable());
-        assert!(m.is_real_pole(0));
-        assert!(!m.is_real_pole(1));
         assert_eq!(m.poles().len(), 3);
         assert_eq!(m.residues().len(), 3);
         assert_eq!((m.d()[(0, 0)]).to_bits(), 0.5f64.to_bits());

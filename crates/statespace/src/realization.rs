@@ -1,9 +1,9 @@
 //! Real state-space realizations of pole–residue macromodels.
 
+use crate::poles::{pole_blocks, PoleBlock};
 use crate::{PoleResidueModel, Result, StateSpaceError};
 use pim_linalg::lu::Lu;
 use pim_linalg::{CMat, Complex64, Mat};
-use pim_rfdata::{FrequencyGrid, NetworkData, ParameterKind};
 
 /// A real state-space system `{A, B, C, D}` with transfer matrix
 /// `H(s) = C(sI − A)⁻¹B + D` (eq. 7 of the paper).
@@ -133,24 +133,6 @@ impl StateSpace {
         self.evaluate(Complex64::from_imag(omega))
     }
 
-    /// Samples the transfer matrix over a frequency grid.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation and data-construction failures.
-    pub fn sample(
-        &self,
-        grid: &FrequencyGrid,
-        kind: ParameterKind,
-        z_ref: f64,
-    ) -> Result<NetworkData> {
-        let mut matrices = Vec::with_capacity(grid.len());
-        for &omega in &grid.omegas() {
-            matrices.push(self.evaluate_at_omega(omega)?);
-        }
-        Ok(NetworkData::new(grid.clone(), matrices, kind, z_ref)?)
-    }
-
     /// Eigenvalues of `A` (the system poles).
     ///
     /// # Errors
@@ -169,9 +151,73 @@ impl StateSpace {
         Ok(self.poles()?.iter().all(|p| p.re < 0.0))
     }
 
+    /// Builds the single-input realization of `dᵢ + Σₙ rᵢₙ/(s − pₙ)`, one
+    /// output `i` per row of `coefficients` (`k × n`) and entry of `d`
+    /// (`k`), from `n` conjugate-symmetric poles (pairs adjacent) and the
+    /// real coefficients of the residues: `coefficients[(i, m)] = Re r` at a
+    /// real pole `m`, and `(coefficients[(i, m)], coefficients[(i, m + 1)])
+    /// = (Re r, Im r)` at a pair `(p, p̄)` at indices `m, m + 1`, whose
+    /// second residue is `r̄`. One row is the SISO case.
+    ///
+    /// A real pole is the state `(a, b, c) = (p, 1, Re r)`, and a pair
+    /// `σ ± jω` the real block
+    ///
+    /// ```text
+    /// A = [[σ, ω], [−ω, σ]],   b = [1, 0]ᵀ,   c = [2·Re r, 2·Im r]
+    /// ```
+    ///
+    /// the form every model of the flow shares (eq. 3, 7 and 16 of the
+    /// paper).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateSpaceError::InvalidModel`] when the sizes disagree or
+    /// a complex pole has no adjacent conjugate partner.
+    pub fn from_real_coefficients(
+        poles: &[Complex64],
+        coefficients: &Mat,
+        d: &[f64],
+    ) -> Result<StateSpace> {
+        let n = poles.len();
+        if coefficients.shape() != (d.len(), n) {
+            return Err(StateSpaceError::InvalidModel(format!(
+                "{n} poles and {} outputs need {n} coefficients per output, got {:?}",
+                d.len(),
+                coefficients.shape()
+            )));
+        }
+        let mut a = Mat::zeros(n, n);
+        let mut b = Mat::zeros(n, 1);
+        let mut c = coefficients.clone();
+        for block in pole_blocks(poles)? {
+            match block {
+                PoleBlock::Real(m) => {
+                    a[(m, m)] = poles[m].re;
+                    b[(m, 0)] = 1.0;
+                }
+                PoleBlock::Pair(m) => {
+                    let (sigma, omega) = (poles[m].re, poles[m].im);
+                    a[(m, m)] = sigma;
+                    a[(m, m + 1)] = omega;
+                    a[(m + 1, m)] = -omega;
+                    a[(m + 1, m + 1)] = sigma;
+                    b[(m, 0)] = 1.0;
+                    for i in 0..d.len() {
+                        c[(i, m)] = 2.0 * coefficients[(i, m)];
+                        c[(i, m + 1)] = 2.0 * coefficients[(i, m + 1)];
+                    }
+                }
+            }
+        }
+        StateSpace::new(a, b, c, Mat::col_vector(d))
+    }
+
     /// Builds the full multiport realization of a pole–residue model with
-    /// common poles (the standard Gilbert-style realization used by Vector
-    /// Fitting, with 2×2 real blocks for complex-conjugate pole pairs).
+    /// common poles: the single-input realization `(A_e, b_e, c_ij)` of
+    /// every element `(i, j)` expanded as `A = A_e ⊗ I_P` and
+    /// `B = b_e ⊗ I_P`, with row `i` of `C` holding `c_ij` at the states of
+    /// input `j` (the standard Gilbert-style realization used by Vector
+    /// Fitting).
     ///
     /// The state dimension is `order × ports`.
     ///
@@ -180,43 +226,28 @@ impl StateSpace {
     /// Propagates model validation failures.
     pub fn from_pole_residue(model: &PoleResidueModel) -> Result<StateSpace> {
         let ports = model.ports();
-        let blocks = scalar_pole_blocks(model);
-        let n_scalar: usize = blocks.iter().map(|b| b.size()).sum();
-        let n = n_scalar * ports;
+        let elements: Vec<(usize, usize)> =
+            (0..ports).flat_map(|i| (0..ports).map(move |j| (i, j))).collect();
+        let d: Vec<f64> = elements.iter().map(|&(i, j)| model.d()[(i, j)]).collect();
+        let e = StateSpace::from_real_coefficients(
+            model.poles(),
+            &residue_coefficients(model, &elements)?,
+            &d,
+        )?;
+        let order = e.order();
+        let n = order * ports;
         let mut a = Mat::zeros(n, n);
         let mut b = Mat::zeros(n, ports);
         let mut c = Mat::zeros(ports, n);
-        let mut offset = 0usize;
-        for blk in &blocks {
-            match blk {
-                PoleBlock::Real { pole, index } => {
-                    let r = &model.residues()[*index];
-                    for q in 0..ports {
-                        let row = offset + q;
-                        a[(row, row)] = *pole;
-                        b[(row, q)] = 1.0;
-                        for i in 0..ports {
-                            c[(i, row)] = r[(i, q)].re;
-                        }
-                    }
-                    offset += ports;
+        for j in 0..ports {
+            for s in 0..order {
+                b[(s * ports + j, j)] = e.b[(s, 0)];
+                // `A_e` is block diagonal in blocks of one and two states.
+                for t in s.saturating_sub(1)..order.min(s + 2) {
+                    a[(s * ports + j, t * ports + j)] = e.a[(s, t)];
                 }
-                PoleBlock::ComplexPair { sigma, omega, index } => {
-                    let r = &model.residues()[*index];
-                    for q in 0..ports {
-                        let row1 = offset + q;
-                        let row2 = offset + ports + q;
-                        a[(row1, row1)] = *sigma;
-                        a[(row1, row2)] = *omega;
-                        a[(row2, row1)] = -*omega;
-                        a[(row2, row2)] = *sigma;
-                        b[(row1, q)] = 1.0;
-                        for i in 0..ports {
-                            c[(i, row1)] = 2.0 * r[(i, q)].re;
-                            c[(i, row2)] = 2.0 * r[(i, q)].im;
-                        }
-                    }
-                    offset += 2 * ports;
+                for i in 0..ports {
+                    c[(i, s * ports + j)] = e.c[(i * ports + j, s)];
                 }
             }
         }
@@ -224,8 +255,9 @@ impl StateSpace {
     }
 
     /// Builds the single-input single-output realization of matrix element
-    /// `(i, j)` of a pole–residue model. The state dimension equals the model
-    /// order (number of poles).
+    /// `(i, j)` of a pole–residue model
+    /// ([`StateSpace::from_real_coefficients`] of its residues). The state
+    /// dimension equals the model order (number of poles).
     ///
     /// # Errors
     ///
@@ -241,35 +273,11 @@ impl StateSpace {
                 "element ({i},{j}) out of range for a {ports}-port model"
             )));
         }
-        let blocks = scalar_pole_blocks(model);
-        let n: usize = blocks.iter().map(|b| b.size()).sum();
-        let mut a = Mat::zeros(n, n);
-        let mut b = Mat::zeros(n, 1);
-        let mut c = Mat::zeros(1, n);
-        let mut offset = 0usize;
-        for blk in &blocks {
-            match blk {
-                PoleBlock::Real { pole, index } => {
-                    let r = model.residues()[*index][(i, j)];
-                    a[(offset, offset)] = *pole;
-                    b[(offset, 0)] = 1.0;
-                    c[(0, offset)] = r.re;
-                    offset += 1;
-                }
-                PoleBlock::ComplexPair { sigma, omega, index } => {
-                    let r = model.residues()[*index][(i, j)];
-                    a[(offset, offset)] = *sigma;
-                    a[(offset, offset + 1)] = *omega;
-                    a[(offset + 1, offset)] = -*omega;
-                    a[(offset + 1, offset + 1)] = *sigma;
-                    b[(offset, 0)] = 1.0;
-                    c[(0, offset)] = 2.0 * r.re;
-                    c[(0, offset + 1)] = 2.0 * r.im;
-                    offset += 2;
-                }
-            }
-        }
-        StateSpace::new(a, b, c, Mat::from_diag(&[model.d()[(i, j)]]))
+        StateSpace::from_real_coefficients(
+            model.poles(),
+            &residue_coefficients(model, &[(i, j)])?,
+            &[model.d()[(i, j)]],
+        )
     }
 
     /// Series (cascade) connection realizing the product `self(s) · other(s)`
@@ -316,40 +324,23 @@ impl StateSpace {
     }
 }
 
-/// Internal description of the real-block structure of a common-pole model.
-enum PoleBlock {
-    Real { pole: f64, index: usize },
-    ComplexPair { sigma: f64, omega: f64, index: usize },
-}
-
-impl PoleBlock {
-    fn size(&self) -> usize {
-        match self {
-            PoleBlock::Real { .. } => 1,
-            PoleBlock::ComplexPair { .. } => 2,
+/// The real coefficients of the residues of `model`'s elements, one row per
+/// element: `Re r` at a real pole, `(Re r, Im r)` at a conjugate pair.
+fn residue_coefficients(model: &PoleResidueModel, elements: &[(usize, usize)]) -> Result<Mat> {
+    let residues = model.residues();
+    let mut coefficients = Mat::zeros(elements.len(), model.order());
+    for block in pole_blocks(model.poles())? {
+        for (row, &(i, j)) in elements.iter().enumerate() {
+            match block {
+                PoleBlock::Real(m) => coefficients[(row, m)] = residues[m][(i, j)].re,
+                PoleBlock::Pair(m) => {
+                    coefficients[(row, m)] = residues[m][(i, j)].re;
+                    coefficients[(row, m + 1)] = residues[m][(i, j)].im;
+                }
+            }
         }
     }
-}
-
-/// Walks the pole list of a model, grouping conjugate pairs.
-fn scalar_pole_blocks(model: &PoleResidueModel) -> Vec<PoleBlock> {
-    let mut blocks = Vec::new();
-    let poles = model.poles();
-    let mut n = 0usize;
-    while n < poles.len() {
-        if model.is_real_pole(n) {
-            blocks.push(PoleBlock::Real { pole: poles[n].re, index: n });
-            n += 1;
-        } else {
-            blocks.push(PoleBlock::ComplexPair {
-                sigma: poles[n].re,
-                omega: poles[n].im,
-                index: n,
-            });
-            n += 2;
-        }
-    }
-    blocks
+    Ok(coefficients)
 }
 
 #[cfg(test)]
@@ -402,6 +393,25 @@ mod tests {
             Mat::zeros(2, 2)
         )
         .is_err());
+    }
+
+    #[test]
+    fn real_coefficient_builder_realizes_the_partial_fractions() {
+        let (p0, p) = (c(-3.0, 0.0), c(-0.5, 4.0));
+        let (c0, c1, c2, d) = (1.5, -0.75, 2.25, 0.4);
+        let coefficients = Mat::row_vector(&[c0, c1, c2]);
+        let sys =
+            StateSpace::from_real_coefficients(&[p0, p, p.conj()], &coefficients, &[d]).unwrap();
+        for s in [c(0.0, 0.0), c(0.0, 4.0), c(2.0, -7.5), c(-1.0, 0.3)] {
+            let want = Complex64::from_real(d)
+                + Complex64::from_real(c0) / (s - p0)
+                + c(c1, c2) / (s - p)
+                + c(c1, -c2) / (s - p.conj());
+            let got = sys.evaluate(s).unwrap()[(0, 0)];
+            assert!((got - want).abs() < 1e-12 * want.abs().max(1.0), "at {s}: {got} vs {want}");
+        }
+        assert!(StateSpace::from_real_coefficients(&[p0], &coefficients, &[d]).is_err());
+        assert!(StateSpace::from_real_coefficients(&[p], &Mat::row_vector(&[c1]), &[d]).is_err());
     }
 
     #[test]

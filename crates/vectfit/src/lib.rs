@@ -13,6 +13,12 @@
 //!   `Ξ̃(s)` of eq. (15)–(16);
 //! * [`poles`] — initial pole placement heuristics and spectrum
 //!   symmetrization helpers shared by both fitters.
+//!
+//! Both fitters keep their models in the real block-diagonal form of
+//! [`pim_statespace::StateSpace::from_real_coefficients`] and walk their
+//! poles with [`pim_statespace::pole_blocks`]. They relocate poles to the
+//! zeros of that realization: the eigenvalues of `A − b·c/d`, read off
+//! [`pim_linalg::schur::complex_schur`] of its real Hessenberg form.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -16,12 +16,11 @@
 //!    realization (eq. 16) is available for the cascade construction of
 //!    eq. (18).
 
-use crate::poles::{pole_blocks, symmetrize_spectrum, PoleBlock};
+use crate::poles::{realization_zeros, symmetrize_spectrum};
 use crate::{Result, VectFitError};
-use pim_linalg::eig::eigenvalues_complex_qr;
 use pim_linalg::qr::lstsq_scaled;
 use pim_linalg::{CMat, Complex64, Mat};
-use pim_statespace::{PoleResidueModel, StateSpace};
+use pim_statespace::{pole_blocks, PoleBlock, PoleResidueModel, StateSpace};
 
 /// Configuration of a magnitude fit.
 #[derive(Debug, Clone)]
@@ -190,32 +189,8 @@ pub fn fit_magnitude(
     let (coeffs, d_fit) = identify_real_axis_residues(&xs, &gs, &q)?;
     let d_spec = if d_fit > floor { d_fit } else { floor };
 
-    // Zeros of G(x): eigenvalues of A - b d⁻¹ c of the SISO x-domain realization.
-    let blocks = pole_blocks(&q)?;
-    let n = q.len();
-    let mut a = Mat::zeros(n, n);
-    let mut b = Mat::zeros(n, 1);
-    let mut c = Mat::zeros(1, n);
-    for blk in &blocks {
-        match *blk {
-            PoleBlock::Real(i) => {
-                a[(i, i)] = q[i].re;
-                b[(i, 0)] = 1.0;
-                c[(0, i)] = coeffs[i];
-            }
-            PoleBlock::Pair(i) => {
-                a[(i, i)] = q[i].re;
-                a[(i, i + 1)] = q[i].im;
-                a[(i + 1, i)] = -q[i].im;
-                a[(i + 1, i + 1)] = q[i].re;
-                b[(i, 0)] = 1.0;
-                c[(0, i)] = 2.0 * coeffs[i];
-                c[(0, i + 1)] = 2.0 * coeffs[i + 1];
-            }
-        }
-    }
-    let closed = &a - &b.matmul(&c)?.scaled(1.0 / d_spec);
-    let x_zeros = symmetrize_spectrum(&eigenvalues_complex_qr(&closed)?);
+    // Zeros of G(x) = d + c·(xI − A)⁻¹·b.
+    let x_zeros = realization_zeros(&q, &coeffs, d_spec)?;
 
     // Undo the abscissa normalization, then map x-domain poles/zeros to the
     // stable / minimum-phase s-domain members:
@@ -294,30 +269,8 @@ fn relocate_real_axis_poles(xs: &[f64], gs: &[f64], q: &[Complex64]) -> Result<V
     let sol = lstsq_scaled(&a, &rhs, 1e-10)?;
     let sigma_res = &sol[n + 1..];
 
-    // Zeros of sigma(x) = 1 + c~ (xI - A)^(-1) b.
-    let mut a_s = Mat::zeros(n, n);
-    let mut b_s = Mat::zeros(n, 1);
-    let mut c_s = Mat::zeros(1, n);
-    for blk in &blocks {
-        match *blk {
-            PoleBlock::Real(i) => {
-                a_s[(i, i)] = q[i].re;
-                b_s[(i, 0)] = 1.0;
-                c_s[(0, i)] = sigma_res[i];
-            }
-            PoleBlock::Pair(i) => {
-                a_s[(i, i)] = q[i].re;
-                a_s[(i, i + 1)] = q[i].im;
-                a_s[(i + 1, i)] = -q[i].im;
-                a_s[(i + 1, i + 1)] = q[i].re;
-                b_s[(i, 0)] = 1.0;
-                c_s[(0, i)] = 2.0 * sigma_res[i];
-                c_s[(0, i + 1)] = 2.0 * sigma_res[i + 1];
-            }
-        }
-    }
-    let closed = &a_s - &b_s.matmul(&c_s)?;
-    let mut new_q = symmetrize_spectrum(&eigenvalues_complex_qr(&closed)?);
+    // The new poles are the zeros of sigma(x) = 1 + c̃·(xI − A)⁻¹·b.
+    let mut new_q = realization_zeros(q, sigma_res, 1.0)?;
     new_q.sort_by(|a, b| {
         (a.im.abs(), a.re).partial_cmp(&(b.im.abs(), b.re)).unwrap_or(std::cmp::Ordering::Equal)
     });

@@ -1,7 +1,11 @@
-//! Initial pole placement and spectrum bookkeeping helpers for the fitters.
+//! Initial pole placement, spectrum bookkeeping and pole relocation helpers
+//! for the fitters.
 
 use crate::{Result, VectFitError};
-use pim_linalg::Complex64;
+use pim_linalg::hessenberg::hessenberg;
+use pim_linalg::schur::complex_schur;
+use pim_linalg::{Complex64, Mat};
+use pim_statespace::StateSpace;
 
 /// Generates the standard Vector Fitting starting pole set: complex-conjugate
 /// pairs whose imaginary parts are logarithmically spread over
@@ -120,52 +124,28 @@ pub fn flip_unstable(poles: &mut [Complex64]) {
     }
 }
 
-/// Classification of a conjugate-symmetric pole list into scan-friendly
-/// blocks: `Real(index)` or `Pair(index_of_upper_member)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoleBlock {
-    /// A single real pole at the given index of the pole list.
-    Real(usize),
-    /// A complex-conjugate pair occupying indices `i` and `i + 1`.
-    Pair(usize),
-}
-
-/// Walks a conjugate-symmetric pole list (pairs adjacent) and produces the
-/// block structure used to build real-coefficient least squares bases.
-///
-/// # Errors
-///
-/// Returns [`VectFitError::InvalidInput`] if a complex pole has no adjacent
-/// conjugate partner.
-pub fn pole_blocks(poles: &[Complex64]) -> Result<Vec<PoleBlock>> {
-    let mut blocks = Vec::new();
-    let mut i = 0;
-    while i < poles.len() {
-        let p = poles[i];
-        let scale = p.abs().max(1.0);
-        if p.im.abs() <= 1e-9 * scale {
-            blocks.push(PoleBlock::Real(i));
-            i += 1;
-        } else {
-            let q = poles.get(i + 1).copied().ok_or_else(|| {
-                VectFitError::InvalidInput(format!("complex pole {p} has no conjugate partner"))
-            })?;
-            if (q - p.conj()).abs() > 1e-6 * scale {
-                return Err(VectFitError::InvalidInput(format!(
-                    "poles at indices {i} and {} are not a conjugate pair",
-                    i + 1
-                )));
-            }
-            blocks.push(PoleBlock::Pair(i));
-            i += 2;
-        }
-    }
-    Ok(blocks)
+/// Zeros of `d + c·(sI − A)⁻¹·b`, the realization of the real
+/// coefficients `coefficients` on `poles`
+/// ([`StateSpace::from_real_coefficients`]): the eigenvalues of
+/// `A − b·c/d`, re-paired by [`symmetrize_spectrum`]. They are read off the
+/// complex Schur form of the real Hessenberg reduction, which leaves exact
+/// zeros below the subdiagonal, so the Schur iteration's own reduction
+/// rotates nothing.
+pub(crate) fn realization_zeros(
+    poles: &[Complex64],
+    coefficients: &[f64],
+    d: f64,
+) -> Result<Vec<Complex64>> {
+    let sys = StateSpace::from_real_coefficients(poles, &Mat::row_vector(coefficients), &[d])?;
+    let closed = sys.a() - &sys.b().matmul(sys.c())?.scaled(1.0 / d);
+    let schur = complex_schur(&hessenberg(&closed, None)?.to_complex())?;
+    Ok(symmetrize_spectrum(&schur.eigenvalues()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_statespace::{pole_blocks, PoleBlock};
 
     #[test]
     fn initial_poles_structure() {
@@ -228,8 +208,23 @@ mod tests {
     }
 
     #[test]
-    fn pole_blocks_rejects_malformed_lists() {
-        assert!(pole_blocks(&[Complex64::new(-1.0, 2.0)]).is_err());
-        assert!(pole_blocks(&[Complex64::new(-1.0, 2.0), Complex64::new(-1.0, 3.0)]).is_err());
+    fn realization_zeros_are_the_zeros_of_the_function() {
+        // 1 + r/(s − p) = (s − (p − r))/(s − p).
+        for (p, r) in [(-2.0, 0.5), (-1e3, -4e2), (-0.25, 3.0)] {
+            let zeros = realization_zeros(&[Complex64::new(p, 0.0)], &[r], 1.0).unwrap();
+            assert_eq!(zeros, [Complex64::new(p - r, 0.0)]);
+        }
+        // With a pair and a real pole, d + c·(sI − A)⁻¹·b vanishes at all
+        // three zeros.
+        let p = Complex64::new(-0.5, 4.0);
+        let (poles, coefficients) = ([Complex64::new(-3.0, 0.0), p, p.conj()], [1.5, -0.75, 2.25]);
+        let zeros = realization_zeros(&poles, &coefficients, 2.0).unwrap();
+        assert_eq!(zeros.len(), 3);
+        let sys =
+            StateSpace::from_real_coefficients(&poles, &Mat::row_vector(&coefficients), &[2.0])
+                .unwrap();
+        for z in zeros {
+            assert!(sys.evaluate(z).unwrap()[(0, 0)].abs() < 1e-10, "{z}");
+        }
     }
 }

@@ -5,13 +5,12 @@
 //! extended with the per-frequency weighting of eq. (6) that the paper uses to
 //! embed the PDN sensitivity into the fitting metric.
 
-use crate::poles::{flip_unstable, initial_poles, pole_blocks, symmetrize_spectrum, PoleBlock};
+use crate::poles::{flip_unstable, initial_poles, realization_zeros};
 use crate::{Result, VectFitError};
-use pim_linalg::eig::eigenvalues_complex_qr;
 use pim_linalg::qr::{lstsq_scaled, QrFactor};
 use pim_linalg::{CMat, Complex64, Mat};
 use pim_rfdata::NetworkData;
-use pim_statespace::PoleResidueModel;
+use pim_statespace::{pole_blocks, PoleBlock, PoleResidueModel};
 
 /// Configuration of a Vector Fitting run.
 ///
@@ -261,34 +260,8 @@ fn relocate_poles(
     // solution (equivalent to leaving the surplus poles in place).
     let sigma_res = lstsq_scaled(&big, &stacked_rhs, 1e-10)?;
 
-    // Zeros of sigma(s) = 1 + c̃ (sI - A)^(-1) b  are the eigenvalues of A - b·c̃.
-    let blocks = pole_blocks(poles)?;
-    let mut a_sigma = Mat::zeros(n, n);
-    let mut b_sigma = Mat::zeros(n, 1);
-    let mut c_sigma = Mat::zeros(1, n);
-    for blk in &blocks {
-        match *blk {
-            PoleBlock::Real(i) => {
-                a_sigma[(i, i)] = poles[i].re;
-                b_sigma[(i, 0)] = 1.0;
-                c_sigma[(0, i)] = sigma_res[i];
-            }
-            PoleBlock::Pair(i) => {
-                let sig = poles[i].re;
-                let om = poles[i].im;
-                a_sigma[(i, i)] = sig;
-                a_sigma[(i, i + 1)] = om;
-                a_sigma[(i + 1, i)] = -om;
-                a_sigma[(i + 1, i + 1)] = sig;
-                b_sigma[(i, 0)] = 1.0;
-                c_sigma[(0, i)] = 2.0 * sigma_res[i];
-                c_sigma[(0, i + 1)] = 2.0 * sigma_res[i + 1];
-            }
-        }
-    }
-    let closed = &a_sigma - &b_sigma.matmul(&c_sigma)?;
-    let evs = eigenvalues_complex_qr(&closed)?;
-    let mut new_poles = symmetrize_spectrum(&evs);
+    // The new poles are the zeros of sigma(s) = 1 + c̃·(sI − A)⁻¹·b.
+    let mut new_poles = realization_zeros(poles, &sigma_res, 1.0)?;
     // Keep a deterministic ordering: ascending |Im|, then ascending Re.
     sort_pole_pairs(&mut new_poles);
     Ok(new_poles)

@@ -7,8 +7,8 @@
 
 use pim_repro::core_flow::corpus::dense_decap_divergence_case;
 use pim_repro::core_flow::{
-    CoreError, Corpus, CorpusClass, CorpusConfig, MinimizedFixture, Pipeline, RecoveryRung, Stage,
-    TraceObserver,
+    CoreError, Corpus, CorpusClass, CorpusConfig, CorpusVerdict, MinimizedFixture, Pipeline,
+    RecoveryRung, Stage, TraceObserver,
 };
 use pim_repro::passivity::{EnforcementIteration, NormKind, PassivityError};
 use pim_runtime::ThreadPool;
@@ -188,7 +188,7 @@ fn enforcement_iterations_descend_or_bottom_out_across_corpus_seeds() {
 }
 
 /// Corpus verdicts are deterministic. The smoke-config boards 0..4 classify
-/// to the same verdicts — every f64 field included — on pools of 1 and 4
+/// to the same verdicts — every f64 field bit for bit — on pools of 1 and 4
 /// threads. The dense-decap regime (primary divergence, then delivery by
 /// the reduced-order retry) classifies twice on the global pool to the same
 /// verdict; its identity across thread counts comes from the pinned fixture
@@ -201,6 +201,14 @@ fn corpus_smoke_and_dense_decap_verdicts_are_deterministic() {
     let serial = Corpus::run_with(&ThreadPool::new(1), &config, &seeds);
     let parallel = Corpus::run_with(&ThreadPool::new(4), &config, &seeds);
     assert_eq!(serial, parallel, "corpus verdicts drifted across thread counts");
+    let bits = |v: &CorpusVerdict| {
+        [v.audit_sigma_max, v.weighted_error, v.standard_error].map(|x| x.map(f64::to_bits))
+    };
+    assert_eq!(
+        serial.iter().map(bits).collect::<Vec<_>>(),
+        parallel.iter().map(bits).collect::<Vec<_>>(),
+        "verdict floats drifted across thread counts"
+    );
 
     let case = dense_decap_divergence_case();
     let a = case.classify();
@@ -224,12 +232,10 @@ fn stalled_enforcement_stops_early_on_corpus_board_81() {
         .unwrap()
         .with_observer(&mut trace);
     let diagnostics = match pipeline.enforce(NormKind::SensitivityWeighted) {
-        Err(CoreError::Passivity(PassivityError::NotConverged {
-            iterations, diagnostics, ..
-        })) => {
+        Err(CoreError::Passivity(PassivityError::NotConverged { diagnostics, .. })) => {
             assert!(
-                iterations < case.flow.enforcement.max_iterations,
-                "the stalled run spent its whole budget ({iterations}; {diagnostics})"
+                diagnostics.trace.len() < case.flow.enforcement.max_iterations,
+                "the stalled run spent its whole budget ({diagnostics})"
             );
             assert_eq!(diagnostics.bottomed_out, 2, "{diagnostics}");
             diagnostics

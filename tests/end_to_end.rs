@@ -40,7 +40,7 @@ fn fitted_model_predicts_the_loaded_impedance() -> pim_repro::Result<()> {
         pim_repro::runtime::global(),
         &fit.model,
         &SweepGrid::from_omegas(&sc.data.grid().omegas()),
-        &Adaptive::default(),
+        &Adaptive,
     )?;
     assert!(rep.sigma_max.is_finite() && rep.sigma_max > 0.5);
     // The model-based loaded impedance follows the data-based one except

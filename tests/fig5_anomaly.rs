@@ -67,7 +67,7 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
     //        the very first assessment (satellite acceptance: σ ≥ 1.3 at
     //        first exposure).
     let adaptive_report =
-        assess_with_sampling(&pool, &fit.result.model, &working, &Adaptive::default()).unwrap();
+        assess_with_sampling(&pool, &fit.result.model, &working, &Adaptive).unwrap();
     let exposed = sigma_near_band(&adaptive_report);
     assert!(
         exposed >= 1.3,

@@ -329,8 +329,8 @@ fn not_converged_enforcement_is_marked_failed() {
         .enforce(NormKind::Standard)
         .unwrap_err();
     match err {
-        CoreError::Passivity(PassivityError::NotConverged { iterations, diagnostics, .. }) => {
-            assert_eq!(iterations, 0);
+        CoreError::Passivity(PassivityError::NotConverged { diagnostics, .. }) => {
+            assert!(diagnostics.trace.is_empty());
             assert!(diagnostics.best_sigma_max.is_some(), "{diagnostics}");
         }
         other => panic!("expected NotConverged, got {other}"),
@@ -376,7 +376,7 @@ fn assert_audit_reuses_the_delivered_crossings(
 /// retry (which adds 40 iterations), runs it once, records it in the
 /// contract, and reports the failed baseline as absent.
 #[test]
-fn exhausted_primary_budget_is_delivered_by_the_ladder() {
+fn exhausted_primary_budget_is_delivered_by_the_reduced_order_retry() {
     let sc = ScenarioPreset::Reduced.build().unwrap();
     let mut config = quick_config();
     config.enforcement.max_iterations = 0;
@@ -545,10 +545,8 @@ fn both_weighted_attempts_fail_and_the_baseline_is_not_reported() {
     let mut log = EventLog::default();
     let err = Pipeline::from_scenario(&sc, config).unwrap().with_observer(&mut log).report();
     match err {
-        Err(CoreError::Passivity(PassivityError::NotConverged {
-            iterations, diagnostics, ..
-        })) => {
-            assert_eq!(iterations, 0);
+        Err(CoreError::Passivity(PassivityError::NotConverged { diagnostics, .. })) => {
+            assert!(diagnostics.trace.is_empty());
             assert!(diagnostics.best_sigma_max.is_some(), "{diagnostics}");
         }
         Err(other) => panic!("expected NotConverged, got {other}"),
@@ -649,59 +647,5 @@ fn fig5_iteration_traces_match_the_fixture() {
             let tol = 1e-6 * a.abs().max(1e-12);
             assert!((a - b).abs() <= tol, "field {idx} drifted: {e} vs {c}");
         }
-    }
-}
-
-/// Corpus extension of the serial-vs-parallel guarantee: running the
-/// stress corpus on a single-thread pool (the `PIM_THREADS=1` fallback
-/// path) and on a multi-thread pool must generate bit-identical boards and
-/// bit-identical verdicts for every seed.
-#[test]
-fn corpus_run_is_bit_identical_across_thread_pools() {
-    use pim_repro::circuit::BoardGenerator;
-    use pim_repro::core_flow::{Corpus, CorpusVerdict};
-
-    let config = pim_bench::corpus_smoke_config();
-    let seeds: Vec<u64> = (0..3).collect();
-
-    // Board generation is pool-independent by construction; pin it anyway —
-    // the verdict comparison below silently weakens if boards ever drift.
-    for &seed in &seeds {
-        let a = BoardGenerator::new(config.generator.clone()).generate(seed).unwrap();
-        let b = BoardGenerator::new(config.generator.clone()).generate(seed).unwrap();
-        assert_eq!(a, b, "seed {seed}: board regeneration is not bit-identical");
-    }
-
-    let serial = Corpus::run_with(&ThreadPool::new(1), &config, &seeds);
-    let parallel = Corpus::run_with(&ThreadPool::new(4), &config, &seeds);
-    assert_eq!(serial.len(), parallel.len());
-    let opt_bits = |x: Option<f64>| x.map(f64::to_bits);
-    let assert_verdict_bits = |s: &CorpusVerdict, p: &CorpusVerdict| {
-        assert_eq!(s.seed, p.seed);
-        assert_eq!(s.class, p.class, "seed {}: class drift across pools", s.seed);
-        assert_eq!((s.nx, s.ny, s.ports, s.order), (p.nx, p.ny, p.ports, p.order));
-        assert_eq!(s.iterations, p.iterations, "seed {}: iteration drift", s.seed);
-        assert_eq!(
-            opt_bits(s.audit_sigma_max),
-            opt_bits(p.audit_sigma_max),
-            "seed {}: audit sigma drift",
-            s.seed
-        );
-        assert_eq!(
-            opt_bits(s.weighted_error),
-            opt_bits(p.weighted_error),
-            "seed {}: weighted error drift",
-            s.seed
-        );
-        assert_eq!(
-            opt_bits(s.standard_error),
-            opt_bits(p.standard_error),
-            "seed {}: standard error drift",
-            s.seed
-        );
-        assert_eq!(s.detail, p.detail, "seed {}: detail drift", s.seed);
-    };
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_verdict_bits(s, p);
     }
 }
