@@ -138,14 +138,19 @@ fn bench_figures(c: &mut Criterion) {
         },
         ..FlowConfig::default()
     };
+    let sweep = |pool: &ThreadPool| {
+        pool.par_map(&sweep_presets, |_, &preset| {
+            let scenario = preset.build().expect("scenario");
+            Pipeline::from_scenario(&scenario, sweep_config.clone())
+                .expect("pipeline")
+                .report()
+                .expect("report")
+        })
+    };
     let mut sweeps = c.benchmark_group("runtime");
     sweeps.sample_size(5);
-    sweeps.bench_function("sweep_presets_one_at_a_time", |b| {
-        b.iter(|| Pipeline::sweep_with(&serial_pool, &sweep_presets, &sweep_config).expect("sweep"))
-    });
-    sweeps.bench_function("sweep_presets_at_once", |b| {
-        b.iter(|| Pipeline::sweep_with(&wide_pool, &sweep_presets, &sweep_config).expect("sweep"))
-    });
+    sweeps.bench_function("sweep_presets_one_at_a_time", |b| b.iter(|| sweep(&serial_pool)));
+    sweeps.bench_function("sweep_presets_at_once", |b| b.iter(|| sweep(&wide_pool)));
     sweeps.finish();
     let mc_options = SensitivityOptions { sigma: 1e-5, trials: 64, seed: 0x5EED_CAFE };
     c.bench_function("mc_sensitivity_serial", |b| {

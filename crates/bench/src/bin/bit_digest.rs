@@ -7,7 +7,11 @@
 //!   realization of the weighted fit, the realization of its element
 //!   `(0, 0)` and the Hamiltonian matrix of the full realization;
 //! * the weighted fit and `Ξ̃` of corpus seeds `0..100`;
-//! * the delivered and baseline models of the reduced preset's `report()`.
+//! * for each reduced-flow preset (reduced, dense-decap, bulk-decap) under
+//!   its recommended flow configuration, the `report()`: the delivered
+//!   model, each enforcement outcome (model, final `σ_max` and every trace
+//!   field), the four evaluations and the accuracy contract (its rung in
+//!   words, then the audit `σ_max` and the impedance error).
 //!
 //! A refactor that claims bit-identical numerics runs this binary before
 //! and after the change and diffs the two outputs. Digests depend on the
@@ -18,9 +22,11 @@
 //! ```
 
 use pim_core::corpus::{Corpus, CorpusConfig};
+use pim_core::flow::{FlowReport, ModelEvaluation};
 use pim_core::pipeline::{FitKind, Pipeline};
 use pim_core::scenario::ScenarioPreset;
 use pim_passivity::check::hamiltonian_matrix;
+use pim_passivity::EnforcementOutcome;
 use pim_statespace::{PoleResidueModel, StateSpace};
 use pim_vectfit::VfResult;
 use std::error::Error;
@@ -61,12 +67,73 @@ impl Fnv {
         }
         self
     }
+
+    /// The model, the final `σ_max` and every field of every iteration
+    /// (the counts as exact f64s).
+    fn enforcement(&mut self, outcome: &EnforcementOutcome) -> &mut Self {
+        self.model(&outcome.model).push([outcome.report.sigma_max]);
+        for it in &outcome.trace {
+            self.push([
+                it.iteration as f64,
+                it.sigma_before,
+                it.sigma_after,
+                it.step,
+                it.norm_increment,
+                it.constraints as f64,
+                it.grid_points as f64,
+                it.qp_lambda,
+            ]);
+        }
+        self
+    }
+
+    fn evaluation(&mut self, eval: &ModelEvaluation) -> &mut Self {
+        self.push([eval.scattering_rms_error, eval.impedance_relative_error])
+            .push(eval.impedance.freqs_hz.iter().copied())
+            .push(eval.impedance.values.iter().flat_map(|z| [z.re, z.im]))
+    }
 }
 
 fn line(name: &str, digest: Result<u64, Box<dyn Error>>) {
     match digest {
         Ok(d) => println!("{name:<28} {d:016x}"),
         Err(e) => println!("{name:<28} error: {e}"),
+    }
+}
+
+/// A digest line for an item that may be absent.
+fn optional(name: &str, digest: Option<u64>) {
+    match digest {
+        Some(d) => line(name, Ok(d)),
+        None => println!("{name:<28} none"),
+    }
+}
+
+fn report_lines(name: &str, report: &FlowReport) {
+    line(&format!("{name} delivered"), Ok(Fnv::new().model(report.final_model()).0));
+    let enforcements = [
+        ("weighted-enf", &report.weighted_enforcement),
+        ("standard-enf", &report.standard_enforcement),
+    ];
+    for (item, outcome) in enforcements {
+        optional(&format!("{name} {item}"), outcome.as_ref().map(|o| Fnv::new().enforcement(o).0));
+    }
+    let evaluations = [
+        ("standard-eval", Some(&report.standard_model_eval)),
+        ("weighted-eval", Some(&report.weighted_model_eval)),
+        ("passive-eval", Some(&report.weighted_passive_eval)),
+        ("baseline-eval", report.standard_passive_eval.as_ref()),
+    ];
+    for (item, eval) in evaluations {
+        optional(&format!("{name} {item}"), eval.map(|e| Fnv::new().evaluation(e).0));
+    }
+    let contract = format!("{name} contract");
+    match &report.contract {
+        Some(c) => {
+            let d = Fnv::new().push([c.audit_sigma_max, c.impedance_error]).0;
+            println!("{contract:<28} {} {d:016x}", c.rung);
+        }
+        None => println!("{contract:<28} none"),
     }
 }
 
@@ -114,21 +181,14 @@ fn main() {
         line(&format!("corpus {seed} fits"), run());
     }
 
-    let preset = ScenarioPreset::Reduced;
-    let run = || -> Result<(u64, Option<u64>), Box<dyn Error>> {
-        let scenario = preset.build()?;
-        let report = Pipeline::from_scenario(&scenario, preset.flow_config())?.report()?;
-        let baseline = report.standard_enforcement.as_ref().map(|o| Fnv::new().model(&o.model).0);
-        Ok((Fnv::new().model(report.final_model()).0, baseline))
-    };
-    match run() {
-        Ok((delivered, baseline)) => {
-            line("reduced delivered", Ok(delivered));
-            match baseline {
-                Some(d) => line("reduced baseline", Ok(d)),
-                None => println!("{:<28} none", "reduced baseline"),
-            }
+    for preset in [ScenarioPreset::Reduced, ScenarioPreset::DenseDecap, ScenarioPreset::BulkDecap] {
+        let run = || -> Result<FlowReport, Box<dyn Error>> {
+            let scenario = preset.build()?;
+            Ok(Pipeline::from_scenario(&scenario, preset.flow_config())?.report()?)
+        };
+        match run() {
+            Ok(report) => report_lines(preset.name(), &report),
+            Err(e) => line(&format!("{} report", preset.name()), Err(e)),
         }
-        Err(e) => line("reduced report", Err(e)),
     }
 }

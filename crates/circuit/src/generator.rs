@@ -249,11 +249,6 @@ impl BoardGenerator {
         BoardGenerator { config }
     }
 
-    /// The parameter space this generator samples.
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
-    }
-
     /// Draws the board for `seed`. Equal `(config, seed)` pairs produce
     /// bit-identical [`GeneratedBoard`]s.
     ///

@@ -14,10 +14,9 @@
 //!   of the enforcement norm shares (eq. 21);
 //! * [`pipeline`] — the staged, observable macromodeling pipeline: typed
 //!   stage handles (`sensitivity → fit → weighting_model → assess →
-//!   enforce`), each returning an owned artifact, the full
-//!   [`pipeline::Pipeline::report`], plus the
-//!   [`pipeline::Pipeline::sweep_with`] batch runner over
-//!   [`scenario::ScenarioPreset`]s;
+//!   enforce`), each returning an owned artifact, and the full
+//!   [`pipeline::Pipeline::report`], which runs the weighted enforcement
+//!   and the standard-norm baseline at once;
 //! * [`flow`] — the flow configuration ([`flow::FlowConfig`], whose
 //!   `enforcement.sampling` is the one sampling policy of assessment and
 //!   enforcement), the [`flow::FlowReport`] and the evaluation types;
@@ -53,9 +52,7 @@ pub use corpus::{
 };
 pub use flow::{FlowConfig, FlowReport, ModelEvaluation};
 pub use observer::{FlowObserver, Stage, TraceObserver};
-pub use pipeline::{
-    AssessmentArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact, SweepEntry,
-};
+pub use pipeline::{AssessmentArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact};
 pub use recovery::{AccuracyContract, ContractConfig, RecoveryRung};
 pub use scenario::{ScenarioConfig, ScenarioPreset, StandardScenario};
 pub use weighting::{sensitivity_weighted_norm, SensitivityWeightedNorm};

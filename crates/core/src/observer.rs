@@ -64,13 +64,14 @@ impl fmt::Display for Stage {
 /// events it cares about. The hooks are observational only — they cannot
 /// change what the pipeline computes.
 pub trait FlowObserver {
-    /// A stage is about to run (not called when its cached artifact is
-    /// reused).
+    /// A stage is about to run. The stages up to the assessment cache their
+    /// artifacts and do not start again when one is reused; the
+    /// enforcement, recovery and evaluation stages run on every call.
     fn on_stage_start(&mut self, stage: Stage) {
         let _ = stage;
     }
 
-    /// A stage finished and its artifact is cached.
+    /// A stage finished.
     fn on_stage_done(&mut self, stage: Stage) {
         let _ = stage;
     }

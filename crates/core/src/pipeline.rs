@@ -14,11 +14,13 @@
 //!     .report()              -> FlowReport                 (everything, assembled)
 //! ```
 //!
-//! Stages compute lazily and cache their successes: calling
-//! [`Pipeline::enforce`] first runs whatever prerequisites are missing
-//! (weighted fit, weighting model, assessment), and re-requesting an
-//! artifact returns the cached value without recomputation. A failed stage
-//! is not cached; asking for it again runs it again. A [`FlowObserver`]
+//! The stages up to the assessment compute lazily and cache their
+//! successes: calling [`Pipeline::enforce`] first runs whatever
+//! prerequisites are missing (weighted fit, weighting model, assessment),
+//! and re-requesting one of those artifacts returns the cached value without
+//! recomputation. A failed stage is not cached; asking for it again runs it
+//! again. Enforcement is never cached: every [`Pipeline::enforce`] call runs
+//! its loop and reports its events. A [`FlowObserver`]
 //! attached with [`Pipeline::with_observer`] sees stage boundaries and every
 //! enforcement iteration; observers never change numerics. The sampling
 //! policy of the assessment and of every enforcement grid is
@@ -38,15 +40,11 @@
 //! the Gramian solves and the retry's refit. The observer sees the serial
 //! order — the weighted pass's events, the retry's, then the baseline's —
 //! for every thread count.
-//!
-//! [`Pipeline::sweep_with`] is the batch entry point: it evaluates a list of
-//! [`ScenarioPreset`]s end-to-end and returns one [`FlowReport`] per
-//! scenario.
 
 use crate::flow::{evaluate_model, FlowConfig, FlowReport};
-use crate::observer::{FlowObserver, Stage, TraceObserver};
+use crate::observer::{FlowObserver, Stage};
 use crate::recovery::{AccuracyContract, RecoveryRung};
-use crate::scenario::{ScenarioPreset, StandardScenario};
+use crate::scenario::StandardScenario;
 use crate::weighting::sensitivity_weighted_norm;
 use crate::{CoreError, Result};
 use pim_passivity::check::{
@@ -89,8 +87,6 @@ pub struct SensitivityArtifact {
 /// Artifact of a fitting stage.
 #[derive(Debug, Clone)]
 pub struct FitArtifact {
-    /// Which metric the fit minimized.
-    pub kind: FitKind,
     /// The Vector Fitting result (model + error summaries).
     pub result: VfResult,
 }
@@ -101,23 +97,6 @@ pub struct AssessmentArtifact {
     /// Full assessment of the weighted macromodel on the data grid; its
     /// `sigma_max` is the worst singular value before any enforcement.
     pub report: PassivityReport,
-}
-
-/// One entry of a [`Pipeline::sweep_with`] run.
-#[derive(Debug, Clone)]
-pub struct SweepEntry {
-    /// The preset the scenario was built from.
-    pub preset: ScenarioPreset,
-    /// The full flow report for that scenario.
-    pub report: FlowReport,
-    /// The stage/enforcement-iteration trace recorded while this preset ran.
-    ///
-    /// Presets execute concurrently, so a single caller-supplied
-    /// [`FlowObserver`] cannot receive their events without interleaving;
-    /// instead every preset records into its own [`TraceObserver`] buffer
-    /// and the buffers are merged at join, in preset order — events stay
-    /// per-preset and in delivery order.
-    pub trace: TraceObserver,
 }
 
 /// The `self`-free half of an enforcement stage: builds the norm of
@@ -157,9 +136,6 @@ pub struct Pipeline<'a> {
     weighted_fit: Option<VfResult>,
     weighting: Option<SensitivityModel>,
     assessment: Option<AssessmentArtifact>,
-    /// Delivered enforcements, `None` when the assessed model was already
-    /// passive.
-    enforcements: Vec<(NormKind, Option<EnforcementOutcome>)>,
 }
 
 impl<'a> Pipeline<'a> {
@@ -205,7 +181,6 @@ impl<'a> Pipeline<'a> {
             weighted_fit: None,
             weighting: None,
             assessment: None,
-            enforcements: Vec::new(),
         })
     }
 
@@ -224,11 +199,6 @@ impl<'a> Pipeline<'a> {
     pub fn with_observer(mut self, observer: &'a mut dyn FlowObserver) -> Self {
         self.observer = Some(observer);
         self
-    }
-
-    /// The flow configuration this pipeline runs with.
-    pub fn config(&self) -> &FlowConfig {
-        &self.config
     }
 
     fn stage_start(&mut self, stage: Stage) {
@@ -295,7 +265,7 @@ impl<'a> Pipeline<'a> {
             FitKind::Standard => self.standard_fit.clone(),
             FitKind::Weighted => self.weighted_fit.clone(),
         };
-        Ok(FitArtifact { kind, result: result.expect("fit artifact just cached") })
+        Ok(FitArtifact { result: result.expect("fit artifact just cached") })
     }
 
     /// Weighting-model stage: Magnitude Vector Fitting of the sensitivity
@@ -354,11 +324,10 @@ impl<'a> Pipeline<'a> {
 
     /// Enforcement stage under the given norm.
     ///
-    /// Returns `None` when the assessed model is already passive. Successful
-    /// outcomes are cached per [`NormKind`]: re-enforcing with the same kind
-    /// returns the cached result without re-running the loop or re-emitting
-    /// observer events. Errors are not cached, so a retry after a failure
-    /// runs the loop again.
+    /// Returns `None` when the assessed model is already passive. Every call
+    /// runs the loop and reports its stage and iterations to the observer
+    /// again; only the prerequisites (weighted fit, weighting model,
+    /// assessment) are cached.
     ///
     /// # Errors
     ///
@@ -366,43 +335,24 @@ impl<'a> Pipeline<'a> {
     /// [`PassivityError::NotConverged`] when the loop runs out of budget or
     /// stalls; its diagnostics carry the best-so-far model's audit `σ_max`).
     pub fn enforce(&mut self, kind: NormKind) -> Result<Option<EnforcementOutcome>> {
-        if let Some(outcome) = self.cached_enforcement(kind) {
-            return Ok(outcome);
-        }
         let weighting = match kind {
             NormKind::Standard => None,
             NormKind::SensitivityWeighted => Some(self.weighting_model()?),
         };
-        let outcome = if self.assess()?.report.passive {
-            None
-        } else {
-            let stage = Stage::Enforcement(kind);
-            self.stage_start(stage);
-            let model = &self.weighted_fit.as_ref().expect("assess caches the weighted fit").model;
-            let result = run_stage(
-                model,
-                weighting.as_ref(),
-                self.data.grid().max_omega(),
-                &self.config.enforcement,
-                &self.audit_grid(),
-            );
-            Some(self.emit_stage(stage, result)?)
-        };
-        Ok(self.store_enforcement(kind, outcome))
-    }
-
-    fn cached_enforcement(&self, kind: NormKind) -> Option<Option<EnforcementOutcome>> {
-        self.enforcements.iter().find(|(k, _)| *k == kind).map(|(_, outcome)| outcome.clone())
-    }
-
-    /// Caches a successful enforcement outcome.
-    fn store_enforcement(
-        &mut self,
-        kind: NormKind,
-        outcome: Option<EnforcementOutcome>,
-    ) -> Option<EnforcementOutcome> {
-        self.enforcements.push((kind, outcome.clone()));
-        outcome
+        if self.assess()?.report.passive {
+            return Ok(None);
+        }
+        let stage = Stage::Enforcement(kind);
+        self.stage_start(stage);
+        let model = &self.weighted_fit.as_ref().expect("assess caches the weighted fit").model;
+        let result = run_stage(
+            model,
+            weighting.as_ref(),
+            self.data.grid().max_omega(),
+            &self.config.enforcement,
+            &self.audit_grid(),
+        );
+        self.emit_stage(stage, result).map(Some)
     }
 
     /// The `&mut self` half of an enforcement stage — the primary pass, the
@@ -551,7 +501,7 @@ impl<'a> Pipeline<'a> {
         let assessment = self.assess()?;
 
         let (weighted_enforcement, rung, standard_enforcement) = if assessment.report.passive {
-            (self.enforce(NormKind::SensitivityWeighted)?, RecoveryRung::Primary, None)
+            (None, RecoveryRung::Primary, None)
         } else {
             self.enforce_both(&weighted_fit.model, &sensitivity_model)?
         };
@@ -621,54 +571,38 @@ impl<'a> Pipeline<'a> {
     /// The enforcement stages of [`Pipeline::report`] on a fit that is not
     /// passive. The sensitivity-weighted primary pass and the standard-norm
     /// baseline, each building its own norm, run as the two items of one
-    /// `par_map`; a pass that [`Pipeline::enforce`] already delivered is
-    /// reused, not re-run. The weighted stage starts live, so a stage timer
-    /// spans the concurrent section. Then the weighted pass's events are
-    /// delivered, the reduced-order retry runs on the caller when that pass
-    /// did not converge, and the baseline's events follow. When the weighted
-    /// pass and the retry both fail, or the pass fails otherwise, the
-    /// baseline is dropped unreported, as if it had never run.
+    /// `par_map`. The weighted stage starts live, so a stage timer spans the
+    /// concurrent section. Then the weighted pass's events are delivered, the
+    /// reduced-order retry runs on the caller when that pass did not
+    /// converge, and the baseline's events follow. When the weighted pass and
+    /// the retry both fail, or the pass fails otherwise, the baseline is
+    /// dropped unreported, as if it had never run.
     fn enforce_both(
         &mut self,
         model: &PoleResidueModel,
         weighting: &SensitivityModel,
     ) -> Result<(Option<EnforcementOutcome>, RecoveryRung, Option<EnforcementOutcome>)> {
-        let (weighted, standard) = (NormKind::SensitivityWeighted, NormKind::Standard);
-        let weighted_cached = self.cached_enforcement(weighted);
-        let standard_cached = self.cached_enforcement(standard);
-        // The passes still to run, each with the weighting of its norm.
-        let passes = [
-            weighted_cached.is_none().then_some(Some(weighting)),
-            standard_cached.is_none().then_some(None),
-        ];
-        if weighted_cached.is_none() {
-            self.stage_start(Stage::Enforcement(weighted));
-        }
+        let weighted = Stage::Enforcement(NormKind::SensitivityWeighted);
+        let standard = Stage::Enforcement(NormKind::Standard);
+        self.stage_start(weighted);
         let (band_max_omega, audit_grid) = (self.data.grid().max_omega(), self.audit_grid());
         let config = &self.config.enforcement;
-        let mut runs = pim_runtime::global()
-            .par_map(&passes, |_, pass| {
-                pass.map(|weighting| {
-                    run_stage(model, weighting, band_max_omega, config, &audit_grid)
-                })
-            })
-            .into_iter();
-        let (weighted_run, standard_run) = (runs.next().flatten(), runs.next().flatten());
+        // The weighting of each pass's norm: the weighted pass, then the
+        // standard baseline.
+        let runs = pim_runtime::global().par_map(&[Some(weighting), None], |_, &weighting| {
+            run_stage(model, weighting, band_max_omega, config, &audit_grid)
+        });
+        let [weighted_run, standard_run]: [Result<EnforcementOutcome>; 2] =
+            runs.try_into().expect("par_map returns one run per pass");
 
         // The weighted pass delivers the model, through the reduced-order
         // retry when the primary pass does not converge; when the retry does
         // not either, the primary failure stands.
-        let primary = match weighted_run {
-            Some(result) => self
-                .emit_stage(Stage::Enforcement(weighted), result)
-                .map(|outcome| self.store_enforcement(weighted, Some(outcome))),
-            None => Ok(weighted_cached.flatten()),
-        };
-        let (weighted_outcome, rung) = match primary {
+        let (weighted_outcome, rung) = match self.emit_stage(weighted, weighted_run) {
             Ok(outcome) => (outcome, RecoveryRung::Primary),
             Err(primary @ CoreError::Passivity(PassivityError::NotConverged { .. })) => {
                 match self.run_reduced_order_retry()? {
-                    Some(outcome) => (Some(outcome), RecoveryRung::ReducedOrder),
+                    Some(outcome) => (outcome, RecoveryRung::ReducedOrder),
                     None => return Err(primary),
                 }
             }
@@ -677,52 +611,12 @@ impl<'a> Pipeline<'a> {
 
         // The baseline is only a comparison curve: a NotConverged failure is
         // reported as absent rather than failing the flow.
-        let standard_outcome = match standard_run {
-            Some(result) => {
-                self.stage_start(Stage::Enforcement(standard));
-                match self.emit_stage(Stage::Enforcement(standard), result) {
-                    Ok(outcome) => self.store_enforcement(standard, Some(outcome)),
-                    Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => None,
-                    Err(e) => return Err(e),
-                }
-            }
-            None => standard_cached.flatten(),
+        self.stage_start(standard);
+        let standard_outcome = match self.emit_stage(standard, standard_run) {
+            Ok(outcome) => Some(outcome),
+            Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => None,
+            Err(e) => return Err(e),
         };
-        Ok((weighted_outcome, rung, standard_outcome))
-    }
-
-    /// Batch runner: builds every preset scenario and runs the full flow on
-    /// each, returning one [`FlowReport`] (plus its recorded trace) per
-    /// preset.
-    ///
-    /// Presets run **concurrently** on `pool` (callers pass
-    /// [`pim_runtime::global`] or a pool of their own) — each produces owned
-    /// artifacts, so the only shared state is the configuration. Entries are
-    /// collected by preset index and every preset records observer events
-    /// into its own buffer (see [`SweepEntry::trace`]), which makes the
-    /// parallel sweep bit-identical to the serial one for every pool size
-    /// and `PIM_THREADS` (`1` forces the serial path); the integration suite
-    /// pins this at the float-bit level.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scenario-construction and flow failures of any preset;
-    /// when several presets fail, the error of the lowest preset index is
-    /// reported regardless of scheduling order.
-    pub fn sweep_with(
-        pool: &pim_runtime::ThreadPool,
-        presets: &[ScenarioPreset],
-        config: &FlowConfig,
-    ) -> Result<Vec<SweepEntry>> {
-        pool.par_map(presets, |_, &preset| -> Result<SweepEntry> {
-            let scenario = preset.build()?;
-            let mut trace = TraceObserver::new();
-            let report = Pipeline::from_scenario(&scenario, config.clone())?
-                .with_observer(&mut trace)
-                .report()?;
-            Ok(SweepEntry { preset, report, trace })
-        })
-        .into_iter()
-        .collect()
+        Ok((Some(weighted_outcome), rung, standard_outcome))
     }
 }

@@ -94,7 +94,7 @@ fn core_to_passivity(e: CoreError) -> PassivityError {
 mod tests {
     use super::*;
     use pim_linalg::{approx_eq, CMat, Complex64, Mat};
-    use pim_statespace::gramian::element_gramian;
+    use pim_statespace::gramian::controllability;
     use pim_vectfit::{fit_magnitude, MagnitudeFitConfig};
 
     fn c(re: f64, im: f64) -> Complex64 {
@@ -135,7 +135,7 @@ mod tests {
         let norm1 = sensitivity_weighted_norm(&model, &weight).unwrap();
         let norm3 = sensitivity_weighted_norm(&model, &flat_weight(3.0)).unwrap();
         let element = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
-        let plain = element_gramian(&element).unwrap();
+        let plain = controllability(&element).unwrap();
         // |Ξ| = 1 reproduces the standard Gramian, |Ξ| = 3 scales it by 9.
         let g1 = norm1.gramians();
         let g3 = norm3.gramians();
@@ -168,7 +168,7 @@ mod tests {
         let model = two_port_model();
         let weighted = sensitivity_weighted_norm(&model, &lowpass_weight()).unwrap();
         let element = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
-        let plain = element_gramian(&element).unwrap();
+        let plain = controllability(&element).unwrap();
         let gw = weighted.gramians();
         // Direction e0 excites the real (low-frequency) pole; e1/e2 the pair.
         let cost = |g: &Mat, dir: &[f64]| -> f64 {

@@ -178,16 +178,6 @@ impl QrFactor {
         }
     }
 
-    /// Number of rows of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns of the factored matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Solves the least squares problem `min ‖A·x − b‖₂`.
     ///
     /// # Errors

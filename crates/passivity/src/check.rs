@@ -223,9 +223,9 @@ pub fn assess_with_sampling(
 
 /// The assessment of a model whose Hamiltonian crossings are already known
 /// (for instance from an earlier report of the same model): lets `strategy`
-/// refine `base` around `crossings` (see [`SamplingStrategy::refine`]),
-/// sweeps the refined grid on `pool`, and assembles the report, which
-/// carries `crossings` as its [`PassivityReport::hamiltonian_crossings`].
+/// refine `base` around `crossings` and sample `σ_max` on the refined grid
+/// on `pool` (see [`SamplingStrategy::refine`]), and assembles the report,
+/// which carries `crossings` as its [`PassivityReport::hamiltonian_crossings`].
 /// No eigenproblem is solved, so the caller must pass the crossings of
 /// `model` itself; the report then equals [`assess_with_sampling`]'s bit
 /// for bit.
@@ -240,19 +240,9 @@ pub fn assess_with_crossings(
     base: &FrequencyGrid,
     strategy: &dyn SamplingStrategy,
 ) -> Result<PassivityReport> {
-    let (grid, cached_sigma) = strategy.refine(pool, model, base, crossings)?;
-
-    // The report only needs `σ_max` per point; a strategy that sampled the
-    // grid while refining (the adaptive bisection) hands those samples back
-    // so the grid is decomposed exactly once. `Svd::sigma_max` is the first
-    // entry of `singular_values`, so both paths yield the same floats.
-    let sigmas: Vec<f64> = match cached_sigma {
-        Some(sigmas) => sigmas,
-        None => singular_value_sweep_with(pool, model, grid.points())?
-            .iter()
-            .map(|sv| sv.first().copied().unwrap_or(0.0))
-            .collect(),
-    };
+    // The report only needs `σ_max` per point, and the strategy samples it
+    // at every point of the grid it returns.
+    let (grid, sigmas) = strategy.refine(pool, model, base, crossings)?;
     let mut sigma_max = 0.0;
     let mut omega_at = 0.0;
     for (k, &s) in sigmas.iter().enumerate() {

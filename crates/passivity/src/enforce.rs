@@ -33,7 +33,7 @@ use crate::qp::{solve_block_qp_in_place, BlockQpFactors, QpOptions};
 use crate::{NotConvergedDiagnostics, PassivityError, Result};
 use pim_linalg::svd::svd;
 use pim_linalg::{Complex64, Mat};
-use pim_statespace::gramian::element_gramian;
+use pim_statespace::gramian::controllability;
 use pim_statespace::{PoleResidueModel, StateSpace};
 use std::sync::Arc;
 
@@ -76,7 +76,7 @@ impl PerturbationNorm {
     /// Propagates realization and Lyapunov failures.
     pub fn standard(model: &PoleResidueModel) -> Result<Self> {
         let element = StateSpace::from_pole_residue_element(model, 0, 0)?;
-        Self::from_gramian(element_gramian(&element).map_err(PassivityError::StateSpace)?)
+        Self::from_gramian(controllability(&element).map_err(PassivityError::StateSpace)?)
     }
 
     /// The Gramian `G`, `N × N`.
@@ -636,7 +636,7 @@ mod tests {
                 model: &PoleResidueModel,
                 base: &FrequencyGrid,
                 crossings: &[f64],
-            ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+            ) -> Result<(FrequencyGrid, Vec<f64>)> {
                 self.refines.fetch_add(1, Ordering::Relaxed);
                 self.inner.refine(pool, model, base, crossings)
             }

@@ -14,7 +14,7 @@
 //! * [`SamplingStrategy`] — the policy trait: how to build the enforcement
 //!   working grid, and how to refine a base grid for one assessment of a
 //!   concrete model;
-//! * [`FixedLog`] — no refinement: sweep exactly the base grid (audits);
+//! * [`FixedLog`] — no refinement: sample exactly the base grid (audits);
 //! * [`Adaptive`] — the default: seeds the grid with midpoints / geometric
 //!   means between consecutive Hamiltonian crossings plus ±0.1 %
 //!   neighborhoods, then bisects intervals around the crossings and local
@@ -186,28 +186,34 @@ pub trait SamplingStrategy: fmt::Debug + Send + Sync {
     }
 
     /// Refines `base` for one assessment of `model`, given the model's
-    /// Hamiltonian unit-singular-value crossings (rad/s, ascending). New
-    /// points are evaluated on `pool` when the strategy needs σ samples.
+    /// Hamiltonian unit-singular-value crossings (rad/s, ascending), and
+    /// samples `σ_max` on `pool`.
     ///
-    /// Returns the refined grid together with the `σ_max` samples the
-    /// strategy computed while refining (one per grid point, in grid order),
-    /// so the caller can skip re-sweeping the grid; `None` when the strategy
-    /// refines without sampling.
+    /// Returns the refined grid together with its `σ_max` samples, one per
+    /// grid point, in grid order.
     ///
     /// # Errors
     ///
-    /// Propagates model-evaluation and SVD failures of strategies that
-    /// sample σ while refining.
+    /// Propagates model-evaluation and SVD failures.
     fn refine(
         &self,
         pool: &pim_runtime::ThreadPool,
         model: &PoleResidueModel,
         base: &FrequencyGrid,
         crossings: &[f64],
-    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)>;
+    ) -> Result<(FrequencyGrid, Vec<f64>)>;
 }
 
-/// No refinement: assessments sweep exactly the base grid.
+/// `σ_max` at every point of `omegas`, in order, evaluated on `pool`.
+fn sample(
+    pool: &pim_runtime::ThreadPool,
+    model: &PoleResidueModel,
+    omegas: &[f64],
+) -> Result<Vec<f64>> {
+    pool.par_map(omegas, |_, &w| sigma_max_at(model, w)).into_iter().collect()
+}
+
+/// No refinement: assessments sample exactly the base grid.
 ///
 /// This is the cheapest strategy and the most honest about its blind spots:
 /// whatever hides between base points stays hidden. Use it for quick scans
@@ -222,12 +228,12 @@ impl SamplingStrategy for FixedLog {
 
     fn refine(
         &self,
-        _pool: &pim_runtime::ThreadPool,
-        _model: &PoleResidueModel,
+        pool: &pim_runtime::ThreadPool,
+        model: &PoleResidueModel,
         base: &FrequencyGrid,
         _crossings: &[f64],
-    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
-        Ok((base.clone(), None))
+    ) -> Result<(FrequencyGrid, Vec<f64>)> {
+        Ok((base.clone(), sample(pool, model, base.points())?))
     }
 }
 
@@ -315,7 +321,7 @@ impl SamplingStrategy for Adaptive {
         model: &PoleResidueModel,
         base: &FrequencyGrid,
         crossings: &[f64],
-    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+    ) -> Result<(FrequencyGrid, Vec<f64>)> {
         refine_adaptive(pool, model, base, crossings, MAX_POINTS)
     }
 }
@@ -328,14 +334,11 @@ fn refine_adaptive(
     base: &FrequencyGrid,
     crossings: &[f64],
     max_points: usize,
-) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+) -> Result<(FrequencyGrid, Vec<f64>)> {
     // Seed with the crossing neighborhoods, so every Hamiltonian
     // crossing is resolved before the bisection starts.
     let mut grid = base.merged_with(crossing_points(crossings));
-    let mut sigmas: Vec<f64> = pool
-        .par_map(grid.points(), |_, &w| sigma_max_at(model, w))
-        .into_iter()
-        .collect::<Result<_>>()?;
+    let mut sigmas = sample(pool, model, grid.points())?;
 
     for _ in 0..MAX_ROUNDS {
         if grid.len() >= max_points {
@@ -395,10 +398,7 @@ fn refine_adaptive(
             grid.points().iter().zip(&sigmas).map(|(&w, &s)| (w.to_bits(), s)).collect();
         let missing: Vec<f64> =
             refined.points().iter().copied().filter(|w| !old.contains_key(&w.to_bits())).collect();
-        let fresh: Vec<f64> = pool
-            .par_map(&missing, |_, &w| sigma_max_at(model, w))
-            .into_iter()
-            .collect::<Result<_>>()?;
+        let fresh = sample(pool, model, &missing)?;
         let fresh_map: std::collections::BTreeMap<u64, f64> =
             missing.iter().zip(&fresh).map(|(&w, &s)| (w.to_bits(), s)).collect();
         sigmas = refined
@@ -413,9 +413,7 @@ fn refine_adaptive(
             .collect();
         grid = refined;
     }
-    // The σ samples are exactly `σ_max` at every grid point, in grid
-    // order — the assessment can consume them instead of re-sweeping.
-    Ok((grid, Some(sigmas)))
+    Ok((grid, sigmas))
 }
 
 #[cfg(test)]
@@ -522,7 +520,10 @@ mod tests {
         let base = FrequencyGrid::from_omegas(&[0.0, 10.0, 100.0]);
         let (refined, sigma) = FixedLog.refine(&pool, &model, &base, &[9.0, 11.0]).unwrap();
         assert_eq!(refined, base);
-        assert!(sigma.is_none());
+        assert_eq!(sigma.len(), base.len());
+        for (&w, s) in base.points().iter().zip(sigma) {
+            assert_eq!(s.to_bits(), sigma_max_at(&model, w).unwrap().to_bits(), "σ at {w}");
+        }
         assert_eq!(FixedLog.name(), "fixed-log");
     }
 
@@ -560,7 +561,6 @@ mod tests {
         let (refined, sigma) = Adaptive.refine(&pool, &model, &base, &crossings).unwrap();
         let refined_max = sigma_on(&refined);
         // The handed-back samples are σ_max at every grid point, in order.
-        let sigma = sigma.expect("adaptive refinement samples every point");
         assert_eq!(sigma.len(), refined.len());
         assert_eq!(sigma.iter().fold(0.0_f64, |a, &b| a.max(b)).to_bits(), refined_max.to_bits());
         // The true peak, located by brute force on a very dense local grid.

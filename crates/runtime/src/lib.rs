@@ -3,8 +3,7 @@
 //! A dependency-free (std-only) thread pool with one deterministic
 //! data-parallel primitive, [`ThreadPool::par_map`], built for the
 //! embarrassingly parallel levels of the macromodeling workflow: independent
-//! scenario presets in
-//! [`Pipeline::sweep_with`](https://docs.rs/pim-core), the weighted and the
+//! boards of a `Corpus::run` batch in pim-core, the weighted and the
 //! standard enforcement pass of one `Pipeline::report`, independent
 //! frequency samples in the passivity assessment grids, and independent
 //! per-frequency Gaussian draws in the Monte Carlo sensitivity estimator.

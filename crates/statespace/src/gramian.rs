@@ -33,18 +33,6 @@ pub fn weighted_element_gramian(element: &StateSpace, weight: &StateSpace) -> Re
     Ok(full.block(0, 0, element.order(), element.order()))
 }
 
-/// Convenience: the plain (unweighted) element Gramian, i.e. the
-/// controllability Gramian of the element realization itself. Using this in
-/// place of [`weighted_element_gramian`] recovers the standard L2 enforcement
-/// norm.
-///
-/// # Errors
-///
-/// Propagates Lyapunov solver failures.
-pub fn element_gramian(element: &StateSpace) -> Result<Mat> {
-    controllability(element)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +82,7 @@ mod tests {
         )
         .unwrap();
         let pw = weighted_element_gramian(&sys, &unit).unwrap();
-        let p = element_gramian(&sys).unwrap();
+        let p = controllability(&sys).unwrap();
         assert!(pw.max_abs_diff(&p) < 1e-10);
     }
 

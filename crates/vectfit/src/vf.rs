@@ -175,6 +175,24 @@ fn build_basis(omegas: &[f64], poles: &[Complex64]) -> Result<CMat> {
     Ok(phi)
 }
 
+/// The weighted real regression block `[φ, 1]` shared by every matrix
+/// element: the real parts of the basis columns of `phi` over the imaginary
+/// parts, row `k` of each half scaled by `weights[k]`, and a last column
+/// that carries the constant term in the real half only.
+fn weighted_basis_block(phi: &CMat, weights: &[f64]) -> Mat {
+    let (k_samples, n) = phi.shape();
+    let mut a = Mat::zeros(2 * k_samples, n + 1);
+    for (k, &wk) in weights.iter().enumerate() {
+        for c in 0..n {
+            let b = phi[(k, c)];
+            a[(k, c)] = wk * b.re;
+            a[(k_samples + k, c)] = wk * b.im;
+        }
+        a[(k, n)] = wk;
+    }
+    a
+}
+
 /// One pole-relocation step: identifies the residues of the scaling function
 /// `σ(s) = 1 + Σ c̃ₙ φₙ(s)` by compressed least squares over every matrix
 /// element, then returns the zeros of `σ` as the new pole set.
@@ -201,17 +219,7 @@ fn relocate_poles(
     // the residual after projecting out the shared columns — then need a
     // (much smaller) per-element QR. This produces bit-identical compressed
     // rows at roughly a third of the factorization work.
-    let mut a1 = Mat::zeros(2 * k_samples, n_local);
-    for k in 0..k_samples {
-        let wk = weights[k];
-        for c in 0..n {
-            let b = phi[(k, c)];
-            a1[(k, c)] = wk * b.re;
-            a1[(k_samples + k, c)] = wk * b.im;
-        }
-        a1[(k, n)] = wk;
-    }
-    let q1 = QrFactor::new(&a1)?;
+    let q1 = QrFactor::new(&weighted_basis_block(&phi, weights))?;
     let tail_rows = 2 * k_samples - n_local;
 
     let mut stacked = Mat::zeros(ports * ports * n, n);
@@ -304,17 +312,7 @@ fn identify_residues(
 
     // Shared regression matrix (identical for every element): the basis
     // functions plus the constant term.
-    let mut a = Mat::zeros(2 * k_samples, n + 1);
-    for k in 0..k_samples {
-        let wk = weights[k];
-        for c in 0..n {
-            let b = phi[(k, c)];
-            a[(k, c)] = wk * b.re;
-            a[(k_samples + k, c)] = wk * b.im;
-        }
-        a[(k, n)] = wk;
-    }
-    let qr = QrFactor::new(&a)?;
+    let qr = QrFactor::new(&weighted_basis_block(&phi, weights))?;
 
     let mut residues = vec![CMat::zeros(ports, ports); n];
     let mut d = Mat::zeros(ports, ports);

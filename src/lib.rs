@@ -50,8 +50,8 @@
 //! enforcement and the standard-norm baseline — is
 //! [`core_flow::Pipeline::report`]
 //! (`cargo run --release --example quickstart`), and
-//! [`core_flow::Pipeline::sweep_with`] batches it over
-//! [`core_flow::ScenarioPreset`]s.
+//! [`core_flow::Corpus::run`] classifies a batch of generated boards with
+//! it.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

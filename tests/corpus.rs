@@ -3,13 +3,16 @@
 //! of a garbled copy, a seeded corpus smoke run with classification
 //! invariants, and the robustness-layer properties (backtracking descent,
 //! the stall stop, thread-count determinism of the smoke verdicts, the
-//! reduced-order retry's deliveries of corpus boards 81 and 83).
+//! reduced-order retry's deliveries of corpus boards 81 and 83), and a
+//! report on a fit that needs no enforcement.
 
 use pim_repro::core_flow::corpus::dense_decap_divergence_case;
 use pim_repro::core_flow::{
     CoreError, Corpus, CorpusClass, CorpusConfig, CorpusVerdict, MinimizedFixture, Pipeline,
     RecoveryRung, Stage, TraceObserver,
 };
+use pim_repro::passivity::check::assess_on;
+use pim_repro::passivity::grid::FrequencyGrid;
 use pim_repro::passivity::{EnforcementIteration, NormKind, PassivityError};
 use pim_runtime::ThreadPool;
 
@@ -284,4 +287,38 @@ fn reduced_order_retry_delivers_corpus_boards_81_and_83() {
         assert_eq!(verdict.iterations, iterations, "board {seed}: {}", verdict.detail);
         assert_eq!(verdict.detail, detail, "board {seed}");
     }
+}
+
+/// Smoke board 10's weighted fit is passive as fitted, so `report()` runs
+/// no enforcement: both enforcements and the baseline's evaluation are
+/// absent, no enforcement or recovery stage starts and no iteration event
+/// arrives. The primary rung delivers the fit itself, and the contract
+/// audits it on the 16x grid.
+#[test]
+fn report_on_an_already_passive_fit_runs_no_enforcement() {
+    let case = Corpus::case(&pim_bench::corpus_smoke_config(), 10).expect("generator");
+    let (_pdn, data, network, observation_port) = case.assemble().expect("assemble");
+    let mut trace = TraceObserver::new();
+    let report = Pipeline::from_data(&data, &network, observation_port, case.flow.clone())
+        .unwrap()
+        .with_observer(&mut trace)
+        .report()
+        .unwrap();
+    assert!(report.weighted_enforcement.is_none());
+    assert!(report.standard_enforcement.is_none());
+    assert!(report.standard_passive_eval.is_none());
+    assert!(
+        !trace.started.iter().any(|s| matches!(s, Stage::Enforcement(_) | Stage::Recovery(_))),
+        "{:?}",
+        trace.started
+    );
+    assert!(trace.iterations.is_empty());
+    let contract = report.contract.as_ref().expect("report() attaches the contract");
+    assert_eq!(contract.rung, RecoveryRung::Primary);
+    let audit_grid = FrequencyGrid::enforcement_log(
+        data.grid().max_omega(),
+        case.flow.enforcement.sweep_points * case.flow.contract.audit_multiplier,
+    );
+    let audit = assess_on(&report.weighted_fit.model, &audit_grid).unwrap();
+    assert_eq!(contract.audit_sigma_max.to_bits(), audit.sigma_max.to_bits());
 }
