@@ -21,8 +21,9 @@
 //! * `--minimize-failures <dir>` — auto-minimize every non-Certified corpus
 //!   scenario and write one fixture per seed into `dir`.
 //!
-//! The report is reproducible from its seed list: same binary, same `N`,
-//! same verdicts, bit for bit.
+//! The header's gate is the default corpus flow's accuracy contract
+//! (`CorpusConfig::default().flow.contract`). The report is reproducible
+//! from its seed list: same binary, same `N`, same verdicts, bit for bit.
 
 use pim_core::corpus::{
     dense_decap_divergence_case, minimize, Corpus, CorpusClass, CorpusConfig, CorpusVerdict,
@@ -103,7 +104,7 @@ fn main() {
     println!("# Corpus report: {n} boards, seeds 0..{n}, default CorpusConfig");
     println!(
         "# gate: sigma_max <= 1+{:.0e} on {}x audit grid AND weighted beats standard",
-        config.sigma_tolerance, config.audit_multiplier
+        config.flow.contract.sigma_tolerance, config.flow.contract.audit_multiplier
     );
     println!("# seed | class | board | ports | order | iters | rung | audit sigma | Z err weighted | Z err standard | detail");
     for v in &verdicts {

@@ -9,8 +9,9 @@
 //!
 //! * **Certified** — the flow completed, the delivered model holds
 //!   `σ_max ≤ 1 + tol` on an `audit_multiplier`× fixed-log audit grid it was
-//!   never constrained on, and the weighted enforcement beats the standard
-//!   baseline on target-impedance error;
+//!   never constrained on (both taken from the flow's
+//!   [`crate::recovery::ContractConfig`]), and the weighted enforcement
+//!   beats the standard baseline on target-impedance error;
 //! * **Adverse** — the flow completed but a gate failed (audit violation, or
 //!   weighted no better than standard): the paper's method underperforms in
 //!   this regime;
@@ -91,32 +92,19 @@ impl std::fmt::Display for CorpusClass {
 }
 
 /// Configuration of a corpus run: the board space, the flow numerics and the
-/// certification gate.
+/// sample count. Every board is solved on the scenario band (see
+/// [`ScenarioConfig`]), and the certification gate is the flow's accuracy
+/// contract (`flow.contract`).
 #[derive(Debug, Clone)]
 pub struct CorpusConfig {
     /// The generated-board parameter space.
     pub generator: GeneratorConfig,
     /// Flow numerics applied to every scenario (see
-    /// [`corpus_flow_config`]).
+    /// [`corpus_flow_config`]); its contract is the certification gate.
     pub flow: FlowConfig,
     /// Log-spaced frequency samples per scenario (the DC point is added on
     /// top, as everywhere else).
     pub frequency_samples: usize,
-    /// Lower band edge in hertz.
-    pub f_min_hz: f64,
-    /// Upper band edge in hertz.
-    pub f_max_hz: f64,
-    /// Scattering reference resistance.
-    pub z_ref: f64,
-    /// Total switching current split across the die ports.
-    pub total_current: f64,
-    /// Audit-grid density as a multiple of the enforcement working sweep
-    /// (the certification gate sweeps `sweep_points × audit_multiplier`
-    /// fixed-log points the model was never constrained on).
-    pub audit_multiplier: usize,
-    /// Passivity tolerance of the audit gate: certified means
-    /// `σ_max ≤ 1 + sigma_tolerance`.
-    pub sigma_tolerance: f64,
 }
 
 impl Default for CorpusConfig {
@@ -125,12 +113,6 @@ impl Default for CorpusConfig {
             generator: GeneratorConfig::default(),
             flow: corpus_flow_config(14),
             frequency_samples: 60,
-            f_min_hz: 1e3,
-            f_max_hz: 2e9,
-            z_ref: 50.0,
-            total_current: 1.0,
-            audit_multiplier: 16,
-            sigma_tolerance: 1e-8,
         }
     }
 }
@@ -153,8 +135,9 @@ pub fn corpus_flow_config(n_poles: usize) -> FlowConfig {
 }
 
 /// One fully materialized corpus scenario: a generated board plus the flow
-/// and gate numerics to run it under. Self-contained — classification and
-/// fixture serialization need nothing else.
+/// and gate numerics to run it under, on the scenario band (see
+/// [`ScenarioConfig`]). Self-contained — classification and fixture
+/// serialization need nothing else.
 #[derive(Debug, Clone)]
 pub struct CorpusCase {
     /// The board and its per-port electrical models.
@@ -163,17 +146,11 @@ pub struct CorpusCase {
     pub flow: FlowConfig,
     /// Log-spaced frequency samples (plus DC).
     pub frequency_samples: usize,
-    /// Lower band edge in hertz.
-    pub f_min_hz: f64,
-    /// Upper band edge in hertz.
-    pub f_max_hz: f64,
-    /// Scattering reference resistance.
-    pub z_ref: f64,
-    /// Total die excitation current.
-    pub total_current: f64,
-    /// Audit grid density multiplier.
+    /// Audit grid density multiplier ([`CorpusCase::classify`] copies it
+    /// into `flow.contract`).
     pub audit_multiplier: usize,
-    /// Audit passivity tolerance.
+    /// Audit passivity tolerance ([`CorpusCase::classify`] copies it into
+    /// `flow.contract`).
     pub sigma_tolerance: f64,
 }
 
@@ -215,7 +192,7 @@ pub struct CorpusVerdict {
 impl CorpusCase {
     /// Builds the synthetic PDN, solves it, and assembles the per-port
     /// termination network: [`StandardScenario::build`] on the case's board
-    /// and band, returned as its parts.
+    /// and sample count, returned as its parts.
     ///
     /// # Errors
     ///
@@ -224,10 +201,6 @@ impl CorpusCase {
         let sc = StandardScenario::build(ScenarioConfig {
             board: self.board.clone(),
             frequency_samples: self.frequency_samples,
-            f_min_hz: self.f_min_hz,
-            f_max_hz: self.f_max_hz,
-            z_ref: self.z_ref,
-            total_current: self.total_current,
         })?;
         Ok((sc.pdn, sc.data, sc.network, sc.observation_port))
     }
@@ -352,7 +325,8 @@ pub struct Corpus;
 
 impl Corpus {
     /// Materializes the case for one seed (board generation + numerics
-    /// bundling); classification is [`CorpusCase::classify`].
+    /// bundling, the gate taken from `config.flow.contract`);
+    /// classification is [`CorpusCase::classify`].
     ///
     /// # Errors
     ///
@@ -363,12 +337,8 @@ impl Corpus {
             board,
             flow: config.flow.clone(),
             frequency_samples: config.frequency_samples,
-            f_min_hz: config.f_min_hz,
-            f_max_hz: config.f_max_hz,
-            z_ref: config.z_ref,
-            total_current: config.total_current,
-            audit_multiplier: config.audit_multiplier,
-            sigma_tolerance: config.sigma_tolerance,
+            audit_multiplier: config.flow.contract.audit_multiplier,
+            sigma_tolerance: config.flow.contract.sigma_tolerance,
         })
     }
 
@@ -575,7 +545,7 @@ impl MinimizedFixture {
         let case = &self.case;
         let spec = &case.board.spec;
         let mut lines = vec![
-            "# pim corpus minimized fixture v1".to_string(),
+            "# pim corpus minimized fixture v2".to_string(),
             "# floats are exact f64 bit patterns; decimal values are comments".to_string(),
             format!("name = {}", self.name),
             format!("class = {}", self.class),
@@ -641,14 +611,6 @@ impl MinimizedFixture {
         ));
         lines.push(format!("max_iterations = {}", case.flow.enforcement.max_iterations));
         lines.push(format!("frequency_samples = {}", case.frequency_samples));
-        lines.push(format!("f_min_hz = {} # {:e}", fmt_f64(case.f_min_hz), case.f_min_hz));
-        lines.push(format!("f_max_hz = {} # {:e}", fmt_f64(case.f_max_hz), case.f_max_hz));
-        lines.push(format!("z_ref = {} # {}", fmt_f64(case.z_ref), case.z_ref));
-        lines.push(format!(
-            "total_current = {} # {}",
-            fmt_f64(case.total_current),
-            case.total_current
-        ));
         lines.push(format!("audit_multiplier = {}", case.audit_multiplier));
         lines.push(format!(
             "sigma_tolerance = {} # {:e}",
@@ -658,12 +620,16 @@ impl MinimizedFixture {
         lines.join("\n") + "\n"
     }
 
-    /// Parses a serialized fixture. The sampling strategy is always the
-    /// default adaptive one (it is not a fixture parameter).
+    /// Parses a serialized fixture (format v2: the band, reference and
+    /// excitation are the scenario constants, not keys). The sampling
+    /// strategy is always the default adaptive one (it is not a fixture
+    /// parameter).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidInput`] on malformed or incomplete input.
+    /// Returns [`CoreError::InvalidInput`] on malformed or incomplete input,
+    /// and on a key the format does not have or one given twice (naming
+    /// it): a v1 fixture's band keys are rejected, not ignored.
     pub fn parse(text: &str) -> Result<Self> {
         let mut fields = std::collections::BTreeMap::new();
         for line in text.lines() {
@@ -681,14 +647,18 @@ impl MinimizedFixture {
             } else {
                 value.split('#').next().unwrap_or("").trim().to_string()
             };
-            fields.insert(key.to_string(), value);
+            if fields.insert(key.to_string(), value).is_some() {
+                return Err(CoreError::InvalidInput(format!("duplicate fixture key '{key}'")));
+            }
         }
-        let get = |key: &str| -> Result<&String> {
+        // Every read consumes its key, so a key left over at the end is one
+        // the format does not have.
+        let mut take = |key: &str| -> Result<String> {
             fields
-                .get(key)
+                .remove(key)
                 .ok_or_else(|| CoreError::InvalidInput(format!("fixture is missing '{key}'")))
         };
-        let die_stack: Vec<StackStage> = parse_triples(get("die_stack")?)?
+        let die_stack: Vec<StackStage> = parse_triples(&take("die_stack")?)?
             .into_iter()
             .map(|[inductance, resistance, shunt_capacitance]| StackStage {
                 inductance,
@@ -696,12 +666,12 @@ impl MinimizedFixture {
                 shunt_capacitance,
             })
             .collect();
-        let decap_models: Vec<DecapPart> = parse_triples(get("decap_models")?)?
+        let decap_models: Vec<DecapPart> = parse_triples(&take("decap_models")?)?
             .into_iter()
             .map(|[capacitance, esr, esl]| DecapPart { capacitance, esr, esl })
             .collect();
-        let pair = |key: &str| -> Result<(f64, f64)> {
-            let raw = get(key)?;
+        let mut pair = |key: &str| -> Result<(f64, f64)> {
+            let raw = take(key)?;
             let (a, b) = raw
                 .split_once(',')
                 .ok_or_else(|| CoreError::InvalidInput(format!("bad pair '{raw}' for {key}")))?;
@@ -710,23 +680,24 @@ impl MinimizedFixture {
         let (vrm_resistance, vrm_inductance) = pair("vrm")?;
         let (die_resistance, die_capacitance) = pair("die")?;
         let spec = PdnBoardSpec {
-            nx: parse_usize(get("nx")?)?,
-            ny: parse_usize(get("ny")?)?,
-            segment_inductance: parse_f64(get("segment_inductance")?)?,
-            segment_resistance: parse_f64(get("segment_resistance")?)?,
-            cell_capacitance: parse_f64(get("cell_capacitance")?)?,
-            cell_conductance: parse_f64(get("cell_conductance")?)?,
-            via_inductance: parse_f64(get("via_inductance")?)?,
-            via_resistance: parse_f64(get("via_resistance")?)?,
-            die_ports: parse_coords(get("die_ports")?)?,
-            decap_ports: parse_coords(get("decap_ports")?)?,
-            vrm_ports: parse_coords(get("vrm_ports")?)?,
+            nx: parse_usize(&take("nx")?)?,
+            ny: parse_usize(&take("ny")?)?,
+            segment_inductance: parse_f64(&take("segment_inductance")?)?,
+            segment_resistance: parse_f64(&take("segment_resistance")?)?,
+            cell_capacitance: parse_f64(&take("cell_capacitance")?)?,
+            cell_conductance: parse_f64(&take("cell_conductance")?)?,
+            via_inductance: parse_f64(&take("via_inductance")?)?,
+            via_resistance: parse_f64(&take("via_resistance")?)?,
+            die_ports: parse_coords(&take("die_ports")?)?,
+            decap_ports: parse_coords(&take("decap_ports")?)?,
+            vrm_ports: parse_coords(&take("vrm_ports")?)?,
             die_stack,
         };
+        let seed = take("seed")?;
         let board = GeneratedBoard {
-            seed: get("seed")?.parse::<u64>().map_err(|e| {
-                CoreError::InvalidInput(format!("bad seed '{}': {e}", fields["seed"]))
-            })?,
+            seed: seed
+                .parse::<u64>()
+                .map_err(|e| CoreError::InvalidInput(format!("bad seed '{seed}': {e}")))?,
             spec,
             decap_models,
             vrm: VrmModel { resistance: vrm_resistance, inductance: vrm_inductance },
@@ -734,30 +705,30 @@ impl MinimizedFixture {
         };
         // Fixtures must stay buildable without running the flow.
         board.build()?;
-        let mut flow = corpus_flow_config(parse_usize(get("n_poles")?)?);
-        flow.vf.n_iterations = parse_usize(get("vf_iterations")?)?;
-        flow.sensitivity_order = parse_usize(get("sensitivity_order")?)?;
-        flow.enforcement.sweep_points = parse_usize(get("sweep_points")?)?;
-        flow.enforcement.sigma_margin = parse_f64(get("sigma_margin")?)?;
-        flow.enforcement.max_iterations = parse_usize(get("max_iterations")?)?;
+        let mut flow = corpus_flow_config(parse_usize(&take("n_poles")?)?);
+        flow.vf.n_iterations = parse_usize(&take("vf_iterations")?)?;
+        flow.sensitivity_order = parse_usize(&take("sensitivity_order")?)?;
+        flow.enforcement.sweep_points = parse_usize(&take("sweep_points")?)?;
+        flow.enforcement.sigma_margin = parse_f64(&take("sigma_margin")?)?;
+        flow.enforcement.max_iterations = parse_usize(&take("max_iterations")?)?;
         let case = CorpusCase {
             board,
             flow,
-            frequency_samples: parse_usize(get("frequency_samples")?)?,
-            f_min_hz: parse_f64(get("f_min_hz")?)?,
-            f_max_hz: parse_f64(get("f_max_hz")?)?,
-            z_ref: parse_f64(get("z_ref")?)?,
-            total_current: parse_f64(get("total_current")?)?,
-            audit_multiplier: parse_usize(get("audit_multiplier")?)?,
-            sigma_tolerance: parse_f64(get("sigma_tolerance")?)?,
+            frequency_samples: parse_usize(&take("frequency_samples")?)?,
+            audit_multiplier: parse_usize(&take("audit_multiplier")?)?,
+            sigma_tolerance: parse_f64(&take("sigma_tolerance")?)?,
         };
-        Ok(MinimizedFixture {
-            name: get("name")?.clone(),
-            class: CorpusClass::parse(get("class")?)?,
-            pinned_iterations: parse_usize(get("pinned_iterations")?)?,
-            detail: get("detail")?.clone(),
+        let fixture = MinimizedFixture {
+            name: take("name")?,
+            class: CorpusClass::parse(&take("class")?)?,
+            pinned_iterations: parse_usize(&take("pinned_iterations")?)?,
+            detail: take("detail")?,
             case,
-        })
+        };
+        match fields.keys().next() {
+            Some(key) => Err(CoreError::InvalidInput(format!("unknown fixture key '{key}'"))),
+            None => Ok(fixture),
+        }
     }
 
     /// Replays the fixture: reruns the flow and returns the fresh verdict
@@ -795,24 +766,12 @@ pub fn dense_decap_divergence_case() -> CorpusCase {
             vrm: VrmModel { resistance: 0.8e-3, inductance: 15e-9 },
             die: DieModel { resistance: 30e-3, capacitance: 60e-9 },
         },
-        flow: {
-            // The historical regime diverges under the paper-default flow
-            // numerics (`FlowConfig::default()` at order 22); the trimmed
-            // corpus numerics soften the walk enough to converge, so the
-            // fixture pins the defaults explicitly.
-            let mut flow = corpus_flow_config(22);
-            flow.vf.n_iterations = 6;
-            flow.sensitivity_order = 8;
-            flow.enforcement.sweep_points = 400;
-            flow.enforcement.sigma_margin = 1e-4;
-            flow.enforcement.max_iterations = 30;
-            flow
-        },
+        // The historical regime diverges under the paper-default flow
+        // numerics at order 22; the trimmed corpus numerics
+        // (`corpus_flow_config`) soften the walk enough to converge, so the
+        // fixture pins the defaults.
+        flow: FlowConfig { vf: VfConfig { n_poles: 22, n_iterations: 6 }, ..FlowConfig::default() },
         frequency_samples: 80,
-        f_min_hz: 1e3,
-        f_max_hz: 2e9,
-        z_ref: 50.0,
-        total_current: 1.0,
         audit_multiplier: 16,
         sigma_tolerance: 1e-8,
     }
@@ -856,8 +815,7 @@ mod tests {
             parsed.case.flow.enforcement.sweep_points,
             fixture.case.flow.enforcement.sweep_points
         );
-        assert_eq!(parsed.case.f_min_hz.to_bits(), fixture.case.f_min_hz.to_bits());
-        assert_eq!(parsed.case.z_ref.to_bits(), fixture.case.z_ref.to_bits());
+        assert_eq!(parsed.case.sigma_tolerance.to_bits(), fixture.case.sigma_tolerance.to_bits());
         // Re-serialization is byte-stable.
         assert_eq!(parsed.serialize(), text);
     }
@@ -874,6 +832,16 @@ mod tests {
             .iter()
             .any(|c| c.board.spec.decap_ports.len() == 3 && c.board.decap_models.len() == 3));
         assert!(candidates.iter().any(|c| c.flow.vf.n_poles == 20));
+    }
+
+    #[test]
+    fn case_gate_comes_from_the_flow_contract() {
+        let mut config = CorpusConfig::default();
+        config.flow.contract.audit_multiplier = 8;
+        config.flow.contract.sigma_tolerance = 1e-6;
+        let case = Corpus::case(&config, 0).unwrap();
+        assert_eq!(case.audit_multiplier, 8);
+        assert_eq!(case.sigma_tolerance.to_bits(), 1e-6f64.to_bits());
     }
 
     #[test]

@@ -147,7 +147,8 @@ impl<'a> Pipeline<'a> {
     /// Returns [`CoreError::InvalidInput`] when the data is not in the
     /// scattering representation, when a sample holds a NaN or infinite
     /// entry, or when the contract's audit grid (`sweep_points ×
-    /// audit_multiplier` points) would have fewer than two points.
+    /// audit_multiplier` points) would have fewer than two points or more
+    /// than `usize::MAX`.
     pub fn from_data(
         data: &'a NetworkData,
         network: &'a TerminationNetwork,
@@ -165,9 +166,13 @@ impl<'a> Pipeline<'a> {
                 data.grid().freqs_hz()[k]
             )));
         }
-        if config.enforcement.sweep_points.saturating_mul(config.contract.audit_multiplier) < 2 {
+        let audit_points =
+            config.enforcement.sweep_points.checked_mul(config.contract.audit_multiplier);
+        if audit_points.is_none_or(|n| n < 2) {
             return Err(CoreError::InvalidInput(
-                "the audit grid (sweep_points x audit_multiplier) needs at least two points".into(),
+                "the audit grid (sweep_points x audit_multiplier) needs at least two points \
+                 and a count that fits in usize"
+                    .into(),
             ));
         }
         Ok(Pipeline {

@@ -7,9 +7,21 @@ use pim_circuit::generator::{DecapPart, DieModel, GeneratedBoard, VrmModel};
 use pim_pdn::{Termination, TerminationNetwork};
 use pim_rfdata::{FrequencyGrid, NetworkData};
 
-/// Parameters of a scenario: the board with its per-port electrical models,
-/// and the band and excitation it is solved and loaded with. Presets and
-/// corpus boards alike are built from this record.
+// The paper's band (Sec. IV: 1 kHz – 2 GHz), scattering reference
+// resistance (50 Ω) and total switching current split across the die ports
+// (1 A), the same for every scenario. The target impedance and the
+// sensitivity divide the excitation by its own total, so no result depends
+// on the current beyond rounding.
+const F_MIN_HZ: f64 = 1e3;
+const F_MAX_HZ: f64 = 2e9;
+const Z_REF: f64 = 50.0;
+const TOTAL_CURRENT: f64 = 1.0;
+
+/// Parameters of a scenario: the board with its per-port electrical models
+/// and its sample count. Every scenario is solved over the paper's
+/// 1 kHz – 2 GHz band against a 50 Ω reference and loaded with its 1 A
+/// switching current. Presets and corpus boards alike are built from this
+/// record.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Board description (grid size, electrical parameters, port placement)
@@ -19,14 +31,6 @@ pub struct ScenarioConfig {
     /// Number of logarithmically spaced frequency samples (the DC point is
     /// added on top, as in the paper's data set).
     pub frequency_samples: usize,
-    /// Lower band edge in hertz (paper: 1 kHz).
-    pub f_min_hz: f64,
-    /// Upper band edge in hertz (paper: 2 GHz).
-    pub f_max_hz: f64,
-    /// Scattering reference resistance (paper: 50 Ω).
-    pub z_ref: f64,
-    /// Total switching current injected at the die ports (paper: 1 A).
-    pub total_current: f64,
 }
 
 /// The built-in scenario registry: named board/termination shapes the
@@ -150,10 +154,6 @@ impl ScenarioPreset {
                 die,
             },
             frequency_samples,
-            f_min_hz: 1e3,
-            f_max_hz: 2e9,
-            z_ref: 50.0,
-            total_current: 1.0,
         }
     }
 
@@ -187,8 +187,6 @@ pub struct StandardScenario {
     pub network: TerminationNetwork,
     /// The die port at which the target impedance is observed.
     pub observation_port: usize,
-    /// The configuration the scenario was built from.
-    pub config: ScenarioConfig,
 }
 
 impl StandardScenario {
@@ -207,9 +205,8 @@ impl StandardScenario {
         let board = &config.board;
         let pdn = board.build()?;
         let grid =
-            FrequencyGrid::log_space(config.f_min_hz, config.f_max_hz, config.frequency_samples)?
-                .with_dc();
-        let data = pdn.circuit.scattering_parameters(&grid, config.z_ref)?;
+            FrequencyGrid::log_space(F_MIN_HZ, F_MAX_HZ, config.frequency_samples)?.with_dc();
+        let data = pdn.circuit.scattering_parameters(&grid, Z_REF)?;
 
         let mut terminations = vec![Termination::Open; pdn.ports()];
         for &p in &pdn.die_ports {
@@ -236,8 +233,8 @@ impl StandardScenario {
             .first()
             .ok_or_else(|| CoreError::InvalidInput("the board defines no die port".into()))?;
         let network = TerminationNetwork::new(terminations)?
-            .with_excitation(pdn.die_ports.clone(), config.total_current)?;
-        Ok(StandardScenario { pdn, data, network, observation_port, config })
+            .with_excitation(pdn.die_ports.clone(), TOTAL_CURRENT)?;
+        Ok(StandardScenario { pdn, data, network, observation_port })
     }
 }
 
@@ -251,7 +248,7 @@ mod tests {
         let sc = ScenarioPreset::Reduced.build().unwrap();
         assert_eq!(sc.data.ports(), sc.pdn.ports());
         assert_eq!(sc.network.ports(), sc.data.ports());
-        assert_eq!(sc.data.len(), sc.config.frequency_samples + 1); // + DC
+        assert_eq!(sc.data.len(), ScenarioPreset::Reduced.config().frequency_samples + 1); // + DC
         assert_eq!((sc.data.grid().freqs_hz()[0]).to_bits(), 0.0f64.to_bits());
         assert!(sc.pdn.die_ports.contains(&sc.observation_port));
     }

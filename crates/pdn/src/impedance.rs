@@ -48,29 +48,17 @@ pub fn loaded_impedance_matrix(
     Ok(total.inverse()?)
 }
 
-/// Computes the target impedance of a tabulated scattering data set under a
-/// nominal termination network.
-///
-/// The observation port is where the voltage is read; the excitation is the
-/// Norton current vector of the termination network (eq. 1), so the returned
-/// quantity is `Z_PDN(jω_k) = Σ_j Z_kij · J_j / I_total` — for the paper's
-/// normalized 1 A total excitation this is exactly the voltage at the
-/// observation port.
-///
-/// # Errors
-///
-/// Returns [`PdnError::InvalidInput`] when the data is not in scattering
-/// form, port counts mismatch, the observation port is out of range or no
-/// port is excited.
-pub fn target_impedance(
+/// Checks the inputs shared by the target impedance and both sensitivity
+/// estimators — scattering data, equal port counts, an observation port in
+/// range and a defined excitation — and returns the Norton excitation
+/// vector `J` with its total current.
+pub(crate) fn excitation(
     data: &NetworkData,
     network: &TerminationNetwork,
     observation_port: usize,
-) -> Result<TargetImpedance> {
+) -> Result<(Vec<Complex64>, f64)> {
     if data.kind() != ParameterKind::Scattering {
-        return Err(PdnError::InvalidInput(
-            "target_impedance requires scattering parameters".into(),
-        ));
+        return Err(PdnError::InvalidInput("PDN analysis requires scattering parameters".into()));
     }
     if data.ports() != network.ports() {
         return Err(PdnError::InvalidInput(format!(
@@ -92,6 +80,29 @@ pub fn target_impedance(
             "the termination network defines no excitation; call with_excitation first".into(),
         ));
     }
+    Ok((j, total_current))
+}
+
+/// Computes the target impedance of a tabulated scattering data set under a
+/// nominal termination network.
+///
+/// The observation port is where the voltage is read; the excitation is the
+/// Norton current vector of the termination network (eq. 1), so the returned
+/// quantity is `Z_PDN(jω_k) = Σ_j Z_kij · J_j / I_total` — for the paper's
+/// normalized 1 A total excitation this is exactly the voltage at the
+/// observation port.
+///
+/// # Errors
+///
+/// Returns [`PdnError::InvalidInput`] when the data is not in scattering
+/// form, port counts mismatch, the observation port is out of range or no
+/// port is excited.
+pub fn target_impedance(
+    data: &NetworkData,
+    network: &TerminationNetwork,
+    observation_port: usize,
+) -> Result<TargetImpedance> {
+    let (j, total_current) = excitation(data, network, observation_port)?;
 
     // Every frequency is an independent load-and-solve; the sweep runs on
     // the global pool with results collected by frequency index, so the

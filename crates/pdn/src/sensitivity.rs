@@ -19,7 +19,7 @@
 use crate::rng::SplitMix64;
 use crate::{PdnError, Result, TerminationNetwork};
 use pim_linalg::{CMat, Complex64};
-use pim_rfdata::{NetworkData, ParameterKind};
+use pim_rfdata::NetworkData;
 
 /// Options for the Monte Carlo sensitivity estimator.
 #[derive(Debug, Clone)]
@@ -51,20 +51,13 @@ impl Default for SensitivityOptions {
 ///
 /// # Errors
 ///
-/// Mirrors the validation of [`crate::target_impedance`].
+/// The input checks of [`crate::target_impedance`].
 pub fn analytic_sensitivity(
     data: &NetworkData,
     network: &TerminationNetwork,
     observation_port: usize,
 ) -> Result<Vec<f64>> {
-    validate(data, network, observation_port)?;
-    let j = network.excitation_vector();
-    let total_current: f64 = j.iter().map(|z| z.re).sum();
-    if total_current <= 0.0 {
-        return Err(PdnError::InvalidInput(
-            "the termination network defines no excitation; call with_excitation first".into(),
-        ));
-    }
+    let (j, total_current) = crate::impedance::excitation(data, network, observation_port)?;
     let ports = data.ports();
     let omegas = data.grid().omegas();
     let r0 = data.z_ref();
@@ -116,8 +109,9 @@ pub fn analytic_sensitivity(
 ///
 /// # Errors
 ///
-/// Mirrors the validation of [`crate::target_impedance`]; singular loaded
-/// impedances inside a trial are skipped.
+/// The input checks of [`crate::target_impedance`], then a non-positive
+/// `sigma` or zero `trials`; singular loaded impedances inside a trial are
+/// skipped.
 pub fn monte_carlo_sensitivity(
     data: &NetworkData,
     network: &TerminationNetwork,
@@ -142,15 +136,13 @@ pub fn monte_carlo_sensitivity_with(
     observation_port: usize,
     options: &SensitivityOptions,
 ) -> Result<Vec<f64>> {
-    validate(data, network, observation_port)?;
+    let (j, total_current) = crate::impedance::excitation(data, network, observation_port)?;
     if !(options.sigma > 0.0) || options.trials == 0 {
         return Err(PdnError::InvalidInput(
             "Monte Carlo sensitivity requires sigma > 0 and at least one trial".into(),
         ));
     }
     let nominal = crate::target_impedance(data, network, observation_port)?;
-    let j = network.excitation_vector();
-    let total_current: f64 = j.iter().map(|z| z.re).sum();
     let ports = data.ports();
     let omegas = data.grid().omegas();
     // One independent stream per frequency, seeded from a master stream in
@@ -227,30 +219,6 @@ pub fn sensitivity_to_weights(sensitivity: &[f64], floor: f64) -> Result<Vec<f64
     Ok(sensitivity.iter().map(|&x| (x / max).max(floor)).collect())
 }
 
-fn validate(
-    data: &NetworkData,
-    network: &TerminationNetwork,
-    observation_port: usize,
-) -> Result<()> {
-    if data.kind() != ParameterKind::Scattering {
-        return Err(PdnError::InvalidInput("sensitivity requires scattering parameters".into()));
-    }
-    if data.ports() != network.ports() {
-        return Err(PdnError::InvalidInput(format!(
-            "data has {} ports but the termination network has {}",
-            data.ports(),
-            network.ports()
-        )));
-    }
-    if observation_port >= data.ports() {
-        return Err(PdnError::InvalidInput(format!(
-            "observation port {observation_port} out of range for {}-port data",
-            data.ports()
-        )));
-    }
-    Ok(())
-}
-
 /// Standard normal sample via Box–Muller on the self-contained [`SplitMix64`]
 /// stream (`u1` is drawn from `(0, 1]`, so `ln(u1)` is always finite).
 fn gaussian(rng: &mut SplitMix64, sigma: f64) -> f64 {
@@ -264,7 +232,7 @@ mod tests {
     use super::*;
     use crate::Termination;
     use pim_rfdata::network::z_to_s;
-    use pim_rfdata::FrequencyGrid;
+    use pim_rfdata::{FrequencyGrid, ParameterKind};
 
     fn c(re: f64, im: f64) -> Complex64 {
         Complex64::new(re, im)

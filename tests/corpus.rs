@@ -1,6 +1,6 @@
 //! Integration tests of the stress-corpus harness: the committed pinned
 //! dense-decap fixture, its convergence-regression replay and the rejection
-//! of a garbled copy, a seeded corpus smoke run with classification
+//! of garbled copies, a seeded corpus smoke run with classification
 //! invariants, and the robustness-layer properties (backtracking descent,
 //! the stall stop, thread-count determinism of the smoke verdicts, the
 //! reduced-order retry's deliveries of corpus boards 81 and 83), and a
@@ -61,16 +61,36 @@ fn committed_dense_decap_fixture_parses_builds_and_round_trips() {
     assert_eq!(regime.flow.vf.n_poles, fixture.case.flow.vf.n_poles);
 }
 
-/// A fixture with one decap model fewer than decap ports does not describe
-/// a board: parsing it must fail instead of leaving the last decap port
-/// open and replaying a different board.
+/// Garbled copies of the committed fixture must fail to parse, naming
+/// what is wrong, instead of replaying a different scenario:
+/// - one decap model fewer than decap ports would leave the last decap
+///   port open;
+/// - the four band keys of the v1 format are constants now, so a v1 file
+///   is rejected rather than read with its band silently ignored;
+/// - a repeated key would otherwise keep its last value.
 #[test]
-fn fixture_with_a_missing_decap_model_is_rejected() {
+fn garbled_fixtures_are_rejected() {
     let text = std::fs::read_to_string(DENSE_DECAP_FIXTURE).unwrap();
     let models = text.lines().find(|l| l.starts_with("decap_models = ")).expect("decap models");
-    let garbled = text.replace(models, models.rsplit_once(';').expect("four decap models").0);
-    let err = MinimizedFixture::parse(&garbled).expect_err("3 decap models for 4 decap ports");
-    assert!(err.to_string().contains("3 decap models for 4 decap ports"), "{err}");
+    let v1_band = "f_min_hz = 0x408f400000000000 # 1e3\n\
+                   f_max_hz = 0x41ddcd6500000000 # 2e9\n\
+                   z_ref = 0x4049000000000000 # 50\n\
+                   total_current = 0x3ff0000000000000 # 1\n";
+    let cases = [
+        (
+            text.replace(models, models.rsplit_once(';').expect("four decap models").0),
+            "3 decap models for 4 decap ports",
+        ),
+        (
+            text.replace("frequency_samples = 80\n", &format!("frequency_samples = 80\n{v1_band}")),
+            "unknown fixture key 'f_max_hz'",
+        ),
+        (text.replace("nx = 5\n", "nx = 5\nnx = 4\n"), "duplicate fixture key 'nx'"),
+    ];
+    for (garbled, expected) in cases {
+        let err = MinimizedFixture::parse(&garbled).expect_err(expected);
+        assert!(err.to_string().contains(expected), "{err}");
+    }
 }
 
 /// The promoted convergence regression (formerly the divergence replay):
@@ -121,7 +141,10 @@ fn seeded_corpus_run_classifies_consistently_and_reproduces() {
         match v.class {
             CorpusClass::Certified => {
                 let sigma = v.audit_sigma_max.expect("certified implies an audit");
-                assert!(sigma <= 1.0 + config.sigma_tolerance, "seed {seed}: {sigma}");
+                assert!(
+                    sigma <= 1.0 + config.flow.contract.sigma_tolerance,
+                    "seed {seed}: {sigma}"
+                );
                 let weighted = v.weighted_error.expect("certified implies evaluation");
                 if let Some(standard) = v.standard_error {
                     assert!(weighted < standard, "seed {seed}: gate 2 must hold");
