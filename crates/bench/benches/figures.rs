@@ -10,7 +10,7 @@ use pim_core::flow::FlowConfig;
 use pim_core::pipeline::{FitKind, Pipeline};
 use pim_core::scenario::ScenarioPreset;
 use pim_core::weighting::sensitivity_weighted_norm;
-use pim_passivity::check::{assess_with_sampling, hamiltonian_crossings};
+use pim_passivity::check::{assess_with_crossings, assess_with_sampling, hamiltonian_crossings};
 use pim_passivity::enforce::{enforce_passivity, EnforcementConfig, PerturbationNorm};
 use pim_passivity::grid::{Adaptive, FixedLog, FrequencyGrid, SamplingStrategy};
 use pim_pdn::{
@@ -54,20 +54,35 @@ fn bench_figures(c: &mut Criterion) {
     };
     c.bench_function("fig4_passivity_assessment", |b| b.iter(|| assess_base(&Adaptive)));
     c.bench_function("assess_fixed_log", |b| b.iter(|| assess_base(&FixedLog)));
-    // The Hamiltonian eigensolve by size: the weighted fits of the Reduced
-    // (2n = 144) and Paper (2n = 288) presets under their flow configs, the
-    // first models the benchmark's flow and read-only workloads assess.
-    for (name, preset) in [
-        ("eig_hamiltonian_crossings_reduced", ScenarioPreset::Reduced),
-        ("eig_hamiltonian_crossings_paper", ScenarioPreset::Paper),
+    // The two per-layer kernels of an assessment on the weighted fits of the
+    // Reduced (P = 4, 2n = 144) and Paper (P = 8, 2n = 288) presets under
+    // their flow configs, the first models the benchmark's flow and
+    // read-only workloads assess: the Hamiltonian eigensolve by size, and
+    // the σ sweep over the preset's 16× contract audit grid on one thread
+    // (no crossings, so no eigensolve and no refinement).
+    let serial_pool = ThreadPool::new(1);
+    for (eig_name, sweep_name, preset) in [
+        ("eig_hamiltonian_crossings_reduced", "sigma_sweep_reduced", ScenarioPreset::Reduced),
+        ("eig_hamiltonian_crossings_paper", "sigma_sweep_paper", ScenarioPreset::Paper),
     ] {
         let sc = preset.build().expect("scenario");
-        let fit = Pipeline::from_scenario(&sc, preset.flow_config())
+        let config = preset.flow_config();
+        let audit_grid = FrequencyGrid::enforcement_log(
+            sc.data.grid().max_omega(),
+            config.enforcement.sweep_points * config.contract.audit_multiplier,
+        );
+        let fit = Pipeline::from_scenario(&sc, config)
             .expect("pipeline")
             .fit(FitKind::Weighted)
             .expect("weighted fit");
         let sys = StateSpace::from_pole_residue(&fit.result.model).expect("realization");
-        c.bench_function(name, |b| b.iter(|| hamiltonian_crossings(&sys).expect("crossings")));
+        c.bench_function(eig_name, |b| b.iter(|| hamiltonian_crossings(&sys).expect("crossings")));
+        c.bench_function(sweep_name, |b| {
+            b.iter(|| {
+                assess_with_crossings(&serial_pool, &fit.result.model, &[], &audit_grid, &FixedLog)
+                    .expect("audit sweep")
+            })
+        });
     }
     let mut slow = c.benchmark_group("enforcement");
     slow.sample_size(10);
@@ -121,7 +136,6 @@ fn bench_figures(c: &mut Criterion) {
     // its partner (pinned by the integration/property suites); these benches
     // track the wall-clock ratio, ~1 on a single-core host (the pool
     // degrades to near-serial scheduling); see EXPERIMENTS.md.
-    let serial_pool = ThreadPool::new(1);
     // At least 2 threads so the parallel variants exercise the pooled path
     // even on a single-core host (where the ratio is then ~1 by necessity).
     let wide_pool =

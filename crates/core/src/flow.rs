@@ -254,17 +254,20 @@ mod tests {
     }
 
     #[test]
-    fn flow_rejects_an_audit_grid_below_two_points_or_past_usize() {
+    fn flow_rejects_an_audit_grid_below_two_points_or_above_the_grid_bound() {
         let sc = ScenarioPreset::Reduced.build().unwrap();
         let mut no_audit = quick_config();
         no_audit.contract.audit_multiplier = 0;
         let mut no_sweep = quick_config();
         no_sweep.enforcement.sweep_points = 0;
-        // sweep_points × usize::MAX overflows: rejected here rather than
+        // sweep_points × usize::MAX overflows, and sweep_points × 2^55 fits
+        // in usize but not in memory: both are rejected here rather than
         // panicking when report() builds the audit grid.
         let mut overflow = quick_config();
         overflow.contract.audit_multiplier = usize::MAX;
-        for config in [no_audit, no_sweep, overflow] {
+        let mut oversize = quick_config();
+        oversize.contract.audit_multiplier = 1 << 55;
+        for config in [no_audit, no_sweep, overflow, oversize] {
             assert!(matches!(
                 Pipeline::from_scenario(&sc, config),
                 Err(crate::CoreError::InvalidInput(_))

@@ -53,7 +53,7 @@ use pim_passivity::check::{
 use pim_passivity::enforce::{
     enforce_passivity, EnforcementConfig, EnforcementOutcome, PerturbationNorm,
 };
-use pim_passivity::grid::{FixedLog, FrequencyGrid};
+use pim_passivity::grid::{FixedLog, FrequencyGrid, MAX_GRID_POINTS};
 use pim_passivity::norm::NormKind;
 use pim_passivity::PassivityError;
 use pim_pdn::sensitivity::sensitivity_to_weights;
@@ -148,7 +148,7 @@ impl<'a> Pipeline<'a> {
     /// scattering representation, when a sample holds a NaN or infinite
     /// entry, or when the contract's audit grid (`sweep_points ×
     /// audit_multiplier` points) would have fewer than two points or more
-    /// than `usize::MAX`.
+    /// than [`MAX_GRID_POINTS`].
     pub fn from_data(
         data: &'a NetworkData,
         network: &'a TerminationNetwork,
@@ -167,13 +167,12 @@ impl<'a> Pipeline<'a> {
             )));
         }
         let audit_points =
-            config.enforcement.sweep_points.checked_mul(config.contract.audit_multiplier);
-        if audit_points.is_none_or(|n| n < 2) {
-            return Err(CoreError::InvalidInput(
-                "the audit grid (sweep_points x audit_multiplier) needs at least two points \
-                 and a count that fits in usize"
-                    .into(),
-            ));
+            config.enforcement.sweep_points.saturating_mul(config.contract.audit_multiplier);
+        if !(2..=MAX_GRID_POINTS).contains(&audit_points) {
+            return Err(CoreError::InvalidInput(format!(
+                "the audit grid (sweep_points x audit_multiplier) needs between 2 and \
+                 {MAX_GRID_POINTS} points"
+            )));
         }
         Ok(Pipeline {
             data,

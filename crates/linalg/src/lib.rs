@@ -18,8 +18,11 @@
 //!   real arithmetic ([`eig`]; Hamiltonian passivity tests, system poles),
 //!   or the single-shift complex QR iteration ([`schur`]; pole relocation
 //!   and rational zeros in the fits);
-//! * singular value decomposition of small complex matrices (scattering
-//!   matrices at a frequency point) via one-sided Jacobi ([`svd`]);
+//! * singular values of small complex matrices (scattering matrices at a
+//!   frequency point): the full decomposition via one-sided Jacobi, and the
+//!   largest singular value alone via Householder tridiagonalization of the
+//!   Gram matrix and Sturm bisection, the kernel of every σ sample
+//!   ([`svd`]);
 //! * Lyapunov / Sylvester solvers for controllability Gramians
 //!   ([`lyapunov`]).
 //!

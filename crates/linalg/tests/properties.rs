@@ -4,7 +4,7 @@ use pim_linalg::eig::eigenvalues;
 use pim_linalg::lyapunov::controllability_gramian;
 use pim_linalg::qr::QrFactor;
 use pim_linalg::schur::complex_schur;
-use pim_linalg::svd::svd;
+use pim_linalg::svd::{sigma_max, svd};
 use pim_linalg::{CMat, Complex64, Mat};
 use proptest::prelude::*;
 
@@ -201,6 +201,45 @@ proptest! {
         let fro = a.frobenius_norm();
         prop_assert!(d.sigma_max() <= fro + 1e-12);
         prop_assert!(d.sigma_max() * 2.0 >= fro / (4.0f64.min(6.0)).sqrt() - 1e-12);
+    }
+
+    #[test]
+    fn values_only_sigma_max_matches_the_jacobi_svd(
+        dims in (1usize..11, 1usize..11),
+        va in prop::collection::vec(-1.0f64..1.0, 2 * 10 * 10),
+        vu in prop::collection::vec(-1.0f64..1.0, 2 * 10),
+        vv in prop::collection::vec(-1.0f64..1.0, 2 * 10),
+    ) {
+        let (m, n) = dims;
+        let entry = |v: &[f64], k: usize| Complex64::new(v[2 * k], v[2 * k + 1]);
+        let random = CMat::from_fn(m, n, |i, j| entry(&va, i * 10 + j));
+        // The PDN regime, S ≈ −I with σ clustered at 1, and a rank-one
+        // matrix, whose Gram matrix has one nonzero eigenvalue.
+        let pdn = CMat::from_fn(m, m, |i, j| {
+            let e = entry(&va, i * 10 + j).scale(2e-3);
+            if i == j { e - Complex64::ONE } else { e }
+        });
+        let rank_one = CMat::from_fn(m, n, |i, j| entry(&vu, i) * entry(&vv, j).conj());
+        for a in [&random, &random.hermitian(), &pdn, &rank_one, &rank_one.hermitian()] {
+            let (fast, oracle) = (sigma_max(a).unwrap(), svd(a).unwrap().sigma_max());
+            prop_assert!(
+                (fast - oracle).abs() <= 1e-14 * oracle,
+                "{}x{}: {fast} vs {oracle}", a.rows(), a.cols()
+            );
+        }
+    }
+
+    #[test]
+    fn values_only_sigma_max_scales_exactly_by_powers_of_two(a in complex_matrix(4, 6)) {
+        // The kernel prescales by a power of two, so scaling the input by
+        // one scales the result bit for bit, far beyond where the Gram
+        // matrix of the unscaled entries would underflow or overflow.
+        let sigma = sigma_max(&a).unwrap();
+        for k in [-400, 400] {
+            let factor = 2f64.powi(k);
+            let scaled = sigma_max(&a.scaled_real(factor)).unwrap();
+            prop_assert!(scaled.to_bits() == (sigma * factor).to_bits(), "2^{k}: {scaled} vs {sigma}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::grid::{FrequencyGrid, SamplingStrategy};
 use crate::{PassivityError, Result};
 use pim_linalg::eig::eigenvalues;
-use pim_linalg::svd::{singular_values, svd};
+use pim_linalg::svd::{sigma_max, singular_values};
 use pim_linalg::Mat;
 use pim_statespace::{PoleResidueModel, StateSpace};
 
@@ -210,7 +210,7 @@ pub fn assess_on(model: &PoleResidueModel, grid: &FrequencyGrid) -> Result<Passi
 ///
 /// # Errors
 ///
-/// Propagates realization, eigenvalue, refinement and SVD failures.
+/// Propagates realization, eigenvalue, refinement and `σ_max` failures.
 pub fn assess_with_sampling(
     pool: &pim_runtime::ThreadPool,
     model: &PoleResidueModel,
@@ -232,7 +232,7 @@ pub fn assess_with_sampling(
 ///
 /// # Errors
 ///
-/// Propagates refinement and SVD failures.
+/// Propagates refinement and `σ_max` failures.
 pub fn assess_with_crossings(
     pool: &pim_runtime::ThreadPool,
     model: &PoleResidueModel,
@@ -299,16 +299,18 @@ pub fn assess_with_crossings(
     })
 }
 
-/// Largest singular value of the model's scattering matrix at one frequency,
-/// together with the corresponding singular vectors (used by the constraint
-/// linearization).
+/// Largest singular value of the model's scattering matrix at one
+/// frequency, by the values-only kernel [`pim_linalg::svd::sigma_max`]
+/// (Householder tridiagonalization of `SSᴴ` and Sturm bisection; no
+/// singular vectors). Every σ sample of an assessment, an audit or a
+/// verification sweep is one call.
 ///
 /// # Errors
 ///
-/// Propagates evaluation and SVD failures.
+/// Propagates evaluation failures, and rejects a non-finite `S(jω)`.
 pub fn sigma_max_at(model: &PoleResidueModel, omega: f64) -> Result<f64> {
     let s = model.evaluate_at_omega(omega).map_err(PassivityError::StateSpace)?;
-    Ok(svd(&s)?.sigma_max())
+    Ok(sigma_max(&s)?)
 }
 
 #[cfg(test)]

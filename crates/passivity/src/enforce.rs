@@ -28,7 +28,7 @@
 
 use crate::check::{assess_with_crossings, assess_with_sampling, PassivityReport};
 use crate::constraints::{apply_perturbation, build_constraints};
-use crate::grid::{Adaptive, FrequencyGrid, SamplingStrategy};
+use crate::grid::{Adaptive, FrequencyGrid, SamplingStrategy, MAX_GRID_POINTS};
 use crate::qp::{solve_block_qp_in_place, BlockQpFactors, QpOptions};
 use crate::{NotConvergedDiagnostics, PassivityError, Result};
 use pim_linalg::svd::svd;
@@ -261,9 +261,12 @@ pub fn enforce_asymptotic_passivity(
 ///
 /// # Errors
 ///
-/// Returns [`PassivityError::NotConverged`] when the iteration budget is
-/// exhausted or the loop stalls, and propagates numerical failures of the
-/// inner steps.
+/// Returns [`PassivityError::InvalidInput`] for a norm built for another
+/// model order, a band edge that is not positive and finite, or a
+/// `sweep_points` below 10 or whose 4× verification grid would exceed
+/// [`MAX_GRID_POINTS`]; [`PassivityError::NotConverged`] when the iteration
+/// budget is exhausted or the loop stalls; and propagates numerical
+/// failures of the inner steps.
 pub fn enforce_passivity(
     model: &PoleResidueModel,
     norm: &PerturbationNorm,
@@ -284,6 +287,12 @@ pub fn enforce_passivity(
     }
     if config.sweep_points < 10 {
         return Err(PassivityError::InvalidInput("sweep_points must be at least 10".into()));
+    }
+    if config.sweep_points > MAX_GRID_POINTS / 4 {
+        return Err(PassivityError::InvalidInput(format!(
+            "the 4x verification grid of sweep_points = {} exceeds {MAX_GRID_POINTS} points",
+            config.sweep_points
+        )));
     }
 
     // The loop assesses on two grids, both refined by the one sampling
@@ -796,8 +805,13 @@ mod tests {
                 enforce_passivity(&model, &norm, band_edge, &EnforcementConfig::default()).is_err()
             );
         }
-        let bad_cfg = EnforcementConfig { sweep_points: 3, ..Default::default() };
-        assert!(enforce_passivity(&model, &norm, 100.0, &bad_cfg).is_err());
+        for sweep_points in [3, usize::MAX / 2] {
+            let bad_cfg = EnforcementConfig { sweep_points, ..Default::default() };
+            assert!(matches!(
+                enforce_passivity(&model, &norm, 100.0, &bad_cfg),
+                Err(PassivityError::InvalidInput(_))
+            ));
+        }
     }
 
     #[test]

@@ -51,6 +51,16 @@ use crate::Result;
 use pim_statespace::PoleResidueModel;
 use std::fmt;
 
+/// The most points a frequency grid of the flow may hold.
+///
+/// It sits far above every grid built today (the Paper preset's 6,400-point
+/// audit, [`Adaptive`]'s 20,000-point cap). `pim_core`'s
+/// `Pipeline::from_data` rejects an audit grid above it and
+/// [`crate::enforce::enforce_passivity`] a `sweep_points` whose 4×
+/// verification grid exceeds it, each with an `InvalidInput` error instead
+/// of a failed allocation.
+pub const MAX_GRID_POINTS: usize = 1 << 20;
+
 /// How a grid point came to be part of a [`FrequencyGrid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PointProvenance {
@@ -194,7 +204,7 @@ pub trait SamplingStrategy: fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Propagates model-evaluation and SVD failures.
+    /// Propagates model-evaluation and `σ_max` failures.
     fn refine(
         &self,
         pool: &pim_runtime::ThreadPool,
@@ -266,7 +276,8 @@ fn crossing_points(crossings: &[f64]) -> Vec<(f64, PointProvenance)> {
 /// tolerance of 10⁻³.
 ///
 /// Each round sweeps `σ_max` over the current grid on the given
-/// [`pim_runtime::ThreadPool`] (one evaluate + SVD per new point), then for
+/// [`pim_runtime::ThreadPool`] (one evaluate plus one values-only `σ_max`,
+/// [`pim_linalg::svd::sigma_max`], per new point), then for
 /// every interior point estimates the interpolation error — the gap between
 /// the sampled `σ_max` and its log-frequency linear interpolation from the
 /// two neighbors (the estimate concentrates exactly at under-resolved
